@@ -29,6 +29,7 @@ from .errors import (
     CsvFormatError,
     DegenerateInputError,
     DpplsError,
+    ModelFormatError,
     NumericalError,
     ShapeError,
     SingularSystemError,
@@ -48,10 +49,13 @@ from .mechanism import (
 )
 from .pls import (
     FitConfig,
+    NipalsPath,
     fit,
     load_model,
+    nipals_path,
     predict,
     regression_coefficients,
+    release,
     save_model,
 )
 from .attack import (

@@ -7,7 +7,8 @@ resolved configuration next to its outputs, and every stochastic command
 is bit-reproducible from --seed.
 
 Exit codes: 0 success, 2 argument/configuration problems, 3 I/O and file
-format problems, 4 shape mismatches, 5 numerical failures.
+format problems (CSV and model files), 4 shape mismatches, 5 numerical
+failures.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     ConfigurationError,
     CsvFormatError,
     DpplsError,
+    ModelFormatError,
     NumericalError,
     ShapeError,
 )
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CsvFormatError as exc:
+    except (CsvFormatError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ShapeError as exc:

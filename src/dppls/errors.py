@@ -18,6 +18,10 @@ class ConfigurationError(ArgumentError):
     """Inconsistent or incomplete run configuration."""
 
 
+class ModelFormatError(ArgumentError):
+    """A model file is not valid JSON or is not a consistent, finite model."""
+
+
 class DegenerateInputError(ArgumentError):
     """Input data is structurally valid but statistically unusable
     (constant response, too few samples, zero-variance reference, ...)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Dataset, PrivacyBudget, RngStream
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
-from .pls import FitConfig, fit, predict
+from .pls import FitConfig, nipals_path, predict, release
 from .preprocess import parse_pipeline
 
 
@@ -130,7 +130,10 @@ def kfold_cv(
     """Cross-validate every configuration in ``grid``.
 
     Folds are contiguous blocks of one seeded permutation, shared by all
-    grid points.  RMSECV pools the squared errors of all held-out samples.
+    grid points.  Each fold is preprocessed once and runs one clean NIPALS
+    path up to the largest grid k (at most min(n-1, m)); every grid point
+    is a release of that path, with noise stream ``rng.derive(gi, fold)``.
+    RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
     in that ranking.
@@ -155,28 +158,42 @@ def kfold_cv(
         "stream": rng.stream_id,
     })
 
-    for gi, cfg in enumerate(grid):
-        sq_errors = []
-        status = "ok"
-        for fold_i in range(folds):
-            test_idx = blocks[fold_i]
-            train_idx = np.concatenate(
-                [blocks[j] for j in range(folds) if j != fold_i]
-            )
+    k_top = max(cfg.k for cfg in grid)
+    status = ["ok"] * len(grid)
+    sq_errors = [[] for _ in grid]
+    for fold_i in range(folds):
+        test_idx = blocks[fold_i]
+        train_idx = np.concatenate(
+            [blocks[j] for j in range(folds) if j != fold_i]
+        )
+        try:
+            pipe = parse_pipeline(pipeline_spec)
+            train = Dataset(X=pipe.fit_transform(d.X[train_idx]), y=d.y[train_idx])
+            X_test = pipe.transform(d.X[test_idx])
+            depth = min(k_top, train.n - 1, train.m)
+            paths = {
+                tol: nipals_path(train, depth, tol)
+                for tol in {cfg.residual_tolerance for cfg in grid}
+            }
+        except DpplsError:
+            status = ["failed"] * len(grid)
+            break
+        for gi, cfg in enumerate(grid):
+            if status[gi] != "ok":
+                continue
             try:
-                pipe = parse_pipeline(pipeline_spec)
-                X_train = pipe.fit_transform(d.X[train_idx])
-                X_test = pipe.transform(d.X[test_idx])
-                model = fit(
-                    Dataset(X=X_train, y=d.y[train_idx]),
+                model = release(
+                    paths[cfg.residual_tolerance],
                     replace(cfg, rng=rng.derive(gi, fold_i)),
                 )
                 pred = predict(model, X_test)
             except DpplsError:
-                status = "failed"
-                break
-            sq_errors.extend(((d.y[test_idx] - pred) ** 2).tolist())
-        entry = {
+                status[gi] = "failed"
+                continue
+            sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
+
+    for cfg, st, errors in zip(grid, status, sq_errors):
+        report.entries.append({
             "kind": "cv",
             "epsilon": cfg.privacy.epsilon if cfg.privacy else None,
             "delta": cfg.privacy.delta if cfg.privacy else None,
@@ -184,14 +201,11 @@ def kfold_cv(
             "preprocess": pipeline_spec,
             "fold": None,
             "repeat": None,
-            "rmsecv": (
-                float(np.sqrt(np.mean(sq_errors))) if status == "ok" else None
-            ),
+            "rmsecv": float(np.sqrt(np.mean(errors))) if st == "ok" else None,
             "rmsep": None,
             "r2p": None,
-            "status": status,
-        }
-        report.entries.append(entry)
+            "status": st,
+        })
 
     usable = [e for e in report.entries if e["status"] == "ok"]
     if usable:
@@ -215,10 +229,12 @@ def privacy_utility_sweep(
 ) -> EvalReport:
     """Measure held-out error across privacy levels.
 
-    For each epsilon the model is refit ``repeats`` times with fresh noise
-    substreams; RMSEP and R2 on the test set are recorded per repeat and
-    aggregated as mean with standard error.  A no-noise baseline row is
-    always included.  An empty ``eps_list`` yields the baseline only.
+    One clean NIPALS path of the training set serves every fit.  For each
+    epsilon it is released ``repeats`` times with noise substreams
+    ``rng.derive(ei, rep)``; RMSEP and R2 on the test set are recorded per
+    repeat and aggregated as mean with standard error.  A no-noise
+    baseline row is always included.  An empty ``eps_list`` yields the
+    baseline only.
     """
     if rng is None:
         rng = RngStream(0)
@@ -262,7 +278,8 @@ def privacy_utility_sweep(
             "status": "ok" if pred_ok else "failed",
         }
 
-    baseline_model = fit(train_ds, FitConfig(k=k))
+    path = nipals_path(train_ds, k)
+    baseline_model = release(path, FitConfig(k=k))
     baseline_pred = predict(baseline_model, X_test)
     base_rmsep = rmse(test.y, baseline_pred)
     report.entries.append(entry(
@@ -280,7 +297,7 @@ def privacy_utility_sweep(
         r_vals, q_vals = [], []
         for rep in range(repeats):
             try:
-                model = fit(train_ds, FitConfig(
+                model = release(path, FitConfig(
                     k=k, privacy=budget, rng=rng.derive(ei, rep),
                 ))
                 pred = predict(model, X_test)

@@ -1,14 +1,29 @@
 """PLS1 regression with optional per-component Gaussian privatization.
 
-The fit follows the NIPALS recursion.  With a privacy budget set, each
-component releases noisy copies of the weight vector, the score vector,
-the x-loading vector, and the y-loading scalar; weights and scores are
-re-normalized to unit length after the noise is added.  Deflation always
-uses the non-private quantities, so later components see clean residuals,
-while only the released (noisy) quantities enter the returned model and
-its regression vector.  Sensitivities are recomputed per component from
-the residual suprema, and every calibration budgets the full
-(epsilon, delta) for its own release.
+A fit has two stages.  :func:`nipals_path` runs the NIPALS recursion on
+the clean data.  For every component it keeps the unit weight vector w,
+the unit score vector t, the x-loadings p, the y-loading c, and the
+sample suprema of the residuals the component was extracted from.
+Deflation uses only these clean quantities, so a path depends on the
+training data alone: not on the noise, the budget or the final component
+count.  One path therefore serves every fit of the same data.
+
+:func:`release` turns the first k components of a path into a model.
+With a privacy budget set, it releases noisy copies of each component's
+weights, scores, x-loadings and y-loading, re-normalizes the weights and
+scores to unit length, and solves for the regression vector from the
+released quantities only.  Sensitivities come from each component's
+residual suprema, and every calibration budgets the full (epsilon, delta)
+for its own release.  The path memoizes its calibrations per budget.
+
+A release draws all its noise in one call: one standard normal vector,
+cut into segments in the order weights, scores, x-loadings, y-loading of
+component 1, then of component 2, and so on, each segment scaled by its
+release's sigma.  Releases with sigma 0 take no draws.  Each Gaussian
+value consumes one word of the stream and the normal transform works
+element by element, so this equals drawing each release's noise in turn
+from the same stream, value for value.  :func:`fit` is
+``release(nipals_path(d, cfg.k, cfg.residual_tolerance), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
 weight sensitivity is that of the unnormalized covariance E^T f, yet the
@@ -19,11 +34,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
+    CALIBRATION_TARGETS,
     Dataset,
     NoiseCalibration,
     PlsModel,
@@ -36,14 +52,30 @@ from .errors import (
     ArgumentError,
     ConfigurationError,
     DegenerateInputError,
+    ModelFormatError,
     ShapeError,
     SingularSystemError,
 )
-from .mechanism import analytic_gaussian_sigma, sample_bounds, sensitivity_for
+from .mechanism import (
+    SampleBounds,
+    analytic_gaussian_sigma,
+    sample_bounds,
+    sensitivity_for,
+)
 
 # Condition number beyond which the k x k loading system is treated as
 # singular; roughly machine epsilon times a safety margin.
 _COND_LIMIT = 1e12
+
+DEFAULT_RESIDUAL_TOLERANCE = 1e-12
+
+
+def _check_depth(k, residual_tolerance) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ArgumentError(f"k must be a positive integer, got {k}")
+    if residual_tolerance < 0:
+        raise ArgumentError("residual_tolerance must be nonnegative")
+    return int(k)
 
 
 @dataclass
@@ -51,21 +83,20 @@ class FitConfig:
     """Settings for one model fit.
 
     ``privacy`` of None fits the plain (no-noise) baseline.  ``rng`` must
-    be supplied whenever privacy is set; it is consumed sequentially, four
-    noise draws per component (weights, scores, x-loadings, y-loading).
+    be supplied whenever privacy is set; the fit takes all its noise from
+    it in one batched draw, in the order weights, scores, x-loadings,
+    y-loading per component, which equals drawing the four releases of
+    each component in turn from the stream.  The recursion stops early
+    once a residual norm falls below ``residual_tolerance``.
     """
 
     k: int
     privacy: Optional[PrivacyBudget] = None
     rng: Optional[RngStream] = None
-    residual_tolerance: float = 1e-12
+    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ArgumentError(f"k must be a positive integer, got {self.k}")
-        self.k = int(self.k)
-        if self.residual_tolerance < 0:
-            raise ArgumentError("residual_tolerance must be nonnegative")
+        self.k = _check_depth(self.k, self.residual_tolerance)
 
 
 def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -103,15 +134,53 @@ def regression_coefficients(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.n
     return _solve_loading_system(W, P, c)
 
 
-def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
-    """Fit a PLS1 model, privatized when cfg.privacy is set.
+# ---------------------------------------------------------------------------
+# the clean path and its releases
+# ---------------------------------------------------------------------------
 
-    Uncentered data is centered internally and the means stored on the
-    model.  Stops early, flagging the model, if the covariance residual
-    drops below cfg.residual_tolerance before k components are extracted.
+class PathComponent(NamedTuple):
+    """One clean component and the suprema of the residuals it came from."""
+
+    w: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+    c: float
+    bounds: SampleBounds
+
+
+@dataclass
+class NipalsPath:
+    """The clean NIPALS recursion of one dataset, up to ``k_max`` components.
+
+    Fewer than k_max ``components`` means the recursion stopped early.
+    ``cut_bounds`` is set when it stopped on the score norm: the weights
+    of that cut-off component were already calibrated, so a private
+    release logs their calibration.
     """
-    if cfg.privacy is not None and cfg.rng is None:
-        raise ConfigurationError("a privacy budget requires an rng stream")
+
+    components: list
+    x_means: np.ndarray
+    y_mean: float
+    n: int
+    k_max: int
+    residual_tolerance: float
+    cut_bounds: Optional[SampleBounds] = None
+    # Calibrations per (budget, component), in release order, filled on demand.
+    _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def nipals_path(
+    d: Dataset,
+    k_max: int,
+    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
+) -> NipalsPath:
+    """Run the clean NIPALS recursion for up to ``k_max`` components.
+
+    Uncentered data is centered here and the means kept on the path.  The
+    recursion stops early once the covariance norm or the score norm of
+    the residuals drops below ``residual_tolerance``.
+    """
+    k_max = _check_depth(k_max, residual_tolerance)
     if not d.centered:
         if d.n >= 1 and np.max(d.y) == np.min(d.y):
             raise DegenerateInputError("response is constant")
@@ -126,92 +195,148 @@ def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
             raise DegenerateInputError("response is constant")
 
     n, m = d.X.shape
-    k_max = min(n - 1, m)
-    if cfg.k > k_max:
+    k_limit = min(n - 1, m)
+    if k_max > k_limit:
         raise ArgumentError(
-            f"k={cfg.k} exceeds min(n-1, m)={k_max} for this dataset"
+            f"k={k_max} exceeds min(n-1, m)={k_limit} for this dataset"
         )
 
     E = d.X.copy()
     f = d.y.copy()
-    x_means = d.x_means if d.x_means is not None else np.zeros(m)
-    y_mean = d.y_mean if d.y_mean is not None else 0.0
-
-    W_cols, T_cols, P_cols, c_vals = [], [], [], []
-    log: list[NoiseCalibration] = []
-    early_stop = False
-
-    def released(vec: np.ndarray, target: str, bounds) -> np.ndarray:
-        if cfg.privacy is None:
-            sigma = 0.0
-        else:
-            cal = analytic_gaussian_sigma(
-                sensitivity_for(target, bounds), cfg.privacy, target
-            )
-            log.append(cal)
-            sigma = cal.sigma
-        return vec + gaussian_vector(vec.size, sigma, cfg.rng)
-
-    for _ in range(cfg.k):
+    components = []
+    cut_bounds = None
+    for _ in range(k_max):
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
-        if cov_norm < cfg.residual_tolerance:
-            early_stop = True
+        if cov_norm < residual_tolerance:
             break
         w = cov / cov_norm
-
-        bounds = sample_bounds(E, f) if cfg.privacy is not None else None
-
-        w_rel = released(w, "weights", bounds)
-        w_rel = w_rel / np.linalg.norm(w_rel)
+        bounds = sample_bounds(E, f)
 
         s = E @ w
         s_norm = float(np.linalg.norm(s))
-        if s_norm < cfg.residual_tolerance:
-            early_stop = True
+        if s_norm < residual_tolerance:
+            cut_bounds = bounds
             break
         t = s / s_norm
-
-        t_rel = released(t, "scores", bounds)
-        t_rel = t_rel / np.linalg.norm(t_rel)
 
         tt = float(t @ t)
         p = (E.T @ t) / tt
         c = float(f @ t) / tt
-
-        p_rel = released(p, "x_loadings", bounds)
-        c_rel = float(released(np.array([c]), "y_loading", bounds)[0])
-
-        # Deflation stays non-private; only the released copies leave.
         E = E - np.outer(t, p)
         f = f - c * t
+        components.append(PathComponent(w, t, p, c, bounds))
 
-        W_cols.append(w_rel)
-        T_cols.append(t_rel)
-        P_cols.append(p_rel)
-        c_vals.append(c_rel)
+    return NipalsPath(
+        components=components,
+        x_means=np.asarray(d.x_means if d.x_means is not None else np.zeros(m), dtype=float),
+        y_mean=float(d.y_mean if d.y_mean is not None else 0.0),
+        n=n, k_max=k_max, residual_tolerance=residual_tolerance,
+        cut_bounds=cut_bounds,
+    )
 
-    k_got = len(W_cols)
-    if k_got:
-        W = np.column_stack(W_cols)
-        T = np.column_stack(T_cols)
-        P = np.column_stack(P_cols)
-        c_vec = np.array(c_vals)
+
+def _calibrations(path: NipalsPath, budget: PrivacyBudget, j: int, count: int) -> list:
+    """The first ``count`` calibrations of component ``j`` under ``budget``,
+    in release order; j == len(path.components) is the cut-off component."""
+    cals = path._calibrations.setdefault((budget, j), [])
+    bounds = path.components[j].bounds if j < len(path.components) else path.cut_bounds
+    for target in CALIBRATION_TARGETS[len(cals):count]:
+        cals.append(analytic_gaussian_sigma(sensitivity_for(target, bounds), budget, target))
+    return cals[:count]
+
+
+def _add_noise(vecs: list, sigmas: list, rng: Optional[RngStream]) -> list:
+    """vec + N(0, sigma^2) noise for each pair, from one batched draw."""
+    if not np.all(np.isfinite(sigmas)):
+        raise ArgumentError("noise scales must be finite")
+    total = sum(v.size for v, s in zip(vecs, sigmas) if s != 0.0)
+    z = gaussian_vector(total, 1.0, rng) if total else None
+    out, at = [], 0
+    for v, s in zip(vecs, sigmas):
+        if s == 0.0:
+            # Adding zeros keeps the clean values' signed zeros as a
+            # zero-noise release always treated them.
+            out.append(v + 0.0)
+        else:
+            out.append(v + s * z[at:at + v.size])
+            at += v.size
+    return out
+
+
+def _columns(cols: list, rows: int) -> np.ndarray:
+    return np.column_stack(cols) if cols else np.zeros((rows, 0))
+
+
+def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
+    """Release the first cfg.k components of ``path`` as a model.
+
+    Without a privacy budget the clean quantities are released.  A path
+    holding fewer than cfg.k components gives a model flagged as stopped
+    early.  cfg.residual_tolerance must be the path's.
+    """
+    if cfg.privacy is not None and cfg.rng is None:
+        raise ConfigurationError("a privacy budget requires an rng stream")
+    m = path.x_means.shape[0]
+    k_limit = min(path.n - 1, m)
+    if cfg.k > k_limit:
+        raise ArgumentError(
+            f"k={cfg.k} exceeds min(n-1, m)={k_limit} for this dataset"
+        )
+    if cfg.k > path.k_max:
+        raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
+    if cfg.residual_tolerance != path.residual_tolerance:
+        raise ConfigurationError(
+            f"residual_tolerance {cfg.residual_tolerance} differs from the "
+            f"path's {path.residual_tolerance}"
+        )
+
+    comps = path.components[:cfg.k]
+    early_stop = cfg.k > len(comps)
+    log: list[NoiseCalibration] = []
+    if cfg.privacy is None:
+        sigmas = [0.0] * (4 * len(comps))
     else:
-        W = np.zeros((m, 0))
-        T = np.zeros((n, 0))
-        P = np.zeros((m, 0))
-        c_vec = np.zeros(0)
+        for j in range(len(comps)):
+            log.extend(_calibrations(path, cfg.privacy, j, 4))
+        sigmas = [cal.sigma for cal in log]
+        if early_stop and path.cut_bounds is not None:
+            log.extend(_calibrations(path, cfg.privacy, len(comps), 1))
 
+    noisy = _add_noise(
+        [v for comp in comps for v in (comp.w, comp.t, comp.p, np.array([comp.c]))],
+        sigmas, cfg.rng,
+    )
+    W_cols, T_cols, P_cols, c_vals = [], [], [], []
+    for j in range(len(comps)):
+        w_rel, t_rel, p_rel, c_rel = noisy[4 * j:4 * j + 4]
+        W_cols.append(w_rel / np.linalg.norm(w_rel))
+        T_cols.append(t_rel / np.linalg.norm(t_rel))
+        P_cols.append(p_rel)
+        c_vals.append(float(c_rel[0]))
+
+    W = _columns(W_cols, m)
+    P = _columns(P_cols, m)
+    c_vec = np.array(c_vals, dtype=float)
     b = _solve_loading_system(W, P, c_vec)
-
     return PlsModel(
-        W=W, P=P, c=c_vec, b=b, k=k_got,
-        x_means=np.asarray(x_means, dtype=float), y_mean=float(y_mean),
-        T=T, privacy=cfg.privacy, calibration_log=log, early_stop=early_stop,
+        W=W, P=P, c=c_vec, b=b, k=len(comps),
+        x_means=path.x_means.copy(), y_mean=path.y_mean,
+        T=_columns(T_cols, path.n), privacy=cfg.privacy,
+        calibration_log=log, early_stop=early_stop,
         rng_seed=cfg.rng.seed if cfg.rng is not None else None,
         rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
     )
+
+
+def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
+    """Fit a PLS1 model, privatized when cfg.privacy is set.
+
+    Uncentered data is centered internally and the means stored on the
+    model.  Stops early, flagging the model, if a residual norm drops
+    below cfg.residual_tolerance before k components are extracted.
+    """
+    return release(nipals_path(d, cfg.k, cfg.residual_tolerance), cfg)
 
 
 def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
@@ -277,44 +402,85 @@ def save_model(model: PlsModel, path) -> None:
         fh.write("\n")
 
 
-def _lists_to_matrix(rows: list, width: int) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, width))
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+_KEYS = (
+    "format", "version", "k", "W", "P", "c", "b", "x_means", "y_mean",
+    "privacy", "calibration_log", "early_stop", "rng_seed", "rng_stream",
+)
 
 
-def load_model(path) -> PlsModel:
-    """Read a model written by :func:`save_model`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
-        raise ArgumentError(f"{path}: not a model file")
-    if doc.get("version") != _VERSION:
-        raise ArgumentError(f"{path}: unsupported model version {doc.get('version')}")
-    k = int(doc["k"])
-    W = _lists_to_matrix(doc["W"], k)
-    P = _lists_to_matrix(doc["P"], k)
+def _finite_array(doc: dict, key: str, shape=None) -> np.ndarray:
+    try:
+        arr = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"{key} is not a numeric array") from None
+    if shape is not None and arr.shape != shape:
+        raise ModelFormatError(f"{key} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{key} holds non-finite values")
+    return arr
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _model_from_doc(doc: dict) -> PlsModel:
+    k = doc["k"]
+    if not _is_int(k) or k < 0:
+        raise ModelFormatError(f"k must be a nonnegative integer, got {k!r}")
+    b = _finite_array(doc, "b")
+    if b.ndim != 1 or b.size == 0:
+        raise ModelFormatError(f"b has shape {b.shape}, expected one value per channel")
+    m = b.size
+    W = _finite_array(doc, "W", (m, k))
+    P = _finite_array(doc, "P", (m, k))
+    c = _finite_array(doc, "c", (k,))
+    x_means = _finite_array(doc, "x_means", (m,))
+    y_mean = float(_finite_array(doc, "y_mean", ()))
+    for key in ("rng_seed", "rng_stream"):
+        if doc[key] is not None and not _is_int(doc[key]):
+            raise ModelFormatError(f"{key} must be an integer or null")
+    if not isinstance(doc["early_stop"], bool):
+        raise ModelFormatError("early_stop must be true or false")
     privacy = None
     if doc["privacy"] is not None:
         privacy = PrivacyBudget(doc["privacy"]["epsilon"], doc["privacy"]["delta"])
-    log = [
-        NoiseCalibration(
-            sensitivity=e["sensitivity"], sigma=e["sigma"],
+    log = []
+    for e in doc["calibration_log"]:
+        sensitivity, sigma = float(e["sensitivity"]), float(e["sigma"])
+        if not (np.isfinite(sensitivity) and np.isfinite(sigma)):
+            raise ModelFormatError("calibration_log holds non-finite values")
+        log.append(NoiseCalibration(
+            sensitivity=sensitivity, sigma=sigma,
             method=e["method"], target=e["target"],
-        )
-        for e in doc["calibration_log"]
-    ]
+        ))
     return PlsModel(
-        W=W, P=P,
-        c=np.array([float(v) for v in doc["c"]]),
-        b=np.array([float(v) for v in doc["b"]]),
-        k=k,
-        x_means=np.array([float(v) for v in doc["x_means"]]),
-        y_mean=float(doc["y_mean"]),
-        T=None,
-        privacy=privacy,
-        calibration_log=log,
-        early_stop=bool(doc["early_stop"]),
-        rng_seed=doc["rng_seed"],
-        rng_stream=doc["rng_stream"],
+        W=W, P=P, c=c, b=b, k=k, x_means=x_means, y_mean=y_mean, T=None,
+        privacy=privacy, calibration_log=log, early_stop=doc["early_stop"],
+        rng_seed=doc["rng_seed"], rng_stream=doc["rng_stream"],
     )
+
+
+def load_model(path) -> PlsModel:
+    """Read a model written by :func:`save_model`.
+
+    Raises ModelFormatError for anything else: invalid JSON, missing
+    keys, arrays whose shapes disagree with k and the channel count, or
+    non-finite numbers.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ModelFormatError(f"{path}: not a model file")
+    if doc.get("version") != _VERSION:
+        raise ModelFormatError(f"{path}: unsupported model version {doc.get('version')}")
+    missing = [key for key in _KEYS if key not in doc]
+    if missing:
+        raise ModelFormatError(f"{path}: missing keys {', '.join(missing)}")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed model: {exc}") from None

@@ -342,11 +342,7 @@ class Pipeline:
         self._fitted = not any(_needs_fit(s) for s in self.steps)
 
     def fit(self, X) -> "Pipeline":
-        cur = np.atleast_2d(np.asarray(X, dtype=float))
-        for step in self.steps:
-            step.fit(cur)
-            cur = step.transform(cur)
-        self._fitted = True
+        self.fit_transform(X)
         return self
 
     def transform(self, X) -> np.ndarray:
@@ -358,8 +354,15 @@ class Pipeline:
         return cur
 
     def fit_transform(self, X) -> np.ndarray:
-        self.fit(X)
-        return self.transform(X)
+        """Fit every step on the output of the steps before it and return
+        the transformed rows; each step is fitted before its own transform,
+        so this equals ``fit(X)`` followed by ``transform(X)``."""
+        cur = np.atleast_2d(np.asarray(X, dtype=float))
+        for step in self.steps:
+            step.fit(cur)
+            cur = step.transform(cur)
+        self._fitted = True
+        return cur
 
     def spec(self) -> str:
         return "|".join(step.spec() for step in self.steps)
@@ -373,13 +376,25 @@ def _needs_fit(step) -> bool:
     return False
 
 
-def _parse_ints(parts, what, count):
-    if len(parts) != count:
-        raise ConfigurationError(f"{what} takes {count} arguments, got {len(parts)}")
-    try:
-        return [float(p) if "." in p else int(p) for p in parts]
-    except ValueError:
-        raise ConfigurationError(f"{what}: non-numeric argument in {parts}") from None
+def _parse_args(parts, what, types):
+    """Convert spec arguments to ``types``; integer arguments must be
+    integral."""
+    if len(parts) != len(types):
+        raise ConfigurationError(
+            f"{what} takes {len(types)} arguments, got {len(parts)}"
+        )
+    values = []
+    for text, kind in zip(parts, types):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigurationError(f"{what}: non-numeric argument {text!r}") from None
+        if kind is int:
+            if not value.is_integer():
+                raise ConfigurationError(f"{what}: argument {text!r} must be an integer")
+            value = int(value)
+        values.append(value)
+    return values
 
 
 def parse_pipeline(text: str) -> Pipeline:
@@ -388,6 +403,8 @@ def parse_pipeline(text: str) -> Pipeline:
     Steps are separated by ``|`` with colon-separated arguments, e.g.
     ``"sg:5,2,1|msc|airpls:100,15,1|center"``.  ``sg`` and ``airpls``
     default to (5, 2, 1) and (100, 15, 1) when arguments are omitted.
+    airPLS's lambda is a float (``airpls:1e5,15,2``); every other argument
+    must be an integral number.
     """
     text = text.strip()
     if not text:
@@ -400,15 +417,17 @@ def parse_pipeline(text: str) -> Pipeline:
         name, _, argtext = token.partition(":")
         args = [a for a in argtext.split(",") if a] if argtext else []
         if name == "sg":
-            w, p, d = _parse_ints(args, "sg", 3) if args else (5, 2, 1)
-            steps.append(SgStep(SgConfig(int(w), int(p), int(d))))
+            w, p, d = _parse_args(args, "sg", (int, int, int)) if args else (5, 2, 1)
+            steps.append(SgStep(SgConfig(w, p, d)))
         elif name == "msc":
             if args:
                 raise ConfigurationError("msc takes no arguments")
             steps.append(MscStep())
         elif name == "airpls":
-            lam, it, order = _parse_ints(args, "airpls", 3) if args else (100.0, 15, 1)
-            steps.append(AirPlsStep(AirPlsConfig(float(lam), int(it), int(order))))
+            lam, it, order = (
+                _parse_args(args, "airpls", (float, int, int)) if args else (100.0, 15, 1)
+            )
+            steps.append(AirPlsStep(AirPlsConfig(lam, it, order)))
         elif name == "center":
             if args:
                 raise ConfigurationError("center takes no arguments")

@@ -376,3 +376,42 @@ def test_degenerate_training_data_exits_2(tmp_path):
     code = cli.main(["fit", "--input", str(path),
                      "--output", str(tmp_path / "m.json"), "--k", "1"])
     assert code == cli.EXIT_ARGUMENT
+
+
+def _corrupt_truncated(text):
+    return text[: len(text) // 2]
+
+
+def _corrupt_missing_b(text):
+    doc = json.loads(text)
+    del doc["b"]
+    return json.dumps(doc)
+
+
+def _corrupt_short_weights(text):
+    doc = json.loads(text)
+    doc["W"] = doc["W"][:-1]
+    return json.dumps(doc)
+
+
+def _corrupt_nonfinite(text):
+    doc = json.loads(text)
+    doc["b"][0] = float("nan")
+    return json.dumps(doc)  # writes the bare NaN token json.load accepts
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_truncated, _corrupt_missing_b,
+    _corrupt_short_weights, _corrupt_nonfinite,
+], ids=["truncated", "missing-key", "shape-mismatch", "non-finite"])
+def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2"]) == 0
+    model_path.write_text(corrupt(model_path.read_text()))
+    code = cli.main(["predict", "--model", str(model_path),
+                     "--input", str(sim_dir / "combined.csv"),
+                     "--response-col", "0",
+                     "--output", str(tmp_path / "p.csv")])
+    assert code == cli.EXIT_IO
+    assert str(model_path) in capsys.readouterr().err

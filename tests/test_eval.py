@@ -1,12 +1,13 @@
 """Metrics, splitting, cross-validation, and the privacy-utility sweep."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dppls.core import Dataset, PrivacyBudget, RngStream, mean_center
-from dppls.errors import ArgumentError, DegenerateInputError, ShapeError
+from dppls.errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from dppls.evaluate import (
     EvalReport,
     kfold_cv,
@@ -15,7 +16,8 @@ from dppls.evaluate import (
     rmse,
     train_test_split,
 )
-from dppls.pls import FitConfig
+from dppls.pls import FitConfig, fit, predict
+from dppls.preprocess import parse_pipeline
 
 
 def _rank3_dataset(n=60, m=25, seed=0):
@@ -306,6 +308,148 @@ def test_sweep_validation():
     with pytest.raises(ShapeError):
         narrow = Dataset(X=test.X[:, :-1], y=test.y)
         privacy_utility_sweep(train, narrow, [], k=3)
+
+
+# ---------------------------------------------------------------------------
+# shared paths against one fit per protocol unit
+# ---------------------------------------------------------------------------
+
+def _report_bytes(report, tmp_path, tag):
+    report.to_json(tmp_path / f"{tag}.json")
+    report.to_csv(tmp_path / f"{tag}.csv")
+    return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("json", "csv")]
+
+
+def _reference_kfold(d, folds, grid, spec, rng):
+    """k-fold CV that preprocesses and fits afresh for every (grid point,
+    fold), grid points outermost."""
+    blocks = np.array_split(rng.permutation(d.n), folds)
+    report = EvalReport(metadata={
+        "protocol": "kfold_cv", "folds": folds, "preprocess": spec,
+        "seed": rng.seed, "stream": rng.stream_id,
+    })
+    for gi, cfg in enumerate(grid):
+        sq_errors, status = [], "ok"
+        for fold_i in range(folds):
+            test_idx = blocks[fold_i]
+            train_idx = np.concatenate([blocks[j] for j in range(folds) if j != fold_i])
+            try:
+                pipe = parse_pipeline(spec).fit(d.X[train_idx])
+                model = fit(Dataset(X=pipe.transform(d.X[train_idx]), y=d.y[train_idx]),
+                            replace(cfg, rng=rng.derive(gi, fold_i)))
+                pred = predict(model, pipe.transform(d.X[test_idx]))
+            except DpplsError:
+                status = "failed"
+                break
+            sq_errors.extend(((d.y[test_idx] - pred) ** 2).tolist())
+        report.entries.append({
+            "kind": "cv",
+            "epsilon": cfg.privacy.epsilon if cfg.privacy else None,
+            "delta": cfg.privacy.delta if cfg.privacy else None,
+            "k": cfg.k, "preprocess": spec, "fold": None, "repeat": None,
+            "rmsecv": float(np.sqrt(np.mean(sq_errors))) if status == "ok" else None,
+            "rmsep": None, "r2p": None, "status": status,
+        })
+    usable = [e for e in report.entries if e["status"] == "ok"]
+    if usable:
+        report.best = min(usable, key=lambda e: (e["rmsecv"], e["k"]))
+    return report
+
+
+def _reference_sweep(train, test, eps_list, k, spec, repeats, rng, delta):
+    """Holdout sweep with one fit per (epsilon, repeat)."""
+    pipe = parse_pipeline(spec).fit(train.X)
+    train_ds = Dataset(X=pipe.transform(train.X), y=train.y)
+    X_test = pipe.transform(test.X)
+    report = EvalReport(metadata={
+        "protocol": "privacy_utility_sweep", "k": k, "delta": delta,
+        "repeats": repeats, "preprocess": spec, "seed": rng.seed,
+        "stream": rng.stream_id,
+    })
+
+    def entry(kind, eps, rep, rmsep=None, r2p=None, status="ok"):
+        return {
+            "kind": kind, "epsilon": eps,
+            "delta": delta if eps is not None else None, "k": k,
+            "preprocess": spec, "fold": None, "repeat": rep, "rmsecv": None,
+            "rmsep": rmsep, "r2p": r2p, "status": status,
+        }
+
+    def se(vals):
+        return float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else None
+
+    pred = predict(fit(train_ds, FitConfig(k=k)), X_test)
+    r, q = rmse(test.y, pred), r2_score(test.y, pred)
+    report.entries.append(entry("baseline", None, None, r, q))
+    report.aggregates.append({"epsilon": None, "rmsep_mean": r, "rmsep_se": None,
+                              "r2p_mean": q, "r2p_se": None, "repeats": 1})
+    for ei, eps in enumerate(eps_list):
+        r_vals, q_vals = [], []
+        for rep in range(repeats):
+            try:
+                model = fit(train_ds, FitConfig(
+                    k=k, privacy=PrivacyBudget(float(eps), delta), rng=rng.derive(ei, rep)))
+                pred = predict(model, X_test)
+                r, q = rmse(test.y, pred), r2_score(test.y, pred)
+            except DpplsError:
+                report.entries.append(entry("holdout", float(eps), rep, status="failed"))
+                continue
+            r_vals.append(r)
+            q_vals.append(q)
+            report.entries.append(entry("holdout", float(eps), rep, r, q))
+        agg = {"epsilon": float(eps), "repeats": len(r_vals)}
+        if r_vals:
+            agg.update(rmsep_mean=float(np.mean(r_vals)), rmsep_se=se(r_vals),
+                       r2p_mean=float(np.mean(q_vals)), r2p_se=se(q_vals))
+        report.aggregates.append(agg)
+    return report
+
+
+def _noisy_rank3_dataset(n=40, m=12, seed=30):
+    d = _rank3_dataset(n=n, m=m, seed=seed)
+    rng = RngStream(seed + 1)
+    return Dataset(X=d.X + 0.05 * rng.uniform(-1, 1, d.X.shape),
+                   y=d.y + 0.1 * rng.uniform(-1, 1, n))
+
+
+@pytest.mark.parametrize("spec", ["", "sg:5,2,1|center", "msc|center"])
+def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
+    d = _noisy_rank3_dataset()
+    grid = []
+    for k in (1, 2, 3, 4, 13):
+        grid.append(FitConfig(k=k))
+        for eps in (100.0, 1.0):
+            grid.append(FitConfig(k=k, privacy=PrivacyBudget(eps, 0.01)))
+    # Looser tolerances get paths of their own and stop early, on the
+    # covariance norm (10) or, without preprocessing, on the score norm
+    # before the first component (100).
+    for tol in (10.0, 100.0):
+        grid.append(FitConfig(k=4, residual_tolerance=tol))
+        grid.append(FitConfig(k=4, privacy=PrivacyBudget(10.0, 0.01), residual_tolerance=tol))
+    got = kfold_cv(d, 5, grid, pipeline_spec=spec, rng=RngStream(31))
+    want = _reference_kfold(d, 5, grid, spec, RngStream(31))
+    assert [e["status"] for e in got.entries].count("failed") == 3  # k=13 > m
+    assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
+
+
+def test_cv_report_equals_reference_when_every_fold_fails(tmp_path):
+    d = _noisy_rank3_dataset()
+    d.X[7] = 0.0  # no slope against any reference: scatter correction fails
+    grid = [FitConfig(k=1), FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01))]
+    got = kfold_cv(d, 4, grid, pipeline_spec="msc", rng=RngStream(32))
+    want = _reference_kfold(d, 4, grid, "msc", RngStream(32))
+    assert [e["status"] for e in got.entries] == ["failed", "failed"]
+    assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
+
+
+@pytest.mark.parametrize("spec", ["", "sg:5,2,1|msc|center"])
+def test_sweep_report_equals_one_fit_per_repeat(tmp_path, spec):
+    d = _noisy_rank3_dataset()
+    train, test = train_test_split(d, 0.3, RngStream(33))
+    args = ([100.0, 10.0, 1.0], 3, spec, 4, RngStream(34), 0.01)
+    got = privacy_utility_sweep(train, test, *args)
+    want = _reference_sweep(train, test, *args)
+    assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dppls.core import (
     PlsModel,
     PrivacyBudget,
     RngStream,
+    gaussian_vector,
     mean_center,
 )
 from dppls.errors import (
@@ -30,8 +31,10 @@ from dppls.pls import (
     FitConfig,
     fit,
     load_model,
+    nipals_path,
     predict,
     regression_coefficients,
+    release,
     save_model,
 )
 
@@ -296,6 +299,134 @@ def test_private_fit_perturbs_the_model():
                              rng=RngStream(0)))
     assert not np.array_equal(base.W, noisy.W)
     assert not np.array_equal(base.b, noisy.b)
+
+
+# ---------------------------------------------------------------------------
+# shared path and batched release
+# ---------------------------------------------------------------------------
+
+def _score_stop_dataset():
+    """A strong rank-1 part plus 1e-9 noise and a response far outside
+    X's span: the second component's covariance norm clears 1e-8 while
+    its score norm does not."""
+    rng = RngStream(31)
+    c = rng.uniform(1, 2, 16)
+    s = rng.uniform(-1, 1, 8)
+    X = np.outer(c, s) + 1e-9 * rng.uniform(-1, 1, (16, 8))
+    return Dataset(X=X, y=c + 100.0 * rng.uniform(-1, 1, 16))
+
+
+def _covariance_stop_dataset():
+    rng = RngStream(9)
+    c = rng.uniform(1, 2, 15)
+    return Dataset(X=np.outer(c, rng.uniform(-1, 1, 12)), y=c.copy())
+
+
+def _assert_models_identical(a, b):
+    for name in ("W", "P", "c", "b", "T", "x_means"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.calibration_log == b.calibration_log
+    assert (a.k, a.early_stop, a.y_mean) == (b.k, b.early_stop, b.y_mean)
+    assert (a.rng_seed, a.rng_stream) == (b.rng_seed, b.rng_stream)
+
+
+@pytest.mark.parametrize("case, tol, stop", [
+    ("random", 1e-12, None),
+    ("score-stop", 1e-8, "scores"),
+    ("covariance-stop", 1e-8, "covariance"),
+])
+def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
+    d = {
+        "random": lambda: _random_dataset(40, n=12, m=9),
+        "score-stop": _score_stop_dataset,
+        "covariance-stop": _covariance_stop_dataset,
+    }[case]()
+    K = 4
+    path = nipals_path(d, K, tol)
+    assert (len(path.components) < K) == (stop is not None)
+    assert (path.cut_bounds is not None) == (stop == "scores")
+    budgets = [None, PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01)]
+    # Deepest first, so shallower releases read calibrations memoized by
+    # deeper ones.
+    for k in range(K, 0, -1):
+        for bi, budget in enumerate(budgets):
+            def cfg():
+                rng = None if budget is None else RngStream(k, bi)
+                return FitConfig(k=k, privacy=budget, rng=rng, residual_tolerance=tol)
+            replayed = release(path, cfg())
+            _assert_models_identical(replayed, fit(d, cfg()))
+            if budget is not None and replayed.early_stop and stop == "scores":
+                # The cut-off component's weights calibration is logged.
+                assert len(replayed.calibration_log) == 4 * replayed.k + 1
+                assert replayed.calibration_log[-1].target == "weights"
+
+
+def test_release_rejects_configs_the_path_cannot_serve():
+    d = _random_dataset(41, n=6, m=10)
+    path = nipals_path(d, 3)
+    with pytest.raises(ArgumentError, match="exceeds min"):
+        release(path, FitConfig(k=6))
+    with pytest.raises(ArgumentError, match="path's 3 components"):
+        release(path, FitConfig(k=4))
+    with pytest.raises(ConfigurationError, match="residual_tolerance"):
+        release(path, FitConfig(k=2, residual_tolerance=1e-6))
+    with pytest.raises(ConfigurationError, match="rng"):
+        release(path, FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01)))
+
+
+def _sequential_release(path, k, log, rng):
+    """The release rebuilt from one gaussian_vector call per released
+    vector, in the documented order."""
+    W, T, P, c = [], [], [], []
+    for j, comp in enumerate(path.components[:k]):
+        sig = [cal.sigma for cal in log[4 * j:4 * j + 4]]
+        w = comp.w + gaussian_vector(comp.w.size, sig[0], rng)
+        t = comp.t + gaussian_vector(comp.t.size, sig[1], rng)
+        W.append(w / np.linalg.norm(w))
+        T.append(t / np.linalg.norm(t))
+        P.append(comp.p + gaussian_vector(comp.p.size, sig[2], rng))
+        c.append(float((np.array([comp.c]) + gaussian_vector(1, sig[3], rng))[0]))
+    W, T, P, c = np.column_stack(W), np.column_stack(T), np.column_stack(P), np.array(c)
+    return W, T, P, c, regression_coefficients(W, P, c)
+
+
+@pytest.mark.parametrize("silenced", [None, "scores"])
+def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
+    if silenced is not None:
+        # A zero-sigma release must take no draws from the stream.
+        calibrate = pls_module.analytic_gaussian_sigma
+
+        def partly_silent(delta_f, budget, target=None):
+            if target == silenced:
+                return NoiseCalibration(float(delta_f), 0.0, "analytic", target)
+            return calibrate(delta_f, budget, target)
+
+        monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
+    d = _random_dataset(42)
+    path = nipals_path(d, 3)
+    model = release(path, FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01),
+                                    rng=RngStream(5, 9)))
+    W, T, P, c, b = _sequential_release(path, 3, model.calibration_log, RngStream(5, 9))
+    for got, want in ((model.W, W), (model.T, T), (model.P, P), (model.c, c), (model.b, b)):
+        np.testing.assert_array_equal(got, want)
+    assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
+
+
+def test_path_memoizes_calibrations_per_budget(monkeypatch):
+    calls = []
+    calibrate = pls_module.analytic_gaussian_sigma
+
+    def counting(delta_f, budget, target=None):
+        calls.append(budget)
+        return calibrate(delta_f, budget, target)
+
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
+    path = nipals_path(_random_dataset(43), 3)
+    budgets = (PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01))
+    for rep in range(3):
+        for budget in budgets:
+            release(path, FitConfig(k=3, privacy=budget, rng=RngStream(rep)))
+    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
 
 
 # ---------------------------------------------------------------------------

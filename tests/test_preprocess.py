@@ -347,3 +347,28 @@ def test_parse_pipeline_rejects_garbage():
         parse_pipeline("msc:3")
     with pytest.raises(ConfigurationError, match="empty"):
         parse_pipeline("sg||center")
+
+
+def test_parse_pipeline_reads_airpls_lambda_as_float():
+    pipe = parse_pipeline("airpls:1e5,15,2|center")
+    assert pipe.steps[0].cfg == AirPlsConfig(1e5, 15, 2)
+    assert pipe.spec() == "airpls:100000,15,2|center"
+    assert parse_pipeline("airpls:2.5,3,1").steps[0].cfg == AirPlsConfig(2.5, 3, 1)
+
+
+def test_parse_pipeline_rejects_fractional_integer_arguments():
+    with pytest.raises(ConfigurationError, match="integer"):
+        parse_pipeline("sg:5.5,2,1")
+    with pytest.raises(ConfigurationError, match="integer"):
+        parse_pipeline("airpls:100,2.5,1")
+    with pytest.raises(ConfigurationError, match="integer"):
+        parse_pipeline("sg:nan,2,1")
+    assert parse_pipeline("sg:7.0,2,1").steps[0].cfg == SgConfig(7, 2, 1)
+
+
+def test_fit_transform_equals_fit_then_transform():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 30)) + np.linspace(0.0, 3.0, 30)
+    spec = "airpls:50,5,1|sg:5,2,1|msc|center"
+    once = parse_pipeline(spec).fit_transform(X)
+    np.testing.assert_array_equal(once, parse_pipeline(spec).fit(X).transform(X))
