@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,29 +58,125 @@ _STREAM_HOLDOUT = 3
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# options
 # ---------------------------------------------------------------------------
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+class Option(NamedTuple):
+    """One flag of a command, also accepted as a config-file key.
+
+    ``type`` is str, int, float or bool (a switch).  A config-file value
+    must be one the flag accepts: an int for int flags, an int or float
+    for float flags, a bool for switches, a string for the rest, and one
+    of ``choices`` when they are given.
+    """
+
+    name: str
+    type: type
+    default: object
+    help: str
+    choices: Optional[tuple] = None
+
+
+# Default of an option that must be given, as a flag or in the config file.
+REQUIRED = object()
+
+_HEADER = Option("header", bool, False, "input/output CSVs carry a header line")
+_RESPONSE_COL = Option("response_col", int, 0, "response column")
+_DELTA = Option("delta", float, 0.01, "privacy delta")
+
+# Per command: its summary and its options, in help order.
+COMMANDS = {
+    "simulate": ("generate two-holder synthetic spectra", (
+        Option("n", int, 100, "samples per holder"),
+        Option("m", int, 100, "channels"),
+        Option("seed", int, 0, "master seed"),
+        Option("output", str, REQUIRED, "output directory"),
+        _HEADER,
+    )),
+    "fit": ("fit a PLS model, optionally privatized", (
+        Option("input", str, REQUIRED, "training CSV"),
+        Option("output", str, REQUIRED, "model JSON path"),
+        _RESPONSE_COL,
+        Option("k", int, REQUIRED, "number of components"),
+        Option("epsilon", float, None, "privacy epsilon (omit for no noise)"),
+        _DELTA,
+        Option("seed", int, 0, "noise seed"),
+        _HEADER,
+    )),
+    "predict": ("predict responses with a saved model", (
+        Option("model", str, REQUIRED, "model JSON path"),
+        Option("input", str, REQUIRED, "feature CSV"),
+        Option("output", str, REQUIRED, "prediction CSV path"),
+        Option("response_col", int, None, "drop this column before predicting"),
+        _HEADER,
+    )),
+    "attack": ("project a pooled model against local data", (
+        Option("global_model", str, REQUIRED, "pooled model JSON"),
+        Option("input", str, REQUIRED, "local holder's CSV"),
+        Option("output", str, REQUIRED, "attack report JSON path"),
+        Option("truth", str, None, "optional CSV with a ground-truth signal"),
+        _RESPONSE_COL,
+        Option("k", int, None, "must match the global model if given"),
+        Option("matrix", str, "weights", "which component matrix to attack",
+               ("weights", "x_loadings")),
+        _HEADER,
+    )),
+    "sweep": ("cross-validation and privacy-utility sweeps", (
+        Option("input", str, REQUIRED, "dataset CSV"),
+        Option("output", str, REQUIRED, "output directory"),
+        _RESPONSE_COL,
+        Option("mode", str, "both", "which protocol to run", ("cv", "holdout", "both")),
+        Option("k", int, None, "components for the holdout sweep"),
+        Option("k_max", int, None, "largest k in the CV grid"),
+        Option("epsilons", str, "100,10,1", "comma list of epsilon values"),
+        _DELTA,
+        Option("folds", int, 10, "CV folds"),
+        Option("test_fraction", float, 0.3, "holdout test fraction"),
+        Option("repeats", int, 20, "noise repeats per epsilon"),
+        Option("pipeline", str, "", "preprocessing spec, e.g. 'sg:5,2,1|center'"),
+        Option("seed", int, 0, "master seed"),
+        _HEADER,
+    )),
+    "preprocess": ("apply a preprocessing pipeline to a CSV", (
+        Option("input", str, REQUIRED, "input CSV"),
+        Option("output", str, REQUIRED, "output CSV"),
+        Option("pipeline", str, REQUIRED, "preprocessing spec, e.g. 'sg:5,2,1|msc'"),
+        _RESPONSE_COL,
+        Option("matrix_only", bool, False, "input has no response column"),
+        _HEADER,
+    )),
+}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags into one dict."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+    options = {opt.name: opt for opt in COMMANDS[args.command][1]}
+    cfg = {name: opt.default for name, opt in options.items()}
+    if args.config:
         path = Path(args.config)
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"{path}: config must be a flat JSON object")
         for key, value in loaded.items():
-            norm = key.replace("-", "_")
-            if norm not in defaults:
+            opt = options.get(key.replace("-", "_"))
+            if opt is None:
                 raise ConfigurationError(f"{path}: unknown config key {key!r}")
-            cfg[norm] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+            kinds = (int, float) if opt.type is float else opt.type
+            if (isinstance(value, bool) != (opt.type is bool) or not isinstance(value, kinds)
+                    or opt.choices is not None and value not in opt.choices):
+                want = " or ".join(opt.choices) if opt.choices else opt.type.__name__
+                raise ConfigurationError(f"{path}: {key!r} must be {want}, got {value!r}")
+            cfg[opt.name] = value
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+    missing = [key for key, value in cfg.items() if value is REQUIRED]
+    if missing:
+        raise ConfigurationError(f"missing required option --{missing[0].replace('_', '-')}")
     return cfg
 
 
@@ -96,34 +193,22 @@ def _write_config(cfg: dict, command: str, anchor: Path) -> None:
 
 
 def _parse_eps_list(text: str) -> list[float]:
-    if not str(text).strip():
-        return []
     try:
-        values = [float(t) for t in str(text).split(",") if t.strip()]
+        return [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigurationError(f"bad epsilon list {text!r}") from None
-    return values
-
-
-def _require(cfg: dict, *keys: str) -> None:
-    for key in keys:
-        if cfg.get(key) is None:
-            raise ConfigurationError(f"missing required option --{key.replace('_', '-')}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    defaults = {"n": 100, "m": 100, "seed": 0, "output": None, "header": False}
-    cfg = _resolve(args, defaults)
-    _require(cfg, "output")
+def cmd_simulate(cfg: dict) -> int:
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
 
-    rng = RngStream(int(cfg["seed"]))
-    d1, d2 = datagen.simulate_two_holders(int(cfg["n"]), int(cfg["m"]), rng)
+    rng = RngStream(cfg["seed"])
+    d1, d2 = datagen.simulate_two_holders(cfg["n"], cfg["m"], rng)
     pooled = datagen.concat_rows(d1, d2)
 
     save_dataset(out / "holder1.csv", d1, header=cfg["header"])
@@ -131,9 +216,9 @@ def cmd_simulate(args) -> int:
     save_dataset(out / "combined.csv", pooled, header=cfg["header"])
 
     manifest = {
-        "n_per_holder": int(cfg["n"]),
-        "channels": int(cfg["m"]),
-        "seed": int(cfg["seed"]),
+        "n_per_holder": cfg["n"],
+        "channels": cfg["m"],
+        "seed": cfg["seed"],
         "concentration_range": [datagen.CONCENTRATION_LOW, datagen.CONCENTRATION_HIGH],
         "signals": {
             name: {"center": s.center, "width": s.width, "height": s.height}
@@ -153,43 +238,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    defaults = {
-        "input": None, "output": None, "response_col": 0, "header": False,
-        "k": None, "epsilon": None, "delta": 0.01, "seed": 0,
-    }
-    cfg = _resolve(args, defaults)
-    _require(cfg, "input", "output", "k")
-
-    d = load_dataset(cfg["input"], response_col=int(cfg["response_col"]),
+def cmd_fit(cfg: dict) -> int:
+    d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                      header=cfg["header"])
     privacy = None
     rng = None
     if cfg["epsilon"] is not None:
         privacy = PrivacyBudget(float(cfg["epsilon"]), float(cfg["delta"]))
-        rng = RngStream(int(cfg["seed"]))
-    model = fit(d, FitConfig(k=int(cfg["k"]), privacy=privacy, rng=rng))
+        rng = RngStream(cfg["seed"])
+    model = fit(d, FitConfig(k=cfg["k"], privacy=privacy, rng=rng))
 
     out = Path(cfg["output"])
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     _write_config(cfg, "fit", out)
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    defaults = {
-        "model": None, "input": None, "output": None,
-        "response_col": None, "header": False,
-    }
-    cfg = _resolve(args, defaults)
-    _require(cfg, "model", "input", "output")
-
+def cmd_predict(cfg: dict) -> int:
     model = load_model(cfg["model"])
     X = load_matrix(cfg["input"], header=cfg["header"])
     if cfg["response_col"] is not None:
-        rc = int(cfg["response_col"])
+        rc = cfg["response_col"]
         if not (0 <= rc < X.shape[1]):
             raise ArgumentError(
                 f"response column {rc} out of range for {X.shape[1]} columns"
@@ -203,23 +273,14 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def cmd_attack(args) -> int:
-    defaults = {
-        "global_model": None, "input": None, "output": None, "truth": None,
-        "response_col": 0, "header": False, "k": None, "matrix": "weights",
-    }
-    cfg = _resolve(args, defaults)
-    _require(cfg, "global_model", "input", "output")
-    if cfg["matrix"] not in ("weights", "x_loadings"):
-        raise ConfigurationError("--matrix must be 'weights' or 'x_loadings'")
-
+def cmd_attack(cfg: dict) -> int:
     global_model = load_model(cfg["global_model"])
-    if cfg["k"] is not None and int(cfg["k"]) != global_model.k:
+    if cfg["k"] is not None and cfg["k"] != global_model.k:
         raise ConfigurationError(
             f"--k {cfg['k']} does not match the global model's {global_model.k} "
             "components"
         )
-    local = load_dataset(cfg["input"], response_col=int(cfg["response_col"]),
+    local = load_dataset(cfg["input"], response_col=cfg["response_col"],
                          header=cfg["header"])
     local_model = fit(local, FitConfig(k=global_model.k))
 
@@ -250,28 +311,17 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    defaults = {
-        "input": None, "output": None, "response_col": 0, "header": False,
-        "mode": "both", "k": None, "k_max": None, "epsilons": "100,10,1",
-        "delta": 0.01, "folds": 10, "test_fraction": 0.3, "repeats": 20,
-        "pipeline": "", "seed": 0,
-    }
-    cfg = _resolve(args, defaults)
-    _require(cfg, "input", "output")
-    if cfg["mode"] not in ("cv", "holdout", "both"):
-        raise ConfigurationError("--mode must be cv, holdout, or both")
-
-    d = load_dataset(cfg["input"], response_col=int(cfg["response_col"]),
+def cmd_sweep(cfg: dict) -> int:
+    d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                      header=cfg["header"])
     eps_list = _parse_eps_list(cfg["epsilons"])
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
-    rng = RngStream(int(cfg["seed"]))
+    rng = RngStream(cfg["seed"])
     delta = float(cfg["delta"])
 
     if cfg["mode"] in ("cv", "both"):
-        k_max = int(cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10))
+        k_max = cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10)
         if k_max < 1:
             raise ConfigurationError(f"--k-max must be at least 1, got {k_max}")
         grid = []
@@ -282,20 +332,21 @@ def cmd_sweep(args) -> int:
                     k=k, privacy=PrivacyBudget(float(eps), delta),
                 ))
         report = kfold_cv(
-            d, int(cfg["folds"]), grid,
+            d, cfg["folds"], grid,
             pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),
         )
         report.to_json(out / "cv_report.json")
         report.to_csv(out / "cv_report.csv")
 
     if cfg["mode"] in ("holdout", "both"):
-        _require(cfg, "k")
+        if cfg["k"] is None:
+            raise ConfigurationError("missing required option --k")
         train, test = train_test_split(
             d, float(cfg["test_fraction"]), rng.derive(_STREAM_SPLIT),
         )
         report = privacy_utility_sweep(
-            train, test, eps_list, int(cfg["k"]),
-            pipeline_spec=cfg["pipeline"], repeats=int(cfg["repeats"]),
+            train, test, eps_list, cfg["k"],
+            pipeline_spec=cfg["pipeline"], repeats=cfg["repeats"],
             rng=rng.derive(_STREAM_HOLDOUT), delta=delta,
         )
         report.to_json(out / "holdout_report.json")
@@ -305,21 +356,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_preprocess(args) -> int:
-    defaults = {
-        "input": None, "output": None, "pipeline": None,
-        "response_col": 0, "header": False, "matrix_only": False,
-    }
-    cfg = _resolve(args, defaults)
-    _require(cfg, "input", "output", "pipeline")
-
+def cmd_preprocess(cfg: dict) -> int:
     pipe = parse_pipeline(cfg["pipeline"])
     out = Path(cfg["output"])
     if cfg["matrix_only"]:
         X = load_matrix(cfg["input"], header=cfg["header"])
         save_matrix(out, pipe.fit_transform(X))
     else:
-        d = load_dataset(cfg["input"], response_col=int(cfg["response_col"]),
+        d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                          header=cfg["header"])
         transformed = Dataset(X=pipe.fit_transform(d.X), y=d.y)
         save_dataset(out, transformed, header=cfg["header"])
@@ -337,104 +381,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private PLS1 regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--header", action="store_true", default=None,
-                       help="input/output CSVs carry a header line")
-
-    p = sub.add_parser("simulate", help="generate two-holder synthetic spectra")
-    add_common(p)
-    p.add_argument("--n", type=int, help="samples per holder (default 100)")
-    p.add_argument("--m", type=int, help="channels (default 100)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--output", help="output directory")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit a PLS model, optionally privatized")
-    add_common(p)
-    p.add_argument("--input", help="training CSV")
-    p.add_argument("--output", help="model JSON path")
-    p.add_argument("--response-col", type=int, help="response column (default 0)")
-    p.add_argument("--k", type=int, help="number of components")
-    p.add_argument("--epsilon", type=float, help="privacy epsilon (omit for no noise)")
-    p.add_argument("--delta", type=float, help="privacy delta (default 0.01)")
-    p.add_argument("--seed", type=int, help="noise seed (default 0)")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("predict", help="predict responses with a saved model")
-    add_common(p)
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--input", help="feature CSV")
-    p.add_argument("--output", help="prediction CSV path")
-    p.add_argument("--response-col", type=int,
-                   help="drop this column before predicting (default: none)")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("attack", help="project a pooled model against local data")
-    add_common(p)
-    p.add_argument("--global-model", help="pooled model JSON")
-    p.add_argument("--input", help="local holder's CSV")
-    p.add_argument("--output", help="attack report JSON path")
-    p.add_argument("--truth", help="optional CSV with a ground-truth signal")
-    p.add_argument("--response-col", type=int, help="response column (default 0)")
-    p.add_argument("--k", type=int, help="must match the global model if given")
-    p.add_argument("--matrix", choices=["weights", "x_loadings"],
-                   help="which component matrix to attack (default weights)")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("sweep", help="cross-validation and privacy-utility sweeps")
-    add_common(p)
-    p.add_argument("--input", help="dataset CSV")
-    p.add_argument("--output", help="output directory")
-    p.add_argument("--response-col", type=int, help="response column (default 0)")
-    p.add_argument("--mode", choices=["cv", "holdout", "both"],
-                   help="which protocol to run (default both)")
-    p.add_argument("--k", type=int, help="components for the holdout sweep")
-    p.add_argument("--k-max", type=int, help="largest k in the CV grid")
-    p.add_argument("--epsilons", help="comma list of epsilon values (default 100,10,1)")
-    p.add_argument("--delta", type=float, help="privacy delta (default 0.01)")
-    p.add_argument("--folds", type=int, help="CV folds (default 10)")
-    p.add_argument("--test-fraction", type=float,
-                   help="holdout test fraction (default 0.3)")
-    p.add_argument("--repeats", type=int, help="noise repeats per epsilon (default 20)")
-    p.add_argument("--pipeline", help="preprocessing spec, e.g. 'sg:5,2,1|center'")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("preprocess", help="apply a preprocessing pipeline to a CSV")
-    add_common(p)
-    p.add_argument("--input", help="input CSV")
-    p.add_argument("--output", help="output CSV")
-    p.add_argument("--pipeline", help="preprocessing spec, e.g. 'sg:5,2,1|msc'")
-    p.add_argument("--response-col", type=int, help="response column (default 0)")
-    p.add_argument("--matrix-only", action="store_true", default=None,
-                   help="input has no response column")
-    p.set_defaults(func=cmd_preprocess)
-
+        for opt in options:
+            flag = "--" + opt.name.replace("_", "-")
+            shown = opt.help
+            if opt.default is REQUIRED:
+                shown += " (required)"
+            elif opt.default not in (None, "") and opt.type is not bool:
+                shown += f" (default {opt.default})"
+            # Every flag defaults to None so _resolve can tell it was not given.
+            if opt.type is bool:
+                p.add_argument(flag, action="store_true", default=None, help=shown)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices, help=shown)
     return parser
 
 
+# Exit code of each error class, the first match winning.
+_EXIT_CODES = (
+    ((CsvFormatError, ModelFormatError), EXIT_IO),
+    (ShapeError, EXIT_SHAPE),
+    (NumericalError, EXIT_NUMERICAL),
+    (DpplsError, EXIT_ARGUMENT),
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (CsvFormatError, ModelFormatError) as exc:
+    args = build_parser().parse_args(argv)
+    try:  # cmd_<command> is looked up here, so replacing it takes effect
+        return globals()[f"cmd_{args.command}"](_resolve(args))
+    except (DpplsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DpplsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

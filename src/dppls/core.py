@@ -346,12 +346,6 @@ def mean_center(d: Dataset) -> Dataset:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _format_value(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips, so
-    # written files are lossless and byte-stable across runs.
-    return repr(float(x))
-
-
 def load_matrix(path, header: bool = False) -> np.ndarray:
     """Read a numeric CSV into an array, one sample per row."""
     rows = []
@@ -406,15 +400,17 @@ def load_dataset(path, response_col: int = 0, header: bool = False) -> Dataset:
 
 
 def save_matrix(path, X: np.ndarray, header: Optional[Sequence[str]] = None) -> None:
+    """Write one row per line.  repr of a Python float is the shortest
+    string that round-trips, so written files are lossless and byte-stable
+    across runs."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError("save_matrix expects a 2-d array")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            writer.writerow(list(header))
-        for row in X:
-            writer.writerow([_format_value(v) for v in row])
+            fh.write(",".join(header) + "\n")
+        for row in X.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_dataset(path, d: Dataset, header: bool = False) -> None:

@@ -83,6 +83,22 @@ _CSV_COLUMNS = (
 )
 
 
+def _entry(**fields) -> dict:
+    """One report entry: every CSV column, None where ``fields`` is silent."""
+    return {col: fields.get(col) for col in _CSV_COLUMNS}
+
+
+def _aggregate(epsilon, rmseps: list, r2ps: list) -> dict:
+    """Mean and standard error (None below 2 values) of RMSEP and R2."""
+    agg = {"epsilon": epsilon, "repeats": len(rmseps)}
+    for name, values in (("rmsep", rmseps), ("r2p", r2ps)):
+        if values:
+            agg[f"{name}_mean"] = float(np.mean(values))
+            agg[f"{name}_se"] = (float(np.std(values, ddof=1) / np.sqrt(len(values)))
+                                 if len(values) > 1 else None)
+    return agg
+
+
 @dataclass
 class EvalReport:
     """Evaluation results: one entry per protocol unit plus aggregates."""
@@ -193,19 +209,12 @@ def kfold_cv(
             sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
 
     for cfg, st, errors in zip(grid, status, sq_errors):
-        report.entries.append({
-            "kind": "cv",
-            "epsilon": cfg.privacy.epsilon if cfg.privacy else None,
-            "delta": cfg.privacy.delta if cfg.privacy else None,
-            "k": cfg.k,
-            "preprocess": pipeline_spec,
-            "fold": None,
-            "repeat": None,
-            "rmsecv": float(np.sqrt(np.mean(errors))) if st == "ok" else None,
-            "rmsep": None,
-            "r2p": None,
-            "status": st,
-        })
+        p = cfg.privacy
+        report.entries.append(_entry(
+            kind="cv", k=cfg.k, preprocess=pipeline_spec, status=st,
+            epsilon=p.epsilon if p else None, delta=p.delta if p else None,
+            rmsecv=float(np.sqrt(np.mean(errors))) if st == "ok" else None,
+        ))
 
     usable = [e for e in report.entries if e["status"] == "ok"]
     if usable:
@@ -264,33 +273,18 @@ def privacy_utility_sweep(
     })
 
     def entry(kind, eps, rep, pred_ok, rmsep=None, r2p=None):
-        return {
-            "kind": kind,
-            "epsilon": eps,
-            "delta": delta if eps is not None else None,
-            "k": k,
-            "preprocess": pipeline_spec,
-            "fold": None,
-            "repeat": rep,
-            "rmsecv": None,
-            "rmsep": rmsep,
-            "r2p": r2p,
-            "status": "ok" if pred_ok else "failed",
-        }
+        return _entry(
+            kind=kind, epsilon=eps, delta=delta if eps is not None else None,
+            k=k, preprocess=pipeline_spec, repeat=rep, rmsep=rmsep, r2p=r2p,
+            status="ok" if pred_ok else "failed",
+        )
 
     path = nipals_path(train_ds, k)
     baseline_model = release(path, FitConfig(k=k))
     baseline_pred = predict(baseline_model, X_test)
-    base_rmsep = rmse(test.y, baseline_pred)
-    report.entries.append(entry(
-        "baseline", None, None, True,
-        rmsep=base_rmsep, r2p=r2_score(test.y, baseline_pred),
-    ))
-    report.aggregates.append({
-        "epsilon": None, "rmsep_mean": base_rmsep, "rmsep_se": None,
-        "r2p_mean": r2_score(test.y, baseline_pred), "r2p_se": None,
-        "repeats": 1,
-    })
+    base_r, base_q = rmse(test.y, baseline_pred), r2_score(test.y, baseline_pred)
+    report.entries.append(entry("baseline", None, None, True, rmsep=base_r, r2p=base_q))
+    report.aggregates.append(_aggregate(None, [base_r], [base_q]))
 
     for ei, eps in enumerate(eps_list):
         budget = PrivacyBudget(epsilon=float(eps), delta=delta)
@@ -310,17 +304,5 @@ def privacy_utility_sweep(
             report.entries.append(entry(
                 "holdout", float(eps), rep, True, rmsep=r, r2p=q,
             ))
-        agg = {"epsilon": float(eps), "repeats": len(r_vals)}
-        if r_vals:
-            agg["rmsep_mean"] = float(np.mean(r_vals))
-            agg["rmsep_se"] = (
-                float(np.std(r_vals, ddof=1) / np.sqrt(len(r_vals)))
-                if len(r_vals) > 1 else None
-            )
-            agg["r2p_mean"] = float(np.mean(q_vals))
-            agg["r2p_se"] = (
-                float(np.std(q_vals, ddof=1) / np.sqrt(len(q_vals)))
-                if len(q_vals) > 1 else None
-            )
-        report.aggregates.append(agg)
+        report.aggregates.append(_aggregate(float(eps), r_vals, q_vals))
     return report

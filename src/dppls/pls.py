@@ -340,7 +340,9 @@ def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
 
 
 def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for new rows: (X_new - x_means) b + y_mean."""
+    """Predict responses for new rows: (X_new - x_means) b + y_mean.
+
+    Rows holding NaN or infinite entries raise DegenerateInputError."""
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
         raise ShapeError("X_new must be 2-d (samples x channels)")
@@ -348,6 +350,8 @@ def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"X_new has {X_new.shape[1]} columns but the model expects {model.m}"
         )
+    if not np.all(np.isfinite(X_new)):
+        raise DegenerateInputError("X_new contains NaN or infinite entries")
     return (X_new - model.x_means) @ model.b + model.y_mean
 
 
@@ -402,6 +406,10 @@ def save_model(model: PlsModel, path) -> None:
         fh.write("\n")
 
 
+# Norm-wise relative tolerance for a stored b against W (P^T W)^-1 c; on
+# the machine that wrote the file the recomputation is bit-identical.
+_B_RTOL = 1e-8
+
 _KEYS = (
     "format", "version", "k", "W", "P", "c", "b", "x_means", "y_mean",
     "privacy", "calibration_log", "early_stop", "rng_seed", "rng_stream",
@@ -435,6 +443,12 @@ def _model_from_doc(doc: dict) -> PlsModel:
     W = _finite_array(doc, "W", (m, k))
     P = _finite_array(doc, "P", (m, k))
     c = _finite_array(doc, "c", (k,))
+    try:
+        b_ref = _solve_loading_system(W, P, c)
+    except SingularSystemError as exc:
+        raise ModelFormatError(f"W and P do not determine b: {exc}") from None
+    if np.linalg.norm(b_ref - b) > _B_RTOL * np.linalg.norm(b):
+        raise ModelFormatError("b disagrees with W (P^T W)^-1 c")
     x_means = _finite_array(doc, "x_means", (m,))
     y_mean = float(_finite_array(doc, "y_mean", ()))
     for key in ("rng_seed", "rng_stream"):
@@ -465,8 +479,9 @@ def load_model(path) -> PlsModel:
     """Read a model written by :func:`save_model`.
 
     Raises ModelFormatError for anything else: invalid JSON, missing
-    keys, arrays whose shapes disagree with k and the channel count, or
-    non-finite numbers.
+    keys, arrays whose shapes disagree with k and the channel count,
+    non-finite numbers, a singular P^T W, or a b that differs from
+    W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

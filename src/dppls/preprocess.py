@@ -10,9 +10,9 @@ Three transforms plus centering:
 * Adaptive iteratively reweighted baseline removal built on a Whittaker
   smoother with a banded difference penalty.
 
-A :class:`Pipeline` fixes any data-dependent state (MSC reference,
-centering means) on the training split only and replays it unchanged on
-later splits.
+A :class:`Pipeline` of named steps fixes its one data-dependent state,
+the training column mean (the MSC reference and the centering means), on
+the training split only and replays it unchanged on later splits.
 """
 
 from __future__ import annotations
@@ -238,99 +238,50 @@ def _airpls_baseline(x: np.ndarray, cfg: AirPlsConfig) -> np.ndarray:
 # pipeline
 # ---------------------------------------------------------------------------
 
-class SgStep:
-    """Stateless Savitzky-Golay step."""
+# Every pipeline step by name: (argument types, config class, transform).
+# Omitted arguments take the config class's defaults.  A step without a
+# config class takes no arguments and learns the training column mean,
+# which ``transform(X, cfg, mean)`` receives: msc's reference, center's
+# means.  The transforms look the row functions up when they run.
+_STEPS = {
+    "sg": ((int, int, int), SgConfig, lambda X, cfg, mean: savitzky_golay(X, cfg)),
+    "msc": ((), None, lambda X, cfg, mean: msc(X, mean)),
+    "airpls": ((float, int, int), AirPlsConfig, lambda X, cfg, mean: airpls_correct(X, cfg)),
+    "center": ((), None, lambda X, cfg, mean: X - mean),
+}
 
-    name = "sg"
 
-    def __init__(self, cfg: SgConfig = SgConfig()):
+class Step:
+    """One named step of :data:`_STEPS` with its config.
+
+    A step with a config is stateless.  A step without one learns the
+    column mean of at least 2 training rows in :meth:`fit` and refuses
+    to transform before that.
+    """
+
+    def __init__(self, name: str, cfg=None):
+        self.name = name
         self.cfg = cfg
+        self.mean = None
 
-    def fit(self, X):
-        return self
-
-    def transform(self, X):
-        return savitzky_golay(X, self.cfg)
-
-    def spec(self) -> str:
-        c = self.cfg
-        return f"sg:{c.window},{c.polyorder},{c.derivative}"
-
-
-class MscStep:
-    """Scatter correction whose reference is learned from training data."""
-
-    name = "msc"
-
-    def __init__(self, reference: np.ndarray | None = None):
-        self.reference = None if reference is None else np.asarray(reference, float)
-        self._fitted = self.reference is not None
-
-    def fit(self, X):
-        if self.reference is None:
+    def fit(self, X) -> "Step":
+        if self.cfg is None:
             X = np.atleast_2d(np.asarray(X, dtype=float))
             if X.shape[0] < 2:
-                raise DegenerateInputError("msc needs at least 2 training rows")
-            self.reference = X.mean(axis=0)
-        self._fitted = True
+                raise DegenerateInputError(f"{self.name} needs at least 2 training rows")
+            self.mean = X.mean(axis=0)
         return self
 
-    def transform(self, X):
-        if not self._fitted:
-            raise StateError("msc step used before fitting")
-        return msc(X, self.reference)
-
-    def spec(self) -> str:
-        return "msc"
-
-
-class AirPlsStep:
-    """Stateless baseline-removal step."""
-
-    name = "airpls"
-
-    def __init__(self, cfg: AirPlsConfig = AirPlsConfig()):
-        self.cfg = cfg
-
-    def fit(self, X):
-        return self
-
-    def transform(self, X):
-        return airpls_correct(X, self.cfg)
-
-    def spec(self) -> str:
-        c = self.cfg
-        lam = int(c.lam) if float(c.lam).is_integer() else c.lam
-        return f"airpls:{lam},{c.max_iterations},{c.diff_order}"
-
-
-class CenterStep:
-    """Column centering with training means."""
-
-    name = "center"
-
-    def __init__(self):
-        self.means = None
-
-    def fit(self, X):
+    def transform(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] < 2:
-            raise DegenerateInputError("centering needs at least 2 training rows")
-        self.means = X.mean(axis=0)
-        return self
-
-    def transform(self, X):
-        if self.means is None:
-            raise StateError("center step used before fitting")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.means.shape[0]:
-            raise ShapeError(
-                f"rows have {X.shape[1]} channels, training had {self.means.shape[0]}"
-            )
-        return X - self.means
-
-    def spec(self) -> str:
-        return self.name
+        if self.cfg is None:
+            if self.mean is None:
+                raise StateError(f"{self.name} step used before fitting")
+            if X.shape[1] != self.mean.shape[0]:
+                raise ShapeError(
+                    f"rows have {X.shape[1]} channels, training had {self.mean.shape[0]}"
+                )
+        return _STEPS[self.name][2](X, self.cfg, self.mean)
 
 
 class Pipeline:
@@ -339,15 +290,12 @@ class Pipeline:
 
     def __init__(self, steps=()):
         self.steps = list(steps)
-        self._fitted = not any(_needs_fit(s) for s in self.steps)
 
     def fit(self, X) -> "Pipeline":
         self.fit_transform(X)
         return self
 
     def transform(self, X) -> np.ndarray:
-        if not self._fitted:
-            raise StateError("pipeline used before fitting")
         cur = np.atleast_2d(np.asarray(X, dtype=float))
         for step in self.steps:
             cur = step.transform(cur)
@@ -359,26 +307,15 @@ class Pipeline:
         so this equals ``fit(X)`` followed by ``transform(X)``."""
         cur = np.atleast_2d(np.asarray(X, dtype=float))
         for step in self.steps:
-            step.fit(cur)
-            cur = step.transform(cur)
-        self._fitted = True
+            cur = step.fit(cur).transform(cur)
         return cur
-
-    def spec(self) -> str:
-        return "|".join(step.spec() for step in self.steps)
-
-
-def _needs_fit(step) -> bool:
-    if isinstance(step, MscStep):
-        return not step._fitted
-    if isinstance(step, CenterStep):
-        return step.means is None
-    return False
 
 
 def _parse_args(parts, what, types):
     """Convert spec arguments to ``types``; integer arguments must be
     integral."""
+    if not types:
+        raise ConfigurationError(f"{what} takes no arguments")
     if len(parts) != len(types):
         raise ConfigurationError(
             f"{what} takes {len(types)} arguments, got {len(parts)}"
@@ -401,10 +338,11 @@ def parse_pipeline(text: str) -> Pipeline:
     """Build a pipeline from a compact spec string.
 
     Steps are separated by ``|`` with colon-separated arguments, e.g.
-    ``"sg:5,2,1|msc|airpls:100,15,1|center"``.  ``sg`` and ``airpls``
-    default to (5, 2, 1) and (100, 15, 1) when arguments are omitted.
-    airPLS's lambda is a float (``airpls:1e5,15,2``); every other argument
-    must be an integral number.
+    ``"sg:5,2,1|msc|airpls:100,15,1|center"``; :data:`_STEPS` lists the
+    steps, their argument types and their defaults (``sg`` (5, 2, 1),
+    ``airpls`` (100, 15, 1) when arguments are omitted).  airPLS's lambda
+    is a float (``airpls:1e5,15,2``); every other argument must be an
+    integral number.
     """
     text = text.strip()
     if not text:
@@ -415,23 +353,10 @@ def parse_pipeline(text: str) -> Pipeline:
         if not token:
             raise ConfigurationError("empty pipeline step")
         name, _, argtext = token.partition(":")
-        args = [a for a in argtext.split(",") if a] if argtext else []
-        if name == "sg":
-            w, p, d = _parse_args(args, "sg", (int, int, int)) if args else (5, 2, 1)
-            steps.append(SgStep(SgConfig(w, p, d)))
-        elif name == "msc":
-            if args:
-                raise ConfigurationError("msc takes no arguments")
-            steps.append(MscStep())
-        elif name == "airpls":
-            lam, it, order = (
-                _parse_args(args, "airpls", (float, int, int)) if args else (100.0, 15, 1)
-            )
-            steps.append(AirPlsStep(AirPlsConfig(lam, it, order)))
-        elif name == "center":
-            if args:
-                raise ConfigurationError("center takes no arguments")
-            steps.append(CenterStep())
-        else:
+        if name not in _STEPS:
             raise ConfigurationError(f"unknown pipeline step {name!r}")
+        types, config, _ = _STEPS[name]
+        args = [a for a in argtext.split(",") if a]
+        values = _parse_args(args, name, types) if args else ()
+        steps.append(Step(name, None if config is None else config(*values)))
     return Pipeline(steps)

@@ -1,9 +1,12 @@
 """End-to-end CLI runs, config resolution, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dppls import cli, datagen
 from dppls.core import RngStream, load_dataset, load_matrix, save_matrix
@@ -315,6 +318,95 @@ def test_config_file_rejects_unknown_keys(tmp_path):
                      "--output", str(tmp_path / "o")]) == cli.EXIT_ARGUMENT
 
 
+@pytest.fixture(scope="module")
+def run_dir(sim_dir, tmp_path_factory):
+    """A fitted model next to the simulated corpus, for config-file runs."""
+    out = tmp_path_factory.mktemp("runs")
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out / "model.json"), "--k", "2"]) == 0
+    return out
+
+
+def _flags(sim_dir, run_dir):
+    """Flags that make each command run to completion on valid files."""
+    data, model = str(sim_dir / "combined.csv"), str(run_dir / "model.json")
+    return {
+        "simulate": {"output": str(run_dir / "sim"), "n": 5, "m": 12},
+        "fit": {"input": data, "output": str(run_dir / "m.json"), "k": 2},
+        "predict": {"model": model, "input": data, "output": str(run_dir / "p.csv"),
+                    "response_col": 0},
+        "attack": {"global_model": model, "input": str(sim_dir / "holder1.csv"),
+                   "output": str(run_dir / "a.json")},
+        "sweep": {"input": data, "output": str(run_dir / "sweep"), "k": 1,
+                  "k_max": 1, "epsilons": "1", "folds": 2, "repeats": 1},
+        "preprocess": {"input": data, "output": str(run_dir / "x.csv"),
+                       "pipeline": "center"},
+    }
+
+
+def _run_with_config(sim_dir, run_dir, command, config):
+    """main() with ``config`` as the config file and flags for every other
+    option; returns (exit code, stderr)."""
+    argv = [command, "--config", str(run_dir / "config.json")]
+    for key, value in _flags(sim_dir, run_dir)[command].items():
+        if key not in config:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    (run_dir / "config.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("fit", {"k": "abc"}),
+    ("fit", {"k": 2.7}),
+    ("fit", {"delta": None, "epsilon": 1}),
+    ("preprocess", {"pipeline": 5}),
+    ("predict", {"header": "false"}),
+], ids=["k-string", "k-float", "delta-null", "pipeline-int", "header-string"])
+def test_config_file_value_of_wrong_type_exits_2(sim_dir, run_dir, command, config):
+    code, err = _run_with_config(sim_dir, run_dir, command, config)
+    assert code == cli.EXIT_ARGUMENT
+    assert err.startswith("error:") and repr(next(iter(config))) in err
+
+
+# JSON values of each type, for drawing ones an option must refuse.
+_JSON_VALUES = {
+    "string": st.text(max_size=8),
+    "integer": st.integers(-10**6, 10**6),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 9), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+_ACCEPTED = {int: {"integer"}, float: {"integer", "float"}, bool: {"bool"},
+             str: {"string"}}
+
+
+def _wrong_values(opt):
+    kinds = [values for kind, values in _JSON_VALUES.items()
+             if kind not in _ACCEPTED[opt.type]]
+    if opt.choices:
+        kinds.append(st.text(max_size=8).filter(lambda v: v not in opt.choices))
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("command,opt", [
+    (command, opt) for command, (_, options) in cli.COMMANDS.items() for opt in options
+], ids=lambda v: v if isinstance(v, str) else v.name)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_config_value_of_wrong_json_type_exits_2(sim_dir, run_dir, command, opt, data):
+    # Only wrongly typed values are drawn, so no fuzzed number ever sizes
+    # an allocation; the other options come as flags that would succeed.
+    value = data.draw(_wrong_values(opt))
+    code, err = _run_with_config(sim_dir, run_dir, command, {opt.name: value})
+    assert code == cli.EXIT_ARGUMENT
+    assert err.startswith("error:")
+
+
 def test_config_file_rejects_invalid_json(tmp_path):
     config = tmp_path / "broken.json"
     config.write_text("{not json")
@@ -356,6 +448,21 @@ def test_channel_mismatch_exits_4(sim_dir, tmp_path):
                      "--input", str(narrow),
                      "--output", str(tmp_path / "p.csv")])
     assert code == cli.EXIT_SHAPE
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_exit_2(sim_dir, tmp_path, capsys, bad):
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2"]) == 0
+    X = load_dataset(sim_dir / "combined.csv").X[:4]
+    X[2, 7] = bad
+    features = tmp_path / "features.csv"
+    save_matrix(features, X)
+    code = cli.main(["predict", "--model", str(model_path),
+                     "--input", str(features), "--output", str(tmp_path / "p.csv")])
+    assert code == cli.EXIT_ARGUMENT
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_5(monkeypatch, tmp_path):
@@ -400,10 +507,24 @@ def _corrupt_nonfinite(text):
     return json.dumps(doc)  # writes the bare NaN token json.load accepts
 
 
+def _corrupt_b(text):
+    doc = json.loads(text)
+    doc["b"][0] += 1e-6 * np.linalg.norm(doc["b"])
+    return json.dumps(doc)
+
+
+def _corrupt_singular_loadings(text):
+    doc = json.loads(text)
+    doc["P"] = [[0.0] * len(row) for row in doc["P"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
-], ids=["truncated", "missing-key", "shape-mismatch", "non-finite"])
+    _corrupt_b, _corrupt_singular_loadings,
+], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
+        "inconsistent-b", "singular-loadings"])
 def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     model_path = tmp_path / "model.json"
     assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
