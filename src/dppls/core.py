@@ -352,26 +352,29 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not cells:
-                continue
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: non-numeric value",
-                    path=str(path), line=lineno,
-                ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}",
-                    path=str(path), line=lineno,
-                )
-            rows.append(row)
+        try:
+            for lineno, cells in enumerate(reader, start=1):
+                if header and lineno == 1:
+                    continue
+                if not cells:
+                    continue
+                try:
+                    row = [float(c) for c in cells]
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: non-numeric value",
+                        path=str(path), line=lineno,
+                    ) from None
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: expected {width} columns, got {len(row)}",
+                        path=str(path), line=lineno,
+                    )
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise CsvFormatError(f"{path}: not UTF-8 text", path=str(path)) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows", path=str(path))
     return np.array(rows, dtype=float)

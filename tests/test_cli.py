@@ -274,6 +274,20 @@ def test_preprocess_matrix_only(sim_dir, tmp_path):
     assert load_matrix(out).shape == (6, 60)
 
 
+def test_preprocess_airpls_keeps_an_all_zero_row(sim_dir, tmp_path):
+    d = load_dataset(sim_dir / "combined.csv")
+    data = np.column_stack([d.y, d.X])[:5]
+    data[2, 1:] = 0.0
+    zero_row = tmp_path / "zero_row.csv"
+    save_matrix(zero_row, data)
+    out = tmp_path / "prep.csv"
+    assert cli.main(["preprocess", "--input", str(zero_row), "--output", str(out),
+                     "--pipeline", "airpls"]) == 0
+    got = load_dataset(out)
+    np.testing.assert_array_equal(got.X[2], 0.0)
+    assert np.all(np.isfinite(got.X))
+
+
 def test_preprocess_rejects_unknown_step(sim_dir, tmp_path):
     code = cli.main(["preprocess", "--input", str(sim_dir / "combined.csv"),
                      "--output", str(tmp_path / "x.csv"),
@@ -436,6 +450,15 @@ def test_malformed_csv_exits_3(tmp_path):
     code = cli.main(["fit", "--input", str(bad),
                      "--output", str(tmp_path / "m.json"), "--k", "1"])
     assert code == cli.EXIT_IO
+
+
+def test_csv_that_is_not_utf8_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.0,2.0,3.0\n4.0,\xff,6.0\n")
+    code = cli.main(["fit", "--input", str(bad),
+                     "--output", str(tmp_path / "m.json"), "--k", "1"])
+    assert code == cli.EXIT_IO
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_channel_mismatch_exits_4(sim_dir, tmp_path):

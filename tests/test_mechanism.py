@@ -199,7 +199,7 @@ def test_profile_matches_erf_oracle():
                 assert ours == pytest.approx(ref, abs=1e-12)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=0.05, max_value=50.0),
     st.floats(min_value=1.01, max_value=3.0),

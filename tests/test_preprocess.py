@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solveh_banded
 
 from dppls.core import RngStream
 from dppls.errors import (
@@ -17,6 +18,7 @@ from dppls.preprocess import (
     AirPlsConfig,
     SgConfig,
     Step,
+    _penalty_bands,
     airpls_correct,
     msc,
     parse_pipeline,
@@ -224,6 +226,86 @@ def test_airpls_rows_processed_independently():
     stacked = airpls_correct(np.vstack([peak, flat]))
     np.testing.assert_array_equal(stacked[0], airpls_correct(peak[None, :])[0])
     np.testing.assert_array_equal(stacked[1], airpls_correct(flat[None, :])[0])
+
+
+def _reference_airpls(X, cfg):
+    """airPLS one row at a time: one banded solve per row per iteration.
+
+    Returns the corrected rows, the number of solves each row made and
+    whether each row ran into max_iterations without stopping.
+    """
+    out = np.empty_like(X)
+    solves, capped = [], []
+    for i, x in enumerate(X):
+        m = x.shape[0]
+        weights = np.ones(m)
+        abs_total = float(np.sum(np.abs(x)))
+        for iteration in range(1, cfg.max_iterations + 1):
+            ab = cfg.lam * _penalty_bands(m, cfg.diff_order)
+            ab[cfg.diff_order] += weights
+            z = solveh_banded(ab, weights * x, lower=False)
+            d = x - z
+            neg = d < 0
+            dssn = float(np.sum(np.abs(d[neg])))
+            if dssn < 0.001 * abs_total or not neg.any():
+                capped.append(False)
+                break
+            weights = np.zeros(m)
+            weights[neg] = np.exp(iteration * np.abs(d[neg]) / dssn)
+        else:
+            capped.append(True)
+        out[i] = x - z
+        solves.append(iteration)
+    return out, solves, capped
+
+
+def _baseline_rows(n, m=120, seed=0):
+    """Peaks of random height, place and width on random offsets and
+    slopes, with random noise levels, so rows stop at different
+    iterations."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(m, dtype=float)
+    centers = rng.uniform(20, m - 20, (n, 1))
+    widths = rng.uniform(2, 10, (n, 1))
+    peaks = rng.uniform(0.5, 5, (n, 1)) * np.exp(-((i - centers) ** 2) / (2 * widths ** 2))
+    ramps = rng.uniform(-2, 2, (n, 1)) + rng.uniform(-0.03, 0.03, (n, 1)) * i
+    return peaks + ramps + rng.uniform(0, 0.2, (n, 1)) * rng.normal(size=(n, m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("cfg", [AirPlsConfig(100.0, 15, 1), AirPlsConfig(1e5, 15, 2),
+                                 AirPlsConfig(1e3, 10, 3)], ids=["order1", "order2", "order3"])
+def test_airpls_equals_per_row_reference(n, cfg):
+    X = _baseline_rows(n)
+    want, _, _ = _reference_airpls(X, cfg)
+    np.testing.assert_array_equal(airpls_correct(X, cfg), want)
+
+
+@pytest.mark.parametrize("cfg,stop_counts,some_capped", [
+    (AirPlsConfig(100.0, 15, 1), 3, False),
+    (AirPlsConfig(1e3, 6, 3), 3, True),
+    (AirPlsConfig(1e5, 1, 2), 1, True),
+], ids=["staggered", "capped", "one"])
+def test_airpls_rows_stopping_apart_equal_reference(cfg, stop_counts, some_capped):
+    X = _baseline_rows(37, seed=1)
+    want, solves, capped = _reference_airpls(X, cfg)
+    assert len(set(solves)) >= stop_counts
+    assert any(capped) == some_capped
+    np.testing.assert_array_equal(airpls_correct(X, cfg), want)
+
+
+def test_airpls_of_no_rows_is_empty():
+    for order in (1, 3):
+        out = airpls_correct(np.empty((0, 50)), AirPlsConfig(diff_order=order))
+        assert out.shape == (0, 50)
+
+
+def test_airpls_all_zero_row_comes_back_as_zeros():
+    X = np.vstack([_peak(), np.zeros(200), _peak() + 1.0])
+    out = airpls_correct(X)
+    np.testing.assert_array_equal(out[1], 0.0)
+    np.testing.assert_array_equal(out[[0, 2]], airpls_correct(X[[0, 2]]))
+    np.testing.assert_array_equal(out, _reference_airpls(X, AirPlsConfig())[0])
 
 
 def test_airpls_validation():
