@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -209,11 +210,18 @@ def cmd_simulate(cfg: dict) -> int:
 
     rng = RngStream(cfg["seed"])
     d1, d2 = datagen.simulate_two_holders(cfg["n"], cfg["m"], rng)
-    pooled = datagen.concat_rows(d1, d2)
 
     save_dataset(out / "holder1.csv", d1, header=cfg["header"])
     save_dataset(out / "holder2.csv", d2, header=cfg["header"])
-    save_dataset(out / "combined.csv", pooled, header=cfg["header"])
+    # combined.csv holds the rows of datagen.concat_rows(d1, d2): holder
+    # 1's file, then holder 2's without its header line.  Copying the
+    # bytes formats no value twice.
+    with open(out / "combined.csv", "wb") as dst:
+        for name, skip_header in (("holder1.csv", False), ("holder2.csv", cfg["header"])):
+            with open(out / name, "rb") as src:
+                if skip_header:
+                    src.readline()
+                shutil.copyfileobj(src, dst)
 
     manifest = {
         "n_per_holder": cfg["n"],

@@ -17,6 +17,7 @@ channels in ascending order.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -347,37 +348,63 @@ def mean_center(d: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def load_matrix(path, header: bool = False) -> np.ndarray:
-    """Read a numeric CSV into an array, one sample per row."""
-    rows = []
+    """Read a numeric CSV into an array, one sample per row.
+
+    numpy's C reader parses the whole file in one call; it converts each
+    cell with the C routine ``float()`` uses, so the values are the same
+    bit for bit.
+    Only when it refuses the file does :func:`_raise_first_bad_line` scan
+    it line by line, to name the first faulty line.
+    """
+    # An open file, not the path: given a path, numpy would also
+    # decompress .gz/.bz2/.xz files and fetch URLs.
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # An empty file is refused below, as "no data rows".
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, quotechar='"',
+                              skiprows=1 if header else 0, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
+        _raise_first_bad_line(path, header)
+        raise CsvFormatError(f"{path}: {exc}", path=str(path)) from None
+    if data.size == 0:
+        raise CsvFormatError(f"{path}: no data rows", path=str(path))
+    return data
+
+
+def _raise_first_bad_line(path, header: bool) -> None:
+    """Raise CsvFormatError for the first line that ``csv.reader`` and
+    ``float()`` refuse, or that has another width than the first row;
+    return if there is none (``1_0`` is such a cell: float() reads it,
+    numpy's reader does not)."""
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for lineno, cells in enumerate(reader, start=1):
-                if header and lineno == 1:
-                    continue
-                if not cells:
+                if header and lineno == 1 or not cells:
                     continue
                 try:
-                    row = [float(c) for c in cells]
+                    for c in cells:
+                        float(c)
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}: line {lineno}: non-numeric value",
                         path=str(path), line=lineno,
                     ) from None
                 if width is None:
-                    width = len(row)
-                elif len(row) != width:
+                    width = len(cells)
+                elif len(cells) != width:
                     raise CsvFormatError(
-                        f"{path}: line {lineno}: expected {width} columns, got {len(row)}",
+                        f"{path}: line {lineno}: expected {width} columns, got {len(cells)}",
                         path=str(path), line=lineno,
                     )
-                rows.append(row)
         except UnicodeDecodeError:
             raise CsvFormatError(f"{path}: not UTF-8 text", path=str(path)) from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows", path=str(path))
-    return np.array(rows, dtype=float)
+        except csv.Error as exc:  # e.g. a field over the size limit
+            raise CsvFormatError(
+                f"{path}: line {reader.line_num}: {exc}", path=str(path), line=reader.line_num,
+            ) from None
 
 
 def load_dataset(path, response_col: int = 0, header: bool = False) -> Dataset:

@@ -303,7 +303,8 @@ class Step:
 
 class Pipeline:
     """Ordered preprocessing steps with fit-on-train, replay-on-test
-    semantics.  An empty pipeline is the identity."""
+    semantics.  An empty pipeline is the identity; a pipeline with steps
+    refuses rows holding NaN or infinite entries (DegenerateInputError)."""
 
     def __init__(self, steps=()):
         self.steps = list(steps)
@@ -312,8 +313,14 @@ class Pipeline:
         self.fit_transform(X)
         return self
 
+    def _rows(self, X) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.steps and not np.all(np.isfinite(X)):
+            raise DegenerateInputError("input contains NaN or infinite entries")
+        return X
+
     def transform(self, X) -> np.ndarray:
-        cur = np.atleast_2d(np.asarray(X, dtype=float))
+        cur = self._rows(X)
         for step in self.steps:
             cur = step.transform(cur)
         return cur
@@ -322,7 +329,7 @@ class Pipeline:
         """Fit every step on the output of the steps before it and return
         the transformed rows; each step is fitted before its own transform,
         so this equals ``fit(X)`` followed by ``transform(X)``."""
-        cur = np.atleast_2d(np.asarray(X, dtype=float))
+        cur = self._rows(X)
         for step in self.steps:
             cur = step.fit(cur).transform(cur)
         return cur

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dppls import cli, datagen
-from dppls.core import RngStream, load_dataset, load_matrix, save_matrix
+from dppls.core import Dataset, RngStream, load_dataset, load_matrix, save_dataset, save_matrix
 from dppls.errors import NumericalError
-from dppls.pls import FitConfig, fit, load_model, predict
+from dppls.pls import FitConfig, fit, load_model, predict, save_model
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,18 @@ def test_simulate_reruns_byte_identical(tmp_path):
                      "--output", str(other)]) == 0
     assert (outs[0] / "holder1.csv").read_bytes() != \
         (other / "holder1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+def test_simulate_files_equal_save_dataset(tmp_path, header):
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--n", "7", "--m", "5", "--seed", "4", "--output", str(out)]
+                    + ["--header"] * header) == 0
+    d1, d2 = datagen.simulate_two_holders(7, 5, RngStream(4))
+    for name, d in (("holder1.csv", d1), ("holder2.csv", d2),
+                    ("combined.csv", datagen.concat_rows(d1, d2))):
+        save_dataset(tmp_path / name, d, header=header)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +473,42 @@ def test_csv_that_is_not_utf8_exits_3(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_unterminated_quote_csv_exits_3(tmp_path, capsys):
+    # csv.reader's field runs past its size limit in the line scan.
+    bad = tmp_path / "quote.csv"
+    bad.write_text('1,2\n3,"4\n' + "5,6\n" * 40000)
+    code = cli.main(["preprocess", "--input", str(bad), "--output", str(tmp_path / "o.csv"),
+                     "--pipeline", "center"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert "field larger than field limit" in err and "Traceback" not in err
+
+
+def test_digit_separator_csv_exits_3(tmp_path, capsys):
+    bad = tmp_path / "sep.csv"
+    bad.write_text("1.0,2.0,3.0\n4.0,1_0,6.0\n5.0,2.0,1.0\n")
+    code = cli.main(["fit", "--input", str(bad),
+                     "--output", str(tmp_path / "m.json"), "--k", "1"])
+    assert code == cli.EXIT_IO
+    assert "1_0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["center", "msc", "sg:5,2,1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preprocess_refuses_non_finite_rows(sim_dir, tmp_path, capsys, spec, bad):
+    d = load_dataset(sim_dir / "combined.csv")
+    data = np.column_stack([d.y, d.X])[:6]
+    data[3, 9] = bad
+    path = tmp_path / "bad.csv"
+    save_matrix(path, data)
+    out = tmp_path / "o.csv"
+    code = cli.main(["preprocess", "--input", str(path), "--output", str(out),
+                     "--pipeline", spec])
+    assert code == cli.EXIT_ARGUMENT
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_channel_mismatch_exits_4(sim_dir, tmp_path):
     model_path = tmp_path / "model.json"
     cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
@@ -559,3 +607,77 @@ def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
                      "--output", str(tmp_path / "p.csv")])
     assert code == cli.EXIT_IO
     assert str(model_path) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# corrupted CSV input
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A pooled model for each channel count 1..6, so predict and attack
+    get past the channel check on intact files."""
+    out = tmp_path_factory.mktemp("fuzz")
+    rng = RngStream(11)
+    for m in range(1, 7):
+        X = rng.uniform(0, 1, (10, m))
+        save_model(fit(Dataset(X=X, y=X.sum(axis=1) + rng.uniform(0, 1, 10)),
+                       FitConfig(k=1)), out / f"model{m}.json")
+    return out
+
+
+_INSERTED = [b"\xff", b"\x00", b'"', b"#", b",", b"\r", b"a", b"e", b"n", b"Z"]
+
+
+@st.composite
+def _corrupted_csv(draw):
+    """(file bytes, header flag, channel count): a valid CSV of at most 8
+    rows x 6 channels, then one corruption ("intact" leaves it valid, so
+    the commands' own refusals run too)."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * (m + 1), max_size=n * (m + 1)))
+    rows = [[repr(v).encode() for v in values[i * (m + 1):(i + 1) * (m + 1)]] for i in range(n)]
+    header = draw(st.booleans())
+    kind = draw(st.sampled_from(["truncate", "insert", "drop", "duplicate", "empty", "intact"]))
+    if kind in ("drop", "duplicate"):
+        row = rows[draw(st.integers(0, n - 1))]
+        j = draw(st.integers(0, m))
+        row[j:j + 1] = [] if kind == "drop" else [row[j], row[j]]
+    lines = [b",".join([b"y"] + [b"x%d" % j for j in range(m)])] * header
+    text = b"".join(line + b"\n" for line in lines + [b",".join(r) for r in rows])
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"".join(draw(st.lists(st.sampled_from(_INSERTED),
+                                                  min_size=1, max_size=4))) + text[at:]
+    elif kind == "empty":
+        text = b""
+    return text, header, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_corrupted_csv())
+def test_corrupted_csv_ends_in_a_documented_exit_code(fuzz_dir, case):
+    # Only byte strings are drawn; sizes stay those of the valid file.
+    text, header, m = case
+    data, model = fuzz_dir / "data.csv", str(fuzz_dir / f"model{m}.json")
+    data.write_bytes(text)
+    runs = [
+        ["fit", "--input", str(data), "--output", str(fuzz_dir / "m.json"), "--k", "1",
+         "--epsilon", "1"],
+        ["predict", "--model", model, "--input", str(data), "--response-col", "0",
+         "--output", str(fuzz_dir / "p.csv")],
+        ["preprocess", "--input", str(data), "--output", str(fuzz_dir / "x.csv"),
+         "--pipeline", "sg:3,1,0|msc|center"],
+        ["sweep", "--input", str(data), "--output", str(fuzz_dir / "sweep"), "--k", "1",
+         "--k-max", "1", "--epsilons", "1", "--folds", "2", "--repeats", "1"],
+        ["attack", "--global-model", model, "--input", str(data),
+         "--output", str(fuzz_dir / "a.json")],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--header"] * header)
+        assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,5 +1,8 @@
 """Containers, deterministic randomness, centering, and CSV round-trips."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -318,3 +321,108 @@ def test_load_dataset_needs_two_columns(tmp_path):
 def test_save_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ShapeError):
         save_matrix(tmp_path / "x.csv", np.zeros(3))
+
+
+def _reference_load_matrix(path, header=False):
+    """The per-line ``csv.reader`` + ``float()`` reader that load_matrix
+    replaced; it stays here as the oracle for the values load_matrix
+    returns."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            if header and lineno == 1 or not cells:
+                continue
+            rows.append([float(c) for c in cells])
+    return np.array(rows, dtype=float)
+
+
+def _assert_same_bits(path, header=False):
+    got, want = load_matrix(path, header=header), _reference_load_matrix(path, header)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1 + 0.2, 1e16, 1e-5, 1 / 3, np.pi]
+# Cells that are not the shortest repr of their value: rounding ties,
+# long digit strings, underflow and overflow.
+_EDGE_CELLS = ["0.1e1", "1.000000000000000000000000001", "2.4703282292062328e-324",
+               "2.4703282292062327e-324", "9007199254740993", "1e-400", "-1e400",
+               "0." + "0" * 300 + "1", "123456789012345678901234567890e-30", "+.5", "5.",
+               "1E5", "-0"]
+
+
+def test_load_matrix_matches_reference_on_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, size=(500, 8), dtype=np.uint64)
+    X = bits.view(np.float64)
+    X[:2] = np.resize(_EDGE_VALUES, (2, 8))
+    path = tmp_path / "bits.csv"
+    save_matrix(path, X)
+    _assert_same_bits(path)
+    np.testing.assert_array_equal(load_matrix(path), X)
+
+
+@pytest.mark.parametrize("text,header", [
+    (",".join(_EDGE_CELLS) + "\n" + ",".join(reversed(_EDGE_CELLS)) + "\n", False),
+    ("nan,inf,-Infinity\nNaN,+inf,INFINITY\n-nan,1,2\n", False),
+    ("y,x0,x1\n1,2,3\n4,5,6\n", True),
+    ("1,2,3\n4,5,6\n", False),
+    ("prediction\n1.5\n-2.25\n", True),
+    ("1.5\n-2.25\n", False),
+    ("1,2\r\n3,4\r\n", False),
+    ("1,2\r3,4\r", False),
+    ("\n1,2\n\n\n3,4\n\r\n5,6\n\n", False),
+    ("y,x\n\n1,2\n\n3,4\n", True),
+    (" 1 ,\t2\n3 , 4 \n", False),
+    ('"1.5",2\n" -3e2 ","4"\n', False),
+    ('"y","x"\n"1",2\n', True),
+], ids=["edge-cells", "nan-inf", "header", "no-header", "one-column-header",
+        "one-column", "crlf", "cr", "blank-lines", "header-blank-lines", "spaces",
+        "quoted", "quoted-header"])
+def test_load_matrix_matches_reference(tmp_path, text, header):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    _assert_same_bits(path, header)
+
+
+def test_load_matrix_refuses_a_comment_line(tmp_path):
+    path = tmp_path / "hash.csv"
+    path.write_text("1,2\n# note\n3,4\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_matrix(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text,header", [("", False), ("\n\n", False),
+                                         ("y,x0\n", True), ("y,x0\n\n", True)])
+def test_load_matrix_refuses_no_data_without_a_warning(tmp_path, text, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_matrix(path, header=header)
+
+
+def test_load_matrix_refuses_digit_separators(tmp_path):
+    # float() reads "1_0" as 10.0; the documented grammar has no "_".
+    path = tmp_path / "sep.csv"
+    path.write_text("1,2\n1_0,3\n")
+    with pytest.raises(CsvFormatError, match="1_0"):
+        load_matrix(path)
+
+
+def test_load_matrix_maps_csv_field_limit_to_csv_format_error(tmp_path):
+    # An unterminated quote makes csv.reader's field run past its size
+    # limit while the line scan looks for the faulty line.
+    path = tmp_path / "quote.csv"
+    path.write_text('1,2\n3,"4\n' + "5,6\n" * 40000)
+    with pytest.raises(CsvFormatError, match="field larger than field limit"):
+        load_matrix(path)
+
+
+def test_load_matrix_reads_a_long_numeric_cell(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("1,0." + "0" * 150000 + "1\n2,3\n")
+    np.testing.assert_array_equal(load_matrix(path), [[1.0, 0.0], [2.0, 3.0]])

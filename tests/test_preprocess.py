@@ -374,6 +374,20 @@ def test_pipeline_fitted_state_ignores_test_rows():
     np.testing.assert_array_equal(p1.steps[1].mean, p2.steps[1].mean)
 
 
+@pytest.mark.parametrize("spec", ["center", "msc", "sg:5,2,1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pipeline_refuses_non_finite_rows(spec, bad):
+    rows = RngStream(10).uniform(1, 2, (6, 12))
+    pipe = parse_pipeline(spec).fit(rows)
+    rows[4, 3] = bad
+    with pytest.raises(DegenerateInputError, match="NaN or infinite"):
+        pipe.transform(rows)
+    with pytest.raises(DegenerateInputError, match="NaN or infinite"):
+        parse_pipeline(spec).fit_transform(rows)
+    # The empty pipeline is the identity and passes such rows through.
+    np.testing.assert_array_equal(parse_pipeline("").fit_transform(rows), rows)
+
+
 def test_unfitted_stateful_pipeline_refuses_transform():
     with pytest.raises(StateError):
         parse_pipeline("msc").transform(np.ones((2, 5)))
