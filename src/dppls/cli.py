@@ -37,6 +37,7 @@ from .errors import (
     ArgumentError,
     ConfigurationError,
     CsvFormatError,
+    DegenerateInputError,
     DpplsError,
     ModelFormatError,
     NumericalError,
@@ -157,7 +158,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, deep nesting
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"{path}: config must be a flat JSON object")
@@ -373,6 +374,8 @@ def cmd_preprocess(cfg: dict) -> int:
     else:
         d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                          header=cfg["header"])
+        if not np.all(np.isfinite(d.y)):
+            raise DegenerateInputError("response contains NaN or infinite entries")
         transformed = Dataset(X=pipe.fit_transform(d.X), y=d.y)
         save_dataset(out, transformed, header=cfg["header"])
     _write_config(cfg, "preprocess", out)

@@ -478,15 +478,16 @@ def _model_from_doc(doc: dict) -> PlsModel:
 def load_model(path) -> PlsModel:
     """Read a model written by :func:`save_model`.
 
-    Raises ModelFormatError for anything else: invalid JSON, missing
-    keys, arrays whose shapes disagree with k and the channel count,
-    non-finite numbers, a singular P^T W, or a b that differs from
-    W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``).
+    Raises ModelFormatError for anything else: invalid JSON, JSON nested
+    too deeply to parse, missing keys, values of the wrong type, arrays
+    whose shapes disagree with k and the channel count, non-finite numbers
+    or integers beyond float range, a singular P^T W, or a b that differs
+    from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, deep nesting
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ModelFormatError(f"{path}: not a model file")
@@ -497,5 +498,5 @@ def load_model(path) -> PlsModel:
         raise ModelFormatError(f"{path}: missing keys {', '.join(missing)}")
     try:
         return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model: {exc}") from None

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import (
     ArgumentError,
@@ -212,6 +211,9 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     each row's l1(d) summed over that row's own residuals, so the output
     equals solving each row on its own, bit for bit.
     """
+    # Imported here so that only airPLS pipelines load scipy.
+    from scipy.linalg import solveh_banded
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("input contains NaN or infinite entries")

@@ -440,6 +440,15 @@ def test_config_file_rejects_invalid_json(tmp_path):
                      "--output", str(tmp_path / "o")]) == cli.EXIT_ARGUMENT
 
 
+def test_config_file_nested_too_deeply_exits_2(sim_dir, tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    code = cli.main(["fit", "--config", str(config), "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(tmp_path / "m.json"), "--k", "1"])
+    assert code == cli.EXIT_ARGUMENT
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -506,6 +515,18 @@ def test_preprocess_refuses_non_finite_rows(sim_dir, tmp_path, capsys, spec, bad
                      "--pipeline", spec])
     assert code == cli.EXIT_ARGUMENT
     assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preprocess_refuses_non_finite_response(tmp_path, capsys, bad):
+    path = tmp_path / "bad.csv"
+    save_matrix(path, np.array([[1.0, 0.5, 0.25], [bad, 0.75, 0.5], [3.0, 0.25, 1.0]]))
+    out = tmp_path / "o.csv"
+    code = cli.main(["preprocess", "--input", str(path), "--output", str(out),
+                     "--pipeline", "center"])
+    assert code == cli.EXIT_ARGUMENT
+    assert "response contains NaN or infinite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -590,12 +611,23 @@ def _corrupt_singular_loadings(text):
     return json.dumps(doc)
 
 
+def _corrupt_nested_too_deeply(text):
+    return "[" * 100_000 + "]" * 100_000
+
+
+def _corrupt_int_beyond_float(text):
+    doc = json.loads(text)
+    doc["y_mean"] = 10 ** 400
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
     _corrupt_b, _corrupt_singular_loadings,
+    _corrupt_nested_too_deeply, _corrupt_int_beyond_float,
 ], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
-        "inconsistent-b", "singular-loadings"])
+        "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float"])
 def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     model_path = tmp_path / "model.json"
     assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
@@ -681,3 +713,96 @@ def test_corrupted_csv_ends_in_a_documented_exit_code(fuzz_dir, case):
             code = cli.main(argv + ["--header"] * header)
         assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# corrupted model files
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def model_fuzz_dir(sim_dir, tmp_path_factory):
+    """A private k=2 model of the shared corpus, so every model key holds
+    a real value (privacy budget and calibration log included)."""
+    out = tmp_path_factory.mktemp("model-fuzz")
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out / "intact.json"), "--k", "2",
+                     "--epsilon", "1", "--seed", "5"]) == 0
+    return out
+
+
+def _json_paths(node, path=()):
+    """Every key or index path into a parsed JSON document, the root
+    excluded."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _parent_of(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+# Values that are the wrong type somewhere in a model file, numbers beyond
+# float range and JSON's NaN token included.
+_WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([10 ** 400, -(10 ** 400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["epsilon", "delta", "sigma"]), st.floats(0, 2), max_size=2),
+)
+_DEEP = "__deep__"
+
+
+def _corrupted_model(data, text):
+    """The saved model's text after one drawn corruption ("intact" leaves
+    it unchanged)."""
+    kind = data.draw(st.sampled_from(
+        ["truncate", "insert", "wrong-type", "drop", "deep", "intact"]))
+    if kind == "truncate":
+        return kind, text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "insert":
+        at = data.draw(st.integers(0, len(text)))
+        return kind, text[:at] + "".join(data.draw(st.lists(
+            st.sampled_from(["\x00", '"', "[", "]", "{", "}", ",", ":", "-", "e", "1", "NaN"]),
+            min_size=1, max_size=4))) + text[at:]
+    if kind == "intact":
+        return kind, text
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = _parent_of(doc, path)
+    if kind == "drop":
+        del parent[path[-1]]
+        return kind, json.dumps(doc)
+    parent[path[-1]] = data.draw(_WRONG_VALUES) if kind == "wrong-type" else _DEEP
+    out = json.dumps(doc)
+    if kind == "deep":
+        depth = data.draw(st.sampled_from([2, 64, 65, 900, 100_000]))
+        out = out.replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    return kind, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_model_file_ends_in_a_documented_exit_code(sim_dir, model_fuzz_dir, data):
+    kind, text = _corrupted_model(data, (model_fuzz_dir / "intact.json").read_text())
+    model = model_fuzz_dir / "model.json"
+    model.write_text(text, encoding="utf-8")
+    runs = [
+        ["predict", "--model", str(model), "--input", str(sim_dir / "holder2.csv"),
+         "--response-col", "0", "--output", str(model_fuzz_dir / "p.csv")],
+        ["attack", "--global-model", str(model), "--input", str(sim_dir / "holder1.csv"),
+         "--output", str(model_fuzz_dir / "a.json")],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5), (kind, argv[0], code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if kind == "intact":
+            assert code == 0, err.getvalue()

@@ -3,7 +3,8 @@
 The leave-one-out oracles here recompute each released quantity with one
 sample removed and check the actual change against the advertised bound;
 the privacy profile is cross-checked against a from-scratch erf-based
-evaluation that shares no code with the implementation.
+evaluation that shares no code with the implementation, and its Phi and
+log Phi against scipy.special, which the package itself does not load.
 """
 
 import math
@@ -16,7 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 from dppls.core import PrivacyBudget, RngStream
 from dppls.errors import ArgumentError, ShapeError
 from dppls.mechanism import (
+    _LOG_NDTR_SERIES_BELOW,
     SampleBounds,
+    _log_ndtr,
+    _ndtr,
     analytic_gaussian_sigma,
     classic_gaussian_sigma,
     gaussian_privacy_profile,
@@ -38,7 +42,8 @@ def _random_residuals(seed, n=12, m=6):
 
 def _phi(x: float) -> float:
     # Standard normal CDF from first principles; the implementation uses
-    # scipy's ndtr, so this is an independent route.
+    # erfc and an asymptotic series for log Phi, so this 1 + erf route is
+    # independent of it.
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
@@ -189,6 +194,46 @@ def test_classic_sigma_validation():
 # ---------------------------------------------------------------------------
 # privacy profile
 # ---------------------------------------------------------------------------
+
+def _max_relative_error(fn, x, ref):
+    ours = np.array([fn(float(v)) for v in x])
+    return np.max(np.abs(ours - ref) / np.abs(ref))
+
+
+def test_ndtr_matches_scipy_oracle():
+    from scipy.special import ndtr
+
+    x = np.concatenate([np.linspace(-38.5, 9.0, 20_001),
+                        RngStream(5).uniform(-38.5, 9.0, 5_000), [0.0]])
+    ref = ndtr(x)
+    keep = ref > 1e-300
+    assert keep.sum() > 20_000
+    assert _max_relative_error(_ndtr, x[keep], ref[keep]) <= 1e-12
+
+
+def test_log_ndtr_matches_scipy_oracle_across_the_series_cut_off():
+    from scipy.special import log_ndtr
+
+    cut = _LOG_NDTR_SERIES_BELOW
+    x = np.concatenate([
+        -np.logspace(-8.0, 8.0, 4_001),
+        np.linspace(cut - 1.0, cut + 1.0, 4_001),  # both branches, densely
+        [cut, np.nextafter(cut, 0.0), np.nextafter(cut, -np.inf), 0.0, -1e8],
+        RngStream(6).uniform(-60.0, 0.0, 5_000),
+    ])
+    assert (x < cut).sum() > 3_000 and (x > cut).sum() > 3_000
+    assert _max_relative_error(_log_ndtr, x, log_ndtr(x)) <= 1e-14
+
+
+def test_log_ndtr_positive_arguments_keep_relative_accuracy():
+    # log Phi(x) ~ -Phi(-x) for large x: log of a rounded Phi would read 0.
+    from scipy.special import log_ndtr
+
+    x = np.linspace(0.0, 37.0, 10_001)
+    ref = log_ndtr(x)
+    assert np.all(ref < 0)
+    assert _max_relative_error(_log_ndtr, x, ref) <= 1e-12
+
 
 def test_profile_matches_erf_oracle():
     for sigma in (0.3, 1.0, 2.0, 10.0):
