@@ -56,6 +56,7 @@ from .pls import (
     predict,
     regression_coefficients,
     release,
+    release_many,
     save_model,
 )
 from .attack import (

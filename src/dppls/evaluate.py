@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Dataset, PrivacyBudget, RngStream
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
-from .pls import FitConfig, nipals_path, predict, release
+from .pls import FitConfig, nipals_path, predict, release, release_many
 from .preprocess import parse_pipeline
 
 
@@ -132,6 +132,13 @@ class EvalReport:
                 ])
 
 
+def _predict(model, X: np.ndarray) -> np.ndarray:
+    """predict() for an entry of release_many, raising the error it holds."""
+    if isinstance(model, DpplsError):
+        raise model
+    return predict(model, X)
+
+
 # ---------------------------------------------------------------------------
 # k-fold cross-validation
 # ---------------------------------------------------------------------------
@@ -194,19 +201,19 @@ def kfold_cv(
         except DpplsError:
             status = ["failed"] * len(grid)
             break
-        for gi, cfg in enumerate(grid):
-            if status[gi] != "ok":
-                continue
-            try:
-                model = release(
-                    paths[cfg.residual_tolerance],
-                    replace(cfg, rng=rng.derive(gi, fold_i)),
-                )
-                pred = predict(model, X_test)
-            except DpplsError:
-                status[gi] = "failed"
-                continue
-            sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
+        for tol, path in paths.items():
+            live = [gi for gi, cfg in enumerate(grid)
+                    if status[gi] == "ok" and cfg.residual_tolerance == tol]
+            models = release_many(
+                path, [replace(grid[gi], rng=rng.derive(gi, fold_i)) for gi in live],
+            )
+            for gi, model in zip(live, models):
+                try:
+                    pred = _predict(model, X_test)
+                except DpplsError:
+                    status[gi] = "failed"
+                    continue
+                sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
 
     for cfg, st, errors in zip(grid, status, sq_errors):
         p = cfg.privacy
@@ -289,12 +296,13 @@ def privacy_utility_sweep(
     for ei, eps in enumerate(eps_list):
         budget = PrivacyBudget(epsilon=float(eps), delta=delta)
         r_vals, q_vals = [], []
-        for rep in range(repeats):
+        models = release_many(path, [
+            FitConfig(k=k, privacy=budget, rng=rng.derive(ei, rep))
+            for rep in range(repeats)
+        ])
+        for rep, model in enumerate(models):
             try:
-                model = release(path, FitConfig(
-                    k=k, privacy=budget, rng=rng.derive(ei, rep),
-                ))
-                pred = predict(model, X_test)
+                pred = _predict(model, X_test)
                 r, q = rmse(test.y, pred), r2_score(test.y, pred)
             except DpplsError:
                 report.entries.append(entry("holdout", float(eps), rep, False))

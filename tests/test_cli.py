@@ -621,17 +621,58 @@ def _corrupt_int_beyond_float(text):
     return json.dumps(doc)
 
 
+def _corrupt_privacy_dropped(text):
+    doc = json.loads(text)
+    doc["privacy"] = None  # the log keeps its 8 entries
+    return json.dumps(doc)
+
+
+def _corrupt_log_cut(text):
+    doc = json.loads(text)
+    doc["calibration_log"] = doc["calibration_log"][:1]
+    return json.dumps(doc)
+
+
+def _corrupt_log_extra_entry(text):
+    doc = json.loads(text)
+    doc["calibration_log"].append(doc["calibration_log"][0])
+    return json.dumps(doc)
+
+
+def _corrupt_log_two_extra_on_early_stop(text):
+    doc = json.loads(text)
+    doc["early_stop"] = True
+    doc["calibration_log"] += doc["calibration_log"][:2]
+    return json.dumps(doc)
+
+
+def _corrupt_log_out_of_order(text):
+    doc = json.loads(text)
+    log = doc["calibration_log"]
+    log[4]["target"], log[5]["target"] = log[5]["target"], log[4]["target"]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
     _corrupt_b, _corrupt_singular_loadings,
     _corrupt_nested_too_deeply, _corrupt_int_beyond_float,
+    _corrupt_privacy_dropped, _corrupt_log_cut, _corrupt_log_extra_entry,
+    _corrupt_log_two_extra_on_early_stop, _corrupt_log_out_of_order,
 ], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
-        "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float"])
+        "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float",
+        "log-without-privacy", "log-cut", "log-extra-entry",
+        "log-two-extra-on-early-stop", "log-out-of-order"])
 def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     model_path = tmp_path / "model.json"
     assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
-                     "--output", str(model_path), "--k", "2"]) == 0
+                     "--output", str(model_path), "--k", "2",
+                     "--epsilon", "1", "--seed", "1"]) == 0
+    assert cli.main(["predict", "--model", str(model_path),
+                     "--input", str(sim_dir / "combined.csv"),
+                     "--response-col", "0",
+                     "--output", str(tmp_path / "intact.csv")]) == 0
     model_path.write_text(corrupt(model_path.read_text()))
     code = cli.main(["predict", "--model", str(model_path),
                      "--input", str(sim_dir / "combined.csv"),

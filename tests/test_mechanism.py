@@ -15,12 +15,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dppls.core import PrivacyBudget, RngStream
-from dppls.errors import ArgumentError, ShapeError
+import dppls.mechanism as mechanism_module
+from dppls.errors import ArgumentError, NumericalError, ShapeError
 from dppls.mechanism import (
     _LOG_NDTR_SERIES_BELOW,
+    _MAX_ULP_STEPS,
     SampleBounds,
+    _bisect_sigma,
     _log_ndtr,
     _ndtr,
+    _unit_sigma,
     analytic_gaussian_sigma,
     classic_gaussian_sigma,
     gaussian_privacy_profile,
@@ -333,3 +337,62 @@ def test_analytic_sigma_reference_value():
     # 1.8779, noticeably below the classic 3.1075.
     cal = analytic_gaussian_sigma(1.0, PrivacyBudget(1.0, 0.01))
     assert cal.sigma == pytest.approx(1.8779, abs=2e-4)
+
+
+# ---------------------------------------------------------------------------
+# the unit-sigma cache
+# ---------------------------------------------------------------------------
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_f=_log_uniform(1e-4, 1e4), eps=_log_uniform(0.01, 1000.0),
+       delta=_log_uniform(1e-10, 0.3))
+def test_scaled_unit_sigma_is_feasible_and_matches_a_fresh_bisection(delta_f, eps, delta):
+    cal = analytic_gaussian_sigma(delta_f, PrivacyBudget(eps, delta))
+    assert gaussian_privacy_profile(cal.sigma, delta_f, eps) <= delta
+    # The bisection stops at relative width 1e-9, and the two routes may
+    # end one step apart.
+    assert cal.sigma == pytest.approx(_bisect_sigma(delta_f, eps, delta), rel=1e-8)
+
+
+def _count_profile_evals(monkeypatch, answer=None):
+    """Count profile evaluations from here on; ``answer`` replaces their
+    result when given."""
+    calls = []
+    profile = mechanism_module.gaussian_privacy_profile
+
+    def counting(sigma, delta_f, epsilon):
+        calls.append(sigma)
+        return profile(sigma, delta_f, epsilon) if answer is None else answer
+
+    monkeypatch.setattr(mechanism_module, "gaussian_privacy_profile", counting)
+    return calls
+
+
+def test_second_calibration_under_a_budget_evaluates_the_profile_once_per_ulp(monkeypatch):
+    budget = PrivacyBudget(0.7315, 0.0123)
+    _unit_sigma.cache_clear()
+    calls = _count_profile_evals(monkeypatch)
+    analytic_gaussian_sigma(2.0, budget)
+    assert len(calls) > 20  # the bisection ran
+    for delta_f in (3.7, 1e-3, 812.5):
+        del calls[:]
+        sigma = analytic_gaussian_sigma(delta_f, budget).sigma
+        bumps, s = 0, delta_f * _unit_sigma(budget.epsilon, budget.delta)
+        while s < sigma:
+            s, bumps = math.nextafter(s, math.inf), bumps + 1
+        assert len(calls) == 1 + bumps
+
+
+def test_ulp_steps_past_the_cap_raise(monkeypatch):
+    budget = PrivacyBudget(1.0, 0.01)
+    analytic_gaussian_sigma(1.0, budget)  # r(1, 0.01) now cached
+    calls = _count_profile_evals(monkeypatch, answer=1.0)
+    with pytest.raises(NumericalError, match="ulps"):
+        analytic_gaussian_sigma(2.0, budget)
+    assert len(calls) == _MAX_ULP_STEPS
+    # Each evaluation after the first is one ulp above the one before.
+    assert all(b == math.nextafter(a, math.inf) for a, b in zip(calls, calls[1:]))

@@ -12,6 +12,7 @@ import pytest
 
 import dppls.pls as pls_module
 from dppls.core import (
+    CALIBRATION_TARGETS,
     Dataset,
     NoiseCalibration,
     PlsModel,
@@ -24,6 +25,7 @@ from dppls.errors import (
     ArgumentError,
     ConfigurationError,
     DegenerateInputError,
+    DpplsError,
     ShapeError,
     SingularSystemError,
 )
@@ -35,6 +37,7 @@ from dppls.pls import (
     predict,
     regression_coefficients,
     release,
+    release_many,
     save_model,
 )
 
@@ -429,6 +432,88 @@ def test_path_memoizes_calibrations_per_budget(monkeypatch):
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
 
 
+def _silence_all_but(monkeypatch, *noised):
+    """Calibrate every target outside ``noised`` to sigma 0."""
+    calibrate = pls_module.analytic_gaussian_sigma
+
+    def partly_silent(delta_f, budget, target=None):
+        if target not in noised:
+            return NoiseCalibration(float(delta_f), 0.0, "analytic", target)
+        return calibrate(delta_f, budget, target)
+
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
+
+
+def _one_by_one(path, cfgs):
+    """release() per config, each error kept in place of its model."""
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(release(path, cfg))
+        except DpplsError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_outcomes_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, DpplsError):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            _assert_models_identical(g, w)
+
+
+@pytest.mark.parametrize("silenced", [None, "scores"])
+def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
+    if silenced is not None:
+        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
+    path = nipals_path(_random_dataset(44, n=12, m=9), 4)
+    b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
+
+    def cfgs():
+        return [
+            FitConfig(k=3, privacy=b1, rng=RngStream(6, 0)),
+            FitConfig(k=1),
+            FitConfig(k=4, privacy=b2, rng=RngStream(6, 1)),
+            FitConfig(k=9, privacy=b1, rng=RngStream(6, 2)),  # deeper than the path
+            FitConfig(k=2, privacy=b1),  # no rng
+            FitConfig(k=1, privacy=b2, rng=RngStream(6, 3)),
+            FitConfig(k=4, privacy=b1, rng=RngStream(6, 4)),
+        ]
+
+    got = release_many(path, cfgs())
+    _assert_outcomes_identical(got, _one_by_one(path, cfgs()))
+    assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
+    assert "path's 4 components" in str(got[3])
+    assert (silenced is None) == all(cal.sigma > 0 for cal in got[0].calibration_log)
+    assert release_many(path, []) == []
+
+
+def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
+    # Rank-1 data with the stop disabled: k >= 2 gives a singular loading
+    # system.  Noising only the y-loadings leaves that system singular, so
+    # the private k=2 release draws its noise and then fails its solve.
+    _silence_all_but(monkeypatch, "y_loading")
+    rng = RngStream(10)
+    s = rng.uniform(-1, 1, 12)
+    c = rng.uniform(1, 2, 15)
+    path = nipals_path(Dataset(X=np.outer(c, s), y=c.copy()), 3, 0.0)
+    budget = PrivacyBudget(1.0, 0.01)
+
+    def cfgs():
+        private = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(8, s),
+                                         residual_tolerance=0.0)
+        return [private(1, 0), private(2, 1), private(1, 2),
+                FitConfig(k=3, residual_tolerance=0.0),
+                FitConfig(k=1, residual_tolerance=0.0)]
+
+    got = release_many(path, cfgs())
+    _assert_outcomes_identical(got, _one_by_one(path, cfgs()))
+    assert [type(r).__name__ for r in got] == [
+        "PlsModel", "SingularSystemError", "PlsModel", "SingularSystemError", "PlsModel"]
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -473,6 +558,22 @@ def test_model_round_trip_predicts_identically(tmp_path):
     assert back.rng_seed == 7 and back.rng_stream == 0
     assert len(back.calibration_log) == len(model.calibration_log)
     assert back.calibration_log[0] == model.calibration_log[0]
+
+
+@pytest.mark.parametrize("case, logged", [
+    ("score-stop", 4 * 1 + 1), ("covariance-stop", 4 * 1), ("all-skipped", 0),
+])
+def test_early_stopped_private_models_load(tmp_path, case, logged):
+    d, tol = {
+        "score-stop": (_score_stop_dataset(), 1e-8),
+        "covariance-stop": (_covariance_stop_dataset(), 1e-8),
+        "all-skipped": (_random_dataset(22), 1e12),
+    }[case]
+    model = fit(d, FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01),
+                             rng=RngStream(3), residual_tolerance=tol))
+    assert model.early_stop and len(model.calibration_log) == logged
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json").calibration_log == model.calibration_log
 
 
 def test_model_file_is_byte_stable(tmp_path):
