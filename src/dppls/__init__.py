@@ -18,7 +18,6 @@ from .core import (
     gaussian_vector,
     load_dataset,
     load_matrix,
-    mean_center,
     norm_ppf,
     save_dataset,
     save_matrix,

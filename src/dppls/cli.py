@@ -299,8 +299,12 @@ def cmd_attack(cfg: dict) -> int:
     doc = {"matrix": cfg["matrix"], "k": global_model.k}
     if cfg["truth"] is not None:
         truth = load_matrix(cfg["truth"])
-        truth = truth.ravel()
-        report = attack_and_score(V_global, V_local, truth)
+        if min(truth.shape) != 1:
+            raise ShapeError(
+                f"{cfg['truth']}: the truth signal must be one column or one row, "
+                f"got {truth.shape[0]} x {truth.shape[1]}"
+            )
+        report = attack_and_score(V_global, V_local, truth.ravel())
         doc["similarities"] = [float(v) for v in report.similarities]
         doc["component_argmax"] = report.component_argmax
         doc["best_similarity"] = report.best_similarity

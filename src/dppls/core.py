@@ -23,13 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    CsvFormatError,
-    DegenerateInputError,
-    ShapeError,
-    StateError,
-)
+from .errors import ArgumentError, CsvFormatError, ShapeError
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -46,16 +40,11 @@ CALIBRATION_METHODS = ("classic", "analytic")
 class Dataset:
     """A spectral regression dataset: X is n x m, y has length n.
 
-    ``centered`` records whether column means have already been removed;
-    ``x_means`` / ``y_mean`` hold the removed means so predictions can be
-    mapped back to the original scale.
+    Rows are kept as given; :func:`dppls.pls.nipals_path` centers them.
     """
 
     X: np.ndarray
     y: np.ndarray
-    centered: bool = False
-    x_means: Optional[np.ndarray] = None
-    y_mean: Optional[float] = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -73,10 +62,6 @@ class Dataset:
         # their own minimum counts.
         if self.X.shape[1] < 1:
             raise ShapeError("X must have at least one column")
-        if self.x_means is not None:
-            self.x_means = np.asarray(self.x_means, dtype=float)
-            if self.x_means.shape != (self.X.shape[1],):
-                raise ShapeError("x_means length must match the column count of X")
 
     @property
     def n(self) -> int:
@@ -314,33 +299,6 @@ def gaussian_vector(length: int, sigma: float, rng: RngStream) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros(int(length))
     return sigma * norm_ppf(rng.open_unit(int(length)))
-
-
-# ---------------------------------------------------------------------------
-# centering
-# ---------------------------------------------------------------------------
-
-def mean_center(d: Dataset) -> Dataset:
-    """Remove column means from X and the mean from y, recording them.
-
-    Raises if the dataset is already centered (re-centering would silently
-    corrupt the stored means) or contains non-finite entries.
-    """
-    if d.centered:
-        raise StateError("dataset is already centered")
-    if d.n < 2:
-        raise DegenerateInputError(f"centering needs at least 2 samples, got {d.n}")
-    if not np.all(np.isfinite(d.X)) or not np.all(np.isfinite(d.y)):
-        raise DegenerateInputError("dataset contains NaN or infinite entries")
-    x_means = d.X.mean(axis=0)
-    y_mean = float(d.y.mean())
-    return Dataset(
-        X=d.X - x_means,
-        y=d.y - y_mean,
-        centered=True,
-        x_means=x_means,
-        y_mean=y_mean,
-    )
 
 
 # ---------------------------------------------------------------------------

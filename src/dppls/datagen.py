@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, RngStream
-from .errors import ArgumentError, ShapeError, StateError
+from .errors import ArgumentError, ShapeError
 
 CONCENTRATION_LOW = 0.0
 CONCENTRATION_HIGH = 10.0
@@ -67,7 +67,7 @@ def simulate_two_holders(n: int, m: int, rng: RngStream):
     Holder 1 mixes (analyte, shared, unique1), holder 2 mixes
     (analyte, shared, unique2).  Concentration vectors are drawn in that
     order, holder 1 first, so a fixed rng reproduces the data exactly.
-    Returns ``(holder1, holder2)`` as uncentered datasets.
+    Returns ``(holder1, holder2)``.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ArgumentError(f"need at least 2 samples per holder, got {n}")
@@ -98,9 +98,7 @@ def simulate_two_holders(n: int, m: int, rng: RngStream):
 
 
 def concat_rows(d1: Dataset, d2: Dataset) -> Dataset:
-    """Stack two uncentered datasets sample-wise (the pooled view)."""
-    if d1.centered or d2.centered:
-        raise StateError("concatenate before centering, not after")
+    """Stack two datasets sample-wise (the pooled view)."""
     if d1.m != d2.m:
         raise ShapeError(
             f"channel counts differ: {d1.m} vs {d2.m}"

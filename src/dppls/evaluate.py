@@ -154,8 +154,9 @@ def kfold_cv(
 
     Folds are contiguous blocks of one seeded permutation, shared by all
     grid points.  Each fold is preprocessed once and runs one clean NIPALS
-    path up to the largest grid k (at most min(n-1, m)); every grid point
-    is a release of that path, with noise stream ``rng.derive(gi, fold)``.
+    path, at the default residual tolerance, up to the largest grid k (at
+    most min(n-1, m)); every grid point is a release of that path, with
+    noise stream ``rng.derive(gi, fold)``.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
@@ -165,8 +166,6 @@ def kfold_cv(
         rng = RngStream(0)
     if not grid:
         raise ArgumentError("grid must contain at least one configuration")
-    if d.centered:
-        raise ArgumentError("cross-validate uncentered data; fits center per fold")
     if not (2 <= folds <= d.n):
         raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
 
@@ -193,27 +192,21 @@ def kfold_cv(
             pipe = parse_pipeline(pipeline_spec)
             train = Dataset(X=pipe.fit_transform(d.X[train_idx]), y=d.y[train_idx])
             X_test = pipe.transform(d.X[test_idx])
-            depth = min(k_top, train.n - 1, train.m)
-            paths = {
-                tol: nipals_path(train, depth, tol)
-                for tol in {cfg.residual_tolerance for cfg in grid}
-            }
+            path = nipals_path(train, min(k_top, train.n - 1, train.m))
         except DpplsError:
             status = ["failed"] * len(grid)
             break
-        for tol, path in paths.items():
-            live = [gi for gi, cfg in enumerate(grid)
-                    if status[gi] == "ok" and cfg.residual_tolerance == tol]
-            models = release_many(
-                path, [replace(grid[gi], rng=rng.derive(gi, fold_i)) for gi in live],
-            )
-            for gi, model in zip(live, models):
-                try:
-                    pred = _predict(model, X_test)
-                except DpplsError:
-                    status[gi] = "failed"
-                    continue
-                sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
+        live = [gi for gi in range(len(grid)) if status[gi] == "ok"]
+        models = release_many(
+            path, [replace(grid[gi], rng=rng.derive(gi, fold_i)) for gi in live],
+        )
+        for gi, model in zip(live, models):
+            try:
+                pred = _predict(model, X_test)
+            except DpplsError:
+                status[gi] = "failed"
+                continue
+            sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
 
     for cfg, st, errors in zip(grid, status, sq_errors):
         p = cfg.privacy
@@ -256,8 +249,8 @@ def privacy_utility_sweep(
         rng = RngStream(0)
     if repeats < 1:
         raise ArgumentError(f"repeats must be at least 1, got {repeats}")
-    if train.centered or test.centered:
-        raise ArgumentError("sweep uncentered data; fits center internally")
+    if not (0 < delta < 1):
+        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
     for e in eps_list:
         if not np.isfinite(e) or e <= 0:
             raise ArgumentError(f"epsilon values must be positive, got {e}")

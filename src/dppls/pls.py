@@ -1,9 +1,10 @@
 """PLS1 regression with optional per-component Gaussian privatization.
 
-A fit has two stages.  :func:`nipals_path` runs the NIPALS recursion on
-the clean data.  For every component it keeps the unit weight vector w,
-the unit score vector t, the x-loadings p, the y-loading c, and the
-sample suprema of the residuals the component was extracted from.
+A fit has two stages.  :func:`nipals_path` centers the clean data and
+runs the NIPALS recursion on it.  For every component it keeps the unit
+weight vector w, the unit score vector t, the x-loadings p, the
+y-loading c, and the sample suprema of the residuals the component was
+extracted from.
 Deflation uses only these clean quantities, so a path depends on the
 training data alone: not on the noise, the budget or the final component
 count.  One path therefore serves every fit of the same data.
@@ -34,7 +35,7 @@ by element, every config gets the normals it would get alone, value for
 value; one call only saves the per-call overhead.  Normalization, the
 k x k solve and the model stay per config, and a config that fails gets
 its own error without touching the others' draws.  :func:`fit` is
-``release(nipals_path(d, cfg.k, cfg.residual_tolerance), cfg)``.
+``release(nipals_path(d, cfg.k), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
 weight sensitivity is that of the unnormalized covariance E^T f, yet the
@@ -56,7 +57,6 @@ from .core import (
     PlsModel,
     PrivacyBudget,
     RngStream,
-    mean_center,
     norm_ppf,
 )
 from .errors import (
@@ -82,11 +82,9 @@ _COND_LIMIT = 1e12
 DEFAULT_RESIDUAL_TOLERANCE = 1e-12
 
 
-def _check_depth(k, residual_tolerance) -> int:
+def _check_depth(k) -> int:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k}")
-    if residual_tolerance < 0:
-        raise ArgumentError("residual_tolerance must be nonnegative")
     return int(k)
 
 
@@ -98,17 +96,16 @@ class FitConfig:
     be supplied whenever privacy is set; the fit takes all its noise from
     it in one batched draw, in the order weights, scores, x-loadings,
     y-loading per component, which equals drawing the four releases of
-    each component in turn from the stream.  The recursion stops early
-    once a residual norm falls below ``residual_tolerance``.
+    each component in turn from the stream.  The early-stop tolerance is
+    not a fit setting; see :func:`nipals_path`.
     """
 
     k: int
     privacy: Optional[PrivacyBudget] = None
     rng: Optional[RngStream] = None
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE
 
     def __post_init__(self):
-        self.k = _check_depth(self.k, self.residual_tolerance)
+        self.k = _check_depth(self.k)
 
 
 def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -175,7 +172,6 @@ class NipalsPath:
     y_mean: float
     n: int
     k_max: int
-    residual_tolerance: float
     cut_bounds: Optional[SampleBounds] = None
     # Calibrations per (budget, component), in release order, filled on demand.
     _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
@@ -188,23 +184,21 @@ def nipals_path(
 ) -> NipalsPath:
     """Run the clean NIPALS recursion for up to ``k_max`` components.
 
-    Uncentered data is centered here and the means kept on the path.  The
-    recursion stops early once the covariance norm or the score norm of
-    the residuals drops below ``residual_tolerance``.
+    This is where the data is centered; the means are kept on the path.
+    The recursion stops early once the covariance norm or the score norm
+    of the residuals drops below ``residual_tolerance``.  :func:`fit`,
+    cross-validation and the sweep use the default; this argument is the
+    only way to change it.
     """
-    k_max = _check_depth(k_max, residual_tolerance)
-    if not d.centered:
-        if d.n >= 1 and np.max(d.y) == np.min(d.y):
-            raise DegenerateInputError("response is constant")
-        d = mean_center(d)
-    else:
-        if d.n < 2:
-            raise DegenerateInputError(f"fit needs at least 2 samples, got {d.n}")
-        if not np.all(np.isfinite(d.X)) or not np.all(np.isfinite(d.y)):
-            raise DegenerateInputError("dataset contains NaN or infinite entries")
-        if np.all(d.y == 0.0):
-            # A centered response that is identically zero was constant.
-            raise DegenerateInputError("response is constant")
+    k_max = _check_depth(k_max)
+    if residual_tolerance < 0:
+        raise ArgumentError("residual_tolerance must be nonnegative")
+    if d.n >= 1 and np.max(d.y) == np.min(d.y):
+        raise DegenerateInputError("response is constant")
+    if d.n < 2:
+        raise DegenerateInputError(f"centering needs at least 2 samples, got {d.n}")
+    if not np.all(np.isfinite(d.X)) or not np.all(np.isfinite(d.y)):
+        raise DegenerateInputError("dataset contains NaN or infinite entries")
 
     n, m = d.X.shape
     k_limit = min(n - 1, m)
@@ -213,8 +207,10 @@ def nipals_path(
             f"k={k_max} exceeds min(n-1, m)={k_limit} for this dataset"
         )
 
-    E = d.X.copy()
-    f = d.y.copy()
+    x_means = d.X.mean(axis=0)
+    E = d.X - x_means
+    y_mean = float(d.y.mean())
+    f = d.y - y_mean
     components = []
     cut_bounds = None
     for _ in range(k_max):
@@ -240,11 +236,8 @@ def nipals_path(
         components.append(PathComponent(w, t, p, c, bounds))
 
     return NipalsPath(
-        components=components,
-        x_means=np.asarray(d.x_means if d.x_means is not None else np.zeros(m), dtype=float),
-        y_mean=float(d.y_mean if d.y_mean is not None else 0.0),
-        n=n, k_max=k_max, residual_tolerance=residual_tolerance,
-        cut_bounds=cut_bounds,
+        components=components, x_means=x_means, y_mean=y_mean,
+        n=n, k_max=k_max, cut_bounds=cut_bounds,
     )
 
 
@@ -301,11 +294,6 @@ def _plan(path: NipalsPath, cfg: FitConfig) -> _Plan:
         )
     if cfg.k > path.k_max:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
-    if cfg.residual_tolerance != path.residual_tolerance:
-        raise ConfigurationError(
-            f"residual_tolerance {cfg.residual_tolerance} differs from the "
-            f"path's {path.residual_tolerance}"
-        )
 
     comps = path.components[:cfg.k]
     log: list[NoiseCalibration] = []
@@ -388,7 +376,7 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
 
     Without a privacy budget the clean quantities are released.  A path
     holding fewer than cfg.k components gives a model flagged as stopped
-    early.  cfg.residual_tolerance must be the path's.
+    early.
     """
     (result,) = release_many(path, [cfg])
     if isinstance(result, DpplsError):
@@ -399,11 +387,11 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
 def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
     """Fit a PLS1 model, privatized when cfg.privacy is set.
 
-    Uncentered data is centered internally and the means stored on the
-    model.  Stops early, flagging the model, if a residual norm drops
-    below cfg.residual_tolerance before k components are extracted.
+    The data is centered internally and the means stored on the model.
+    Stops early, flagging the model, if a residual norm drops below
+    ``DEFAULT_RESIDUAL_TOLERANCE`` before k components are extracted.
     """
-    return release(nipals_path(d, cfg.k, cfg.residual_tolerance), cfg)
+    return release(nipals_path(d, cfg.k), cfg)
 
 
 def predict(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
@@ -477,6 +465,10 @@ def save_model(model: PlsModel, path) -> None:
 # the machine that wrote the file the recomputation is bit-identical.
 _B_RTOL = 1e-8
 
+# Relative tolerance for a logged sigma against its recalibration: the
+# bisection's own, so a file reloads wherever its sigmas were calibrated.
+_SIGMA_RTOL = 1e-9
+
 _KEYS = (
     "format", "version", "k", "W", "P", "c", "b", "x_means", "y_mean",
     "privacy", "calibration_log", "early_stop", "rng_seed", "rng_stream",
@@ -501,7 +493,8 @@ def _is_int(v) -> bool:
 
 def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
     """A private model logs 4 releases per component, in CALIBRATION_TARGETS
-    order, plus the cut-off component's weights when it stopped early; a
+    order, plus the cut-off component's weights when it stopped early, each
+    with the analytic sigma of its sensitivity under the model's budget; a
     clean model logs none."""
     if privacy is None:
         if log:
@@ -518,6 +511,21 @@ def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
             raise ModelFormatError(
                 f"calibration_log entry {i} targets {cal.target!r}, "
                 f"expected {CALIBRATION_TARGETS[i % 4]!r}"
+            )
+        if cal.method != "analytic":
+            raise ModelFormatError(
+                f"calibration_log entry {i} uses method {cal.method!r}, expected 'analytic'"
+            )
+        try:
+            want = analytic_gaussian_sigma(cal.sensitivity, privacy, cal.target).sigma
+        except DpplsError as exc:
+            raise ModelFormatError(
+                f"calibration_log entry {i}: sigma cannot be recalibrated: {exc}"
+            ) from None
+        if abs(cal.sigma - want) > _SIGMA_RTOL * want:
+            raise ModelFormatError(
+                f"calibration_log entry {i} has sigma {cal.sigma!r}; its sensitivity "
+                f"and the model's budget give {want!r}"
             )
 
 
@@ -575,7 +583,10 @@ def load_model(path) -> PlsModel:
     from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``), or a
     calibration_log that does not match the model: entries without a
     privacy budget; with one, a count other than 4k (or 4k+1 when
-    early_stop is true), or targets out of CALIBRATION_TARGETS order.
+    early_stop is true), targets out of CALIBRATION_TARGETS order, a
+    method other than "analytic", or a sigma more than 1e-9 relative
+    (``_SIGMA_RTOL``) from the analytic sigma of the entry's sensitivity
+    under the model's budget, which is 0 for sensitivity 0.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -208,6 +208,31 @@ def test_attack_k_mismatch_is_a_config_error(sim_dir, tmp_path):
     assert code == cli.EXIT_ARGUMENT
 
 
+def test_attack_truth_must_be_one_column_or_one_row(sim_dir, tmp_path):
+    model_path = tmp_path / "pooled.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "3"]) == 0
+    signal = datagen.gaussian_signal(60, datagen.UNIQUE_HOLDER2)
+
+    def attack(truth, tag):
+        truth_path = tmp_path / f"truth_{tag}.csv"
+        save_matrix(truth_path, truth)
+        report_path = tmp_path / f"attack_{tag}.json"
+        code = cli.main(["attack", "--global-model", str(model_path),
+                         "--input", str(sim_dir / "holder1.csv"),
+                         "--truth", str(truth_path), "--output", str(report_path)])
+        return code, report_path
+
+    code_row, row = attack(signal[None, :], "row")
+    code_column, column = attack(signal[:, None], "column")
+    assert code_row == code_column == 0
+    assert row.read_bytes() == column.read_bytes()
+    # Same cell count, but the channel order of a 30 x 2 file is ambiguous.
+    code, report_path = attack(signal.reshape(30, 2), "grid")
+    assert code == cli.EXIT_SHAPE
+    assert not report_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -257,6 +282,15 @@ def test_sweep_cv_only_and_holdout_requirements(sim_dir, tmp_path):
                      "--output", str(tmp_path / "h"), "--mode", "holdout",
                      "--epsilons", "10", "--repeats", "2", "--seed", "2"])
     assert code == cli.EXIT_ARGUMENT
+
+
+def test_sweep_refuses_delta_outside_unit_interval_without_epsilons(sim_dir, tmp_path):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "holdout", "--k", "2",
+                     "--epsilons", "", "--delta", "5", "--seed", "2"])
+    assert code == cli.EXIT_ARGUMENT
+    assert not (out / "holdout_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +687,22 @@ def _corrupt_log_out_of_order(text):
     return json.dumps(doc)
 
 
+def _scale_sigmas(factor):
+    def corrupt(text):
+        doc = json.loads(text)
+        for entry in doc["calibration_log"]:
+            entry["sigma"] *= factor
+        return json.dumps(doc)
+    return corrupt
+
+
+def _corrupt_log_method_classic(text):
+    doc = json.loads(text)
+    for entry in doc["calibration_log"]:
+        entry["method"] = "classic"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
@@ -660,10 +710,12 @@ def _corrupt_log_out_of_order(text):
     _corrupt_nested_too_deeply, _corrupt_int_beyond_float,
     _corrupt_privacy_dropped, _corrupt_log_cut, _corrupt_log_extra_entry,
     _corrupt_log_two_extra_on_early_stop, _corrupt_log_out_of_order,
+    _scale_sigmas(1 - 1e-6), _scale_sigmas(1 + 1e-6), _corrupt_log_method_classic,
 ], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
         "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float",
         "log-without-privacy", "log-cut", "log-extra-entry",
-        "log-two-extra-on-early-stop", "log-out-of-order"])
+        "log-two-extra-on-early-stop", "log-out-of-order",
+        "sigma-shrunk", "sigma-grown", "method-classic"])
 def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     model_path = tmp_path / "model.json"
     assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),

@@ -1,4 +1,4 @@
-"""Containers, deterministic randomness, centering, and CSV round-trips."""
+"""Containers, deterministic randomness, and CSV round-trips."""
 
 import csv
 import warnings
@@ -15,18 +15,11 @@ from dppls.core import (
     gaussian_vector,
     load_dataset,
     load_matrix,
-    mean_center,
     norm_ppf,
     save_dataset,
     save_matrix,
 )
-from dppls.errors import (
-    ArgumentError,
-    CsvFormatError,
-    DegenerateInputError,
-    ShapeError,
-    StateError,
-)
+from dppls.errors import ArgumentError, CsvFormatError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +42,6 @@ def test_dataset_accepts_zero_rows():
     # neutral elements.  Operations that need samples reject them later.
     d = Dataset(X=np.zeros((0, 5)), y=np.zeros(0))
     assert d.n == 0 and d.m == 5
-
-
-def test_dataset_x_means_length_checked():
-    with pytest.raises(ShapeError):
-        Dataset(X=np.zeros((2, 3)), y=np.zeros(2), x_means=np.zeros(4))
 
 
 @pytest.mark.parametrize("eps,delta", [
@@ -221,42 +209,6 @@ def test_gaussian_vector_validation():
 
 
 # ---------------------------------------------------------------------------
-# centering
-# ---------------------------------------------------------------------------
-
-def test_mean_center_round_trip():
-    rng = RngStream(2)
-    X = rng.uniform(-5, 5, (20, 7))
-    y = rng.uniform(0, 10, 20)
-    d = Dataset(X=X, y=y)
-    c = mean_center(d)
-    assert c.centered
-    np.testing.assert_allclose(c.X.mean(axis=0), 0.0, atol=1e-12)
-    assert abs(c.y.mean()) < 1e-12
-    np.testing.assert_allclose(c.X + c.x_means, X, atol=1e-12)
-    np.testing.assert_allclose(c.y + c.y_mean, y, atol=1e-12)
-
-
-def test_mean_center_rejects_recentering():
-    d = mean_center(Dataset(X=np.random.default_rng(0).normal(size=(5, 3)),
-                            y=np.arange(5.0)))
-    with pytest.raises(StateError):
-        mean_center(d)
-
-
-def test_mean_center_needs_two_samples():
-    with pytest.raises(DegenerateInputError):
-        mean_center(Dataset(X=np.ones((1, 3)), y=np.ones(1)))
-
-
-def test_mean_center_rejects_nonfinite():
-    X = np.ones((3, 2))
-    X[1, 1] = np.nan
-    with pytest.raises(DegenerateInputError):
-        mean_center(Dataset(X=X, y=np.arange(3.0)))
-
-
-# ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
 
@@ -272,7 +224,7 @@ def test_dataset_round_trip_with_header(tmp_path):
     d = Dataset(X=rng.uniform(-1, 1, (6, 4)), y=rng.uniform(0, 1, 6))
     path = tmp_path / "d.csv"
     save_dataset(path, d, header=True)
-    assert open(path).readline().strip() == "y,x0,x1,x2,x3"
+    assert path.read_text().splitlines()[0] == "y,x0,x1,x2,x3"
     back = load_dataset(path, header=True)
     np.testing.assert_array_equal(back.X, d.X)
     np.testing.assert_array_equal(back.y, d.y)

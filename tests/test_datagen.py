@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dppls.core import RngStream, mean_center
+from dppls.core import RngStream
 from dppls.datagen import (
     ANALYTE,
     CONCENTRATION_HIGH,
@@ -17,7 +17,7 @@ from dppls.datagen import (
     gaussian_signal,
     simulate_two_holders,
 )
-from dppls.errors import ArgumentError, ShapeError, StateError
+from dppls.errors import ArgumentError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,6 @@ def test_simulate_shapes_and_ranges():
     for d in (d1, d2):
         assert d.X.shape == (100, 100)
         assert d.y.shape == (100,)
-        assert not d.centered
         assert d.y.min() >= CONCENTRATION_LOW
         assert d.y.max() < CONCENTRATION_HIGH
 
@@ -152,7 +151,6 @@ def test_concat_stacks_in_order():
     np.testing.assert_array_equal(pooled.X[30:], d2.X)
     np.testing.assert_array_equal(pooled.y[:30], d1.y)
     np.testing.assert_array_equal(pooled.y[30:], d2.y)
-    assert not pooled.centered
 
 
 def test_concat_with_empty_is_identity():
@@ -163,14 +161,6 @@ def test_concat_with_empty_is_identity():
     pooled = concat_rows(d1, empty)
     np.testing.assert_array_equal(pooled.X, d1.X)
     np.testing.assert_array_equal(pooled.y, d1.y)
-
-
-def test_concat_rejects_centered_inputs():
-    d1, d2 = simulate_two_holders(10, 20, RngStream(6))
-    with pytest.raises(StateError, match="before centering"):
-        concat_rows(mean_center(d1), d2)
-    with pytest.raises(StateError):
-        concat_rows(d1, mean_center(d2))
 
 
 def test_concat_rejects_channel_mismatch():

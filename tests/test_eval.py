@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dppls.core import Dataset, PrivacyBudget, RngStream, mean_center
+from dppls.core import Dataset, PrivacyBudget, RngStream
 from dppls.errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from dppls.evaluate import (
     EvalReport,
@@ -208,8 +208,6 @@ def test_cv_validation():
         kfold_cv(d, 1, [FitConfig(k=1)], rng=RngStream(0))
     with pytest.raises(ArgumentError, match="folds"):
         kfold_cv(d, 21, [FitConfig(k=1)], rng=RngStream(0))
-    with pytest.raises(ArgumentError, match="uncentered"):
-        kfold_cv(mean_center(d), 4, [FitConfig(k=1)], rng=RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +301,10 @@ def test_sweep_validation():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ArgumentError, match="positive"):
             privacy_utility_sweep(train, test, [bad], k=3)
-    with pytest.raises(ArgumentError, match="uncentered"):
-        privacy_utility_sweep(mean_center(train), test, [], k=3)
+    # delta is checked even when no epsilon uses it.
+    for bad in (0.0, 1.0, 5.0, float("nan")):
+        with pytest.raises(ArgumentError, match="delta"):
+            privacy_utility_sweep(train, test, [], k=3, delta=bad)
     with pytest.raises(ShapeError):
         narrow = Dataset(X=test.X[:, :-1], y=test.y)
         privacy_utility_sweep(train, narrow, [], k=3)
@@ -320,9 +320,10 @@ def _report_bytes(report, tmp_path, tag):
     return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("json", "csv")]
 
 
-def _reference_kfold(d, folds, grid, spec, rng):
+def _reference_kfold(d, folds, grid, spec, rng, early_stops=None):
     """k-fold CV that preprocesses and fits afresh for every (grid point,
-    fold), grid points outermost."""
+    fold), grid points outermost; each model's early_stop flag is appended
+    to ``early_stops`` when given."""
     blocks = np.array_split(rng.permutation(d.n), folds)
     report = EvalReport(metadata={
         "protocol": "kfold_cv", "folds": folds, "preprocess": spec,
@@ -338,6 +339,8 @@ def _reference_kfold(d, folds, grid, spec, rng):
                 model = fit(Dataset(X=pipe.transform(d.X[train_idx]), y=d.y[train_idx]),
                             replace(cfg, rng=rng.derive(gi, fold_i)))
                 pred = predict(model, pipe.transform(d.X[test_idx]))
+                if early_stops is not None:
+                    early_stops.append(model.early_stop)
             except DpplsError:
                 status = "failed"
                 break
@@ -420,16 +423,21 @@ def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
         grid.append(FitConfig(k=k))
         for eps in (100.0, 1.0):
             grid.append(FitConfig(k=k, privacy=PrivacyBudget(eps, 0.01)))
-    # Looser tolerances get paths of their own and stop early, on the
-    # covariance norm (10) or, without preprocessing, on the score norm
-    # before the first component (100).
-    for tol in (10.0, 100.0):
-        grid.append(FitConfig(k=4, residual_tolerance=tol))
-        grid.append(FitConfig(k=4, privacy=PrivacyBudget(10.0, 0.01), residual_tolerance=tol))
     got = kfold_cv(d, 5, grid, pipeline_spec=spec, rng=RngStream(31))
     want = _reference_kfold(d, 5, grid, spec, RngStream(31))
     assert [e["status"] for e in got.entries].count("failed") == 3  # k=13 > m
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
+
+    # Exactly rank-deficient data: every fold's path stops early at the
+    # default tolerance, short of the grid's k.
+    exact = _rank3_dataset(n=40, m=12, seed=30)
+    grid = [FitConfig(k=5), FitConfig(k=5, privacy=PrivacyBudget(10.0, 0.01))]
+    got = kfold_cv(exact, 4, grid, pipeline_spec=spec, rng=RngStream(35))
+    early_stops = []
+    want = _reference_kfold(exact, 4, grid, spec, RngStream(35), early_stops)
+    assert [e["status"] for e in got.entries] == ["ok", "ok"]
+    assert early_stops == [True] * 8
+    assert _report_bytes(got, tmp_path, "exact") == _report_bytes(want, tmp_path, "exact_want")
 
 
 def test_cv_report_equals_reference_when_every_fold_fails(tmp_path):

@@ -7,6 +7,8 @@ quantity but provably not the regression vector, so the two routes must
 agree to rounding error.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,14 @@ from dppls.core import (
     PrivacyBudget,
     RngStream,
     gaussian_vector,
-    mean_center,
 )
 from dppls.errors import (
     ArgumentError,
     ConfigurationError,
     DegenerateInputError,
     DpplsError,
+    ModelFormatError,
+    NumericalError,
     ShapeError,
     SingularSystemError,
 )
@@ -106,13 +109,21 @@ def test_fit_recovers_noiseless_data():
     assert np.sqrt(np.mean((pred - d.y) ** 2)) < 1e-8
 
 
-def test_fit_accepts_precentered_data():
-    d = _random_dataset(3)
-    direct = fit(d, FitConfig(k=3))
-    via_centered = fit(mean_center(d), FitConfig(k=3))
-    np.testing.assert_array_equal(direct.b, via_centered.b)
-    np.testing.assert_array_equal(direct.x_means, via_centered.x_means)
-    assert direct.y_mean == via_centered.y_mean
+def test_nipals_path_centers_and_keeps_the_means():
+    rng = RngStream(2)
+    X = rng.uniform(-5, 5, (20, 7))
+    y = rng.uniform(0, 10, 20)
+    d = Dataset(X=X.copy(), y=y.copy())
+    path = nipals_path(d, 3)
+    np.testing.assert_array_equal(path.x_means, X.mean(axis=0))
+    assert path.y_mean == float(y.mean())
+    np.testing.assert_array_equal(d.X, X)
+    np.testing.assert_array_equal(d.y, y)
+    # The first component comes from the centered data.
+    E, f = X - X.mean(axis=0), y - y.mean()
+    w = E.T @ f
+    np.testing.assert_allclose(path.components[0].w, w / np.linalg.norm(w), atol=1e-12)
+    np.testing.assert_allclose(path.components[0].t.sum(), 0.0, atol=1e-12)
 
 
 def test_fit_scores_are_orthonormal():
@@ -136,13 +147,20 @@ def test_fit_rejects_constant_response():
         fit(d, FitConfig(k=1))
 
 
-def test_fit_rejects_centered_zero_response():
-    base = _random_dataset(6)
-    centered = mean_center(base)
-    flat = Dataset(X=centered.X, y=np.zeros(base.n), centered=True,
-                   x_means=centered.x_means, y_mean=0.0)
-    with pytest.raises(DegenerateInputError):
-        fit(flat, FitConfig(k=1))
+def test_nipals_path_refusals_keep_their_order():
+    bad = np.ones((3, 2))
+    bad[1, 1] = np.nan
+    cases = [
+        # A constant response is refused first, whatever else is wrong.
+        (Dataset(X=np.ones((1, 3)), y=np.ones(1)), "response is constant"),
+        (Dataset(X=bad, y=np.full(3, 2.0)), "response is constant"),
+        (Dataset(X=np.zeros((0, 3)), y=np.zeros(0)), "centering needs at least 2 samples"),
+        (Dataset(X=bad, y=np.arange(3.0)), "NaN or infinite"),
+        (Dataset(X=np.ones((3, 2)), y=np.array([0.0, np.inf, 1.0])), "NaN or infinite"),
+    ]
+    for d, message in cases:
+        with pytest.raises(DegenerateInputError, match=message):
+            nipals_path(d, 1)
 
 
 def test_fit_rejects_excessive_k():
@@ -159,15 +177,16 @@ def test_fit_requires_rng_with_privacy():
 def test_fit_config_validation():
     with pytest.raises(ArgumentError):
         FitConfig(k=0)
-    with pytest.raises(ArgumentError):
-        FitConfig(k=1, residual_tolerance=-1.0)
+    with pytest.raises(ArgumentError, match="residual_tolerance"):
+        nipals_path(_random_dataset(8), 1, -1.0)
 
 
 def test_fit_rejects_nonfinite_rows():
-    X = np.random.default_rng(1).normal(size=(6, 3))
-    X[2, 1] = np.inf
-    with pytest.raises(DegenerateInputError):
-        fit(Dataset(X=X, y=np.arange(6.0)), FitConfig(k=1))
+    for bad in (np.inf, np.nan):
+        X = np.random.default_rng(1).normal(size=(6, 3))
+        X[2, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            fit(Dataset(X=X, y=np.arange(6.0)), FitConfig(k=1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +198,7 @@ def test_fit_stops_early_on_rank_deficit():
     s = rng.uniform(-1, 1, 12)
     c = rng.uniform(1, 2, 15)
     d = Dataset(X=np.outer(c, s), y=c.copy())
-    model = fit(d, FitConfig(k=4, residual_tolerance=1e-8))
+    model = release(nipals_path(d, 4, 1e-8), FitConfig(k=4))
     assert model.early_stop
     assert model.k == 1
     assert model.W.shape == (12, 1)
@@ -195,13 +214,13 @@ def test_fit_zero_tolerance_on_rank_deficit_raises_singular():
     c = rng.uniform(1, 2, 15)
     d = Dataset(X=np.outer(c, s), y=c.copy())
     with pytest.raises(SingularSystemError) as err:
-        fit(d, FitConfig(k=3, residual_tolerance=0.0))
+        release(nipals_path(d, 3, 0.0), FitConfig(k=3))
     assert "reduce the component count" in str(err.value)
 
 
 def test_all_components_skipped_predicts_mean():
     d = _random_dataset(11)
-    model = fit(d, FitConfig(k=2, residual_tolerance=1e12))
+    model = release(nipals_path(d, 2, 1e12), FitConfig(k=2))
     assert model.k == 0
     assert model.early_stop
     np.testing.assert_array_equal(model.b, np.zeros(d.m))
@@ -355,9 +374,9 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
         for bi, budget in enumerate(budgets):
             def cfg():
                 rng = None if budget is None else RngStream(k, bi)
-                return FitConfig(k=k, privacy=budget, rng=rng, residual_tolerance=tol)
+                return FitConfig(k=k, privacy=budget, rng=rng)
             replayed = release(path, cfg())
-            _assert_models_identical(replayed, fit(d, cfg()))
+            _assert_models_identical(replayed, release(nipals_path(d, k, tol), cfg()))
             if budget is not None and replayed.early_stop and stop == "scores":
                 # The cut-off component's weights calibration is logged.
                 assert len(replayed.calibration_log) == 4 * replayed.k + 1
@@ -371,8 +390,6 @@ def test_release_rejects_configs_the_path_cannot_serve():
         release(path, FitConfig(k=6))
     with pytest.raises(ArgumentError, match="path's 3 components"):
         release(path, FitConfig(k=4))
-    with pytest.raises(ConfigurationError, match="residual_tolerance"):
-        release(path, FitConfig(k=2, residual_tolerance=1e-6))
     with pytest.raises(ConfigurationError, match="rng"):
         release(path, FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01)))
 
@@ -502,11 +519,9 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
     budget = PrivacyBudget(1.0, 0.01)
 
     def cfgs():
-        private = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(8, s),
-                                         residual_tolerance=0.0)
+        private = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(8, s))
         return [private(1, 0), private(2, 1), private(1, 2),
-                FitConfig(k=3, residual_tolerance=0.0),
-                FitConfig(k=1, residual_tolerance=0.0)]
+                FitConfig(k=3), FitConfig(k=1)]
 
     got = release_many(path, cfgs())
     _assert_outcomes_identical(got, _one_by_one(path, cfgs()))
@@ -569,8 +584,8 @@ def test_early_stopped_private_models_load(tmp_path, case, logged):
         "covariance-stop": (_covariance_stop_dataset(), 1e-8),
         "all-skipped": (_random_dataset(22), 1e12),
     }[case]
-    model = fit(d, FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01),
-                             rng=RngStream(3), residual_tolerance=tol))
+    model = release(nipals_path(d, 4, tol),
+                    FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(3)))
     assert model.early_stop and len(model.calibration_log) == logged
     save_model(model, tmp_path / "model.json")
     assert load_model(tmp_path / "model.json").calibration_log == model.calibration_log
@@ -593,3 +608,37 @@ def test_load_model_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "dppls-model", "version": 99}')
     with pytest.raises(ArgumentError, match="unsupported model version"):
         load_model(path)
+
+
+def _resaved_log(tmp_path, model, **changes):
+    """The path of ``model`` saved with every logged field in ``changes``
+    replaced by fn(entry) -> new value."""
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    for entry in doc["calibration_log"]:
+        for key, fn in changes.items():
+            entry[key] = fn(entry)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    return tmp_path / "model.json"
+
+
+def test_load_model_ties_each_sigma_to_the_budget(tmp_path, monkeypatch):
+    model = fit(_random_dataset(23), FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01),
+                                               rng=RngStream(4)))
+    # Within the bisection's tolerance a sigma still loads.
+    path = _resaved_log(tmp_path, model, sigma=lambda e: e["sigma"] * (1 + 1e-10))
+    assert len(load_model(path).calibration_log) == 12
+    for changes in (dict(sigma=lambda e: e["sigma"] * (1 + 1e-8)),
+                    dict(sensitivity=lambda e: 0.0)):
+        with pytest.raises(ModelFormatError, match="sigma"):
+            load_model(_resaved_log(tmp_path, model, **changes))
+    # A zero sensitivity with sigma 0 is consistent.
+    path = _resaved_log(tmp_path, model, sensitivity=lambda e: 0.0, sigma=lambda e: 0.0)
+    assert all(cal.sigma == 0.0 for cal in load_model(path).calibration_log)
+
+    def failing(delta_f, budget, target=None):
+        raise NumericalError("synthetic calibration failure")
+
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", failing)
+    with pytest.raises(ModelFormatError, match="recalibrated"):
+        load_model(_resaved_log(tmp_path, model))
