@@ -19,7 +19,13 @@ from dppls.core import (
     save_dataset,
     save_matrix,
 )
-from dppls.errors import ArgumentError, CsvFormatError, ShapeError
+from dppls.errors import (
+    ArgumentError,
+    CsvFormatError,
+    DegenerateInputError,
+    ShapeError,
+)
+from dppls.pls import nipals_path
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +75,14 @@ def test_noise_calibration_validation():
         NoiseCalibration(sensitivity=1.0, sigma=1.0, method="magic")
     with pytest.raises(ArgumentError):
         NoiseCalibration(sensitivity=1.0, sigma=1.0, method="classic", target="b")
+
+
+def test_mean_center_rejects_nonfinite():
+    # Centering happens inside nipals_path; a NaN feature is refused there.
+    X = np.ones((3, 2))
+    X[1, 1] = np.nan
+    with pytest.raises(DegenerateInputError, match="NaN or infinite"):
+        nipals_path(Dataset(X=X, y=np.arange(3.0)), 1)
 
 
 # ---------------------------------------------------------------------------
