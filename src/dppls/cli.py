@@ -328,10 +328,18 @@ def cmd_sweep(cfg: dict) -> int:
     d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                      header=cfg["header"])
     eps_list = _parse_eps_list(cfg["epsilons"])
+    delta = float(cfg["delta"])
+    # Refused before either protocol runs, so that a refused sweep leaves
+    # no report behind; the protocols' own refusals hold the writes back.
+    parse_pipeline(cfg["pipeline"])
+    if not 0 < delta < 1:
+        raise ConfigurationError(f"--delta must lie in (0, 1), got {delta}")
+    if cfg["mode"] in ("holdout", "both") and cfg["k"] is None:
+        raise ConfigurationError("missing required option --k")
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg["seed"])
-    delta = float(cfg["delta"])
+    reports = {}
 
     if cfg["mode"] in ("cv", "both"):
         k_max = cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10)
@@ -344,27 +352,24 @@ def cmd_sweep(cfg: dict) -> int:
                 grid.append(FitConfig(
                     k=k, privacy=PrivacyBudget(float(eps), delta),
                 ))
-        report = kfold_cv(
+        reports["cv_report"] = kfold_cv(
             d, cfg["folds"], grid,
             pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),
         )
-        report.to_json(out / "cv_report.json")
-        report.to_csv(out / "cv_report.csv")
 
     if cfg["mode"] in ("holdout", "both"):
-        if cfg["k"] is None:
-            raise ConfigurationError("missing required option --k")
         train, test = train_test_split(
             d, float(cfg["test_fraction"]), rng.derive(_STREAM_SPLIT),
         )
-        report = privacy_utility_sweep(
+        reports["holdout_report"] = privacy_utility_sweep(
             train, test, eps_list, cfg["k"],
             pipeline_spec=cfg["pipeline"], repeats=cfg["repeats"],
             rng=rng.derive(_STREAM_HOLDOUT), delta=delta,
         )
-        report.to_json(out / "holdout_report.json")
-        report.to_csv(out / "holdout_report.csv")
 
+    for name, report in reports.items():
+        report.to_json(out / f"{name}.json")
+        report.to_csv(out / f"{name}.csv")
     _write_config(cfg, "sweep", out)
     return EXIT_OK
 

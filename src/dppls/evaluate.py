@@ -2,10 +2,14 @@
 
 Preprocessing inside every protocol is fitted on the training rows only
 and replayed on held-out rows, so no statistic of the evaluation data
-leaks into the transform.  All randomness (splits, shuffles, noise) comes
-from the caller's RngStream; per-task substreams are derived with
-documented indices, which makes every report reproducible from one master
-seed.
+leaks into the transform.  The pipeline's row steps (its leading steps
+that learn nothing, see :meth:`Pipeline.split`) run once over all of a
+protocol's rows before the splits are taken.  That leaks nothing either:
+each of their output rows depends on its own input row alone, so the
+rows equal those of a per-split run bit for bit.  All randomness (splits,
+shuffles, noise) comes from the caller's RngStream; per-task substreams
+are derived with documented indices, which makes every report
+reproducible from one master seed.
 """
 
 from __future__ import annotations
@@ -153,14 +157,17 @@ def kfold_cv(
     """Cross-validate every configuration in ``grid``.
 
     Folds are contiguous blocks of one seeded permutation, shared by all
-    grid points.  Each fold is preprocessed once and runs one clean NIPALS
+    grid points.  The pipeline's row steps run once over all of ``d.X``;
+    each fold slices those rows, fits the remaining steps on its training
+    rows and replays them on its held-out rows, and runs one clean NIPALS
     path, at the default residual tolerance, up to the largest grid k (at
     most min(n-1, m)); every grid point is a release of that path, with
     noise stream ``rng.derive(gi, fold)``.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
-    in that ranking.
+    in that ranking, and every configuration is flagged when the row
+    steps refuse the data.  A bad ``pipeline_spec`` raises.
     """
     if rng is None:
         rng = RngStream(0)
@@ -168,6 +175,7 @@ def kfold_cv(
         raise ArgumentError("grid must contain at least one configuration")
     if not (2 <= folds <= d.n):
         raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
+    row_steps, fitted = parse_pipeline(pipeline_spec).split()
 
     perm = rng.permutation(d.n)
     blocks = np.array_split(perm, folds)
@@ -183,15 +191,18 @@ def kfold_cv(
     k_top = max(cfg.k for cfg in grid)
     status = ["ok"] * len(grid)
     sq_errors = [[] for _ in grid]
-    for fold_i in range(folds):
+    try:
+        X = row_steps.transform(d.X)
+    except DpplsError:
+        X, status = None, ["failed"] * len(grid)
+    for fold_i in range(folds if X is not None else 0):
         test_idx = blocks[fold_i]
         train_idx = np.concatenate(
             [blocks[j] for j in range(folds) if j != fold_i]
         )
         try:
-            pipe = parse_pipeline(pipeline_spec)
-            train = Dataset(X=pipe.fit_transform(d.X[train_idx]), y=d.y[train_idx])
-            X_test = pipe.transform(d.X[test_idx])
+            train = Dataset(X=fitted.fit_transform(X[train_idx]), y=d.y[train_idx])
+            X_test = fitted.transform(X[test_idx])
             path = nipals_path(train, min(k_top, train.n - 1, train.m))
         except DpplsError:
             status = ["failed"] * len(grid)
@@ -238,6 +249,9 @@ def privacy_utility_sweep(
 ) -> EvalReport:
     """Measure held-out error across privacy levels.
 
+    The pipeline's row steps run once over the training and test rows
+    together; the remaining steps are fitted on the training rows and
+    replayed on the test rows.
     One clean NIPALS path of the training set serves every fit.  For each
     epsilon it is released ``repeats`` times with noise substreams
     ``rng.derive(ei, rep)``; RMSEP and R2 on the test set are recorded per
@@ -257,10 +271,10 @@ def privacy_utility_sweep(
     if train.m != test.m:
         raise ShapeError(f"channel counts differ: {train.m} vs {test.m}")
 
-    pipe = parse_pipeline(pipeline_spec)
-    X_train = pipe.fit_transform(train.X)
-    X_test = pipe.transform(test.X)
-    train_ds = Dataset(X=X_train, y=train.y)
+    row_steps, fitted = parse_pipeline(pipeline_spec).split()
+    rows = row_steps.transform(np.vstack([train.X, test.X]))
+    train_ds = Dataset(X=fitted.fit_transform(rows[:train.n]), y=train.y)
+    X_test = fitted.transform(rows[train.n:])
 
     report = EvalReport(metadata={
         "protocol": "privacy_utility_sweep",

@@ -12,7 +12,10 @@ Three transforms plus centering:
 
 A :class:`Pipeline` of named steps fixes its one data-dependent state,
 the training column mean (the MSC reference and the centering means), on
-the training split only and replays it unchanged on later splits.
+the training split only and replays it unchanged on later splits.  Its
+leading steps with a config (sg, airpls) learn nothing and map each row
+on its own, bit for bit, so :meth:`Pipeline.split` hands them out as row
+steps that may run once over rows that later splits divide.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ def savitzky_golay(X: np.ndarray, cfg: SgConfig = SgConfig()) -> np.ndarray:
 
     Interior points use the central kernel; the first and last half-window
     points re-fit the polynomial over the boundary window and evaluate it
-    one-sidedly instead of shortening the output.
+    one-sidedly instead of shortening the output.  Each output row depends
+    on its own input row alone, bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, m = X.shape
@@ -99,8 +103,12 @@ def savitzky_golay(X: np.ndarray, cfg: SgConfig = SgConfig()) -> np.ndarray:
 
     left = np.stack([sg_kernel(cfg, i - half) for i in range(half)])
     right = np.stack([sg_kernel(cfg, i + 1) for i in range(half)])
-    out[:, :half] = X[:, :cfg.window] @ left.T
-    out[:, m - half:] = X[:, m - cfg.window:] @ right.T
+    # BLAS sums a single row with another kernel, which rounds differently;
+    # a second copy keeps it on the kernel of two or more rows, so every
+    # output row is the same whichever rows come with it.
+    E = X if n > 1 else np.repeat(X, 2, axis=0)
+    out[:, :half] = (E[:, :cfg.window] @ left.T)[:n]
+    out[:, m - half:] = (E[:, m - cfg.window:] @ right.T)[:n]
     return out
 
 
@@ -306,10 +314,21 @@ class Step:
 class Pipeline:
     """Ordered preprocessing steps with fit-on-train, replay-on-test
     semantics.  An empty pipeline is the identity; a pipeline with steps
-    refuses rows holding NaN or infinite entries (DegenerateInputError)."""
+    refuses rows holding NaN or infinite entries (DegenerateInputError).
+    :meth:`split` separates the leading stateless steps, which may run
+    once over all of a protocol's rows, from the steps fitted per split."""
 
     def __init__(self, steps=()):
         self.steps = list(steps)
+
+    def split(self) -> tuple["Pipeline", "Pipeline"]:
+        """(row steps, fitted steps): the leading steps with a config, and
+        the rest from the first step without one.  A row step maps each
+        row on its own, bit for bit, so running the row steps once and
+        slicing equals running them per split."""
+        cut = next((i for i, step in enumerate(self.steps) if step.cfg is None),
+                   len(self.steps))
+        return Pipeline(self.steps[:cut]), Pipeline(self.steps[cut:])
 
     def fit(self, X) -> "Pipeline":
         self.fit_transform(X)

@@ -293,6 +293,36 @@ def test_sweep_refuses_delta_outside_unit_interval_without_epsilons(sim_dir, tmp
     assert not (out / "holdout_report.json").exists()
 
 
+def test_sweep_cv_only_refuses_a_bad_pipeline_spec(sim_dir, tmp_path):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "cv", "--k-max", "1",
+                     "--folds", "3", "--pipeline", "bogus", "--seed", "2"])
+    assert code == cli.EXIT_ARGUMENT
+    assert not list(out.glob("*_report.*"))
+
+
+@pytest.mark.parametrize("flags,cv_runs", [
+    (["--k", "2", "--epsilons", "", "--delta", "5"], False),
+    (["--epsilons", "10"], False),
+    (["--k", "2", "--pipeline", "bogus"], False),
+    (["--k", "2", "--pipeline", "sg:4,2,1|center"], False),
+    # Refused by the holdout protocol itself, after CV has run.
+    (["--k", "2", "--test-fraction", "0.99"], True),
+], ids=["delta", "missing-k", "unknown-step", "even-window", "holdout-split"])
+def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags, cv_runs):
+    calls = []
+    kfold_cv = cli.kfold_cv
+    monkeypatch.setattr(cli, "kfold_cv", lambda *a, **kw: calls.append(1) or kfold_cv(*a, **kw))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "both", "--k-max", "1",
+                     "--folds", "3", "--repeats", "2", "--seed", "2", *flags])
+    assert code == cli.EXIT_ARGUMENT
+    assert not list(out.glob("*_report.*"))
+    assert calls == ([1] if cv_runs else [])
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dppls.core import Dataset, PrivacyBudget, RngStream
-from dppls.errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
+from dppls.errors import (
+    ArgumentError,
+    ConfigurationError,
+    DegenerateInputError,
+    DpplsError,
+    ShapeError,
+)
 from dppls.evaluate import (
     EvalReport,
     kfold_cv,
@@ -198,6 +204,14 @@ def test_cv_records_pipeline_spec():
     assert report.metadata["preprocess"] == "sg:5,2,0|center"
     assert report.entries[0]["preprocess"] == "sg:5,2,0|center"
     assert report.entries[0]["status"] == "ok"
+
+
+def test_cv_refuses_a_bad_pipeline_spec():
+    d = _rank3_dataset(n=20)
+    with pytest.raises(ConfigurationError, match="unknown"):
+        kfold_cv(d, 4, [FitConfig(k=1)], pipeline_spec="bogus", rng=RngStream(0))
+    with pytest.raises(ArgumentError, match="window"):
+        kfold_cv(d, 4, [FitConfig(k=1)], pipeline_spec="sg:4,2,1|center", rng=RngStream(0))
 
 
 def test_cv_validation():
@@ -415,7 +429,13 @@ def _noisy_rank3_dataset(n=40, m=12, seed=30):
                    y=d.y + 0.1 * rng.uniform(-1, 1, n))
 
 
-@pytest.mark.parametrize("spec", ["", "sg:5,2,1|center", "msc|center"])
+# Pipelines with row steps, which run once per protocol.  The airPLS
+# penalties are first order: on these 12-channel rows a second-order one
+# fails its banded solve.
+_HOISTED_SPECS = ["airpls|center", "airpls:1e3,15,1|sg:5,2,1|msc|center", "sg:5,2,1|airpls"]
+
+
+@pytest.mark.parametrize("spec", ["", "sg:5,2,1|center", "msc|center"] + _HOISTED_SPECS)
 def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
     d = _noisy_rank3_dataset()
     grid = []
@@ -428,15 +448,17 @@ def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
     assert [e["status"] for e in got.entries].count("failed") == 3  # k=13 > m
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
-    # Exactly rank-deficient data: every fold's path stops early at the
-    # default tolerance, short of the grid's k.
+    # Exactly rank-deficient data: under a linear pipeline every fold's
+    # path stops early at the default tolerance, short of the grid's k.
+    # airPLS is not linear, so it need not keep the rank at 3.
     exact = _rank3_dataset(n=40, m=12, seed=30)
     grid = [FitConfig(k=5), FitConfig(k=5, privacy=PrivacyBudget(10.0, 0.01))]
     got = kfold_cv(exact, 4, grid, pipeline_spec=spec, rng=RngStream(35))
     early_stops = []
     want = _reference_kfold(exact, 4, grid, spec, RngStream(35), early_stops)
-    assert [e["status"] for e in got.entries] == ["ok", "ok"]
-    assert early_stops == [True] * 8
+    if "airpls" not in spec:
+        assert [e["status"] for e in got.entries] == ["ok", "ok"]
+        assert early_stops == [True] * 8
     assert _report_bytes(got, tmp_path, "exact") == _report_bytes(want, tmp_path, "exact_want")
 
 
@@ -449,8 +471,15 @@ def test_cv_report_equals_reference_when_every_fold_fails(tmp_path):
     assert [e["status"] for e in got.entries] == ["failed", "failed"]
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
+    # The row steps refuse the whole data set before any fold is taken.
+    d.X[7] = np.nan
+    got = kfold_cv(d, 4, grid, pipeline_spec="sg:5,2,1|center", rng=RngStream(32))
+    want = _reference_kfold(d, 4, grid, "sg:5,2,1|center", RngStream(32))
+    assert [e["status"] for e in got.entries] == ["failed", "failed"]
+    assert _report_bytes(got, tmp_path, "rows") == _report_bytes(want, tmp_path, "rows_want")
 
-@pytest.mark.parametrize("spec", ["", "sg:5,2,1|msc|center"])
+
+@pytest.mark.parametrize("spec", ["", "sg:5,2,1|msc|center"] + _HOISTED_SPECS)
 def test_sweep_report_equals_one_fit_per_repeat(tmp_path, spec):
     d = _noisy_rank3_dataset()
     train, test = train_test_split(d, 0.3, RngStream(33))

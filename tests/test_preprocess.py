@@ -18,6 +18,7 @@ from dppls.preprocess import (
     AirPlsConfig,
     SgConfig,
     Step,
+    _STEPS,
     _penalty_bands,
     airpls_correct,
     msc,
@@ -454,6 +455,52 @@ def test_parse_pipeline_rejects_fractional_integer_arguments():
     with pytest.raises(ConfigurationError, match="integer"):
         parse_pipeline("sg:nan,2,1")
     assert parse_pipeline("sg:7.0,2,1").steps[0].cfg == SgConfig(7, 2, 1)
+
+
+# Configs of every step that learns nothing: the row steps, which run
+# once over all of a protocol's rows before the splits are taken.
+_ROW_STEP_CONFIGS = {
+    "sg": [SgConfig(5, 2, 1), SgConfig(3, 1, 0), SgConfig(7, 2, 1),
+           SgConfig(9, 3, 2), SgConfig(11, 4, 4)],
+    "airpls": [AirPlsConfig(100.0, 15, 1), AirPlsConfig(1e3, 15, 2),
+               AirPlsConfig(1e4, 10, 2), AirPlsConfig(1e5, 4, 3)],
+}
+
+
+def test_every_config_bearing_step_is_checked_for_row_locality():
+    stateless = {name for name, (_, config, _) in _STEPS.items() if config is not None}
+    assert stateless == set(_ROW_STEP_CONFIGS)
+
+
+@given(st.data())
+def test_row_steps_transform_every_row_on_its_own_bit_for_bit(data):
+    name = data.draw(st.sampled_from(sorted(_ROW_STEP_CONFIGS)), label="step")
+    cfg = data.draw(st.sampled_from(_ROW_STEP_CONFIGS[name]), label="cfg")
+    n = data.draw(st.integers(1, 9), label="n")
+    X = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale") * _baseline_rows(
+        n, m=data.draw(st.integers(40, 90), label="m"),
+        seed=data.draw(st.integers(0, 2 ** 16), label="seed"))
+    keep = np.array(data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(any), label="keep"))
+    step = Step(name, cfg)
+    whole, part = step.transform(X), step.transform(X[keep])
+    np.testing.assert_array_equal(whole[keep].view(np.int64), part.view(np.int64))
+
+
+@pytest.mark.parametrize("spec,row_names,fitted_names", [
+    ("sg|msc|airpls|center", ["sg"], ["msc", "airpls", "center"]),
+    ("airpls|sg:9,2,1|center", ["airpls", "sg"], ["center"]),
+    ("sg|airpls", ["sg", "airpls"], []),
+    ("center|sg", [], ["center", "sg"]),
+    ("", [], []),
+])
+def test_split_puts_the_leading_config_bearing_steps_in_the_row_part(
+        spec, row_names, fitted_names):
+    pipe = parse_pipeline(spec)
+    row_steps, fitted = pipe.split()
+    assert [step.name for step in row_steps.steps] == row_names
+    assert [step.name for step in fitted.steps] == fitted_names
+    assert row_steps.steps + fitted.steps == pipe.steps
 
 
 def test_fit_transform_equals_fit_then_transform():
