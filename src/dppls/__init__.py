@@ -8,7 +8,6 @@ simulated or real spectra.
 """
 
 from .core import (
-    CALIBRATION_METHODS,
     CALIBRATION_TARGETS,
     Dataset,
     NoiseCalibration,

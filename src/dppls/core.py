@@ -27,9 +27,8 @@ from .errors import ArgumentError, CsvFormatError, ShapeError
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
-# Valid values for NoiseCalibration fields.
+# Valid values for NoiseCalibration.target, in the order a release noises them.
 CALIBRATION_TARGETS = ("weights", "scores", "x_loadings", "y_loading")
-CALIBRATION_METHODS = ("classic", "analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class NoiseCalibration:
-    """Record of one calibrated Gaussian release.
+    """Record of one Gaussian release, calibrated analytically.
 
     ``target`` names which model quantity the noise was added to, or is
     None for ad-hoc calibrations outside a model fit.
@@ -96,7 +95,6 @@ class NoiseCalibration:
 
     sensitivity: float
     sigma: float
-    method: str
     target: Optional[str] = None
 
     def __post_init__(self):
@@ -104,8 +102,6 @@ class NoiseCalibration:
             raise ArgumentError("sensitivity must be nonnegative")
         if self.sigma < 0:
             raise ArgumentError("sigma must be nonnegative")
-        if self.method not in CALIBRATION_METHODS:
-            raise ArgumentError(f"method must be one of {CALIBRATION_METHODS}")
         if self.target is not None and self.target not in CALIBRATION_TARGETS:
             raise ArgumentError(f"target must be one of {CALIBRATION_TARGETS}")
 

@@ -268,14 +268,13 @@ def analytic_gaussian_sigma(
     if not np.isfinite(delta_f) or delta_f < 0:
         raise ArgumentError(f"sensitivity must be finite and nonnegative, got {delta_f}")
     if delta_f == 0.0:
-        return NoiseCalibration(sensitivity=0.0, sigma=0.0, method="analytic", target=target)
+        return NoiseCalibration(sensitivity=0.0, sigma=0.0, target=target)
 
     eps, delta = budget.epsilon, budget.delta
     sigma = delta_f * _unit_sigma(eps, delta)
     for _ in range(_MAX_ULP_STEPS):
         if gaussian_privacy_profile(sigma, delta_f, eps) <= delta:
-            return NoiseCalibration(sensitivity=float(delta_f), sigma=float(sigma),
-                                    method="analytic", target=target)
+            return NoiseCalibration(sensitivity=float(delta_f), sigma=float(sigma), target=target)
         sigma = math.nextafter(sigma, math.inf)
     raise NumericalError(
         f"privacy profile stays above delta {_MAX_ULP_STEPS} ulps past the "

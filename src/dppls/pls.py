@@ -15,7 +15,11 @@ weights, scores, x-loadings and y-loading, re-normalizes the weights and
 scores to unit length, and solves for the regression vector from the
 released quantities only.  Sensitivities come from each component's
 residual suprema, and every calibration budgets the full (epsilon, delta)
-for its own release.  The path memoizes its calibrations per budget.
+for its own release.  A private release logs exactly four calibrations
+per released component, in ``CALIBRATION_TARGETS`` order, and none for
+a component the recursion stopped on: no noise is drawn for it.  The
+path memoizes its calibrations per budget as one list, extended one
+whole component at a time.
 
 A release draws all its noise from its stream in one call: one vector of
 uniforms, mapped to standard normals and cut into segments in the order
@@ -162,9 +166,8 @@ class NipalsPath:
     """The clean NIPALS recursion of one dataset, up to ``k_max`` components.
 
     Fewer than k_max ``components`` means the recursion stopped early.
-    ``cut_bounds`` is set when it stopped on the score norm: the weights
-    of that cut-off component were already calibrated, so a private
-    release logs their calibration.
+    A private release logs four calibrations per component it releases,
+    and none for a component the recursion stopped on.
     """
 
     components: list
@@ -172,8 +175,8 @@ class NipalsPath:
     y_mean: float
     n: int
     k_max: int
-    cut_bounds: Optional[SampleBounds] = None
-    # Calibrations per (budget, component), in release order, filled on demand.
+    # Per budget, the calibrations of the leading components, four each in
+    # CALIBRATION_TARGETS order, filled one whole component at a time.
     _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -212,21 +215,19 @@ def nipals_path(
     y_mean = float(d.y.mean())
     f = d.y - y_mean
     components = []
-    cut_bounds = None
     for _ in range(k_max):
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
         if cov_norm < residual_tolerance:
             break
         w = cov / cov_norm
-        bounds = sample_bounds(E, f)
 
         s = E @ w
         s_norm = float(np.linalg.norm(s))
         if s_norm < residual_tolerance:
-            cut_bounds = bounds
             break
         t = s / s_norm
+        bounds = sample_bounds(E, f)
 
         tt = float(t @ t)
         p = (E.T @ t) / tt
@@ -235,106 +236,64 @@ def nipals_path(
         f = f - c * t
         components.append(PathComponent(w, t, p, c, bounds))
 
-    return NipalsPath(
-        components=components, x_means=x_means, y_mean=y_mean,
-        n=n, k_max=k_max, cut_bounds=cut_bounds,
-    )
+    return NipalsPath(components=components, x_means=x_means, y_mean=y_mean, n=n, k_max=k_max)
 
 
-def _calibrations(path: NipalsPath, budget: PrivacyBudget, j: int, count: int) -> list:
-    """The first ``count`` calibrations of component ``j`` under ``budget``,
-    in release order; j == len(path.components) is the cut-off component."""
-    cals = path._calibrations.setdefault((budget, j), [])
-    bounds = path.components[j].bounds if j < len(path.components) else path.cut_bounds
-    for target in CALIBRATION_TARGETS[len(cals):count]:
-        cals.append(analytic_gaussian_sigma(sensitivity_for(target, bounds), budget, target))
-    return cals[:count]
-
-
-def _add_noise(vecs: list, sigmas: list, z: np.ndarray) -> list:
-    """vec + sigma * (its segment of the standard normals z) for each pair;
-    a vector with sigma 0 takes no segment."""
-    out, at = [], 0
-    for v, s in zip(vecs, sigmas):
-        if s == 0.0:
-            # Adding zeros keeps the clean values' signed zeros as a
-            # zero-noise release always treated them.
-            out.append(v + 0.0)
-        else:
-            out.append(v + s * z[at:at + v.size])
-            at += v.size
-    return out
-
-
-def _columns(cols: list, rows: int) -> np.ndarray:
-    return np.column_stack(cols) if cols else np.zeros((rows, 0))
-
-
-class _Plan(NamedTuple):
-    """One config's release up to its noise: the clean vectors in release
-    order, their calibrations and sigmas, and the uniforms drawn from the
-    config's stream."""
-
-    cfg: FitConfig
-    vecs: list
-    log: list
-    sigmas: list
-    uniforms: np.ndarray
-
-
-def _plan(path: NipalsPath, cfg: FitConfig) -> _Plan:
-    """Check cfg against the path, calibrate, and draw cfg's uniforms."""
+def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
+    """Check cfg against the path; its calibration log and the number of
+    standard normals its release takes."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
-    m = path.x_means.shape[0]
-    k_limit = min(path.n - 1, m)
-    if cfg.k > k_limit:
-        raise ArgumentError(
-            f"k={cfg.k} exceeds min(n-1, m)={k_limit} for this dataset"
-        )
     if cfg.k > path.k_max:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
-
-    comps = path.components[:cfg.k]
-    log: list[NoiseCalibration] = []
     if cfg.privacy is None:
-        sigmas = [0.0] * (4 * len(comps))
-    else:
-        for j in range(len(comps)):
-            log.extend(_calibrations(path, cfg.privacy, j, 4))
-        sigmas = [cal.sigma for cal in log]
-        if cfg.k > len(comps) and path.cut_bounds is not None:
-            log.extend(_calibrations(path, cfg.privacy, len(comps), 1))
-    if not np.all(np.isfinite(sigmas)):
+        return [], 0
+    k = min(cfg.k, len(path.components))
+    memo = path._calibrations.setdefault(cfg.privacy, [])
+    for comp in path.components[len(memo) // 4:k]:
+        # All four before storing any, so a failure memoizes no part of it.
+        memo.extend([
+            analytic_gaussian_sigma(sensitivity_for(target, comp.bounds), cfg.privacy, target)
+            for target in CALIBRATION_TARGETS
+        ])
+    log = memo[:4 * k]
+    if not np.all(np.isfinite([cal.sigma for cal in log])):
         raise ArgumentError("noise scales must be finite")
-    vecs = [v for comp in comps for v in (comp.w, comp.t, comp.p, np.array([comp.c]))]
-    total = sum(v.size for v, s in zip(vecs, sigmas) if s != 0.0)
-    uniforms = cfg.rng.open_unit(total) if total else np.empty(0)
-    return _Plan(cfg, vecs, log, sigmas, uniforms)
-
-
-def _build(path: NipalsPath, plan: _Plan, z: np.ndarray) -> PlsModel:
-    """The plan's model, noised with its standard normals ``z``."""
-    cfg = plan.cfg
-    noisy = _add_noise(plan.vecs, plan.sigmas, z)
-    W_cols, T_cols, P_cols, c_vals = [], [], [], []
-    for j in range(len(noisy) // 4):
-        w_rel, t_rel, p_rel, c_rel = noisy[4 * j:4 * j + 4]
-        W_cols.append(w_rel / np.linalg.norm(w_rel))
-        T_cols.append(t_rel / np.linalg.norm(t_rel))
-        P_cols.append(p_rel)
-        c_vals.append(float(c_rel[0]))
-
     m = path.x_means.shape[0]
-    W = _columns(W_cols, m)
-    P = _columns(P_cols, m)
-    c_vec = np.array(c_vals, dtype=float)
-    b = _solve_loading_system(W, P, c_vec)
+    sizes = (m, path.n, m, 1)
+    return log, sum(sizes[i % 4] for i, cal in enumerate(log) if cal.sigma != 0.0)
+
+
+def _assemble(path: NipalsPath, cfg: FitConfig, log: list, z: np.ndarray) -> PlsModel:
+    """cfg's model from its calibration log and its standard normals ``z``.
+
+    Each component's w, t, p and c, in CALIBRATION_TARGETS order, gets
+    sigma times the next segment of z, or no segment when sigma is 0;
+    the noisy weights and scores are then scaled to unit length.
+    """
+    k = min(cfg.k, len(path.components))
+    m = path.x_means.shape[0]
+    W, T, P, c = np.empty((m, k)), np.empty((path.n, k)), np.empty((m, k)), np.empty(k)
+    at = 0
+    for j, comp in enumerate(path.components[:k]):
+        released = []
+        for i, clean in enumerate((comp.w, comp.t, comp.p, np.array([comp.c]))):
+            sigma = log[4 * j + i].sigma if log else 0.0
+            if sigma == 0.0:
+                # Adding zeros keeps the clean values' signed zeros as a
+                # zero-noise release always treated them.
+                released.append(clean + 0.0)
+            else:
+                released.append(clean + sigma * z[at:at + clean.size])
+                at += clean.size
+        w, t, P[:, j], c[j:j + 1] = released
+        W[:, j] = w / np.linalg.norm(w)
+        T[:, j] = t / np.linalg.norm(t)
+
     return PlsModel(
-        W=W, P=P, c=c_vec, b=b, k=len(c_vals),
-        x_means=path.x_means.copy(), y_mean=path.y_mean,
-        T=_columns(T_cols, path.n), privacy=cfg.privacy,
-        calibration_log=plan.log, early_stop=cfg.k > len(c_vals),
+        W=W, P=P, c=c, b=_solve_loading_system(W, P, c), k=k,
+        x_means=path.x_means.copy(), y_mean=path.y_mean, T=T, privacy=cfg.privacy,
+        calibration_log=log, early_stop=cfg.k > k,
         rng_seed=cfg.rng.seed if cfg.rng is not None else None,
         rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
     )
@@ -351,23 +310,23 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
     unchanged.
     """
     out: list = [None] * len(cfgs)
-    plans = []
+    drawn = []
     for i, cfg in enumerate(cfgs):
         try:
-            plans.append((i, _plan(path, cfg)))
+            log, count = _calibrate(path, cfg)
+            drawn.append((i, log, cfg.rng.open_unit(count) if count else np.empty(0)))
         except DpplsError as exc:
             out[i] = exc
-    if not plans:
+    if not drawn:
         return out
-    z = norm_ppf(np.concatenate([plan.uniforms for _, plan in plans]))
+    z = norm_ppf(np.concatenate([uniforms for _, _, uniforms in drawn]))
     at = 0
-    for i, plan in plans:
-        size = plan.uniforms.size
+    for i, log, uniforms in drawn:
         try:
-            out[i] = _build(path, plan, z[at:at + size])
+            out[i] = _assemble(path, cfgs[i], log, z[at:at + uniforms.size])
         except DpplsError as exc:
             out[i] = exc
-        at += size
+        at += uniforms.size
     return out
 
 
@@ -448,7 +407,7 @@ def save_model(model: PlsModel, path) -> None:
                 "target": cal.target,
                 "sensitivity": cal.sensitivity,
                 "sigma": cal.sigma,
-                "method": cal.method,
+                "method": "analytic",
             }
             for cal in model.calibration_log
         ],
@@ -493,9 +452,10 @@ def _is_int(v) -> bool:
 
 def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
     """A private model logs 4 releases per component, in CALIBRATION_TARGETS
-    order, plus the cut-off component's weights when it stopped early, each
-    with the analytic sigma of its sensitivity under the model's budget; a
-    clean model logs none."""
+    order, each with the analytic sigma of its sensitivity under the
+    model's budget; a clean model logs none.  An early-stopped model may
+    hold one more weights entry: earlier versions logged the calibration
+    of the component the recursion stopped on."""
     if privacy is None:
         if log:
             raise ModelFormatError("calibration_log must be empty without a privacy budget")
@@ -511,10 +471,6 @@ def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
             raise ModelFormatError(
                 f"calibration_log entry {i} targets {cal.target!r}, "
                 f"expected {CALIBRATION_TARGETS[i % 4]!r}"
-            )
-        if cal.method != "analytic":
-            raise ModelFormatError(
-                f"calibration_log entry {i} uses method {cal.method!r}, expected 'analytic'"
             )
         try:
             want = analytic_gaussian_sigma(cal.sensitivity, privacy, cal.target).sigma
@@ -557,14 +513,15 @@ def _model_from_doc(doc: dict) -> PlsModel:
     if doc["privacy"] is not None:
         privacy = PrivacyBudget(doc["privacy"]["epsilon"], doc["privacy"]["delta"])
     log = []
-    for e in doc["calibration_log"]:
+    for i, e in enumerate(doc["calibration_log"]):
+        if e["method"] != "analytic":
+            raise ModelFormatError(
+                f"calibration_log entry {i} uses method {e['method']!r}, expected 'analytic'"
+            )
         sensitivity, sigma = float(e["sensitivity"]), float(e["sigma"])
         if not (np.isfinite(sensitivity) and np.isfinite(sigma)):
             raise ModelFormatError("calibration_log holds non-finite values")
-        log.append(NoiseCalibration(
-            sensitivity=sensitivity, sigma=sigma,
-            method=e["method"], target=e["target"],
-        ))
+        log.append(NoiseCalibration(sensitivity=sensitivity, sigma=sigma, target=e["target"]))
     _check_log(log, k, privacy, doc["early_stop"])
     return PlsModel(
         W=W, P=P, c=c, b=b, k=k, x_means=x_means, y_mean=y_mean, T=None,
@@ -583,7 +540,9 @@ def load_model(path) -> PlsModel:
     from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``), or a
     calibration_log that does not match the model: entries without a
     privacy budget; with one, a count other than 4k (or 4k+1 when
-    early_stop is true), targets out of CALIBRATION_TARGETS order, a
+    early_stop is true: files of earlier versions log the weights of the
+    component the recursion stopped on), targets out of
+    CALIBRATION_TARGETS order, a
     method other than "analytic", or a sigma more than 1e-9 relative
     (``_SIGMA_RTOL``) from the analytic sigma of the entry's sensitivity
     under the model's budget, which is 0 for sensitivity 0.

@@ -205,9 +205,10 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     (diag(w) + lam D^T D) z = w x for the baseline z; then points above
     z get weight zero and points below get weight
     exp(iteration * |d_i| / l1(d)), where d collects the negative
-    residuals.  A row stops once l1(d) < 0.001 * l1(x), or once no
-    residual is negative (so an all-zero row comes back as zeros), and
-    otherwise after max_iterations; it keeps the baseline of its last
+    residuals.  A row stops once l1(d) < 0.001 * l1(x), or once fewer
+    than diff_order residuals are negative (an all-zero row, with none,
+    comes back as zeros; with fewer, the next solve would be singular),
+    and otherwise after max_iterations; it keeps the baseline of its last
     solve.  Returns the baseline-subtracted rows.
 
     Each iteration makes one banded Cholesky solve for all rows still
@@ -251,7 +252,7 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
         # the terms differently and moves l1(d) in the last bits.
         ends = np.cumsum(counts).tolist()
         dssn = np.array([absneg[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
-        going = (dssn >= 0.001 * abs_total[active]) & (counts > 0)
+        going = (dssn >= 0.001 * abs_total[active]) & (counts >= cfg.diff_order)
         if not going.any():
             break
         weights = np.zeros_like(d)

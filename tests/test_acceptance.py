@@ -98,8 +98,7 @@ def test_criterion_01_baseline_matches_textbook_nipals():
 
 def test_criterion_02_zero_noise_is_bit_identical(monkeypatch):
     def zero_noise(delta_f, budget, target=None):
-        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0,
-                                method="analytic", target=target)
+        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0, target=target)
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
     identical = True

@@ -66,15 +66,13 @@ def test_privacy_budget_is_frozen():
 
 
 def test_noise_calibration_validation():
-    NoiseCalibration(sensitivity=1.0, sigma=2.0, method="analytic", target="weights")
+    NoiseCalibration(sensitivity=1.0, sigma=2.0, target="weights")
     with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=-1.0, sigma=1.0, method="analytic")
+        NoiseCalibration(sensitivity=-1.0, sigma=1.0)
     with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=1.0, sigma=-1.0, method="analytic")
+        NoiseCalibration(sensitivity=1.0, sigma=-1.0)
     with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=1.0, sigma=1.0, method="magic")
-    with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=1.0, sigma=1.0, method="classic", target="b")
+        NoiseCalibration(sensitivity=1.0, sigma=1.0, target="b")
 
 
 def test_mean_center_rejects_nonfinite():

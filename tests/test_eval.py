@@ -429,10 +429,9 @@ def _noisy_rank3_dataset(n=40, m=12, seed=30):
                    y=d.y + 0.1 * rng.uniform(-1, 1, n))
 
 
-# Pipelines with row steps, which run once per protocol.  The airPLS
-# penalties are first order: on these 12-channel rows a second-order one
-# fails its banded solve.
-_HOISTED_SPECS = ["airpls|center", "airpls:1e3,15,1|sg:5,2,1|msc|center", "sg:5,2,1|airpls"]
+# Pipelines with row steps, which run once per protocol.
+_HOISTED_SPECS = ["airpls|center", "airpls:1e3,15,1|sg:5,2,1|msc|center", "sg:5,2,1|airpls",
+                  "airpls:1e3,15,2|center"]
 
 
 @pytest.mark.parametrize("spec", ["", "sg:5,2,1|center", "msc|center"] + _HOISTED_SPECS)

@@ -319,7 +319,6 @@ def test_analytic_sigma_zero_sensitivity():
     cal = analytic_gaussian_sigma(0.0, PrivacyBudget(1.0, 0.01), target="weights")
     assert cal.sigma == 0.0
     assert cal.sensitivity == 0.0
-    assert cal.method == "analytic"
     assert cal.target == "weights"
 
 
@@ -327,7 +326,6 @@ def test_analytic_sigma_records_inputs():
     cal = analytic_gaussian_sigma(2.5, PrivacyBudget(1.0, 0.01), target="scores")
     assert cal.sensitivity == 2.5
     assert cal.target == "scores"
-    assert cal.method == "analytic"
     with pytest.raises(ArgumentError):
         analytic_gaussian_sigma(-1.0, PrivacyBudget(1.0, 0.01))
 

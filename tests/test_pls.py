@@ -8,6 +8,7 @@ agree to rounding error.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,8 +243,7 @@ def test_regression_coefficients_shape_checks():
 
 def test_private_fit_with_forced_zero_noise_is_bit_identical(monkeypatch):
     def zero_noise(delta_f, budget, target=None):
-        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0,
-                                method="analytic", target=target)
+        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0, target=target)
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
     for seed in range(20):
@@ -266,7 +266,6 @@ def test_private_fit_calibration_log_layout():
     assert len(log) == 4 * 3
     cycle = ["weights", "scores", "x_loadings", "y_loading"]
     assert [cal.target for cal in log] == cycle * 3
-    assert all(cal.method == "analytic" for cal in log)
     assert all(cal.sigma > 0 for cal in log)
     # Deflation shrinks the residuals, so later weight releases never need
     # more noise than the first.
@@ -366,7 +365,6 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
     K = 4
     path = nipals_path(d, K, tol)
     assert (len(path.components) < K) == (stop is not None)
-    assert (path.cut_bounds is not None) == (stop == "scores")
     budgets = [None, PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01)]
     # Deepest first, so shallower releases read calibrations memoized by
     # deeper ones.
@@ -377,16 +375,16 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
                 return FitConfig(k=k, privacy=budget, rng=rng)
             replayed = release(path, cfg())
             _assert_models_identical(replayed, release(nipals_path(d, k, tol), cfg()))
-            if budget is not None and replayed.early_stop and stop == "scores":
-                # The cut-off component's weights calibration is logged.
-                assert len(replayed.calibration_log) == 4 * replayed.k + 1
-                assert replayed.calibration_log[-1].target == "weights"
+            if budget is not None:
+                # Only the released components are calibrated, not the
+                # one the recursion stopped on.
+                assert len(replayed.calibration_log) == 4 * replayed.k
 
 
 def test_release_rejects_configs_the_path_cannot_serve():
     d = _random_dataset(41, n=6, m=10)
     path = nipals_path(d, 3)
-    with pytest.raises(ArgumentError, match="exceeds min"):
+    with pytest.raises(ArgumentError, match="path's 3 components"):
         release(path, FitConfig(k=6))
     with pytest.raises(ArgumentError, match="path's 3 components"):
         release(path, FitConfig(k=4))
@@ -418,7 +416,7 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
 
         def partly_silent(delta_f, budget, target=None):
             if target == silenced:
-                return NoiseCalibration(float(delta_f), 0.0, "analytic", target)
+                return NoiseCalibration(float(delta_f), 0.0, target)
             return calibrate(delta_f, budget, target)
 
         monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
@@ -449,13 +447,36 @@ def test_path_memoizes_calibrations_per_budget(monkeypatch):
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
 
 
+def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
+    calibrate = pls_module.analytic_gaussian_sigma
+    armed = []
+
+    def fails_once_on_x_loadings(delta_f, budget, target=None):
+        if armed and target == "x_loadings":
+            armed.clear()
+            raise NumericalError("synthetic calibration failure")
+        return calibrate(delta_f, budget, target)
+
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_once_on_x_loadings)
+    d = _random_dataset(45)
+    path = nipals_path(d, 3)
+    budget = PrivacyBudget(1.0, 0.01)
+    cfg = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(s))
+    release(path, cfg(1, 0))  # memoizes the first component
+    armed.append(True)  # the second component's x-loadings calibration fails
+    failed, after = release_many(path, [cfg(3, 1), cfg(3, 2)])
+    assert isinstance(failed, NumericalError) and not armed
+    for got in (after, release(path, cfg(3, 2))):
+        _assert_models_identical(got, release(nipals_path(d, 3), cfg(3, 2)))
+
+
 def _silence_all_but(monkeypatch, *noised):
     """Calibrate every target outside ``noised`` to sigma 0."""
     calibrate = pls_module.analytic_gaussian_sigma
 
     def partly_silent(delta_f, budget, target=None):
         if target not in noised:
-            return NoiseCalibration(float(delta_f), 0.0, "analytic", target)
+            return NoiseCalibration(float(delta_f), 0.0, target)
         return calibrate(delta_f, budget, target)
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
@@ -576,7 +597,7 @@ def test_model_round_trip_predicts_identically(tmp_path):
 
 
 @pytest.mark.parametrize("case, logged", [
-    ("score-stop", 4 * 1 + 1), ("covariance-stop", 4 * 1), ("all-skipped", 0),
+    ("score-stop", 4 * 1), ("covariance-stop", 4 * 1), ("all-skipped", 0),
 ])
 def test_early_stopped_private_models_load(tmp_path, case, logged):
     d, tol = {
@@ -589,6 +610,19 @@ def test_early_stopped_private_models_load(tmp_path, case, logged):
     assert model.early_stop and len(model.calibration_log) == logged
     save_model(model, tmp_path / "model.json")
     assert load_model(tmp_path / "model.json").calibration_log == model.calibration_log
+
+
+def test_a_score_stopped_model_logging_the_cut_off_weights_still_loads():
+    # Written by an earlier version, which also logged the weights
+    # calibration of the component the recursion stopped on.
+    old = load_model(Path(__file__).parent / "data" / "score_stop_model_with_cut_off_entry.json")
+    assert old.early_stop and old.k == 1
+    assert [cal.target for cal in old.calibration_log] == [*CALIBRATION_TARGETS, "weights"]
+    model = release(nipals_path(_score_stop_dataset(), 4, 1e-8),
+                    FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(3)))
+    np.testing.assert_allclose(old.b, model.b, rtol=1e-12)
+    np.testing.assert_allclose([cal.sigma for cal in old.calibration_log[:4]],
+                               [cal.sigma for cal in model.calibration_log], rtol=1e-12)
 
 
 def test_model_file_is_byte_stable(tmp_path):

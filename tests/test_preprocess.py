@@ -248,7 +248,7 @@ def _reference_airpls(X, cfg):
             d = x - z
             neg = d < 0
             dssn = float(np.sum(np.abs(d[neg])))
-            if dssn < 0.001 * abs_total or not neg.any():
+            if dssn < 0.001 * abs_total or neg.sum() < cfg.diff_order:
                 capped.append(False)
                 break
             weights = np.zeros(m)
@@ -293,6 +293,17 @@ def test_airpls_rows_stopping_apart_equal_reference(cfg, stop_counts, some_cappe
     assert len(set(solves)) >= stop_counts
     assert any(capped) == some_capped
     np.testing.assert_array_equal(airpls_correct(X, cfg), want)
+
+
+def test_airpls_row_with_too_few_negative_residuals_keeps_its_last_baseline():
+    # After its fourth solve this row has a single negative residual, so a
+    # fifth solve under a second-order penalty would be singular.
+    X = _baseline_rows(6, m=40, seed=4529)
+    cfg = AirPlsConfig(1e3, 15, 2)
+    out = airpls_correct(X, cfg)
+    np.testing.assert_array_equal(out[5], airpls_correct(X[5:], AirPlsConfig(1e3, 4, 2))[0])
+    assert np.sum(out[5] < 0) == 1
+    np.testing.assert_array_equal(out, _reference_airpls(X, cfg)[0])
 
 
 def test_airpls_of_no_rows_is_empty():
