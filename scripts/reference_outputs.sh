@@ -1,0 +1,44 @@
+#!/bin/sh
+# Run the reference command set with the sources of CHECKOUT, writing
+# every output file under OUTDIR (one directory per seed).  Outputs of two
+# checkouts are compared byte for byte with `diff -r OUTDIR_A OUTDIR_B`.
+#
+#   scripts/reference_outputs.sh CHECKOUT OUTDIR
+#
+# Commands run from inside OUTDIR with relative paths, so the config
+# files the CLI writes next to its outputs do not depend on OUTDIR.
+set -eu
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 CHECKOUT OUTDIR" >&2
+    exit 2
+fi
+src="$(cd "$1" && pwd)/src"
+mkdir -p "$2"
+out="$(cd "$2" && pwd)"
+
+dppls() {
+    PYTHONPATH="$src" python3 -m dppls "$@" > /dev/null
+}
+
+for seed in 1 7; do
+    mkdir -p "$out/seed$seed"
+    cd "$out/seed$seed"
+    dppls simulate --n 100 --m 100 --seed "$seed" --output sim
+    for pipeline in "" "airpls|center"; do
+        dppls sweep --input sim/combined.csv --mode both --k 3 --k-max 5 \
+            --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
+            --pipeline "$pipeline" --output "sweep${pipeline:+-airpls}"
+    done
+    for k in 3 5; do
+        dppls fit --input sim/combined.csv --k "$k" --epsilon 1 --seed 7 \
+            --output "models/private-k$k.json"
+    done
+    dppls fit --input sim/combined.csv --k 3 --output models/clean-combined.json
+    dppls fit --input sim/holder1.csv --k 3 --output models/clean-holder1.json
+    dppls predict --model models/private-k3.json --input sim/combined.csv \
+        --response-col 0 --output predictions.csv
+    dppls attack --global-model models/private-k3.json --input sim/holder1.csv \
+        --matrix x_loadings --output attack.json
+    dppls preprocess --input sim/combined.csv --pipeline "sg:9,2,1|msc|center" \
+        --output preprocessed.csv
+done

@@ -14,7 +14,6 @@ from .core import (
     PlsModel,
     PrivacyBudget,
     RngStream,
-    gaussian_vector,
     load_dataset,
     load_matrix,
     norm_ppf,
@@ -39,11 +38,6 @@ from .mechanism import (
     classic_gaussian_sigma,
     gaussian_privacy_profile,
     sample_bounds,
-    scores_sensitivity,
-    sensitivity_for,
-    weights_sensitivity,
-    x_loadings_sensitivity,
-    y_loading_sensitivity,
 )
 from .pls import (
     FitConfig,
@@ -52,7 +46,6 @@ from .pls import (
     load_model,
     nipals_path,
     predict,
-    regression_coefficients,
     release,
     release_many,
     save_model,

@@ -89,20 +89,19 @@ class PrivacyBudget:
 class NoiseCalibration:
     """Record of one Gaussian release, calibrated analytically.
 
-    ``target`` names which model quantity the noise was added to, or is
-    None for ad-hoc calibrations outside a model fit.
+    ``target`` names which model quantity the noise was added to.
     """
 
     sensitivity: float
     sigma: float
-    target: Optional[str] = None
+    target: str
 
     def __post_init__(self):
         if self.sensitivity < 0:
             raise ArgumentError("sensitivity must be nonnegative")
         if self.sigma < 0:
             raise ArgumentError("sigma must be nonnegative")
-        if self.target is not None and self.target not in CALIBRATION_TARGETS:
+        if self.target not in CALIBRATION_TARGETS:
             raise ArgumentError(f"target must be one of {CALIBRATION_TARGETS}")
 
 
@@ -261,8 +260,9 @@ def norm_ppf(p: np.ndarray) -> np.ndarray:
 
     central = np.abs(q) <= 0.425
     if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND16_A, r) / _poly(_PPND16_B, r)
+        qc = q[central]
+        r = 0.180625 - qc * qc
+        out[central] = qc * _poly(_PPND16_A, r) / _poly(_PPND16_B, r)
 
     tail = ~central
     if np.any(tail):
@@ -279,22 +279,6 @@ def norm_ppf(p: np.ndarray) -> np.ndarray:
             val[~near] = _poly(_PPND16_E, rf) / _poly(_PPND16_F, rf)
         out[tail] = np.where(qt < 0, -val, val)
     return out
-
-
-def gaussian_vector(length: int, sigma: float, rng: RngStream) -> np.ndarray:
-    """Sample a vector of iid N(0, sigma^2) entries from ``rng``.
-
-    sigma = 0 returns the zero vector without consuming any draws, which
-    keeps the no-noise code path draw-for-draw identical to a noisy path
-    whose sigmas happen to be zero.
-    """
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ArgumentError(f"length must be a positive integer, got {length}")
-    if not np.isfinite(sigma) or sigma < 0:
-        raise ArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros(int(length))
-    return sigma * norm_ppf(rng.open_unit(int(length)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ estimate is data dependent: it bounds the effect of removing one of the
 observed samples, not of an arbitrary worst-case neighbour, so the privacy
 guarantee is conditional on those suprema being representative.  Budgets
 are spent per released vector; no composition across releases is applied.
+One table, :attr:`SampleBounds.sensitivities`, gives the sensitivities of
+a component's four releases in ``CALIBRATION_TARGETS`` order.
 
-Two calibrations are provided.  The classic one uses the closed form
-sigma = delta_f * sqrt(2 ln(1.25/delta)) / epsilon, which is only a valid
-(epsilon, delta) mechanism for epsilon <= 1.  The analytic one inverts the
-exact Gaussian privacy profile by bisection and is valid in both regimes;
-it is the default everywhere in this package.
+Two calibrations are provided; each returns sigma alone, and
+:mod:`dppls.pls` records it with its release.  The classic one uses the
+closed form sigma = delta_f * sqrt(2 ln(1.25/delta)) / epsilon, which is
+only a valid (epsilon, delta) mechanism for epsilon <= 1.  The analytic
+one inverts the exact Gaussian privacy profile by bisection and is valid
+in both regimes; it is the default everywhere in this package.
 
 The profile depends on sigma and delta_f only through sigma/delta_f, so
 the analytic sigma is delta_f * r(epsilon, delta), where r is the sigma at
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalError, ShapeError
-from .core import NoiseCalibration, PrivacyBudget
+from .core import PrivacyBudget
 
 # Bisection control for analytic calibration.
 _REL_TOL = 1e-9
@@ -81,6 +84,22 @@ class SampleBounds:
         if self.y_max_abs < 0 or self.max_row_norm < 0:
             raise ArgumentError("sample bounds must be nonnegative")
 
+    @property
+    def sensitivities(self) -> tuple:
+        """Sensitivities of the four releases, in CALIBRATION_TARGETS order,
+        to removing one sample (estimated from the sample suprema):
+
+        - weights: the covariance vector E^T f changes by f_i E_i when
+          row i is removed, so y_max_abs * max_row_norm;
+        - scores: a score entry E_i^T w with unit w is at most the largest
+          row norm, max_row_norm;
+        - x-loadings: E^T t with unit-norm scores drops the term t_i E_i,
+          of norm at most max_row_norm;
+        - y-loading: f^T t with unit-norm scores, at most y_max_abs.
+        """
+        y, r = self.y_max_abs, self.max_row_norm
+        return (y * r, r, r, y)
+
 
 def sample_bounds(E: np.ndarray, f: np.ndarray) -> SampleBounds:
     """Compute sample suprema of the current residuals.
@@ -100,46 +119,6 @@ def sample_bounds(E: np.ndarray, f: np.ndarray) -> SampleBounds:
         y_max_abs=float(np.max(np.abs(f))),
         max_row_norm=float(np.max(np.linalg.norm(E, axis=1))),
     )
-
-
-# ---------------------------------------------------------------------------
-# sensitivities (removal of one sample, estimated from sample suprema)
-# ---------------------------------------------------------------------------
-
-def weights_sensitivity(bounds: SampleBounds) -> float:
-    """Sensitivity of the covariance vector E^T f: removing row i changes
-    it by f_i E_i, so the worst case is y_max_abs * max_row_norm."""
-    return bounds.y_max_abs * bounds.max_row_norm
-
-def scores_sensitivity(bounds: SampleBounds) -> float:
-    """Sensitivity of a score entry E_i^T w with unit w: at most the
-    largest row norm."""
-    return bounds.max_row_norm
-
-def x_loadings_sensitivity(bounds: SampleBounds) -> float:
-    """Sensitivity of E^T t with unit-norm scores: the dropped term t_i E_i
-    has norm at most max_row_norm."""
-    return bounds.max_row_norm
-
-def y_loading_sensitivity(bounds: SampleBounds) -> float:
-    """Sensitivity of f^T t with unit-norm scores: at most y_max_abs."""
-    return bounds.y_max_abs
-
-
-_SENSITIVITIES = {
-    "weights": weights_sensitivity,
-    "scores": scores_sensitivity,
-    "x_loadings": x_loadings_sensitivity,
-    "y_loading": y_loading_sensitivity,
-}
-
-
-def sensitivity_for(target: str, bounds: SampleBounds) -> float:
-    try:
-        fn = _SENSITIVITIES[target]
-    except KeyError:
-        raise ArgumentError(f"unknown sensitivity target {target!r}") from None
-    return fn(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +222,7 @@ def _unit_sigma(epsilon: float, delta: float) -> float:
     return _bisect_sigma(1.0, epsilon, delta)
 
 
-def analytic_gaussian_sigma(
-    delta_f: float,
-    budget: PrivacyBudget,
-    target: str | None = None,
-) -> NoiseCalibration:
+def analytic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:
     """Minimal Gaussian noise scale meeting ``budget`` for sensitivity
     ``delta_f``, found by inverting the privacy profile.
 
@@ -268,13 +243,13 @@ def analytic_gaussian_sigma(
     if not np.isfinite(delta_f) or delta_f < 0:
         raise ArgumentError(f"sensitivity must be finite and nonnegative, got {delta_f}")
     if delta_f == 0.0:
-        return NoiseCalibration(sensitivity=0.0, sigma=0.0, target=target)
+        return 0.0
 
     eps, delta = budget.epsilon, budget.delta
     sigma = delta_f * _unit_sigma(eps, delta)
     for _ in range(_MAX_ULP_STEPS):
         if gaussian_privacy_profile(sigma, delta_f, eps) <= delta:
-            return NoiseCalibration(sensitivity=float(delta_f), sigma=float(sigma), target=target)
+            return float(sigma)
         sigma = math.nextafter(sigma, math.inf)
     raise NumericalError(
         f"privacy profile stays above delta {_MAX_ULP_STEPS} ulps past the "

@@ -15,11 +15,10 @@ weights, scores, x-loadings and y-loading, re-normalizes the weights and
 scores to unit length, and solves for the regression vector from the
 released quantities only.  Sensitivities come from each component's
 residual suprema, and every calibration budgets the full (epsilon, delta)
-for its own release.  A private release logs exactly four calibrations
-per released component, in ``CALIBRATION_TARGETS`` order, and none for
-a component the recursion stopped on: no noise is drawn for it.  The
-path memoizes its calibrations per budget as one list, extended one
-whole component at a time.
+for its own release.  A private release logs each released component's
+calibrations, in ``CALIBRATION_TARGETS`` order, and none for a component
+the recursion stopped on: no noise is drawn for it.  The path memoizes
+them per budget and component.
 
 A release draws all its noise from its stream in one call: one vector of
 uniforms, mapped to standard normals and cut into segments in the order
@@ -72,12 +71,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .mechanism import (
-    SampleBounds,
-    analytic_gaussian_sigma,
-    sample_bounds,
-    sensitivity_for,
-)
+from .mechanism import SampleBounds, analytic_gaussian_sigma, sample_bounds
 
 # Condition number beyond which the k x k loading system is treated as
 # singular; roughly machine epsilon times a safety margin.
@@ -129,24 +123,6 @@ def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.nda
     return W @ z
 
 
-def regression_coefficients(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Combine weights and loadings into the regression vector.
-
-    W and P must be m x k with c of length k; the k x k system is solved
-    directly rather than forming an explicit inverse.
-    """
-    W = np.asarray(W, dtype=float)
-    P = np.asarray(P, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if W.ndim != 2 or P.ndim != 2 or c.ndim != 1:
-        raise ShapeError("W and P must be 2-d and c 1-d")
-    if W.shape != P.shape or W.shape[1] != c.shape[0]:
-        raise ShapeError(
-            f"inconsistent shapes: W {W.shape}, P {P.shape}, c {c.shape}"
-        )
-    return _solve_loading_system(W, P, c)
-
-
 # ---------------------------------------------------------------------------
 # the clean path and its releases
 # ---------------------------------------------------------------------------
@@ -175,8 +151,8 @@ class NipalsPath:
     y_mean: float
     n: int
     k_max: int
-    # Per budget, the calibrations of the leading components, four each in
-    # CALIBRATION_TARGETS order, filled one whole component at a time.
+    # Per budget, one tuple of calibrations per leading component, in
+    # CALIBRATION_TARGETS order.
     _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -239,9 +215,14 @@ def nipals_path(
     return NipalsPath(components=components, x_means=x_means, y_mean=y_mean, n=n, k_max=k_max)
 
 
+def _releases(comp: PathComponent) -> tuple:
+    """A component's clean w, t, p and [c], in CALIBRATION_TARGETS order."""
+    return comp.w, comp.t, comp.p, np.array([comp.c])
+
+
 def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
-    """Check cfg against the path; its calibration log and the number of
-    standard normals its release takes."""
+    """Check cfg against the path; the calibrations of each component it
+    releases and the number of standard normals its release takes."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -250,26 +231,31 @@ def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
         return [], 0
     k = min(cfg.k, len(path.components))
     memo = path._calibrations.setdefault(cfg.privacy, [])
-    for comp in path.components[len(memo) // 4:k]:
+    for comp in path.components[len(memo):k]:
         # All four before storing any, so a failure memoizes no part of it.
-        memo.extend([
-            analytic_gaussian_sigma(sensitivity_for(target, comp.bounds), cfg.privacy, target)
-            for target in CALIBRATION_TARGETS
-        ])
-    log = memo[:4 * k]
-    if not np.all(np.isfinite([cal.sigma for cal in log])):
-        raise ArgumentError("noise scales must be finite")
-    m = path.x_means.shape[0]
-    sizes = (m, path.n, m, 1)
-    return log, sum(sizes[i % 4] for i, cal in enumerate(log) if cal.sigma != 0.0)
+        memo.append(tuple(
+            NoiseCalibration(sensitivity=s, sigma=analytic_gaussian_sigma(s, cfg.privacy),
+                             target=target)
+            for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+        ))
+    cals = memo[:k]
+    count = sum(
+        clean.size
+        for comp, four in zip(path.components, cals)
+        for clean, cal in zip(_releases(comp), four)
+        if cal.sigma != 0.0
+    )
+    return cals, count
 
 
-def _assemble(path: NipalsPath, cfg: FitConfig, log: list, z: np.ndarray) -> PlsModel:
-    """cfg's model from its calibration log and its standard normals ``z``.
+def _assemble(path: NipalsPath, cfg: FitConfig, cals: list, z: np.ndarray) -> PlsModel:
+    """cfg's model from its components' calibrations and its standard
+    normals ``z``.
 
     Each component's w, t, p and c, in CALIBRATION_TARGETS order, gets
-    sigma times the next segment of z, or no segment when sigma is 0;
-    the noisy weights and scores are then scaled to unit length.
+    sigma times the next segment of z, or no segment when sigma is 0 or
+    cfg is clean; the noisy weights and scores are then scaled to unit
+    length.
     """
     k = min(cfg.k, len(path.components))
     m = path.x_means.shape[0]
@@ -277,8 +263,8 @@ def _assemble(path: NipalsPath, cfg: FitConfig, log: list, z: np.ndarray) -> Pls
     at = 0
     for j, comp in enumerate(path.components[:k]):
         released = []
-        for i, clean in enumerate((comp.w, comp.t, comp.p, np.array([comp.c]))):
-            sigma = log[4 * j + i].sigma if log else 0.0
+        sigmas = [cal.sigma for cal in cals[j]] if cals else [0.0] * 4
+        for clean, sigma in zip(_releases(comp), sigmas):
             if sigma == 0.0:
                 # Adding zeros keeps the clean values' signed zeros as a
                 # zero-noise release always treated them.
@@ -293,7 +279,7 @@ def _assemble(path: NipalsPath, cfg: FitConfig, log: list, z: np.ndarray) -> Pls
     return PlsModel(
         W=W, P=P, c=c, b=_solve_loading_system(W, P, c), k=k,
         x_means=path.x_means.copy(), y_mean=path.y_mean, T=T, privacy=cfg.privacy,
-        calibration_log=log, early_stop=cfg.k > k,
+        calibration_log=[cal for four in cals for cal in four], early_stop=cfg.k > k,
         rng_seed=cfg.rng.seed if cfg.rng is not None else None,
         rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
     )
@@ -313,17 +299,17 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
     drawn = []
     for i, cfg in enumerate(cfgs):
         try:
-            log, count = _calibrate(path, cfg)
-            drawn.append((i, log, cfg.rng.open_unit(count) if count else np.empty(0)))
+            cals, count = _calibrate(path, cfg)
+            drawn.append((i, cals, cfg.rng.open_unit(count) if count else np.empty(0)))
         except DpplsError as exc:
             out[i] = exc
     if not drawn:
         return out
     z = norm_ppf(np.concatenate([uniforms for _, _, uniforms in drawn]))
     at = 0
-    for i, log, uniforms in drawn:
+    for i, cals, uniforms in drawn:
         try:
-            out[i] = _assemble(path, cfgs[i], log, z[at:at + uniforms.size])
+            out[i] = _assemble(path, cfgs[i], cals, z[at:at + uniforms.size])
         except DpplsError as exc:
             out[i] = exc
         at += uniforms.size
@@ -453,9 +439,12 @@ def _is_int(v) -> bool:
 def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
     """A private model logs 4 releases per component, in CALIBRATION_TARGETS
     order, each with the analytic sigma of its sensitivity under the
-    model's budget; a clean model logs none.  An early-stopped model may
-    hold one more weights entry: earlier versions logged the calibration
-    of the component the recursion stopped on."""
+    model's budget; a clean model logs none.  A released component passed
+    the stop test, so its residual suprema, logged as the y-loading (y)
+    and scores (r) sensitivities, are positive, and its four sensitivities
+    are SampleBounds(y, r)'s.  An early-stopped model may hold one more
+    weights entry, not checked against the table: earlier versions logged
+    the calibration of the component the recursion stopped on."""
     if privacy is None:
         if log:
             raise ModelFormatError("calibration_log must be empty without a privacy budget")
@@ -466,14 +455,13 @@ def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
             f"calibration_log holds {len(log)} entries; k={k} with early_stop "
             f"{str(early_stop).lower()} needs {' or '.join(map(str, sizes))}"
         )
-    for i, cal in enumerate(log):
-        if cal.target != CALIBRATION_TARGETS[i % 4]:
+    for i, (cal, target) in enumerate(zip(log, CALIBRATION_TARGETS * (k + 1))):
+        if cal.target != target:
             raise ModelFormatError(
-                f"calibration_log entry {i} targets {cal.target!r}, "
-                f"expected {CALIBRATION_TARGETS[i % 4]!r}"
+                f"calibration_log entry {i} targets {cal.target!r}, expected {target!r}"
             )
         try:
-            want = analytic_gaussian_sigma(cal.sensitivity, privacy, cal.target).sigma
+            want = analytic_gaussian_sigma(cal.sensitivity, privacy)
         except DpplsError as exc:
             raise ModelFormatError(
                 f"calibration_log entry {i}: sigma cannot be recalibrated: {exc}"
@@ -482,6 +470,15 @@ def _check_log(log: list, k: int, privacy, early_stop: bool) -> None:
             raise ModelFormatError(
                 f"calibration_log entry {i} has sigma {cal.sigma!r}; its sensitivity "
                 f"and the model's budget give {want!r}"
+            )
+    # Whole components only: a trailing weights entry is left out.
+    for j, four in enumerate(zip(*[iter(log)] * 4)):
+        logged = tuple(cal.sensitivity for cal in four)
+        y, r = logged[3], logged[1]
+        if not (y > 0 and r > 0 and logged == SampleBounds(y, r).sensitivities):
+            raise ModelFormatError(
+                f"calibration_log component {j + 1} has sensitivities {logged!r}; a fit "
+                "gives (y r, r, r, y) with positive residual suprema y and r"
             )
 
 
@@ -543,9 +540,10 @@ def load_model(path) -> PlsModel:
     early_stop is true: files of earlier versions log the weights of the
     component the recursion stopped on), targets out of
     CALIBRATION_TARGETS order, a
-    method other than "analytic", or a sigma more than 1e-9 relative
+    method other than "analytic", a sigma more than 1e-9 relative
     (``_SIGMA_RTOL``) from the analytic sigma of the entry's sensitivity
-    under the model's budget, which is 0 for sensitivity 0.
+    under the model's budget, or a component whose sensitivities are not
+    (y r, r, r, y) for positive residual suprema y and r.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

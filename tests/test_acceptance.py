@@ -18,7 +18,6 @@ from dppls import pls as pls_module
 from dppls.attack import attack_and_score
 from dppls.core import (
     Dataset,
-    NoiseCalibration,
     PrivacyBudget,
     RngStream,
     load_dataset,
@@ -35,7 +34,6 @@ from dppls.mechanism import (
     classic_gaussian_sigma,
     gaussian_privacy_profile,
     sample_bounds,
-    sensitivity_for,
 )
 from dppls.pls import FitConfig, fit
 from dppls.preprocess import AirPlsConfig, SgConfig, airpls_correct, msc, sg_kernel
@@ -97,8 +95,8 @@ def test_criterion_01_baseline_matches_textbook_nipals():
 
 
 def test_criterion_02_zero_noise_is_bit_identical(monkeypatch):
-    def zero_noise(delta_f, budget, target=None):
-        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0, target=target)
+    def zero_noise(delta_f, budget):
+        return 0.0
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
     identical = True
@@ -131,7 +129,7 @@ def test_criterion_03_calibration_soundness():
         for delta in (1e-4, 1e-2, 0.1):
             for delta_f in (0.5, 1.0, 7.0):
                 budget = PrivacyBudget(eps, delta)
-                sigma = analytic_gaussian_sigma(delta_f, budget).sigma
+                sigma = analytic_gaussian_sigma(delta_f, budget)
                 achieved = gaussian_privacy_profile(sigma, delta_f, eps)
                 min_slack = min(min_slack, delta - achieved)
                 shrunk = gaussian_privacy_profile(
@@ -164,11 +162,7 @@ def test_criterion_04_sensitivities_dominate_leave_one_out():
         m = 4 + (i % 9)
         E = rng.uniform(-2.0, 2.0, (n, m))
         f = rng.uniform(-3.0, 3.0, n)
-        bounds = sample_bounds(E, f)
-        dw = sensitivity_for("weights", bounds)
-        dt = sensitivity_for("scores", bounds)
-        dp = sensitivity_for("x_loadings", bounds)
-        dc = sensitivity_for("y_loading", bounds)
+        dw, dt, dp, dc = sample_bounds(E, f).sensitivities
 
         w = E.T @ f
         w = w / np.linalg.norm(w)

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dppls import cli, datagen
-from dppls.core import Dataset, RngStream, load_dataset, load_matrix, save_dataset, save_matrix
+from dppls.core import (
+    Dataset, PrivacyBudget, RngStream, load_dataset, load_matrix, save_dataset, save_matrix,
+)
 from dppls.errors import NumericalError
+from dppls.mechanism import analytic_gaussian_sigma
 from dppls.pls import FitConfig, fit, load_model, predict, save_model
 
 
@@ -733,6 +737,27 @@ def _corrupt_log_method_classic(text):
     return json.dumps(doc)
 
 
+def _corrupt_log_zeroed(text):
+    # Sigma 0 is the analytic sigma of sensitivity 0, so only the
+    # sensitivity table refuses this log.
+    doc = json.loads(text)
+    for entry in doc["calibration_log"]:
+        entry["sensitivity"] = entry["sigma"] = 0.0
+    return json.dumps(doc)
+
+
+def _corrupt_weights_sensitivity(text):
+    # The second component's weights sensitivity one ulp up, its sigma
+    # recalibrated: every sigma matches, the sensitivity table does not.
+    doc = json.loads(text)
+    entry = doc["calibration_log"][4]
+    assert entry["target"] == "weights"
+    entry["sensitivity"] = math.nextafter(entry["sensitivity"], math.inf)
+    budget = PrivacyBudget(doc["privacy"]["epsilon"], doc["privacy"]["delta"])
+    entry["sigma"] = analytic_gaussian_sigma(entry["sensitivity"], budget)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
@@ -741,11 +766,13 @@ def _corrupt_log_method_classic(text):
     _corrupt_privacy_dropped, _corrupt_log_cut, _corrupt_log_extra_entry,
     _corrupt_log_two_extra_on_early_stop, _corrupt_log_out_of_order,
     _scale_sigmas(1 - 1e-6), _scale_sigmas(1 + 1e-6), _corrupt_log_method_classic,
+    _corrupt_log_zeroed, _corrupt_weights_sensitivity,
 ], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
         "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float",
         "log-without-privacy", "log-cut", "log-extra-entry",
         "log-two-extra-on-early-stop", "log-out-of-order",
-        "sigma-shrunk", "sigma-grown", "method-classic"])
+        "sigma-shrunk", "sigma-grown", "method-classic",
+        "log-zeroed", "weights-sensitivity-altered"])
 def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     model_path = tmp_path / "model.json"
     assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),

@@ -12,7 +12,6 @@ from dppls.core import (
     NoiseCalibration,
     PrivacyBudget,
     RngStream,
-    gaussian_vector,
     load_dataset,
     load_matrix,
     norm_ppf,
@@ -68,11 +67,13 @@ def test_privacy_budget_is_frozen():
 def test_noise_calibration_validation():
     NoiseCalibration(sensitivity=1.0, sigma=2.0, target="weights")
     with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=-1.0, sigma=1.0)
+        NoiseCalibration(sensitivity=-1.0, sigma=1.0, target="weights")
     with pytest.raises(ArgumentError):
-        NoiseCalibration(sensitivity=1.0, sigma=-1.0)
+        NoiseCalibration(sensitivity=1.0, sigma=-1.0, target="weights")
     with pytest.raises(ArgumentError):
         NoiseCalibration(sensitivity=1.0, sigma=1.0, target="b")
+    with pytest.raises(ArgumentError):
+        NoiseCalibration(sensitivity=1.0, sigma=1.0, target=None)
 
 
 def test_mean_center_rejects_nonfinite():
@@ -186,38 +187,20 @@ def test_norm_ppf_symmetry(p):
     assert abs(lo + hi) <= 1e-13
 
 
-def test_gaussian_vector_zero_sigma_consumes_no_draws():
-    a = RngStream(11)
-    b = RngStream(11)
-    z = gaussian_vector(5, 0.0, a)
-    np.testing.assert_array_equal(z, np.zeros(5))
-    # a must still be draw-for-draw aligned with the untouched stream b.
-    np.testing.assert_array_equal(a.open_unit(8), b.open_unit(8))
-
-
 def test_gaussian_vector_deterministic_and_scaled():
-    base = gaussian_vector(100, 1.0, RngStream(4))
-    np.testing.assert_array_equal(base, gaussian_vector(100, 1.0, RngStream(4)))
+    # A release's noise is sigma * norm_ppf(open_unit(n)) from its stream.
+    base = norm_ppf(RngStream(4).open_unit(100))
+    np.testing.assert_array_equal(base, norm_ppf(RngStream(4).open_unit(100)))
     np.testing.assert_allclose(
-        gaussian_vector(100, 2.5, RngStream(4)), 2.5 * base, rtol=1e-15,
+        2.5 * norm_ppf(RngStream(4).open_unit(100)), 2.5 * base, rtol=1e-15,
     )
 
 
 def test_gaussian_vector_moments():
     # 200k draws pin the sample std to within 1% of sigma.
-    x = gaussian_vector(200_000, 3.0, RngStream(12345))
+    x = 3.0 * norm_ppf(RngStream(12345).open_unit(200_000))
     assert abs(x.std() - 3.0) / 3.0 < 0.01
     assert abs(x.mean()) < 0.02
-
-
-def test_gaussian_vector_validation():
-    rng = RngStream(0)
-    with pytest.raises(ArgumentError):
-        gaussian_vector(0, 1.0, rng)
-    with pytest.raises(ArgumentError):
-        gaussian_vector(5, -1.0, rng)
-    with pytest.raises(ArgumentError):
-        gaussian_vector(5, float("nan"), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dppls.core import PrivacyBudget, RngStream
+from dppls.core import CALIBRATION_TARGETS, Dataset, PrivacyBudget, RngStream
 import dppls.mechanism as mechanism_module
 from dppls.errors import ArgumentError, NumericalError, ShapeError
 from dppls.mechanism import (
@@ -29,12 +29,8 @@ from dppls.mechanism import (
     classic_gaussian_sigma,
     gaussian_privacy_profile,
     sample_bounds,
-    scores_sensitivity,
-    sensitivity_for,
-    weights_sensitivity,
-    x_loadings_sensitivity,
-    y_loading_sensitivity,
 )
+from dppls.pls import FitConfig, nipals_path, release
 
 
 def _random_residuals(seed, n=12, m=6):
@@ -86,7 +82,7 @@ def test_sample_bounds_validation():
 def test_weights_sensitivity_bounds_covariance_change():
     for seed in range(30):
         E, f = _random_residuals(seed)
-        bound = weights_sensitivity(sample_bounds(E, f))
+        bound, _, _, _ = sample_bounds(E, f).sensitivities
         cov = E.T @ f
         for i in range(E.shape[0]):
             cov_wo = np.delete(E, i, axis=0).T @ np.delete(f, i)
@@ -97,7 +93,7 @@ def test_weights_sensitivity_is_tight_when_suprema_coincide():
     # One row holds both suprema, so the bound is attained exactly.
     E = np.array([[3.0, 4.0], [0.1, 0.1]])
     f = np.array([2.0, 0.05])
-    bound = weights_sensitivity(sample_bounds(E, f))
+    bound, _, _, _ = sample_bounds(E, f).sensitivities
     change = np.linalg.norm(E.T @ f - (np.delete(E, 0, 0).T @ np.delete(f, 0)))
     assert change == pytest.approx(bound, rel=1e-15)
 
@@ -105,7 +101,7 @@ def test_weights_sensitivity_is_tight_when_suprema_coincide():
 def test_scores_sensitivity_bounds_score_entries():
     for seed in range(30):
         E, f = _random_residuals(seed)
-        bound = scores_sensitivity(sample_bounds(E, f))
+        _, bound, _, _ = sample_bounds(E, f).sensitivities
         w = E.T @ f
         w = w / np.linalg.norm(w)
         t = E @ w
@@ -116,7 +112,7 @@ def test_scores_sensitivity_bounds_score_entries():
 def test_x_loadings_sensitivity_bounds_loading_change():
     for seed in range(30):
         E, f = _random_residuals(seed)
-        bound = x_loadings_sensitivity(sample_bounds(E, f))
+        _, _, bound, _ = sample_bounds(E, f).sensitivities
         w = E.T @ f
         w = w / np.linalg.norm(w)
         t = E @ w
@@ -130,7 +126,7 @@ def test_x_loadings_sensitivity_bounds_loading_change():
 def test_y_loading_sensitivity_bounds_scalar_change():
     for seed in range(30):
         E, f = _random_residuals(seed)
-        bound = y_loading_sensitivity(sample_bounds(E, f))
+        _, _, _, bound = sample_bounds(E, f).sensitivities
         w = E.T @ f
         w = w / np.linalg.norm(w)
         t = E @ w
@@ -144,26 +140,18 @@ def test_y_loading_sensitivity_bounds_scalar_change():
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_sensitivities_scale_covariantly(alpha):
     E, f = _random_residuals(7)
-    b1 = sample_bounds(E, f)
-    b2 = sample_bounds(alpha * E, alpha * f)
-    assert weights_sensitivity(b2) == pytest.approx(
-        alpha ** 2 * weights_sensitivity(b1), rel=1e-12)
-    assert scores_sensitivity(b2) == pytest.approx(
-        alpha * scores_sensitivity(b1), rel=1e-12)
-    assert x_loadings_sensitivity(b2) == pytest.approx(
-        alpha * x_loadings_sensitivity(b1), rel=1e-12)
-    assert y_loading_sensitivity(b2) == pytest.approx(
-        alpha * y_loading_sensitivity(b1), rel=1e-12)
+    w1, t1, p1, c1 = sample_bounds(E, f).sensitivities
+    w2, t2, p2, c2 = sample_bounds(alpha * E, alpha * f).sensitivities
+    assert w2 == pytest.approx(alpha ** 2 * w1, rel=1e-12)
+    assert t2 == pytest.approx(alpha * t1, rel=1e-12)
+    assert p2 == pytest.approx(alpha * p1, rel=1e-12)
+    assert c2 == pytest.approx(alpha * c1, rel=1e-12)
 
 
 def test_sensitivity_dispatch():
+    # weights, scores, x-loadings, y-loading: CALIBRATION_TARGETS order.
     b = SampleBounds(y_max_abs=2.0, max_row_norm=3.0)
-    assert sensitivity_for("weights", b) == 6.0
-    assert sensitivity_for("scores", b) == 3.0
-    assert sensitivity_for("x_loadings", b) == 3.0
-    assert sensitivity_for("y_loading", b) == 2.0
-    with pytest.raises(ArgumentError):
-        sensitivity_for("b", b)
+    assert b.sensitivities == (6.0, 3.0, 3.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +273,9 @@ def test_analytic_sigma_feasible_and_minimal():
     for eps in (0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
         for delta in (1e-4, 1e-2, 0.1):
             for delta_f in (0.5, 1.0, 7.0):
-                cal = analytic_gaussian_sigma(delta_f, PrivacyBudget(eps, delta))
-                assert gaussian_privacy_profile(cal.sigma, delta_f, eps) <= delta
-                shrunk = cal.sigma * (1.0 - 1e-6)
+                sigma = analytic_gaussian_sigma(delta_f, PrivacyBudget(eps, delta))
+                assert gaussian_privacy_profile(sigma, delta_f, eps) <= delta
+                shrunk = sigma * (1.0 - 1e-6)
                 assert gaussian_privacy_profile(shrunk, delta_f, eps) > delta
 
 
@@ -295,15 +283,15 @@ def test_analytic_beats_classic_at_low_epsilon():
     for eps in (0.1, 0.5, 1.0):
         for delta in (1e-4, 1e-2, 0.1):
             budget = PrivacyBudget(eps, delta)
-            cal = analytic_gaussian_sigma(1.0, budget)
-            assert cal.sigma <= classic_gaussian_sigma(1.0, budget)
+            sigma = analytic_gaussian_sigma(1.0, budget)
+            assert sigma <= classic_gaussian_sigma(1.0, budget)
 
 
 def test_analytic_sigma_is_homogeneous_in_sensitivity():
     budget = PrivacyBudget(1.0, 0.01)
-    base = analytic_gaussian_sigma(1.0, budget).sigma
+    base = analytic_gaussian_sigma(1.0, budget)
     for scale in (0.5, 7.0, 300.0):
-        scaled = analytic_gaussian_sigma(scale, budget).sigma
+        scaled = analytic_gaussian_sigma(scale, budget)
         # Bisection stops at relative width 1e-9, so allow a little slack.
         assert scaled == pytest.approx(scale * base, rel=1e-8)
 
@@ -311,21 +299,27 @@ def test_analytic_sigma_is_homogeneous_in_sensitivity():
 def test_analytic_sigma_large_epsilon_asymptote():
     # For huge epsilon the minimal scale approaches delta_f / sqrt(2 eps).
     eps = 1e9
-    cal = analytic_gaussian_sigma(1.0, PrivacyBudget(eps, 0.01))
-    assert cal.sigma == pytest.approx(1.0 / math.sqrt(2.0 * eps), rel=0.05)
+    sigma = analytic_gaussian_sigma(1.0, PrivacyBudget(eps, 0.01))
+    assert sigma == pytest.approx(1.0 / math.sqrt(2.0 * eps), rel=0.05)
 
 
 def test_analytic_sigma_zero_sensitivity():
-    cal = analytic_gaussian_sigma(0.0, PrivacyBudget(1.0, 0.01), target="weights")
-    assert cal.sigma == 0.0
-    assert cal.sensitivity == 0.0
-    assert cal.target == "weights"
+    sigma = analytic_gaussian_sigma(0.0, PrivacyBudget(1.0, 0.01))
+    assert sigma == 0.0 and type(sigma) is float
 
 
 def test_analytic_sigma_records_inputs():
-    cal = analytic_gaussian_sigma(2.5, PrivacyBudget(1.0, 0.01), target="scores")
-    assert cal.sensitivity == 2.5
-    assert cal.target == "scores"
+    # A release records each sigma with its target and its sensitivity
+    # from the component's table.
+    E, f = _random_residuals(3)
+    budget = PrivacyBudget(1.0, 0.01)
+    path = nipals_path(Dataset(X=E, y=f), 2)
+    model = release(path, FitConfig(k=2, privacy=budget, rng=RngStream(0)))
+    assert [(cal.target, cal.sensitivity, cal.sigma) for cal in model.calibration_log] == [
+        (target, s, analytic_gaussian_sigma(s, budget))
+        for comp in path.components
+        for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+    ]
     with pytest.raises(ArgumentError):
         analytic_gaussian_sigma(-1.0, PrivacyBudget(1.0, 0.01))
 
@@ -333,8 +327,8 @@ def test_analytic_sigma_records_inputs():
 def test_analytic_sigma_reference_value():
     # Known minimal scale for (eps=1, delta=0.01, sensitivity=1): about
     # 1.8779, noticeably below the classic 3.1075.
-    cal = analytic_gaussian_sigma(1.0, PrivacyBudget(1.0, 0.01))
-    assert cal.sigma == pytest.approx(1.8779, abs=2e-4)
+    sigma = analytic_gaussian_sigma(1.0, PrivacyBudget(1.0, 0.01))
+    assert sigma == pytest.approx(1.8779, abs=2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +343,11 @@ def _log_uniform(lo, hi):
 @given(delta_f=_log_uniform(1e-4, 1e4), eps=_log_uniform(0.01, 1000.0),
        delta=_log_uniform(1e-10, 0.3))
 def test_scaled_unit_sigma_is_feasible_and_matches_a_fresh_bisection(delta_f, eps, delta):
-    cal = analytic_gaussian_sigma(delta_f, PrivacyBudget(eps, delta))
-    assert gaussian_privacy_profile(cal.sigma, delta_f, eps) <= delta
+    sigma = analytic_gaussian_sigma(delta_f, PrivacyBudget(eps, delta))
+    assert gaussian_privacy_profile(sigma, delta_f, eps) <= delta
     # The bisection stops at relative width 1e-9, and the two routes may
     # end one step apart.
-    assert cal.sigma == pytest.approx(_bisect_sigma(delta_f, eps, delta), rel=1e-8)
+    assert sigma == pytest.approx(_bisect_sigma(delta_f, eps, delta), rel=1e-8)
 
 
 def _count_profile_evals(monkeypatch, answer=None):
@@ -378,7 +372,7 @@ def test_second_calibration_under_a_budget_evaluates_the_profile_once_per_ulp(mo
     assert len(calls) > 20  # the bisection ran
     for delta_f in (3.7, 1e-3, 812.5):
         del calls[:]
-        sigma = analytic_gaussian_sigma(delta_f, budget).sigma
+        sigma = analytic_gaussian_sigma(delta_f, budget)
         bumps, s = 0, delta_f * _unit_sigma(budget.epsilon, budget.delta)
         while s < sigma:
             s, bumps = math.nextafter(s, math.inf), bumps + 1

@@ -7,6 +7,7 @@ quantity but provably not the regression vector, so the two routes must
 agree to rounding error.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -17,11 +18,10 @@ import dppls.pls as pls_module
 from dppls.core import (
     CALIBRATION_TARGETS,
     Dataset,
-    NoiseCalibration,
     PlsModel,
     PrivacyBudget,
     RngStream,
-    gaussian_vector,
+    norm_ppf,
 )
 from dppls.errors import (
     ArgumentError,
@@ -39,7 +39,6 @@ from dppls.pls import (
     load_model,
     nipals_path,
     predict,
-    regression_coefficients,
     release,
     release_many,
     save_model,
@@ -228,22 +227,13 @@ def test_all_components_skipped_predicts_mean():
     np.testing.assert_allclose(predict(model, d.X), d.y.mean(), atol=1e-12)
 
 
-def test_regression_coefficients_shape_checks():
-    with pytest.raises(ShapeError):
-        regression_coefficients(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        regression_coefficients(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        regression_coefficients(np.zeros(4), np.zeros((4, 1)), np.zeros(1))
-
-
 # ---------------------------------------------------------------------------
 # privatized fitting
 # ---------------------------------------------------------------------------
 
 def test_private_fit_with_forced_zero_noise_is_bit_identical(monkeypatch):
-    def zero_noise(delta_f, budget, target=None):
-        return NoiseCalibration(sensitivity=float(delta_f), sigma=0.0, target=target)
+    def zero_noise(delta_f, budget):
+        return 0.0
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
     for seed in range(20):
@@ -392,6 +382,13 @@ def test_release_rejects_configs_the_path_cannot_serve():
         release(path, FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01)))
 
 
+def gaussian_vector(length, sigma, rng):
+    """``length`` iid N(0, sigma^2) draws from ``rng``; none at sigma 0."""
+    if sigma == 0.0:
+        return np.zeros(length)
+    return sigma * norm_ppf(rng.open_unit(length))
+
+
 def _sequential_release(path, k, log, rng):
     """The release rebuilt from one gaussian_vector call per released
     vector, in the documented order."""
@@ -405,21 +402,14 @@ def _sequential_release(path, k, log, rng):
         P.append(comp.p + gaussian_vector(comp.p.size, sig[2], rng))
         c.append(float((np.array([comp.c]) + gaussian_vector(1, sig[3], rng))[0]))
     W, T, P, c = np.column_stack(W), np.column_stack(T), np.column_stack(P), np.array(c)
-    return W, T, P, c, regression_coefficients(W, P, c)
+    return W, T, P, c, W @ np.linalg.solve(P.T @ W, c)
 
 
 @pytest.mark.parametrize("silenced", [None, "scores"])
 def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     if silenced is not None:
         # A zero-sigma release must take no draws from the stream.
-        calibrate = pls_module.analytic_gaussian_sigma
-
-        def partly_silent(delta_f, budget, target=None):
-            if target == silenced:
-                return NoiseCalibration(float(delta_f), 0.0, target)
-            return calibrate(delta_f, budget, target)
-
-        monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
+        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     d = _random_dataset(42)
     path = nipals_path(d, 3)
     model = release(path, FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01),
@@ -430,13 +420,24 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
 
 
+def test_a_zero_sigma_release_consumes_no_draws(monkeypatch):
+    _silence_all_but(monkeypatch)
+    a, b = RngStream(11), RngStream(11)
+    model = release(nipals_path(_random_dataset(46), 3),
+                    FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=a))
+    assert len(model.calibration_log) == 12
+    assert all(cal.sigma == 0.0 for cal in model.calibration_log)
+    # a must still be draw-for-draw aligned with the untouched stream b.
+    np.testing.assert_array_equal(a.open_unit(8), b.open_unit(8))
+
+
 def test_path_memoizes_calibrations_per_budget(monkeypatch):
     calls = []
     calibrate = pls_module.analytic_gaussian_sigma
 
-    def counting(delta_f, budget, target=None):
+    def counting(delta_f, budget):
         calls.append(budget)
-        return calibrate(delta_f, budget, target)
+        return calibrate(delta_f, budget)
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
     path = nipals_path(_random_dataset(43), 3)
@@ -450,12 +451,14 @@ def test_path_memoizes_calibrations_per_budget(monkeypatch):
 def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
     calibrate = pls_module.analytic_gaussian_sigma
     armed = []
+    # A component's four calibrations run in CALIBRATION_TARGETS order.
+    targets = itertools.cycle(CALIBRATION_TARGETS)
 
-    def fails_once_on_x_loadings(delta_f, budget, target=None):
-        if armed and target == "x_loadings":
+    def fails_once_on_x_loadings(delta_f, budget):
+        if next(targets) == "x_loadings" and armed:
             armed.clear()
             raise NumericalError("synthetic calibration failure")
-        return calibrate(delta_f, budget, target)
+        return calibrate(delta_f, budget)
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_once_on_x_loadings)
     d = _random_dataset(45)
@@ -471,13 +474,13 @@ def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatc
 
 
 def _silence_all_but(monkeypatch, *noised):
-    """Calibrate every target outside ``noised`` to sigma 0."""
+    """Calibrate every target outside ``noised`` to sigma 0.  A component's
+    four calibrations run in CALIBRATION_TARGETS order."""
     calibrate = pls_module.analytic_gaussian_sigma
+    targets = itertools.cycle(CALIBRATION_TARGETS)
 
-    def partly_silent(delta_f, budget, target=None):
-        if target not in noised:
-            return NoiseCalibration(float(delta_f), 0.0, target)
-        return calibrate(delta_f, budget, target)
+    def partly_silent(delta_f, budget):
+        return calibrate(delta_f, budget) if next(targets) in noised else 0.0
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
 
@@ -666,11 +669,13 @@ def test_load_model_ties_each_sigma_to_the_budget(tmp_path, monkeypatch):
                     dict(sensitivity=lambda e: 0.0)):
         with pytest.raises(ModelFormatError, match="sigma"):
             load_model(_resaved_log(tmp_path, model, **changes))
-    # A zero sensitivity with sigma 0 is consistent.
+    # Zero sensitivities with sigma 0 are consistent sigmas, but a released
+    # component's residual suprema are positive.
     path = _resaved_log(tmp_path, model, sensitivity=lambda e: 0.0, sigma=lambda e: 0.0)
-    assert all(cal.sigma == 0.0 for cal in load_model(path).calibration_log)
+    with pytest.raises(ModelFormatError, match="component 1 has sensitivities"):
+        load_model(path)
 
-    def failing(delta_f, budget, target=None):
+    def failing(delta_f, budget):
         raise NumericalError("synthetic calibration failure")
 
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", failing)
