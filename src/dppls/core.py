@@ -241,33 +241,38 @@ _PPND16_F = (
 
 
 def _poly(coeffs, x):
+    """The polynomial with ``coeffs`` (constant term first) at x, by
+    Horner's rule in one buffer."""
     acc = np.full_like(x, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        np.multiply(acc, x, out=acc)
+        np.add(acc, c, out=acc)
     return acc
 
 
 def norm_ppf(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile function (inverse CDF), algorithm AS 241.
 
-    Accepts values strictly inside (0, 1); vectorized.
+    Accepts values strictly inside (0, 1), NaN refused; vectorized.  The
+    central formula runs over every value and the tail formulas overwrite
+    the values with |p - 0.5| > 0.425; each value's result depends on
+    that value alone.
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise ArgumentError("norm_ppf requires probabilities strictly inside (0, 1)")
+    shape, p = p.shape, p.ravel()
     q = p - 0.5
-    out = np.empty_like(p)
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _poly(_PPND16_A, r) / _poly(_PPND16_B, r)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out = q * _poly(_PPND16_A, r)
+    np.divide(out, _poly(_PPND16_B, r), out=out)
 
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0, p[tail], 1.0 - p[tail])
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt, pt = q[tail], p[tail]
+        r = np.where(qt < 0, pt, 1.0 - pt)
         r = np.sqrt(-np.log(r))
         near = r <= 5.0
         val = np.empty_like(r)
@@ -278,7 +283,7 @@ def norm_ppf(p: np.ndarray) -> np.ndarray:
             rf = r[~near] - 5.0
             val[~near] = _poly(_PPND16_E, rf) / _poly(_PPND16_F, rf)
         out[tail] = np.where(qt < 0, -val, val)
-    return out
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,16 @@ uniforms from its own stream, in the same count as alone; the uniforms of
 all configs are then concatenated, pass through one :func:`norm_ppf`
 call, and are split back per config.  Because that transform is element
 by element, every config gets the normals it would get alone, value for
-value; one call only saves the per-call overhead.  Normalization, the
-k x k solve and the model stay per config, and a config that fails gets
-its own error without touching the others' draws.  :func:`fit` is
+value.  The configs that release the same number of components k are
+then released as one stack: their noisy w, t, p and c in one array
+operation, the unit scaling of the weights and scores through one
+stacked dot product, P^T W through one stacked matrix product, and one
+stacked condition estimate, k x k solve and W z.  Per config, each of
+these runs the elementwise operation, or the BLAS or LAPACK call on the
+same memory layout, that np.linalg.norm, P.T @ W and np.linalg.solve run
+on one config's vectors, so every model equals that per-config release
+bit for bit.  A config that fails gets its own error without
+touching the others' draws or models.  :func:`fit` is
 ``release(nipals_path(d, cfg.k), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
@@ -106,21 +113,33 @@ class FitConfig:
         self.k = _check_depth(self.k)
 
 
-def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve b = W (P^T W)^{-1} c through a k x k linear solve."""
-    PtW = P.T @ W
-    if PtW.size == 0:
-        return np.zeros(W.shape[0])
+def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> tuple:
+    """Solve b = W (P^T W)^{-1} c through k x k linear solves, for a stack
+    of R systems: W and P are R x m x k, c is R x k.
+
+    Returns the R x m regression vectors and, per system, None or the
+    SingularSystemError of a system singular within tolerance; such a
+    system's row of b is zero.
+    """
+    R, m, k = W.shape
+    b = np.zeros((R, m))
+    if k == 0:
+        return b, [None] * R
+    PtW = np.matmul(P.transpose(0, 2, 1), W)
     cond = np.linalg.cond(PtW)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystemError(
+    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
+    if ok.any():
+        z = np.linalg.solve(PtW[ok], c[ok][:, :, None])
+        b[ok] = np.matmul(W[ok], z)[:, :, 0]
+    return b, [
+        None if good else SingularSystemError(
             f"loading system is singular within tolerance "
-            f"(condition estimate {cond:.3e}); reduce the component count",
-            components=W.shape[1],
-            condition=float(cond),
+            f"(condition estimate {cond_r:.3e}); reduce the component count",
+            components=k,
+            condition=float(cond_r),
         )
-    z = np.linalg.solve(PtW, c)
-    return W @ z
+        for good, cond_r in zip(ok, cond)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +162,9 @@ class NipalsPath:
 
     Fewer than k_max ``components`` means the recursion stopped early.
     A private release logs four calibrations per component it releases,
-    and none for a component the recursion stopped on.
+    and none for a component the recursion stopped on.  Row j of
+    ``releases`` is component j's w, t, p and c end to end, in
+    CALIBRATION_TARGETS order; ``sizes`` holds their lengths.
     """
 
     components: list
@@ -151,6 +172,8 @@ class NipalsPath:
     y_mean: float
     n: int
     k_max: int
+    releases: np.ndarray
+    sizes: tuple
     # Per budget, one tuple of calibrations per leading component, in
     # CALIBRATION_TARGETS order.
     _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
@@ -212,12 +235,12 @@ def nipals_path(
         f = f - c * t
         components.append(PathComponent(w, t, p, c, bounds))
 
-    return NipalsPath(components=components, x_means=x_means, y_mean=y_mean, n=n, k_max=k_max)
-
-
-def _releases(comp: PathComponent) -> tuple:
-    """A component's clean w, t, p and [c], in CALIBRATION_TARGETS order."""
-    return comp.w, comp.t, comp.p, np.array([comp.c])
+    sizes = (m, n, m, 1)
+    releases = np.array(
+        [np.concatenate((comp.w, comp.t, comp.p, [comp.c])) for comp in components]
+    ).reshape(len(components), sum(sizes))
+    return NipalsPath(components=components, x_means=x_means, y_mean=y_mean, n=n,
+                      k_max=k_max, releases=releases, sizes=sizes)
 
 
 def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
@@ -240,49 +263,60 @@ def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
         ))
     cals = memo[:k]
     count = sum(
-        clean.size
-        for comp, four in zip(path.components, cals)
-        for clean, cal in zip(_releases(comp), four)
-        if cal.sigma != 0.0
+        size for four in cals for size, cal in zip(path.sizes, four) if cal.sigma != 0.0
     )
     return cals, count
 
 
-def _assemble(path: NipalsPath, cfg: FitConfig, cals: list, z: np.ndarray) -> PlsModel:
-    """cfg's model from its components' calibrations and its standard
-    normals ``z``.
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """v scaled along its last axis to unit length.  The stacked dot
+    product takes the BLAS call np.linalg.norm takes on one vector, so
+    each row gets the same bits."""
+    return v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+
+
+def _release_group(path: NipalsPath, k: int, cfgs: list, cals: list, z: np.ndarray) -> list:
+    """The models of R configs that release k components each, given each
+    config's calibrations and, end to end in config order, their standard
+    normals ``z``; a config whose solve fails gets its error instead.
 
     Each component's w, t, p and c, in CALIBRATION_TARGETS order, gets
-    sigma times the next segment of z, or no segment when sigma is 0 or
-    cfg is clean; the noisy weights and scores are then scaled to unit
+    sigma times the next segment of its config's normals, or zeros when
+    sigma is 0 or the config is clean: clean + 0.0 * 0.0 has the bits of
+    clean + 0.0.  The noisy weights and scores are then scaled to unit
     length.
     """
-    k = min(cfg.k, len(path.components))
-    m = path.x_means.shape[0]
-    W, T, P, c = np.empty((m, k)), np.empty((path.n, k)), np.empty((m, k)), np.empty(k)
-    at = 0
-    for j, comp in enumerate(path.components[:k]):
-        released = []
-        sigmas = [cal.sigma for cal in cals[j]] if cals else [0.0] * 4
-        for clean, sigma in zip(_releases(comp), sigmas):
-            if sigma == 0.0:
-                # Adding zeros keeps the clean values' signed zeros as a
-                # zero-noise release always treated them.
-                released.append(clean + 0.0)
-            else:
-                released.append(clean + sigma * z[at:at + clean.size])
-                at += clean.size
-        w, t, P[:, j], c[j:j + 1] = released
-        W[:, j] = w / np.linalg.norm(w)
-        T[:, j] = t / np.linalg.norm(t)
+    R, m, n, width = len(cfgs), path.sizes[0], path.n, sum(path.sizes)
+    sigma = np.zeros((R, k, 4))
+    for r, four_per_comp in enumerate(cals):
+        if four_per_comp:
+            sigma[r] = [[cal.sigma for cal in four] for four in four_per_comp]
+    noise = np.zeros((R, k * width))
+    noise[np.repeat((sigma != 0.0).reshape(R, 4 * k), np.tile(path.sizes, k), axis=1)] = z
+    noisy = path.releases[:k] + np.repeat(sigma, path.sizes, axis=2) * noise.reshape(R, k, width)
 
-    return PlsModel(
-        W=W, P=P, c=c, b=_solve_loading_system(W, P, c), k=k,
-        x_means=path.x_means.copy(), y_mean=path.y_mean, T=T, privacy=cfg.privacy,
-        calibration_log=[cal for four in cals for cal in four], early_stop=cfg.k > k,
-        rng_seed=cfg.rng.seed if cfg.rng is not None else None,
-        rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
+    # Each config's W, T and P as a C-ordered m x k block, the layout of
+    # one model's matrices, so that the stacked products make the BLAS
+    # calls that P.T @ W and W @ z make on one model.
+    W, T, P = (
+        np.ascontiguousarray(v.transpose(0, 2, 1)) for v in (
+            _unit_rows(noisy[:, :, :m]),
+            _unit_rows(noisy[:, :, m:m + n]),
+            noisy[:, :, m + n:m + n + m],
+        )
     )
+    c = noisy[:, :, -1].copy()
+    b, singular = _solve_loading_system(W, P, c)
+    return [
+        singular[r] or PlsModel(
+            W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
+            y_mean=path.y_mean, T=T[r], privacy=cfg.privacy,
+            calibration_log=[cal for four in cals[r] for cal in four], early_stop=cfg.k > k,
+            rng_seed=cfg.rng.seed if cfg.rng is not None else None,
+            rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
+        )
+        for r, cfg in enumerate(cfgs)
+    ]
 
 
 def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
@@ -291,28 +325,33 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
 
     Each config draws its uniforms from its own stream, as
     :func:`release` would; all of them then pass through one
-    :func:`norm_ppf` call.  A config that fails its checks, calibration or
-    solve takes no draws from the others' streams and leaves their models
-    unchanged.
+    :func:`norm_ppf` call.  Configs that release the same number of
+    components are assembled and solved together, as one stack.  A config
+    that fails its checks, calibration or solve takes no draws from the
+    others' streams and leaves their models unchanged.
     """
     out: list = [None] * len(cfgs)
-    drawn = []
+    groups: dict = {}  # released component count -> [(index, cals, uniforms)]
     for i, cfg in enumerate(cfgs):
         try:
             cals, count = _calibrate(path, cfg)
-            drawn.append((i, cals, cfg.rng.open_unit(count) if count else np.empty(0)))
         except DpplsError as exc:
             out[i] = exc
-    if not drawn:
+            continue
+        groups.setdefault(min(cfg.k, len(path.components)), []).append(
+            (i, cals, cfg.rng.open_unit(count) if count else np.empty(0))
+        )
+    if not groups:
         return out
-    z = norm_ppf(np.concatenate([uniforms for _, _, uniforms in drawn]))
+    z = norm_ppf(np.concatenate([u for group in groups.values() for _, _, u in group]))
     at = 0
-    for i, cals, uniforms in drawn:
-        try:
-            out[i] = _assemble(path, cfgs[i], cals, z[at:at + uniforms.size])
-        except DpplsError as exc:
-            out[i] = exc
-        at += uniforms.size
+    for k, group in groups.items():
+        index, cals, uniforms = zip(*group)
+        size = sum(u.size for u in uniforms)
+        models = _release_group(path, k, [cfgs[i] for i in index], list(cals), z[at:at + size])
+        for i, model in zip(index, models):
+            out[i] = model
+        at += size
     return out
 
 
@@ -493,10 +532,9 @@ def _model_from_doc(doc: dict) -> PlsModel:
     W = _finite_array(doc, "W", (m, k))
     P = _finite_array(doc, "P", (m, k))
     c = _finite_array(doc, "c", (k,))
-    try:
-        b_ref = _solve_loading_system(W, P, c)
-    except SingularSystemError as exc:
-        raise ModelFormatError(f"W and P do not determine b: {exc}") from None
+    (b_ref,), (singular,) = _solve_loading_system(W[None], P[None], c[None])
+    if singular is not None:
+        raise ModelFormatError(f"W and P do not determine b: {singular}")
     if np.linalg.norm(b_ref - b) > _B_RTOL * np.linalg.norm(b):
         raise ModelFormatError("b disagrees with W (P^T W)^-1 c")
     x_means = _finite_array(doc, "x_means", (m,))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dppls.attack import (
     AttackReport,
@@ -91,6 +91,7 @@ def test_cosine_similarity_reference_cases():
         cosine_similarity(u, np.zeros(4))
 
 
+@settings(deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e3))
 def test_cosine_similarity_is_scale_invariant(a, b):

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import dppls.core as core_module
 from dppls.core import (
     Dataset,
     NoiseCalibration,
@@ -173,10 +174,18 @@ def test_norm_ppf_rejects_boundaries():
             norm_ppf(np.array([bad]))
 
 
+def test_norm_ppf_rejects_nan_and_keeps_empty_input():
+    with pytest.raises(ArgumentError):
+        norm_ppf(np.array([np.nan, 0.3]))
+    empty = norm_ppf(np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 def test_norm_ppf_median_is_zero():
     assert norm_ppf(np.array([0.5]))[0] == 0.0
 
 
+@settings(deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.49))
 def test_norm_ppf_symmetry(p):
     # Central range only: in the tails the rounding of 1 - p is amplified
@@ -185,6 +194,74 @@ def test_norm_ppf_symmetry(p):
     lo, hi = norm_ppf(np.array([p, 1.0 - p]))
     assert lo < 0 < hi
     assert abs(lo + hi) <= 1e-13
+
+
+def _horner(coeffs, x):
+    acc = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _masked_norm_ppf(p):
+    """AS 241 with each branch gathered by a boolean mask and scattered
+    back: the form norm_ppf had before it ran the central branch over the
+    whole array in place."""
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        qc = q[central]
+        r = 0.180625 - qc * qc
+        out[central] = qc * _horner(core_module._PPND16_A, r) / _horner(core_module._PPND16_B, r)
+    tail = ~central
+    if np.any(tail):
+        qt = q[tail]
+        r = np.sqrt(-np.log(np.where(qt < 0, p[tail], 1.0 - p[tail])))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if np.any(near):
+            rn = r[near] - 1.6
+            val[near] = _horner(core_module._PPND16_C, rn) / _horner(core_module._PPND16_D, rn)
+        if np.any(~near):
+            rf = r[~near] - 5.0
+            val[~near] = _horner(core_module._PPND16_E, rf) / _horner(core_module._PPND16_F, rf)
+        out[tail] = np.where(qt < 0, -val, val)
+    return out
+
+
+def _neighbours(x, steps=4):
+    """x and the ``steps`` floats on either side of it."""
+    out = [x]
+    below = above = x
+    for _ in range(steps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        out += [below, above]
+    return np.array(out)
+
+
+def test_norm_ppf_equals_the_masked_reference_across_branch_switches():
+    # r = sqrt(-log p) = 5 at p = exp(-25), where one step of p moves r by
+    # far less than one step of r: spread by 1e-15 relative instead.
+    far_low = np.exp(-25.0) * (1.0 + 1e-15 * np.arange(-20, 21))
+    far_high = _neighbours(-np.expm1(-25.0))
+    switches = np.concatenate([
+        _neighbours(0.075), _neighbours(0.925), far_low, far_high,
+        [2.0 ** -54, 1.0 - 2.0 ** -53, 0.5],
+    ])
+    for tail in (far_low, 1.0 - far_high):
+        r = np.sqrt(-np.log(tail))
+        assert np.any(r < 5.0) and np.any(r > 5.0)
+    for central in (_neighbours(0.075), _neighbours(0.925)):
+        q = np.abs(central - 0.5)
+        assert np.any(q <= 0.425) and np.any(q > 0.425)
+
+    p = np.concatenate([switches, RngStream(13).open_unit(100_000)])
+    got = norm_ppf(p)
+    np.testing.assert_array_equal(got, _masked_norm_ppf(p))
+    # Each value's result does not depend on the rest of the batch.
+    np.testing.assert_array_equal(
+        got[:switches.size], [norm_ppf(np.array([v]))[0] for v in switches])
 
 
 def test_gaussian_vector_deterministic_and_scaled():

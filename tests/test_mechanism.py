@@ -137,6 +137,7 @@ def test_y_loading_sensitivity_bounds_scalar_change():
             assert abs(c - c_wo) <= bound + 1e-12
 
 
+@settings(deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_sensitivities_scale_covariantly(alpha):
     E, f = _random_residuals(7)

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dppls.pls as pls_module
 from dppls.core import (
     CALIBRATION_TARGETS,
     Dataset,
+    NoiseCalibration,
     PlsModel,
     PrivacyBudget,
     RngStream,
@@ -389,20 +391,51 @@ def gaussian_vector(length, sigma, rng):
     return sigma * norm_ppf(rng.open_unit(length))
 
 
-def _sequential_release(path, k, log, rng):
-    """The release rebuilt from one gaussian_vector call per released
-    vector, in the documented order."""
-    W, T, P, c = [], [], [], []
+def _reference_release(path, cfg):
+    """cfg's release of ``path`` rebuilt one config and one vector at a
+    time: calibrations in CALIBRATION_TARGETS order, one gaussian_vector
+    call per released vector in the documented order, np.linalg.norm per
+    vector and np.linalg.solve(P.T @ W, c).  Raises what release_many
+    reports for the config."""
+    if cfg.privacy is not None and cfg.rng is None:
+        raise ConfigurationError("a privacy budget requires an rng stream")
+    if cfg.k > path.k_max:
+        raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
+    k = min(cfg.k, len(path.components))
+    m = path.x_means.size
+    W, T, P, c, log = np.empty((m, k)), np.empty((path.n, k)), np.empty((m, k)), np.empty(k), []
     for j, comp in enumerate(path.components[:k]):
-        sig = [cal.sigma for cal in log[4 * j:4 * j + 4]]
-        w = comp.w + gaussian_vector(comp.w.size, sig[0], rng)
-        t = comp.t + gaussian_vector(comp.t.size, sig[1], rng)
-        W.append(w / np.linalg.norm(w))
-        T.append(t / np.linalg.norm(t))
-        P.append(comp.p + gaussian_vector(comp.p.size, sig[2], rng))
-        c.append(float((np.array([comp.c]) + gaussian_vector(1, sig[3], rng))[0]))
-    W, T, P, c = np.column_stack(W), np.column_stack(T), np.column_stack(P), np.array(c)
-    return W, T, P, c, W @ np.linalg.solve(P.T @ W, c)
+        sig = [0.0] * 4
+        if cfg.privacy is not None:
+            four = [
+                NoiseCalibration(sensitivity=s, target=target,
+                                 sigma=pls_module.analytic_gaussian_sigma(s, cfg.privacy))
+                for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+            ]
+            log += four
+            sig = [cal.sigma for cal in four]
+        w = comp.w + gaussian_vector(comp.w.size, sig[0], cfg.rng)
+        t = comp.t + gaussian_vector(comp.t.size, sig[1], cfg.rng)
+        W[:, j] = w / np.linalg.norm(w)
+        T[:, j] = t / np.linalg.norm(t)
+        P[:, j] = comp.p + gaussian_vector(comp.p.size, sig[2], cfg.rng)
+        c[j:j + 1] = np.array([comp.c]) + gaussian_vector(1, sig[3], cfg.rng)
+    b = np.zeros(m)
+    if k:
+        PtW = P.T @ W
+        cond = np.linalg.cond(PtW)
+        if not np.isfinite(cond) or cond > pls_module._COND_LIMIT:
+            raise SingularSystemError(
+                f"loading system is singular within tolerance "
+                f"(condition estimate {cond:.3e}); reduce the component count"
+            )
+        b = W @ np.linalg.solve(PtW, c)
+    return PlsModel(
+        W=W, P=P, c=c, b=b, k=k, x_means=path.x_means, y_mean=path.y_mean, T=T,
+        privacy=cfg.privacy, calibration_log=log, early_stop=cfg.k > k,
+        rng_seed=None if cfg.rng is None else cfg.rng.seed,
+        rng_stream=None if cfg.rng is None else cfg.rng.stream_id,
+    )
 
 
 @pytest.mark.parametrize("silenced", [None, "scores"])
@@ -412,11 +445,9 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
         _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     d = _random_dataset(42)
     path = nipals_path(d, 3)
-    model = release(path, FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01),
-                                    rng=RngStream(5, 9)))
-    W, T, P, c, b = _sequential_release(path, 3, model.calibration_log, RngStream(5, 9))
-    for got, want in ((model.W, W), (model.T, T), (model.P, P), (model.c, c), (model.b, b)):
-        np.testing.assert_array_equal(got, want)
+    cfg = lambda: FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(5, 9))
+    model = release(path, cfg())
+    _assert_models_identical(model, _reference_release(path, cfg()))
     assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
 
 
@@ -485,12 +516,12 @@ def _silence_all_but(monkeypatch, *noised):
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
 
 
-def _one_by_one(path, cfgs):
-    """release() per config, each error kept in place of its model."""
+def _reference_outcomes(path, cfgs):
+    """_reference_release per config, each error kept in place of its model."""
     out = []
     for cfg in cfgs:
         try:
-            out.append(release(path, cfg))
+            out.append(_reference_release(path, cfg))
         except DpplsError as exc:
             out.append(exc)
     return out
@@ -524,22 +555,28 @@ def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
         ]
 
     got = release_many(path, cfgs())
-    _assert_outcomes_identical(got, _one_by_one(path, cfgs()))
+    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
     assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
     assert "path's 4 components" in str(got[3])
     assert (silenced is None) == all(cal.sigma > 0 for cal in got[0].calibration_log)
     assert release_many(path, []) == []
 
 
-def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
-    # Rank-1 data with the stop disabled: k >= 2 gives a singular loading
-    # system.  Noising only the y-loadings leaves that system singular, so
-    # the private k=2 release draws its noise and then fails its solve.
-    _silence_all_but(monkeypatch, "y_loading")
+def _rank1_path():
+    """Rank-1 data with the stop disabled: k >= 2 gives a loading system
+    singular within tolerance unless noise on w, t or p lifts it."""
     rng = RngStream(10)
     s = rng.uniform(-1, 1, 12)
     c = rng.uniform(1, 2, 15)
-    path = nipals_path(Dataset(X=np.outer(c, s), y=c.copy()), 3, 0.0)
+    return nipals_path(Dataset(X=np.outer(c, s), y=c.copy()), 3, 0.0)
+
+
+def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
+    # Noising only the y-loadings leaves the rank-1 path's loading system
+    # singular, so the private k=2 release draws its noise and then fails
+    # its solve.
+    _silence_all_but(monkeypatch, "y_loading")
+    path = _rank1_path()
     budget = PrivacyBudget(1.0, 0.01)
 
     def cfgs():
@@ -548,9 +585,44 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
                 FitConfig(k=3), FitConfig(k=1)]
 
     got = release_many(path, cfgs())
-    _assert_outcomes_identical(got, _one_by_one(path, cfgs()))
+    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
     assert [type(r).__name__ for r in got] == [
         "PlsModel", "SingularSystemError", "PlsModel", "SingularSystemError", "PlsModel"]
+
+
+_PATHS = {
+    "random": lambda: nipals_path(_random_dataset(44, n=12, m=9), 4),
+    "score-stop": lambda: nipals_path(_score_stop_dataset(), 4, 1e-8),
+    "rank-1": _rank1_path,
+}
+_BUDGETS = (None, PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_release_many_equals_the_per_config_reference(data):
+    case = data.draw(st.sampled_from(sorted(_PATHS)), label="path")
+    noised = data.draw(st.sets(st.sampled_from(CALIBRATION_TARGETS)), label="noised")
+    k_max = {"random": 4, "score-stop": 4, "rank-1": 3}[case]
+    # (k, budget, stream or None); k_max + 1 is deeper than the path allows.
+    specs = data.draw(st.lists(st.tuples(
+        st.integers(1, k_max + 1),
+        st.sampled_from(range(len(_BUDGETS))),
+        st.sampled_from([None, 0, 1, 2, 3]),
+    ), max_size=8), label="configs")
+
+    def cfgs():
+        return [
+            FitConfig(k=k, privacy=_BUDGETS[bi], rng=None if s is None else RngStream(s, i))
+            for i, (k, bi, s) in enumerate(specs)
+        ]
+
+    with pytest.MonkeyPatch.context() as mp:
+        # A fresh path per example: the path memoizes its calibrations.
+        _silence_all_but(mp, *noised)
+        path = _PATHS[case]()
+        got = release_many(path, cfgs())
+        _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
 
 
 # ---------------------------------------------------------------------------

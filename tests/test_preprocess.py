@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
 from dppls.core import RngStream
@@ -483,6 +483,7 @@ def test_every_config_bearing_step_is_checked_for_row_locality():
     assert stateless == set(_ROW_STEP_CONFIGS)
 
 
+@settings(deadline=None)
 @given(st.data())
 def test_row_steps_transform_every_row_on_its_own_bit_for_bit(data):
     name = data.draw(st.sampled_from(sorted(_ROW_STEP_CONFIGS)), label="step")
@@ -532,6 +533,7 @@ _SPEC_TEXT = st.one_of(
 )
 
 
+@settings(deadline=None)
 @given(_SPEC_TEXT)
 def test_parse_pipeline_returns_a_pipeline_or_a_library_error(text):
     try:
