@@ -29,6 +29,11 @@ for seed in 1 7; do
             --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
             --pipeline "$pipeline" --output "sweep${pipeline:+-airpls}"
     done
+    for mode in cv holdout; do
+        dppls sweep --input sim/combined.csv --mode "$mode" --k 3 --k-max 5 \
+            --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
+            --pipeline "airpls|center" --output "sweep-airpls-$mode"
+    done
     for k in 3 5; do
         dppls fit --input sim/combined.csv --k "$k" --epsilon 1 --seed 7 \
             --output "models/private-k$k.json"

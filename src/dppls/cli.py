@@ -331,11 +331,20 @@ def cmd_sweep(cfg: dict) -> int:
     delta = float(cfg["delta"])
     # Refused before either protocol runs, so that a refused sweep leaves
     # no report behind; the protocols' own refusals hold the writes back.
-    parse_pipeline(cfg["pipeline"])
+    row_steps = parse_pipeline(cfg["pipeline"]).split()[0]
     if not 0 < delta < 1:
         raise ConfigurationError(f"--delta must lie in (0, 1), got {delta}")
     if cfg["mode"] in ("holdout", "both") and cfg["k"] is None:
         raise ConfigurationError("missing required option --k")
+    # The row steps map each row on its own, so one pass over d.X serves
+    # both protocols, and the holdout split's permutation picks the same
+    # mapped rows.  Rows the steps refuse go to the protocols unmapped,
+    # which refuse them as they would on their own.
+    try:
+        d = Dataset(X=row_steps.transform(d.X), y=d.y)
+        rows_mapped = True
+    except DpplsError:
+        rows_mapped = False
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg["seed"])
@@ -355,6 +364,7 @@ def cmd_sweep(cfg: dict) -> int:
         reports["cv_report"] = kfold_cv(
             d, cfg["folds"], grid,
             pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),
+            rows_mapped=rows_mapped,
         )
 
     if cfg["mode"] in ("holdout", "both"):
@@ -364,7 +374,7 @@ def cmd_sweep(cfg: dict) -> int:
         reports["holdout_report"] = privacy_utility_sweep(
             train, test, eps_list, cfg["k"],
             pipeline_spec=cfg["pipeline"], repeats=cfg["repeats"],
-            rng=rng.derive(_STREAM_HOLDOUT), delta=delta,
+            rng=rng.derive(_STREAM_HOLDOUT), delta=delta, rows_mapped=rows_mapped,
         )
 
     for name, report in reports.items():
@@ -395,14 +405,21 @@ def cmd_preprocess(cfg: dict) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  When ``argv[0]`` names a command, only that
+    command's subparser gets its flags; argparse formats each flag as it
+    is added, so a run builds no other command's.  Otherwise every
+    subparser gets them."""
     parser = argparse.ArgumentParser(
         prog="dppls",
         description="Differentially private PLS1 regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
     for command, (summary, options) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        if named not in (None, command):
+            continue
         p.add_argument("--config", help="flat JSON config file; flags override it")
         for opt in options:
             flag = "--" + opt.name.replace("_", "-")
@@ -430,7 +447,9 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:  # cmd_<command> is looked up here, so replacing it takes effect
         return globals()[f"cmd_{args.command}"](_resolve(args))
     except (DpplsError, OSError) as exc:

@@ -188,9 +188,12 @@ class RngStream:
         """Uniform draws strictly inside (0, 1).
 
         Uses 53-bit integers offset by half a step, so neither endpoint can
-        occur and the inverse normal CDF below stays finite.
+        occur and the inverse normal CDF below stays finite.  The integers
+        are the top 53 bits of raw 64-bit draws: the same values, from the
+        same draws, as ``integers(0, 1 << 53, dtype=np.uint64)``, whose
+        Lemire method rejects nothing for a power-of-two range.
         """
-        r = self._gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
+        r = self._gen.bit_generator.random_raw(size) >> np.uint64(11)
         return (r.astype(np.float64) + 0.5) * (2.0 ** -53)
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:

@@ -4,12 +4,14 @@ Preprocessing inside every protocol is fitted on the training rows only
 and replayed on held-out rows, so no statistic of the evaluation data
 leaks into the transform.  The pipeline's row steps (its leading steps
 that learn nothing, see :meth:`Pipeline.split`) run once over all of a
-protocol's rows before the splits are taken.  That leaks nothing either:
-each of their output rows depends on its own input row alone, so the
-rows equal those of a per-split run bit for bit.  All randomness (splits,
-shuffles, noise) comes from the caller's RngStream; per-task substreams
-are derived with documented indices, which makes every report
-reproducible from one master seed.
+protocol's rows before the splits are taken, or, with ``rows_mapped``,
+not at all, because the caller mapped the rows already: the ``sweep``
+command maps its input once and hands the same rows to both protocols.
+That leaks nothing either: each of their output rows depends on its own
+input row alone, so the rows equal those of a per-split run bit for bit.
+All randomness (splits, shuffles, noise) comes from the caller's
+RngStream; per-task substreams are derived with documented indices,
+which makes every report reproducible from one master seed.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ def kfold_cv(
     grid: Sequence[FitConfig],
     pipeline_spec: str = "",
     rng: Optional[RngStream] = None,
+    *,
+    rows_mapped: bool = False,
 ) -> EvalReport:
     """Cross-validate every configuration in ``grid``.
 
@@ -168,6 +172,8 @@ def kfold_cv(
     k; a configuration whose fit fails on any fold is flagged and skipped
     in that ranking, and every configuration is flagged when the row
     steps refuse the data.  A bad ``pipeline_spec`` raises.
+    With ``rows_mapped`` the rows of ``d.X`` have been through the row
+    steps already, and only the fitted steps run.
     """
     if rng is None:
         rng = RngStream(0)
@@ -192,7 +198,7 @@ def kfold_cv(
     status = ["ok"] * len(grid)
     sq_errors = [[] for _ in grid]
     try:
-        X = row_steps.transform(d.X)
+        X = d.X if rows_mapped else row_steps.transform(d.X)
     except DpplsError:
         X, status = None, ["failed"] * len(grid)
     for fold_i in range(folds if X is not None else 0):
@@ -246,12 +252,16 @@ def privacy_utility_sweep(
     repeats: int = 20,
     rng: Optional[RngStream] = None,
     delta: float = 0.01,
+    *,
+    rows_mapped: bool = False,
 ) -> EvalReport:
     """Measure held-out error across privacy levels.
 
     The pipeline's row steps run once over the training and test rows
     together; the remaining steps are fitted on the training rows and
-    replayed on the test rows.
+    replayed on the test rows.  With ``rows_mapped`` the rows of both
+    sets have been through the row steps already, and only the fitted
+    steps run.
     One clean NIPALS path of the training set serves every fit.  For each
     epsilon it is released ``repeats`` times with noise substreams
     ``rng.derive(ei, rep)``; RMSEP and R2 on the test set are recorded per
@@ -272,9 +282,13 @@ def privacy_utility_sweep(
         raise ShapeError(f"channel counts differ: {train.m} vs {test.m}")
 
     row_steps, fitted = parse_pipeline(pipeline_spec).split()
-    rows = row_steps.transform(np.vstack([train.X, test.X]))
-    train_ds = Dataset(X=fitted.fit_transform(rows[:train.n]), y=train.y)
-    X_test = fitted.transform(rows[train.n:])
+    if rows_mapped:
+        train_X, test_X = train.X, test.X
+    else:
+        rows = row_steps.transform(np.vstack([train.X, test.X]))
+        train_X, test_X = rows[:train.n], rows[train.n:]
+    train_ds = Dataset(X=fitted.fit_transform(train_X), y=train.y)
+    X_test = fitted.transform(test_X)
 
     report = EvalReport(metadata={
         "protocol": "privacy_utility_sweep",

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dppls import cli, datagen
+from dppls import cli, datagen, preprocess
 from dppls.core import (
     Dataset, PrivacyBudget, RngStream, load_dataset, load_matrix, save_dataset, save_matrix,
 )
 from dppls.errors import NumericalError
+from dppls.evaluate import kfold_cv, privacy_utility_sweep, train_test_split
 from dppls.mechanism import analytic_gaussian_sigma
 from dppls.pls import FitConfig, fit, load_model, predict, save_model
 
@@ -327,6 +328,67 @@ def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags, c
     assert calls == ([1] if cv_runs else [])
 
 
+@pytest.mark.parametrize("mode,code", [
+    ("cv", cli.EXIT_OK), ("holdout", cli.EXIT_SHAPE), ("both", cli.EXIT_SHAPE),
+])
+def test_sweep_whose_row_steps_refuse_the_data_keeps_each_mode_s_refusal(tmp_path, mode, code):
+    # A 9-point window does not fit 5 channels.  CV flags every entry;
+    # the holdout sweep refuses, and with it the whole command.
+    data = tmp_path / "narrow.csv"
+    gen = np.random.default_rng(5)
+    save_dataset(data, Dataset(X=gen.normal(size=(12, 5)), y=gen.normal(size=12)))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--input", str(data), "--output", str(out),
+                     "--mode", mode, "--k", "2", "--k-max", "2", "--epsilons", "10",
+                     "--folds", "3", "--repeats", "2", "--seed", "2",
+                     "--pipeline", "sg:9,2,1|center"]) == code
+    if mode == "cv":
+        entries = json.loads((out / "cv_report.json").read_text())["entries"]
+        assert len(entries) == 4
+        assert all(e["status"] == "failed" for e in entries)
+    else:
+        assert not list(out.glob("*_report.*"))
+
+
+def test_sweep_maps_each_row_through_the_row_steps_once(sim_dir, tmp_path, monkeypatch):
+    rows = []
+    airpls_correct = preprocess.airpls_correct
+    monkeypatch.setattr(preprocess, "airpls_correct",
+                        lambda X, cfg: rows.append(len(X)) or airpls_correct(X, cfg))
+    spec, out = "airpls|center", tmp_path / "cli"
+    assert cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "both",
+                     "--k", "2", "--k-max", "2", "--epsilons", "10,1",
+                     "--folds", "3", "--repeats", "2", "--seed", "4",
+                     "--pipeline", spec]) == 0
+    d = load_dataset(sim_dir / "combined.csv")
+    assert sum(rows) == d.n
+
+    # Library calls on the unmapped rows, with the CLI's streams and grid,
+    # each map every row themselves and write the same bytes.
+    rows.clear()
+    rng = RngStream(4)
+    grid = [FitConfig(k=k, privacy=budget) for k in (1, 2)
+            for budget in (None, PrivacyBudget(10.0, 0.01), PrivacyBudget(1.0, 0.01))]
+    train, test = train_test_split(d, 0.3, rng.derive(cli._STREAM_SPLIT))
+    reports = {
+        "cv_report": kfold_cv(d, 3, grid, pipeline_spec=spec,
+                              rng=rng.derive(cli._STREAM_CV)),
+        "holdout_report": privacy_utility_sweep(
+            train, test, [10.0, 1.0], 2, pipeline_spec=spec, repeats=2,
+            rng=rng.derive(cli._STREAM_HOLDOUT), delta=0.01,
+        ),
+    }
+    assert sum(rows) == 2 * d.n
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    for name, report in reports.items():
+        report.to_json(lib / f"{name}.json")
+        report.to_csv(lib / f"{name}.csv")
+        for ext in ("json", "csv"):
+            assert (out / f"{name}.{ext}").read_bytes() == (lib / f"{name}.{ext}").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 # ---------------------------------------------------------------------------
@@ -378,6 +440,19 @@ def test_preprocess_rejects_unknown_step(sim_dir, tmp_path):
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_parser_of_one_command_parses_and_helps_as_the_full_parser(command, capsys):
+    full, own = cli.build_parser(), cli.build_parser([command])
+    assert vars(own.parse_args([command])) == vars(full.parse_args([command]))
+    helps = []
+    for parser in (full, own):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert own.format_help() == full.format_help()
+
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "sim.json"

@@ -136,6 +136,28 @@ def test_open_unit_stays_inside_interval():
     assert u.max() < 1.0
 
 
+def test_open_unit_equals_the_bounded_integer_reference():
+    # The raw-bit draws equal integers(0, 2**53) from a generator on the
+    # documented Philox key, bit for bit, with the stream's other draws
+    # interleaved, over 400 random keys.
+    keys = np.random.default_rng(13).integers(0, 2 ** 64, size=(400, 2), dtype=np.uint64)
+    sizes = np.random.default_rng(14).integers(0, 40, size=(400, 3))
+    for (seed, stream_id), counts in zip(keys.tolist(), sizes.tolist()):
+        rng = RngStream(seed, stream_id)
+        ref = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        )
+        for count in counts:
+            want = ref.integers(0, 1 << 53, size=count, dtype=np.uint64)
+            got = rng.open_unit(count)
+            np.testing.assert_array_equal(
+                got.view(np.uint64),
+                ((want.astype(np.float64) + 0.5) * (2.0 ** -53)).view(np.uint64),
+            )
+            np.testing.assert_array_equal(rng.uniform(0.0, 1.0, 3), ref.random(3))
+            np.testing.assert_array_equal(rng.permutation(count), ref.permutation(count))
+
+
 def test_uniform_range_and_validation():
     rng = RngStream(3)
     u = rng.uniform(2.0, 5.0, 1000)
