@@ -46,4 +46,10 @@ for seed in 1 7; do
         --matrix x_loadings --output attack.json
     dppls preprocess --input sim/combined.csv --pipeline "sg:9,2,1|msc|center" \
         --output preprocessed.csv
+    # airPLS at order 1 (the numpy tridiagonal solve) and at order 2
+    # (scipy's banded solver).
+    dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \
+        --output preprocessed-airpls.csv
+    dppls preprocess --input sim/combined.csv --pipeline "airpls:1e5,15,2|center" \
+        --output preprocessed-airpls2.csv
 done

@@ -198,6 +198,62 @@ def _penalty_bands(m: int, order: int) -> np.ndarray:
     return _PENALTY_CACHE[key]
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve one symmetric tridiagonal system per row, as LAPACK ``ptsv``.
+
+    Row i's system has diagonal ``diag[i]`` and the shared super- and
+    subdiagonal ``off`` (length m - 1); its right-hand side is ``rhs[i]``.
+    The LDL^T factorisation and the two substitutions take ``ptsv``'s
+    steps in its order, l_j = off_j / d_j, d_{j+1} -= l_j off_j and
+    b_{j+1} -= b_j l_j, then b_{m-1} /= d_{m-1} and
+    b_j = b_j / d_j - b_{j+1} l_j, each one IEEE operation, so every row
+    gets the bits of ``scipy.linalg.solveh_banded`` on its own system.
+    The rows are stored channel-major and step together: each step is one
+    ufunc call over all rows, written through ``out=`` into views bound
+    once.  A non-positive pivot raises NumericalError, as ``ptsv`` does.
+    """
+    d = diag.T.copy()
+    b = rhs.T.copy()
+    m, r = d.shape
+    ls = list(np.empty((m - 1, r)))
+    es = list(np.broadcast_to(off[:, None], (m - 1, r)))
+    ds, bs = list(d), list(b)
+    tmp = np.empty(r)
+    # A non-positive pivot stays in d; the steps after it may divide by
+    # zero, so they run silenced and the pivots are checked at the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, l, d0, d1, b0, b1 in zip(es, ls, ds, ds[1:], bs, bs[1:]):
+            np.divide(e, d0, out=l)
+            np.multiply(l, e, out=tmp)
+            np.subtract(d1, tmp, out=d1)
+            np.multiply(b0, l, out=tmp)
+            np.subtract(b1, tmp, out=b1)
+        # Every b_j / d_j reads a b_j the backward steps have not touched
+        # yet, so all of them are taken in one call.
+        np.divide(b, d, out=b)
+        for l, b0, b1 in zip(ls[::-1], bs[-2::-1], bs[::-1]):
+            np.multiply(b1, l, out=tmp)
+            np.subtract(b0, tmp, out=b0)
+    if not (d > 0).all():
+        j = int(np.flatnonzero(~(d > 0).all(axis=1))[0])
+        raise NumericalError(
+            f"banded baseline solve failed: {j + 1}th leading minor not positive definite"
+        )
+    return b.T
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive segments of ``values``, ``counts[i]`` long,
+    each with the bits of ``values[start:end].sum()``.
+
+    ``np.add.reduceat`` adds a segment's first term outside the pairwise
+    sum of the rest, which moves the last bits; the 0.0 put before every
+    segment makes that first term zero and gives an empty segment 0.0.
+    """
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(counts.size))
+
+
 def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndarray:
     """Estimate and subtract a smooth baseline from each row.
 
@@ -211,18 +267,20 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     and otherwise after max_iterations; it keeps the baseline of its last
     solve.  Returns the baseline-subtracted rows.
 
-    Each iteration makes one banded Cholesky solve for all rows still
-    iterating, stacked into one system of length n_active * m.  The
-    stacked matrix is block diagonal: each row's band block has zero
-    couplings to the next row's channels, so the factorisation and the
-    triangular solves give every row exactly the numbers of its own
-    solve.  The stopping test and the weights are computed per row, with
-    each row's l1(d) summed over that row's own residuals, so the output
-    equals solving each row on its own, bit for bit.
+    Each iteration solves the systems of all rows still iterating at
+    once.  At diff_order 1 the system is tridiagonal and
+    :func:`_solve_tridiagonal` solves it in numpy with LAPACK ``ptsv``'s
+    steps, the route ``scipy.linalg.solveh_banded`` takes for it, so no
+    scipy module loads.  At higher orders ``solveh_banded`` (LAPACK
+    ``pbsv``, imported on first use) makes one banded Cholesky solve of
+    the rows stacked into one system of length n_active * m; the stacked
+    matrix is block diagonal, each row's band block having zero
+    couplings to the next row's channels, so every row gets exactly the
+    numbers of its own solve.  The stopping test and the weights are
+    computed per row, with each row's l1(d) summed over that row's own
+    residuals, so the output equals solving each row on its own, bit for
+    bit.
     """
-    # Imported here so that only airPLS pipelines load scipy.
-    from scipy.linalg import solveh_banded
-
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("input contains NaN or infinite entries")
@@ -236,22 +294,25 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     weights = np.ones_like(X)
     for iteration in range(1, cfg.max_iterations + 1):
         rows = X[active]
-        ab = np.tile(band, active.size)
-        ab[cfg.diff_order] += weights.ravel()
-        try:
-            z = solveh_banded(ab, (weights * rows).ravel(), lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"banded baseline solve failed: {exc}") from exc
-        z = z.reshape(rows.shape)
+        if cfg.diff_order == 1:
+            z = _solve_tridiagonal(band[1] + weights, band[0, 1:], weights * rows)
+        else:
+            # Imported here so that only higher-order airPLS loads scipy.
+            from scipy.linalg import solveh_banded
+
+            ab = np.tile(band, active.size)
+            ab[cfg.diff_order] += weights.ravel()
+            try:
+                z = solveh_banded(ab, (weights * rows).ravel(), lower=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"banded baseline solve failed: {exc}") from exc
+            z = z.reshape(rows.shape)
         baseline[active] = z
         d = rows - z
         neg = d < 0
         counts = neg.sum(axis=1)
         absneg = np.abs(d[neg])
-        # Summed row by row: a masked sum over the (rows, m) array pairs
-        # the terms differently and moves l1(d) in the last bits.
-        ends = np.cumsum(counts).tolist()
-        dssn = np.array([absneg[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
+        dssn = _segment_sums(absneg, counts)
         going = (dssn >= 0.001 * abs_total[active]) & (counts >= cfg.diff_order)
         if not going.any():
             break

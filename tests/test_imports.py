@@ -1,11 +1,14 @@
 """What importing dppls loads, checked in fresh interpreters.
 
 The package and its CLI load no scipy module: the privacy profile runs on
-``math`` alone, and airPLS imports scipy's banded solver when it first
-runs.  Each check starts a new interpreter, because this test process has
-scipy loaded already.
+``math`` alone, and first-order airPLS (the default ``airpls`` step)
+solves its tridiagonal systems in numpy.  Only airPLS at a higher
+difference order imports scipy's banded solver, when it first runs.  Each
+check starts a new interpreter, because this test process has scipy
+loaded already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -52,20 +55,53 @@ print({_SCIPY_MODULES})
     assert _run(code, tmp_path) == "[]"
 
 
-def test_airpls_imports_its_solver_on_first_use(tmp_path):
-    # The lazy import path: a fresh interpreter has no scipy.linalg until
-    # airpls_correct runs, and then gives the same bits as this process.
-    X = np.vstack([np.sin(np.linspace(0, 6, 40)) + np.linspace(0, 2, 40),
-                   np.cos(np.linspace(0, 3, 40)) ** 2])
-    cfg = AirPlsConfig(lam=100.0, max_iterations=10)
+def _airpls_in_a_fresh_interpreter(X, cfg, tmp_path):
+    """airpls_correct(X, cfg) in a new interpreter: its output's bytes
+    and the scipy modules loaded before and after the call."""
     code = f"""
-import sys
+import json, sys
 import numpy as np
 from dppls.preprocess import AirPlsConfig, airpls_correct
-assert "scipy.linalg" not in sys.modules
+before = {_SCIPY_MODULES}
 X = np.frombuffer(bytes.fromhex("{X.tobytes().hex()}")).reshape({X.shape})
-out = airpls_correct(X, AirPlsConfig(lam=100.0, max_iterations=10))
-assert "scipy.linalg" in sys.modules
-print(out.tobytes().hex())
+out = airpls_correct(X, AirPlsConfig{(cfg.lam, cfg.max_iterations, cfg.diff_order)!r})
+print(json.dumps([before, {_SCIPY_MODULES}, out.tobytes().hex()]))
 """
-    assert _run(code, tmp_path) == airpls_correct(X, cfg).tobytes().hex()
+    return json.loads(_run(code, tmp_path))
+
+
+_ROWS = np.vstack([np.sin(np.linspace(0, 6, 40)) + np.linspace(0, 2, 40),
+                   np.cos(np.linspace(0, 3, 40)) ** 2])
+
+
+def test_first_order_airpls_loads_no_scipy(tmp_path):
+    # The numpy tridiagonal solve gives the bits of this process's
+    # airpls_correct, which the preprocess tests tie to scipy's solver.
+    cfg = AirPlsConfig(lam=100.0, max_iterations=10)
+    before, after, out = _airpls_in_a_fresh_interpreter(_ROWS, cfg, tmp_path)
+    assert before == after == []
+    assert out == airpls_correct(_ROWS, cfg).tobytes().hex()
+
+
+def test_airpls_sweep_command_loads_no_scipy(tmp_path):
+    code = f"""
+import sys
+from dppls import cli
+assert cli.main(["simulate", "--n", "12", "--m", "30", "--seed", "1", "--output", "sim"]) == 0
+assert cli.main(["sweep", "--input", "sim/combined.csv", "--output", "sweep",
+                 "--mode", "both", "--k", "2", "--k-max", "2", "--epsilons", "1",
+                 "--folds", "3", "--repeats", "2", "--seed", "1",
+                 "--pipeline", "airpls|center"]) == 0
+print({_SCIPY_MODULES})
+"""
+    assert _run(code, tmp_path) == "[]"
+
+
+def test_airpls_imports_its_solver_on_first_use(tmp_path):
+    # The lazy import path: a fresh interpreter has no scipy.linalg until
+    # airpls_correct runs at order 2, and then gives the same bits as
+    # this process.
+    cfg = AirPlsConfig(lam=100.0, max_iterations=10, diff_order=2)
+    before, after, out = _airpls_in_a_fresh_interpreter(_ROWS, cfg, tmp_path)
+    assert "scipy.linalg" not in before and "scipy.linalg" in after
+    assert out == airpls_correct(_ROWS, cfg).tobytes().hex()

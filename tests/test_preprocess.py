@@ -1,5 +1,7 @@
 """Savitzky-Golay, MSC, airPLS, and pipeline state handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from dppls.errors import (
     ConfigurationError,
     DegenerateInputError,
     DpplsError,
+    NumericalError,
     ShapeError,
     StateError,
 )
@@ -20,6 +23,8 @@ from dppls.preprocess import (
     Step,
     _STEPS,
     _penalty_bands,
+    _segment_sums,
+    _solve_tridiagonal,
     airpls_correct,
     msc,
     parse_pipeline,
@@ -304,6 +309,79 @@ def test_airpls_row_with_too_few_negative_residuals_keeps_its_last_baseline():
     np.testing.assert_array_equal(out[5], airpls_correct(X[5:], AirPlsConfig(1e3, 4, 2))[0])
     assert np.sum(out[5] < 0) == 1
     np.testing.assert_array_equal(out, _reference_airpls(X, cfg)[0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_tridiagonal_solve_equals_solveh_banded_bit_for_bit(data):
+    # airPLS's first-order systems: lam D^T D plus weights of which many
+    # are exact zeros, against scipy's solve of each row's own system.
+    m = data.draw(st.integers(2, 150), label="m")
+    n = data.draw(st.integers(1, 40), label="rows")
+    lam = data.draw(st.floats(1e-2, 1e8), label="lam")
+    zeros = data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]), label="zero share")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    weights = np.exp(rng.uniform(0.0, 15.0, (n, m)))
+    weights[rng.uniform(size=(n, m)) < zeros] = 0.0
+    # Without any weight the system is singular; every airPLS row that
+    # solves again keeps one.
+    weights[np.arange(n), rng.integers(0, m, n)] = 1.0
+    x = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    band = lam * _penalty_bands(m, 1)
+    got = _solve_tridiagonal(band[1] + weights, band[0, 1:], weights * x)
+    for i in range(n):
+        ab = band.copy()
+        ab[1] += weights[i]
+        want = solveh_banded(ab, weights[i] * x[i], lower=False)
+        np.testing.assert_array_equal(got[i].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("diag,off", [
+    ([[1.0, 1.0, 1.0]], [-2.0, 0.5]),    # the second pivot is -3
+    ([[2.0, 2.0], [0.0, 1.0]], [-1.0]),  # the second row's first pivot is 0
+    ([[1.0, 1.0, 2.0]], [-1.0, -1.0]),   # the second pivot is 0; inf and NaN follow
+])
+def test_tridiagonal_solve_refuses_a_non_positive_pivot_without_warnings(diag, off):
+    diag = np.array(diag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not positive definite"):
+            _solve_tridiagonal(diag, np.array(off), np.ones_like(diag))
+
+
+def test_airpls_whose_system_has_a_non_positive_pivot_exits_5(monkeypatch, tmp_path, capsys):
+    # An indefinite penalty band makes the first-order solve meet a
+    # negative pivot; the CLI ends with the numerical exit code.
+    from dppls import cli, preprocess
+
+    def indefinite(m, order):
+        ab = np.zeros((2, m))
+        ab[0, 1:], ab[1] = -3.0, 1.0
+        return ab
+
+    monkeypatch.setattr(preprocess, "_penalty_bands", indefinite)
+    np.savetxt(tmp_path / "x.csv", _baseline_rows(4, m=60), delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["preprocess", "--input", str(tmp_path / "x.csv"),
+                         "--output", str(tmp_path / "out.csv"), "--pipeline", "airpls"])
+    assert code == cli.EXIT_NUMERICAL == 5
+    assert "not positive definite" in capsys.readouterr().err
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=30),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_segment_sums_equal_each_slice_s_sum_bit_for_bit(counts, empty_last, seed):
+    # Lengths past 8 and 128 reach numpy's unrolled and blocked pairwise
+    # summation; a numpy whose reduceat sums in another order fails here.
+    counts = np.array(counts + [0] * empty_last)
+    rng = np.random.default_rng(seed)
+    values = np.abs(rng.normal(size=counts.sum())) * 10.0 ** rng.uniform(-8, 8, counts.sum())
+    ends = np.cumsum(counts)
+    want = np.array([values[e - c:e].sum() for c, e in zip(counts, ends)])
+    got = _segment_sums(values, counts)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_airpls_of_no_rows_is_empty():
