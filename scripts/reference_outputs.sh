@@ -44,6 +44,13 @@ for seed in 1 7; do
         --response-col 0 --output predictions.csv
     dppls attack --global-model models/private-k3.json --input sim/holder1.csv \
         --matrix x_loadings --output attack.json
+    # holder 2's unique signal as the truth, so the report lists similarities.
+    PYTHONPATH="$src" python3 -c 'import sys
+from dppls import core, datagen
+core.save_matrix(sys.argv[1], datagen.gaussian_signal(100, datagen.UNIQUE_HOLDER2)[:, None])
+' truth.csv
+    dppls attack --global-model models/private-k3.json --input sim/holder1.csv \
+        --truth truth.csv --output attack-truth.json
     dppls preprocess --input sim/combined.csv --pipeline "sg:9,2,1|msc|center" \
         --output preprocessed.csv
     # airPLS at order 1 (the numpy tridiagonal solve) and at order 2

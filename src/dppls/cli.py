@@ -2,9 +2,10 @@
 
 Subcommands: simulate | fit | predict | attack | sweep | preprocess.
 Options may come from a flat JSON config file (--config) with explicit
-command-line flags taking precedence.  Every run writes the fully
-resolved configuration next to its outputs, and every stochastic command
-is bit-reproducible from --seed.
+command-line flags taking precedence.  Every command creates its
+output's parent directory once it has its results, and every run writes
+the fully resolved configuration next to its outputs; every stochastic
+command is bit-reproducible from --seed.
 
 Exit codes: 0 success, 2 argument/configuration problems, 3 I/O and file
 format problems (CSV and model files), 4 shape mismatches, 5 numerical
@@ -31,6 +32,7 @@ from .core import (
     load_dataset,
     load_matrix,
     save_dataset,
+    save_json,
     save_matrix,
 )
 from .errors import (
@@ -182,16 +184,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_config(cfg: dict, command: str, anchor: Path) -> None:
-    """Write the resolved config next to the command's outputs."""
-    if anchor.is_dir():
-        path = anchor / f"{command}.config.json"
+def _write_config(cfg: dict, command: str) -> None:
+    """Write the resolved config next to the command's outputs: into an
+    output directory as ``<command>.config.json``, beside an output file
+    as ``<stem>.config.json``."""
+    out = Path(cfg["output"])
+    if out.is_dir():
+        path = out / f"{command}.config.json"
     else:
-        path = anchor.with_name(anchor.stem + ".config.json")
-    doc = {"command": command, **cfg}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        path = out.with_name(out.stem + ".config.json")
+    save_json(path, {"command": command, **cfg})
+
+
+def _output(cfg: dict) -> Path:
+    """The command's --output path, with its parent directory created.  A
+    command calls it only once it has what it writes, so a refused
+    command leaves nothing behind."""
+    out = Path(cfg["output"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _parse_eps_list(text: str) -> list[float]:
@@ -205,12 +216,10 @@ def _parse_eps_list(text: str) -> list[float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: dict) -> int:
-    out = Path(cfg["output"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    rng = RngStream(cfg["seed"])
-    d1, d2 = datagen.simulate_two_holders(cfg["n"], cfg["m"], rng)
+def cmd_simulate(cfg: dict) -> None:
+    d1, d2 = datagen.simulate_two_holders(cfg["n"], cfg["m"], RngStream(cfg["seed"]))
+    out = _output(cfg)
+    out.mkdir(exist_ok=True)
 
     save_dataset(out / "holder1.csv", d1, header=cfg["header"])
     save_dataset(out / "holder2.csv", d2, header=cfg["header"])
@@ -224,7 +233,7 @@ def cmd_simulate(cfg: dict) -> int:
                     src.readline()
                 shutil.copyfileobj(src, dst)
 
-    manifest = {
+    save_json(out / "manifest.json", {
         "n_per_holder": cfg["n"],
         "channels": cfg["m"],
         "seed": cfg["seed"],
@@ -239,15 +248,10 @@ def cmd_simulate(cfg: dict) -> int:
             "combined": "combined.csv",
         },
         "layout": "response in first column, channels follow",
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    _write_config(cfg, "simulate", out)
-    return EXIT_OK
+    })
 
 
-def cmd_fit(cfg: dict) -> int:
+def cmd_fit(cfg: dict) -> None:
     d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                      header=cfg["header"])
     privacy = None
@@ -256,15 +260,10 @@ def cmd_fit(cfg: dict) -> int:
         privacy = PrivacyBudget(float(cfg["epsilon"]), float(cfg["delta"]))
         rng = RngStream(cfg["seed"])
     model = fit(d, FitConfig(k=cfg["k"], privacy=privacy, rng=rng))
-
-    out = Path(cfg["output"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    _write_config(cfg, "fit", out)
-    return EXIT_OK
+    save_model(model, _output(cfg))
 
 
-def cmd_predict(cfg: dict) -> int:
+def cmd_predict(cfg: dict) -> None:
     model = load_model(cfg["model"])
     X = load_matrix(cfg["input"], header=cfg["header"])
     if cfg["response_col"] is not None:
@@ -275,14 +274,10 @@ def cmd_predict(cfg: dict) -> int:
             )
         X = np.delete(X, rc, axis=1)
     y_hat = predict(model, X)
-
-    out = Path(cfg["output"])
-    save_matrix(out, y_hat[:, None], header=["prediction"] if cfg["header"] else None)
-    _write_config(cfg, "predict", out)
-    return EXIT_OK
+    save_matrix(_output(cfg), y_hat[:, None], header=["prediction"] if cfg["header"] else None)
 
 
-def cmd_attack(cfg: dict) -> int:
+def cmd_attack(cfg: dict) -> None:
     global_model = load_model(cfg["global_model"])
     if cfg["k"] is not None and cfg["k"] != global_model.k:
         raise ConfigurationError(
@@ -305,7 +300,7 @@ def cmd_attack(cfg: dict) -> int:
                 f"got {truth.shape[0]} x {truth.shape[1]}"
             )
         report = attack_and_score(V_global, V_local, truth.ravel())
-        doc["similarities"] = [float(v) for v in report.similarities]
+        doc["similarities"] = report.similarities.tolist()
         doc["component_argmax"] = report.component_argmax
         doc["best_similarity"] = report.best_similarity
         residual = report.residual
@@ -314,17 +309,11 @@ def cmd_attack(cfg: dict) -> int:
         doc["similarities"] = None
         doc["component_argmax"] = None
         doc["best_similarity"] = None
-    doc["residual"] = [[float(v) for v in row] for row in residual]
-
-    out = Path(cfg["output"])
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    _write_config(cfg, "attack", out)
-    return EXIT_OK
+    doc["residual"] = residual.tolist()
+    save_json(_output(cfg), doc)
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict) -> None:
     d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                      header=cfg["header"])
     eps_list = _parse_eps_list(cfg["epsilons"])
@@ -345,8 +334,6 @@ def cmd_sweep(cfg: dict) -> int:
         rows_mapped = True
     except DpplsError:
         rows_mapped = False
-    out = Path(cfg["output"])
-    out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg["seed"])
     reports = {}
 
@@ -377,28 +364,25 @@ def cmd_sweep(cfg: dict) -> int:
             rng=rng.derive(_STREAM_HOLDOUT), delta=delta, rows_mapped=rows_mapped,
         )
 
+    out = _output(cfg)
+    out.mkdir(exist_ok=True)
     for name, report in reports.items():
         report.to_json(out / f"{name}.json")
         report.to_csv(out / f"{name}.csv")
-    _write_config(cfg, "sweep", out)
-    return EXIT_OK
 
 
-def cmd_preprocess(cfg: dict) -> int:
+def cmd_preprocess(cfg: dict) -> None:
     pipe = parse_pipeline(cfg["pipeline"])
-    out = Path(cfg["output"])
     if cfg["matrix_only"]:
-        X = load_matrix(cfg["input"], header=cfg["header"])
-        save_matrix(out, pipe.fit_transform(X))
+        X = pipe.fit_transform(load_matrix(cfg["input"], header=cfg["header"]))
+        save_matrix(_output(cfg), X)
     else:
         d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                          header=cfg["header"])
         if not np.all(np.isfinite(d.y)):
             raise DegenerateInputError("response contains NaN or infinite entries")
         transformed = Dataset(X=pipe.fit_transform(d.X), y=d.y)
-        save_dataset(out, transformed, header=cfg["header"])
-    _write_config(cfg, "preprocess", out)
-    return EXIT_OK
+        save_dataset(_output(cfg), transformed, header=cfg["header"])
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +435,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:  # cmd_<command> is looked up here, so replacing it takes effect
-        return globals()[f"cmd_{args.command}"](_resolve(args))
+        cfg = _resolve(args)
+        globals()[f"cmd_{args.command}"](cfg)
+        _write_config(cfg, args.command)
     except (DpplsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

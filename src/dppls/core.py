@@ -17,6 +17,7 @@ channels in ascending order.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -290,7 +291,7 @@ def norm_ppf(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# CSV and JSON I/O
 # ---------------------------------------------------------------------------
 
 def load_matrix(path, header: bool = False) -> np.ndarray:
@@ -396,3 +397,12 @@ def save_dataset(path, d: Dataset, header: bool = False) -> None:
     if header:
         names = ["y"] + [f"x{j}" for j in range(d.m)]
     save_matrix(path, data, header=names)
+
+
+def save_json(path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON with sorted keys, a one-space indent and
+    a final newline: the layout of every JSON file dppls writes.  Floats
+    take their shortest round-trip form, as in :func:`save_matrix`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

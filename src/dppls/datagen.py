@@ -74,27 +74,16 @@ def simulate_two_holders(n: int, m: int, rng: RngStream):
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ArgumentError(f"channel count must be a positive integer, got {m}")
 
-    signals1 = np.column_stack([
-        gaussian_signal(m, ANALYTE),
-        gaussian_signal(m, SHARED_INTERFERENT),
-        gaussian_signal(m, UNIQUE_HOLDER1),
-    ])
-    signals2 = np.column_stack([
-        gaussian_signal(m, ANALYTE),
-        gaussian_signal(m, SHARED_INTERFERENT),
-        gaussian_signal(m, UNIQUE_HOLDER2),
-    ])
-
-    conc1 = np.column_stack([
-        rng.uniform(CONCENTRATION_LOW, CONCENTRATION_HIGH, n) for _ in range(3)
-    ])
-    conc2 = np.column_stack([
-        rng.uniform(CONCENTRATION_LOW, CONCENTRATION_HIGH, n) for _ in range(3)
-    ])
-
-    d1 = Dataset(X=conc1 @ signals1.T, y=conc1[:, 0].copy())
-    d2 = Dataset(X=conc2 @ signals2.T, y=conc2[:, 0].copy())
-    return d1, d2
+    holders = []
+    for unique in (UNIQUE_HOLDER1, UNIQUE_HOLDER2):
+        signals = np.column_stack([
+            gaussian_signal(m, spec) for spec in (ANALYTE, SHARED_INTERFERENT, unique)
+        ])
+        conc = np.column_stack([
+            rng.uniform(CONCENTRATION_LOW, CONCENTRATION_HIGH, n) for _ in range(3)
+        ])
+        holders.append(Dataset(X=conc @ signals.T, y=conc[:, 0].copy()))
+    return tuple(holders)
 
 
 def concat_rows(d1: Dataset, d2: Dataset) -> Dataset:

@@ -17,13 +17,12 @@ which makes every report reproducible from one master seed.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, PrivacyBudget, RngStream
+from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from .pls import FitConfig, nipals_path, predict, release, release_many
 from .preprocess import parse_pipeline
@@ -115,15 +114,12 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self, path) -> None:
-        doc = {
+        save_json(path, {
             "metadata": self.metadata,
             "entries": self.entries,
             "aggregates": self.aggregates,
             "best": self.best,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        })
 
     def to_csv(self, path) -> None:
         """Tidy layout: one row per entry, fixed column set."""

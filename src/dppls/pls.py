@@ -1,9 +1,10 @@
 """PLS1 regression with optional per-component Gaussian privatization.
 
 A fit has two stages.  :func:`nipals_path` centers the clean data and
-runs the NIPALS recursion on it.  For every component it keeps the unit
-weight vector w, the unit score vector t, the x-loadings p, the
-y-loading c, and the sample suprema of the residuals the component was
+runs the NIPALS recursion on it.  It writes each component, as it is
+extracted, into one row of a table: the unit weight vector w, the unit
+score vector t, the x-loadings p and the y-loading c end to end.  Beside
+each row it keeps the sample suprema of the residuals the component was
 extracted from.
 Deflation uses only these clean quantities, so a path depends on the
 training data alone: not on the noise, the budget or the final component
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .core import (
     PrivacyBudget,
     RngStream,
     norm_ppf,
+    save_json,
 )
 from .errors import (
     ArgumentError,
@@ -146,37 +148,32 @@ def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> tuple:
 # the clean path and its releases
 # ---------------------------------------------------------------------------
 
-class PathComponent(NamedTuple):
-    """One clean component and the suprema of the residuals it came from."""
-
-    w: np.ndarray
-    t: np.ndarray
-    p: np.ndarray
-    c: float
-    bounds: SampleBounds
-
-
 @dataclass
 class NipalsPath:
     """The clean NIPALS recursion of one dataset, up to ``k_max`` components.
 
-    Fewer than k_max ``components`` means the recursion stopped early.
-    A private release logs four calibrations per component it releases,
-    and none for a component the recursion stopped on.  Row j of
-    ``releases`` is component j's w, t, p and c end to end, in
-    CALIBRATION_TARGETS order; ``sizes`` holds their lengths.
+    Row j of the ``releases`` table is component j's w, t, p and c end to
+    end, in CALIBRATION_TARGETS order, and ``bounds[j]`` holds the suprema
+    of the residuals it was extracted from.  Fewer than k_max rows means
+    the recursion stopped early.  A private release logs four calibrations
+    per component it releases, and none for a component the recursion
+    stopped on.
     """
 
-    components: list
+    releases: np.ndarray
+    bounds: list
     x_means: np.ndarray
     y_mean: float
-    n: int
     k_max: int
-    releases: np.ndarray
-    sizes: tuple
     # Per budget, one tuple of calibrations per leading component, in
     # CALIBRATION_TARGETS order.
     _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def sizes(self) -> tuple:
+        """The lengths of w, t, p and c in a row of ``releases``."""
+        m = self.x_means.size
+        return (m, self.releases.shape[1] - 2 * m - 1, m, 1)
 
 
 def nipals_path(
@@ -213,8 +210,9 @@ def nipals_path(
     E = d.X - x_means
     y_mean = float(d.y.mean())
     f = d.y - y_mean
-    components = []
-    for _ in range(k_max):
+    releases = np.empty((k_max, 2 * m + n + 1))
+    bounds = []
+    for row in releases:
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
         if cov_norm < residual_tolerance:
@@ -226,21 +224,17 @@ def nipals_path(
         if s_norm < residual_tolerance:
             break
         t = s / s_norm
-        bounds = sample_bounds(E, f)
+        bounds.append(sample_bounds(E, f))
 
         tt = float(t @ t)
         p = (E.T @ t) / tt
         c = float(f @ t) / tt
         E = E - np.outer(t, p)
         f = f - c * t
-        components.append(PathComponent(w, t, p, c, bounds))
+        row[:m], row[m:m + n], row[m + n:-1], row[-1] = w, t, p, c
 
-    sizes = (m, n, m, 1)
-    releases = np.array(
-        [np.concatenate((comp.w, comp.t, comp.p, [comp.c])) for comp in components]
-    ).reshape(len(components), sum(sizes))
-    return NipalsPath(components=components, x_means=x_means, y_mean=y_mean, n=n,
-                      k_max=k_max, releases=releases, sizes=sizes)
+    return NipalsPath(releases=releases[:len(bounds)], bounds=bounds, x_means=x_means,
+                      y_mean=y_mean, k_max=k_max)
 
 
 def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
@@ -252,14 +246,14 @@ def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
     if cfg.privacy is None:
         return [], 0
-    k = min(cfg.k, len(path.components))
+    k = min(cfg.k, len(path.bounds))
     memo = path._calibrations.setdefault(cfg.privacy, [])
-    for comp in path.components[len(memo):k]:
+    for bounds in path.bounds[len(memo):k]:
         # All four before storing any, so a failure memoizes no part of it.
         memo.append(tuple(
             NoiseCalibration(sensitivity=s, sigma=analytic_gaussian_sigma(s, cfg.privacy),
                              target=target)
-            for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+            for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
         ))
     cals = memo[:k]
     count = sum(
@@ -286,14 +280,15 @@ def _release_group(path: NipalsPath, k: int, cfgs: list, cals: list, z: np.ndarr
     clean + 0.0.  The noisy weights and scores are then scaled to unit
     length.
     """
-    R, m, n, width = len(cfgs), path.sizes[0], path.n, sum(path.sizes)
+    sizes = path.sizes
+    R, (m, n), width = len(cfgs), sizes[:2], sum(sizes)
     sigma = np.zeros((R, k, 4))
     for r, four_per_comp in enumerate(cals):
         if four_per_comp:
             sigma[r] = [[cal.sigma for cal in four] for four in four_per_comp]
     noise = np.zeros((R, k * width))
-    noise[np.repeat((sigma != 0.0).reshape(R, 4 * k), np.tile(path.sizes, k), axis=1)] = z
-    noisy = path.releases[:k] + np.repeat(sigma, path.sizes, axis=2) * noise.reshape(R, k, width)
+    noise[np.repeat((sigma != 0.0).reshape(R, 4 * k), np.tile(sizes, k), axis=1)] = z
+    noisy = path.releases[:k] + np.repeat(sigma, sizes, axis=2) * noise.reshape(R, k, width)
 
     # Each config's W, T and P as a C-ordered m x k block, the layout of
     # one model's matrices, so that the stacked products make the BLAS
@@ -338,7 +333,7 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
         except DpplsError as exc:
             out[i] = exc
             continue
-        groups.setdefault(min(cfg.k, len(path.components)), []).append(
+        groups.setdefault(min(cfg.k, len(path.bounds)), []).append(
             (i, cals, cfg.rng.open_unit(count) if count else np.empty(0))
         )
     if not groups:
@@ -402,10 +397,6 @@ _FORMAT = "dppls-model"
 _VERSION = 1
 
 
-def _matrix_to_lists(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in M]
-
-
 def save_model(model: PlsModel, path) -> None:
     """Write a model as a single JSON document.
 
@@ -413,15 +404,15 @@ def save_model(model: PlsModel, path) -> None:
     reloaded model predicts bit-for-bit identically.  Training scores are
     not persisted.
     """
-    doc = {
+    save_json(path, {
         "format": _FORMAT,
         "version": _VERSION,
         "k": int(model.k),
-        "W": _matrix_to_lists(model.W),
-        "P": _matrix_to_lists(model.P),
-        "c": [float(v) for v in model.c],
-        "b": [float(v) for v in model.b],
-        "x_means": [float(v) for v in model.x_means],
+        "W": model.W.tolist(),
+        "P": model.P.tolist(),
+        "c": model.c.tolist(),
+        "b": model.b.tolist(),
+        "x_means": model.x_means.tolist(),
         "y_mean": float(model.y_mean),
         "privacy": (
             None if model.privacy is None
@@ -439,10 +430,7 @@ def save_model(model: PlsModel, path) -> None:
         "early_stop": bool(model.early_stop),
         "rng_seed": model.rng_seed,
         "rng_stream": model.rng_stream,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 # Norm-wise relative tolerance for a stored b against W (P^T W)^-1 c; on

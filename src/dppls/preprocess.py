@@ -175,27 +175,25 @@ class AirPlsConfig:
             raise ArgumentError("diff_order must be at least 1")
 
 
-_PENALTY_CACHE: dict = {}
-
-
 def _penalty_bands(m: int, order: int) -> np.ndarray:
-    """Upper banded form of D^T D for the ``order``-th difference matrix.
+    """Upper banded form of D^T D for the ``order``-th difference matrix D.
 
-    The first r entries of superdiagonal row ``order - r`` are zero, so
-    copies tiled side by side form a block-diagonal band."""
-    key = (m, order)
-    if key not in _PENALTY_CACHE:
-        if m <= order:
-            raise ShapeError(
-                f"need more than {order} channels for a difference penalty, got {m}"
-            )
-        D = np.diff(np.eye(m), n=order, axis=0)
-        DtD = D.T @ D
-        ab = np.zeros((order + 1, m))
-        for r in range(order + 1):
-            ab[order - r, r:] = np.diagonal(DtD, offset=r)
-        _PENALTY_CACHE[key] = ab
-    return _PENALTY_CACHE[key]
+    Row i of D holds the difference stencil s in columns i .. i + order,
+    so entry (j, j + off) of D^T D is the sum of s_a s_(a+off) over the
+    rows i = j - a that cover both columns.  The entries are small
+    integers, so the sums are exact.  The first r entries of superdiagonal
+    row ``order - r`` are zero, so copies tiled side by side form a
+    block-diagonal band."""
+    if m <= order:
+        raise ShapeError(
+            f"need more than {order} channels for a difference penalty, got {m}"
+        )
+    s = np.diff(np.eye(order + 1), n=order, axis=0)[0]
+    ab = np.zeros((order + 1, m))
+    for off in range(order + 1):
+        for a in range(order + 1 - off):
+            ab[order - off, off + a:off + a + m - order] += s[a] * s[a + off]
+    return ab
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

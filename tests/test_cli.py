@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +527,48 @@ def _run_with_config(sim_dir, run_dir, command, config):
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_creates_its_output_s_parent_directory(sim_dir, run_dir, tmp_path, command):
+    flags = _flags(sim_dir, run_dir)[command]
+    out = tmp_path / "new" / "dir" / Path(flags["output"]).name
+    argv = [command]
+    for key, value in {**flags, "output": out}.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert cli.main(argv) == 0
+    if command in ("simulate", "sweep"):
+        assert (out / f"{command}.config.json").is_file()
+        assert len(list(out.iterdir())) > 1
+    else:
+        assert out.is_file()
+        assert out.with_name(out.stem + ".config.json").is_file()
+
+
+def test_refused_fit_and_predict_create_no_directory(sim_dir, run_dir, tmp_path):
+    flags = _flags(sim_dir, run_dir)
+    out = tmp_path / "new"
+    code = cli.main(["fit", "--input", flags["fit"]["input"], "--k", "1000",
+                     "--output", str(out / "m.json")])
+    assert code == cli.EXIT_ARGUMENT
+    code = cli.main(["predict", "--model", flags["predict"]["model"],
+                     "--input", flags["predict"]["input"], "--response-col", "1000",
+                     "--output", str(out / "p.csv")])
+    assert code == cli.EXIT_ARGUMENT
+    assert not out.exists()
+
+
+def test_readme_cli_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines() if line.startswith("dppls ")
+    ]
+    assert [argv[0] for argv in commands] == list(cli.COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command,config", [

@@ -318,8 +318,8 @@ def test_analytic_sigma_records_inputs():
     model = release(path, FitConfig(k=2, privacy=budget, rng=RngStream(0)))
     assert [(cal.target, cal.sensitivity, cal.sigma) for cal in model.calibration_log] == [
         (target, s, analytic_gaussian_sigma(s, budget))
-        for comp in path.components
-        for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+        for bounds in path.bounds
+        for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
     ]
     with pytest.raises(ArgumentError):
         analytic_gaussian_sigma(-1.0, PrivacyBudget(1.0, 0.01))

@@ -124,8 +124,9 @@ def test_nipals_path_centers_and_keeps_the_means():
     # The first component comes from the centered data.
     E, f = X - X.mean(axis=0), y - y.mean()
     w = E.T @ f
-    np.testing.assert_allclose(path.components[0].w, w / np.linalg.norm(w), atol=1e-12)
-    np.testing.assert_allclose(path.components[0].t.sum(), 0.0, atol=1e-12)
+    m, n = path.sizes[:2]
+    np.testing.assert_allclose(path.releases[0, :m], w / np.linalg.norm(w), atol=1e-12)
+    np.testing.assert_allclose(path.releases[0, m:m + n].sum(), 0.0, atol=1e-12)
 
 
 def test_fit_scores_are_orthonormal():
@@ -356,7 +357,7 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
     }[case]()
     K = 4
     path = nipals_path(d, K, tol)
-    assert (len(path.components) < K) == (stop is not None)
+    assert (len(path.releases) < K) == (stop is not None)
     budgets = [None, PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01)]
     # Deepest first, so shallower releases read calibrations memoized by
     # deeper ones.
@@ -401,25 +402,26 @@ def _reference_release(path, cfg):
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
-    k = min(cfg.k, len(path.components))
-    m = path.x_means.size
-    W, T, P, c, log = np.empty((m, k)), np.empty((path.n, k)), np.empty((m, k)), np.empty(k), []
-    for j, comp in enumerate(path.components[:k]):
+    k = min(cfg.k, len(path.releases))
+    m, n = path.sizes[:2]
+    W, T, P, c, log = np.empty((m, k)), np.empty((n, k)), np.empty((m, k)), np.empty(k), []
+    for j, (row, bounds) in enumerate(zip(path.releases[:k], path.bounds)):
+        comp_w, comp_t, comp_p, comp_c = np.split(row, np.cumsum(path.sizes)[:-1])
         sig = [0.0] * 4
         if cfg.privacy is not None:
             four = [
                 NoiseCalibration(sensitivity=s, target=target,
                                  sigma=pls_module.analytic_gaussian_sigma(s, cfg.privacy))
-                for target, s in zip(CALIBRATION_TARGETS, comp.bounds.sensitivities)
+                for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
             ]
             log += four
             sig = [cal.sigma for cal in four]
-        w = comp.w + gaussian_vector(comp.w.size, sig[0], cfg.rng)
-        t = comp.t + gaussian_vector(comp.t.size, sig[1], cfg.rng)
+        w = comp_w + gaussian_vector(comp_w.size, sig[0], cfg.rng)
+        t = comp_t + gaussian_vector(comp_t.size, sig[1], cfg.rng)
         W[:, j] = w / np.linalg.norm(w)
         T[:, j] = t / np.linalg.norm(t)
-        P[:, j] = comp.p + gaussian_vector(comp.p.size, sig[2], cfg.rng)
-        c[j:j + 1] = np.array([comp.c]) + gaussian_vector(1, sig[3], cfg.rng)
+        P[:, j] = comp_p + gaussian_vector(comp_p.size, sig[2], cfg.rng)
+        c[j:j + 1] = comp_c + gaussian_vector(1, sig[3], cfg.rng)
     b = np.zeros(m)
     if k:
         PtW = P.T @ W

@@ -234,6 +234,24 @@ def test_airpls_rows_processed_independently():
     np.testing.assert_array_equal(stacked[1], airpls_correct(flat[None, :])[0])
 
 
+def _dense_penalty_bands(m, order):
+    """Upper banded form of D^T D, built from the dense difference matrix."""
+    D = np.diff(np.eye(m), n=order, axis=0)
+    DtD = D.T @ D
+    ab = np.zeros((order + 1, m))
+    for r in range(order + 1):
+        ab[order - r, r:] = np.diagonal(DtD, offset=r)
+    return ab
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_penalty_bands_equal_the_dense_construction_bit_for_bit(order):
+    for m in range(order + 1, 301):
+        assert _penalty_bands(m, order).tobytes() == _dense_penalty_bands(m, order).tobytes(), m
+    with pytest.raises(ShapeError, match="more than"):
+        _penalty_bands(order, order)
+
+
 def _reference_airpls(X, cfg):
     """airPLS one row at a time: one banded solve per row per iteration.
 
@@ -247,7 +265,7 @@ def _reference_airpls(X, cfg):
         weights = np.ones(m)
         abs_total = float(np.sum(np.abs(x)))
         for iteration in range(1, cfg.max_iterations + 1):
-            ab = cfg.lam * _penalty_bands(m, cfg.diff_order)
+            ab = cfg.lam * _dense_penalty_bands(m, cfg.diff_order)
             ab[cfg.diff_order] += weights
             z = solveh_banded(ab, weights * x, lower=False)
             d = x - z
