@@ -53,6 +53,17 @@ core.save_matrix(sys.argv[1], datagen.gaussian_signal(100, datagen.UNIQUE_HOLDER
         --truth truth.csv --output attack-truth.json
     dppls preprocess --input sim/combined.csv --pipeline "sg:9,2,1|msc|center" \
         --output preprocessed.csv
+    # The CSV writers with a header line (save_dataset) and without a
+    # response column (save_matrix), and the readers on their output.
+    dppls simulate --n 100 --m 100 --seed "$seed" --header --output sim-header
+    dppls preprocess --input sim-header/combined.csv --header \
+        --pipeline "sg:9,2,1|msc|center" --output preprocessed-header.csv
+    dppls preprocess --input sim/combined.csv --matrix-only \
+        --pipeline "sg:9,2,1|msc|center" --output preprocessed-matrix.csv
+    dppls fit --input preprocessed-header.csv --header --k 3 --epsilon 1 --seed 7 \
+        --output models/private-header.json
+    dppls predict --model models/private-header.json --input preprocessed-header.csv \
+        --header --response-col 0 --output predictions-header.csv
     # airPLS at order 1 (the numpy tridiagonal solve) and at order 2
     # (scipy's banded solver).
     dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \

@@ -35,7 +35,6 @@ from .errors import (
 from .mechanism import (
     SampleBounds,
     analytic_gaussian_sigma,
-    classic_gaussian_sigma,
     gaussian_privacy_profile,
     sample_bounds,
 )

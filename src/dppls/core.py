@@ -371,7 +371,8 @@ def load_dataset(path, response_col: int = 0, header: bool = False) -> Dataset:
         raise ArgumentError(
             f"response column {response_col} out of range for {ncols} columns"
         )
-    y = data[:, response_col]
+    # A copy of y, so that no view keeps ``data`` alive beside X.
+    y = data[:, response_col].copy()
     X = np.delete(data, response_col, axis=1)
     return Dataset(X=X, y=y)
 
@@ -383,20 +384,26 @@ def save_matrix(path, X: np.ndarray, header: Optional[Sequence[str]] = None) -> 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError("save_matrix expects a 2-d array")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in X.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    _write_rows(path, header, (row.tolist() for row in X))
 
 
 def save_dataset(path, d: Dataset, header: bool = False) -> None:
-    """Write a dataset with the response in the first column."""
-    data = np.column_stack([d.y, d.X])
-    names = None
-    if header:
-        names = ["y"] + [f"x{j}" for j in range(d.m)]
-    save_matrix(path, data, header=names)
+    """Write a dataset with the response in the first column: the bytes
+    :func:`save_matrix` writes for ``[y, X]``, without building that
+    matrix."""
+    names = ["y"] + [f"x{j}" for j in range(d.m)] if header else None
+    _write_rows(path, names, ([y, *row.tolist()] for y, row in zip(d.y.tolist(), d.X)))
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write the header line, if any, then each row of Python floats as one
+    line.  Rows are formatted as they come, so a matrix is never held as
+    Python floats all at once."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_json(path, doc) -> None:

@@ -9,12 +9,11 @@ are spent per released vector; no composition across releases is applied.
 One table, :attr:`SampleBounds.sensitivities`, gives the sensitivities of
 a component's four releases in ``CALIBRATION_TARGETS`` order.
 
-Two calibrations are provided; each returns sigma alone, and
-:mod:`dppls.pls` records it with its release.  The classic one uses the
-closed form sigma = delta_f * sqrt(2 ln(1.25/delta)) / epsilon, which is
-only a valid (epsilon, delta) mechanism for epsilon <= 1.  The analytic
-one inverts the exact Gaussian privacy profile by bisection and is valid
-in both regimes; it is the default everywhere in this package.
+The calibration returns sigma alone, and :mod:`dppls.pls` records it
+with its release.  It inverts the exact Gaussian privacy profile by
+bisection, so it is valid for every epsilon, unlike the classic closed
+form sigma = delta_f * sqrt(2 ln(1.25/delta)) / epsilon, which holds only
+for epsilon <= 1 and which the tests keep as a reference.
 
 The profile depends on sigma and delta_f only through sigma/delta_f, so
 the analytic sigma is delta_f * r(epsilon, delta), where r is the sigma at
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,29 +117,6 @@ def sample_bounds(E: np.ndarray, f: np.ndarray) -> SampleBounds:
         y_max_abs=float(np.max(np.abs(f))),
         max_row_norm=float(np.max(np.linalg.norm(E, axis=1))),
     )
-
-
-# ---------------------------------------------------------------------------
-# classic calibration
-# ---------------------------------------------------------------------------
-
-def classic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:
-    """Closed-form Gaussian noise scale sqrt(2 ln(1.25/delta)) * delta_f / eps.
-
-    Only a valid (epsilon, delta) mechanism for epsilon <= 1; for larger
-    epsilon the value is still returned but flagged advisory-only via a
-    warning.
-    """
-    if not np.isfinite(delta_f) or delta_f < 0:
-        raise ArgumentError(f"sensitivity must be finite and nonnegative, got {delta_f}")
-    if budget.epsilon > 1:
-        warnings.warn(
-            "classic Gaussian calibration is only valid for epsilon <= 1; "
-            f"epsilon={budget.epsilon} makes this value advisory-only",
-            UserWarning,
-            stacklevel=2,
-        )
-    return delta_f * np.sqrt(2.0 * np.log(1.25 / budget.delta)) / budget.epsilon
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def nipals_path(
         tt = float(t @ t)
         p = (E.T @ t) / tt
         c = float(f @ t) / tt
-        E = E - np.outer(t, p)
+        E -= np.outer(t, p)  # E is the path's own copy, never d.X
         f = f - c * t
         row[:m], row[m:m + n], row[m + n:-1], row[-1] = w, t, p, c
 

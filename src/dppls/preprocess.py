@@ -153,7 +153,9 @@ def msc(X: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
             "scatter correction is undefined for it"
         )
     intercepts = X.mean(axis=1) - slopes * reference.mean()
-    return (X - intercepts[:, None]) / slopes[:, None]
+    out = X - intercepts[:, None]
+    out /= slopes[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

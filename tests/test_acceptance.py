@@ -31,12 +31,16 @@ from dppls.datagen import (
 from dppls.evaluate import privacy_utility_sweep, train_test_split
 from dppls.mechanism import (
     analytic_gaussian_sigma,
-    classic_gaussian_sigma,
     gaussian_privacy_profile,
     sample_bounds,
 )
 from dppls.pls import FitConfig, fit
 from dppls.preprocess import AirPlsConfig, SgConfig, airpls_correct, msc, sg_kernel
+
+
+def classic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:
+    """The classic closed-form Gaussian noise scale, valid for epsilon <= 1."""
+    return delta_f * np.sqrt(2.0 * np.log(1.25 / budget.delta)) / budget.epsilon
 
 
 def _report(num: int, ok: bool, desc: str, detail: str = "") -> None:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,29 @@ def test_preprocess_airpls_keeps_an_all_zero_row(sim_dir, tmp_path):
     got = load_dataset(out)
     np.testing.assert_array_equal(got.X[2], 0.0)
     assert np.all(np.isfinite(got.X))
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--pipeline", "sg:9,2,1|msc|center", "--output", "pre.csv"],
+    ["fit", "--k", "3", "--epsilon", "1", "--output", "model.json"],
+], ids=["preprocess", "fit"])
+def test_command_holds_few_copies_of_its_matrix(tmp_path, argv):
+    # numpy reports its buffers to tracemalloc.  Reading the file,
+    # transforming or fitting, and writing the result each need about
+    # one copy beside the input; whole-matrix copies that no output needs
+    # (a response view keeping the parsed block alive, a stacked [y, X],
+    # the matrix as Python floats) push the peak past four.
+    d = datagen.concat_rows(*datagen.simulate_two_holders(1000, 100, RngStream(2)))
+    save_dataset(tmp_path / "in.csv", d)
+    argv = argv[:-1] + [str(tmp_path / argv[-1]), "--input", str(tmp_path / "in.csv")]
+    assert cli.main(argv) == 0  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d.X.nbytes, f"peak {peak / d.X.nbytes:.2f} copies of the matrix"
 
 
 def test_preprocess_rejects_unknown_step(sim_dir, tmp_path):

@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dppls.core as core_module
 from dppls.core import (
@@ -367,6 +368,73 @@ def test_load_dataset_needs_two_columns(tmp_path):
 def test_save_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ShapeError):
         save_matrix(tmp_path / "x.csv", np.zeros(3))
+
+
+def _reference_save_matrix(path, X, header=None):
+    """The writer that turned the whole matrix into Python floats before
+    writing; it stays here as the oracle for the bytes of save_matrix."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in np.asarray(X, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _reference_save_dataset(path, d, header=False):
+    """The dataset writer that stacked ``[y, X]`` into one matrix first."""
+    names = ["y"] + [f"x{j}" for j in range(d.m)] if header else None
+    _reference_save_matrix(path, np.column_stack([d.y, d.X]), header=names)
+
+
+_WRITER_VALUES = [-0.0, 5e-324, 1e-5, 1e16, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _written_dataset(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(_WRITER_VALUES), st.floats(width=64))
+    return (draw(hnp.arrays(np.float64, (n, m), elements=cells)),
+            draw(hnp.arrays(np.float64, n, elements=cells)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_written_dataset(), header=st.booleans())
+@example(case=(np.array([[-0.0]]), np.array([5e-324])), header=True)
+@example(case=(np.array([[1e-5], [np.nan], [-np.inf]]), np.array([1e16, np.inf, -0.0])),
+         header=False)
+@example(case=(np.array([[np.inf, -0.0, 1e16, 5e-324, np.nan, 1e-5]]), np.array([np.nan])),
+         header=True)
+def test_writers_write_the_bytes_of_the_whole_matrix_writers(tmp_path, case, header):
+    X, y = case
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    names = [f"c{j}" for j in range(X.shape[1])] if header else None
+    save_matrix(got, X, header=names)
+    _reference_save_matrix(want, X, header=names)
+    assert got.read_bytes() == want.read_bytes()
+    d = Dataset(X=X, y=y)
+    save_dataset(got, d, header=header)
+    _reference_save_dataset(want, d, header=header)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_dataset_leaves_its_arrays_unchanged(tmp_path):
+    rng = RngStream(4)
+    d = Dataset(X=rng.uniform(-1, 1, (5, 3)), y=rng.uniform(0, 1, 5))
+    X, y = d.X.copy(), d.y.copy()
+    save_dataset(tmp_path / "d.csv", d, header=True)
+    assert d.X.tobytes() == X.tobytes() and d.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("response_col", [0, 2, 3])
+def test_load_dataset_y_holds_no_part_of_the_parsed_block(tmp_path, response_col):
+    # A view would keep the whole parsed block alive beside X.
+    path = tmp_path / "d.csv"
+    save_matrix(path, np.arange(12.0).reshape(3, 4))
+    d = load_dataset(path, response_col=response_col)
+    assert d.y.base is None
+    assert not np.shares_memory(d.y, d.X)
+    np.testing.assert_array_equal(d.y, np.arange(12.0).reshape(3, 4)[:, response_col])
 
 
 def _reference_load_matrix(path, header=False):

@@ -482,6 +482,20 @@ def test_pipeline_fitted_state_ignores_test_rows():
     np.testing.assert_array_equal(p1.steps[1].mean, p2.steps[1].mean)
 
 
+@pytest.mark.parametrize("spec", ["msc", "center", "sg:5,2,1|msc|center", "airpls|msc"])
+def test_pipeline_and_msc_leave_their_inputs_bit_identical(spec):
+    rng = RngStream(11)
+    train, test = rng.uniform(1, 2, (6, 20)), rng.uniform(1, 2, (3, 20))
+    ref = rng.uniform(1, 2, 20)
+    kept = [a.copy() for a in (train, test, ref)]
+    pipe = parse_pipeline(spec)
+    pipe.fit_transform(train)
+    pipe.transform(test)
+    msc(test)
+    msc(test, reference=ref)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((train, test, ref), kept))
+
+
 @pytest.mark.parametrize("spec", ["center", "msc", "sg:5,2,1"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pipeline_refuses_non_finite_rows(spec, bad):
