@@ -34,6 +34,9 @@ for seed in 1 7; do
             --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
             --pipeline "airpls|center" --output "sweep-airpls-$mode"
     done
+    # One budget repeated: the release call holds two equal budgets.
+    dppls sweep --input sim/combined.csv --mode holdout --k 3 \
+        --epsilons 10,10,1 --repeats 20 --seed "$seed" --output sweep-holdout-repeated
     for k in 3 5; do
         dppls fit --input sim/combined.csv --k "$k" --epsilon 1 --seed 7 \
             --output "models/private-k$k.json"
@@ -44,6 +47,8 @@ for seed in 1 7; do
         --response-col 0 --output predictions.csv
     dppls attack --global-model models/private-k3.json --input sim/holder1.csv \
         --matrix x_loadings --output attack.json
+    dppls attack --global-model models/private-k3.json --input sim/holder1.csv \
+        --output attack-weights.json
     # holder 2's unique signal as the truth, so the report lists similarities.
     PYTHONPATH="$src" python3 -c 'import sys
 from dppls import core, datagen

@@ -10,10 +10,11 @@ signals measures how much of their structure leaked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, SingularSystemError
+from .errors import ArgumentError, DegenerateInputError, ShapeError, SingularSystemError
 
 # Relative tolerance on the smallest singular value of the local matrix
 # before the normal equations are declared rank deficient.
@@ -57,9 +58,7 @@ def orthogonal_complement_weights(V_global: np.ndarray, V_local: np.ndarray) -> 
     if svals[0] == 0.0 or svals[-1] < _RANK_RTOL * svals[0]:
         raise SingularSystemError(
             "local matrix is rank deficient within tolerance; drop dependent "
-            "columns before projecting",
-            components=V_local.shape[1],
-            condition=float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1]),
+            "columns before projecting"
         )
     gram = V_local.T @ V_local
     coef = np.linalg.solve(gram, V_local.T @ V_global)
@@ -86,16 +85,21 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 def attack_and_score(
     V_global: np.ndarray,
     V_local: np.ndarray,
-    truth: np.ndarray,
+    truth: Optional[np.ndarray] = None,
 ) -> AttackReport:
-    """Project out the local span and score each residual column against a
-    ground-truth signal by absolute cosine similarity."""
-    truth = np.asarray(truth, dtype=float).ravel()
+    """Project out the local span and, given a ground-truth signal, score
+    each residual column against it by absolute cosine similarity.
+    Without ``truth`` the report carries the residual only."""
     residual = orthogonal_complement_weights(V_global, V_local)
+    if truth is None:
+        return AttackReport(residual=residual)
+    truth = np.asarray(truth, dtype=float).ravel()
     if truth.shape[0] != residual.shape[0]:
         raise ShapeError(
             f"truth has {truth.shape[0]} channels but the models have {residual.shape[0]}"
         )
+    if not np.all(np.isfinite(truth)):
+        raise DegenerateInputError("truth signal contains NaN or infinite entries")
     sims = np.array([
         cosine_similarity(residual[:, j], truth) for j in range(residual.shape[1])
     ])

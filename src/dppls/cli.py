@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import datagen
-from .attack import attack_and_score, orthogonal_complement_weights
+from .attack import attack_and_score
 from .core import (
     Dataset,
     PrivacyBudget,
@@ -291,7 +291,7 @@ def cmd_attack(cfg: dict) -> None:
     V_global = global_model.W if cfg["matrix"] == "weights" else global_model.P
     V_local = local_model.W if cfg["matrix"] == "weights" else local_model.P
 
-    doc = {"matrix": cfg["matrix"], "k": global_model.k}
+    truth = None
     if cfg["truth"] is not None:
         truth = load_matrix(cfg["truth"])
         if min(truth.shape) != 1:
@@ -299,18 +299,16 @@ def cmd_attack(cfg: dict) -> None:
                 f"{cfg['truth']}: the truth signal must be one column or one row, "
                 f"got {truth.shape[0]} x {truth.shape[1]}"
             )
-        report = attack_and_score(V_global, V_local, truth.ravel())
-        doc["similarities"] = report.similarities.tolist()
-        doc["component_argmax"] = report.component_argmax
-        doc["best_similarity"] = report.best_similarity
-        residual = report.residual
-    else:
-        residual = orthogonal_complement_weights(V_global, V_local)
-        doc["similarities"] = None
-        doc["component_argmax"] = None
-        doc["best_similarity"] = None
-    doc["residual"] = residual.tolist()
-    save_json(_output(cfg), doc)
+    report = attack_and_score(V_global, V_local, truth)
+    scored = report.similarities is not None
+    save_json(_output(cfg), {
+        "matrix": cfg["matrix"],
+        "k": global_model.k,
+        "similarities": report.similarities.tolist() if scored else None,
+        "component_argmax": report.component_argmax if scored else None,
+        "best_similarity": report.best_similarity if scored else None,
+        "residual": report.residual.tolist(),
+    })
 
 
 def cmd_sweep(cfg: dict) -> None:

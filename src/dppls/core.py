@@ -313,9 +313,9 @@ def load_matrix(path, header: bool = False) -> np.ndarray:
                               skiprows=1 if header else 0, ndmin=2)
     except ValueError as exc:  # UnicodeDecodeError included
         _raise_first_bad_line(path, header)
-        raise CsvFormatError(f"{path}: {exc}", path=str(path)) from None
+        raise CsvFormatError(f"{path}: {exc}") from None
     if data.size == 0:
-        raise CsvFormatError(f"{path}: no data rows", path=str(path))
+        raise CsvFormatError(f"{path}: no data rows")
     return data
 
 
@@ -335,22 +335,20 @@ def _raise_first_bad_line(path, header: bool) -> None:
                     for c in cells:
                         float(c)
                 except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: non-numeric value",
-                        path=str(path), line=lineno,
-                    ) from None
+                    raise CsvFormatError(f"{path}: line {lineno}: non-numeric value",
+                                         line=lineno) from None
                 if width is None:
                     width = len(cells)
                 elif len(cells) != width:
                     raise CsvFormatError(
                         f"{path}: line {lineno}: expected {width} columns, got {len(cells)}",
-                        path=str(path), line=lineno,
+                        line=lineno,
                     )
         except UnicodeDecodeError:
-            raise CsvFormatError(f"{path}: not UTF-8 text", path=str(path)) from None
+            raise CsvFormatError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:  # e.g. a field over the size limit
             raise CsvFormatError(
-                f"{path}: line {reader.line_num}: {exc}", path=str(path), line=reader.line_num,
+                f"{path}: line {reader.line_num}: {exc}", line=reader.line_num,
             ) from None
 
 
@@ -364,8 +362,7 @@ def load_dataset(path, response_col: int = 0, header: bool = False) -> Dataset:
     ncols = data.shape[1]
     if ncols < 2:
         raise CsvFormatError(
-            f"{path}: need at least 2 columns (response + 1 channel), got {ncols}",
-            path=str(path),
+            f"{path}: need at least 2 columns (response + 1 channel), got {ncols}"
         )
     if not (0 <= response_col < ncols):
         raise ArgumentError(

@@ -41,22 +41,13 @@ class NumericalError(DpplsError, ArithmeticError):
 
 
 class SingularSystemError(NumericalError):
-    """A linear system was singular within solver tolerance.
-
-    Carries the number of components reached and a condition estimate so
-    callers can suggest reducing the component count.
-    """
-
-    def __init__(self, message, components=None, condition=None):
-        super().__init__(message)
-        self.components = components
-        self.condition = condition
+    """A linear system was singular within solver tolerance."""
 
 
 class CsvFormatError(DpplsError, ValueError):
-    """A CSV file violated the expected sample-per-row layout."""
+    """A CSV file violated the expected sample-per-row layout; ``line`` is
+    the 1-based number of the faulty line, when one is to blame."""
 
-    def __init__(self, message, path=None, line=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
-        self.path = path
         self.line = line

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
-from .pls import FitConfig, nipals_path, predict, release, release_many
+from .pls import FitConfig, nipals_path, predict, release_many
 from .preprocess import parse_pipeline
 
 
@@ -126,12 +126,8 @@ class EvalReport:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS)
-            for e in self.entries:
-                writer.writerow([
-                    "" if e.get(col) is None else
-                    (repr(float(e[col])) if isinstance(e.get(col), float) else e[col])
-                    for col in _CSV_COLUMNS
-                ])
+            # csv writes None as "" and a float, numpy's float64 included, as repr.
+            writer.writerows([e.get(col) for col in _CSV_COLUMNS] for e in self.entries)
 
 
 def _predict(model, X: np.ndarray) -> np.ndarray:
@@ -258,12 +254,12 @@ def privacy_utility_sweep(
     replayed on the test rows.  With ``rows_mapped`` the rows of both
     sets have been through the row steps already, and only the fitted
     steps run.
-    One clean NIPALS path of the training set serves every fit.  For each
-    epsilon it is released ``repeats`` times with noise substreams
-    ``rng.derive(ei, rep)``; RMSEP and R2 on the test set are recorded per
-    repeat and aggregated as mean with standard error.  A no-noise
-    baseline row is always included.  An empty ``eps_list`` yields the
-    baseline only.
+    One clean NIPALS path of the training set serves every fit, released
+    in one :func:`release_many` call: once without noise for the baseline
+    row, which is always included, then ``repeats`` times per epsilon with
+    noise substreams ``rng.derive(ei, rep)``.  RMSEP and R2 on the test
+    set are recorded per repeat and aggregated as mean with standard
+    error.  An empty ``eps_list`` yields the baseline only.
     """
     if rng is None:
         rng = RngStream(0)
@@ -271,9 +267,11 @@ def privacy_utility_sweep(
         raise ArgumentError(f"repeats must be at least 1, got {repeats}")
     if not (0 < delta < 1):
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
-    for e in eps_list:
-        if not np.isfinite(e) or e <= 0:
-            raise ArgumentError(f"epsilon values must be positive, got {e}")
+    budgets = [PrivacyBudget(epsilon=float(eps), delta=delta) for eps in eps_list]
+    cfgs = [FitConfig(k=k)] + [
+        FitConfig(k=k, privacy=budget, rng=rng.derive(ei, rep))
+        for ei, budget in enumerate(budgets) for rep in range(repeats)
+    ]
     if train.m != test.m:
         raise ShapeError(f"channel counts differ: {train.m} vs {test.m}")
 
@@ -303,31 +301,24 @@ def privacy_utility_sweep(
             status="ok" if pred_ok else "failed",
         )
 
-    path = nipals_path(train_ds, k)
-    baseline_model = release(path, FitConfig(k=k))
-    baseline_pred = predict(baseline_model, X_test)
+    baseline, *noisy = release_many(nipals_path(train_ds, k), cfgs)
+    baseline_pred = _predict(baseline, X_test)
     base_r, base_q = rmse(test.y, baseline_pred), r2_score(test.y, baseline_pred)
     report.entries.append(entry("baseline", None, None, True, rmsep=base_r, r2p=base_q))
     report.aggregates.append(_aggregate(None, [base_r], [base_q]))
 
-    for ei, eps in enumerate(eps_list):
-        budget = PrivacyBudget(epsilon=float(eps), delta=delta)
+    for ei, budget in enumerate(budgets):
+        eps = budget.epsilon
         r_vals, q_vals = [], []
-        models = release_many(path, [
-            FitConfig(k=k, privacy=budget, rng=rng.derive(ei, rep))
-            for rep in range(repeats)
-        ])
-        for rep, model in enumerate(models):
+        for rep, model in enumerate(noisy[ei * repeats:(ei + 1) * repeats]):
             try:
                 pred = _predict(model, X_test)
                 r, q = rmse(test.y, pred), r2_score(test.y, pred)
             except DpplsError:
-                report.entries.append(entry("holdout", float(eps), rep, False))
+                report.entries.append(entry("holdout", eps, rep, False))
                 continue
             r_vals.append(r)
             q_vals.append(q)
-            report.entries.append(entry(
-                "holdout", float(eps), rep, True, rmsep=r, r2p=q,
-            ))
-        report.aggregates.append(_aggregate(float(eps), r_vals, q_vals))
+            report.entries.append(entry("holdout", eps, rep, True, rmsep=r, r2p=q))
+        report.aggregates.append(_aggregate(eps, r_vals, q_vals))
     return report

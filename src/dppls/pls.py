@@ -136,9 +136,7 @@ def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> tuple:
     return b, [
         None if good else SingularSystemError(
             f"loading system is singular within tolerance "
-            f"(condition estimate {cond_r:.3e}); reduce the component count",
-            components=k,
-            condition=float(cond_r),
+            f"(condition estimate {cond_r:.3e}); reduce the component count"
         )
         for good, cond_r in zip(ok, cond)
     ]
@@ -447,11 +445,25 @@ _KEYS = (
 )
 
 
+def _is_number(v) -> bool:
+    """A JSON number: json reads true and false as bools, which float()
+    and numpy take for 1 and 0."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _all_numbers(v) -> bool:
+    """v is a JSON number or a nested list of them."""
+    return all(map(_all_numbers, v)) if isinstance(v, list) else _is_number(v)
+
+
 def _finite_array(doc: dict, key: str, shape=None) -> np.ndarray:
     try:
         arr = np.array(doc[key], dtype=float)
     except (TypeError, ValueError):
-        raise ModelFormatError(f"{key} is not a numeric array") from None
+        arr = None
+    # Walked only once numpy took it: at most its dimension limit deep.
+    if arr is None or not _all_numbers(doc[key]):
+        raise ModelFormatError(f"{key} is not a numeric array")
     if shape is not None and arr.shape != shape:
         raise ModelFormatError(f"{key} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -534,14 +546,22 @@ def _model_from_doc(doc: dict) -> PlsModel:
         raise ModelFormatError("early_stop must be true or false")
     privacy = None
     if doc["privacy"] is not None:
-        privacy = PrivacyBudget(doc["privacy"]["epsilon"], doc["privacy"]["delta"])
+        epsilon, delta = doc["privacy"]["epsilon"], doc["privacy"]["delta"]
+        if not (_is_number(epsilon) and _is_number(delta)):
+            raise ModelFormatError("privacy epsilon and delta must be numbers")
+        privacy = PrivacyBudget(epsilon, delta)
     log = []
     for i, e in enumerate(doc["calibration_log"]):
         if e["method"] != "analytic":
             raise ModelFormatError(
                 f"calibration_log entry {i} uses method {e['method']!r}, expected 'analytic'"
             )
-        sensitivity, sigma = float(e["sensitivity"]), float(e["sigma"])
+        sensitivity, sigma = e["sensitivity"], e["sigma"]
+        if not (_is_number(sensitivity) and _is_number(sigma)):
+            raise ModelFormatError(
+                f"calibration_log entry {i}: sensitivity and sigma must be numbers"
+            )
+        sensitivity, sigma = float(sensitivity), float(sigma)
         if not (np.isfinite(sensitivity) and np.isfinite(sigma)):
             raise ModelFormatError("calibration_log holds non-finite values")
         log.append(NoiseCalibration(sensitivity=sensitivity, sigma=sigma, target=e["target"]))

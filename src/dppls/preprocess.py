@@ -423,6 +423,8 @@ def _parse_args(parts, what, types):
     integral."""
     if not types:
         raise ConfigurationError(f"{what} takes no arguments")
+    if "" in parts:
+        raise ConfigurationError(f"{what}: empty argument")
     if len(parts) != len(types):
         raise ConfigurationError(
             f"{what} takes {len(types)} arguments, got {len(parts)}"
@@ -447,9 +449,10 @@ def parse_pipeline(text: str) -> Pipeline:
     Steps are separated by ``|`` with colon-separated arguments, e.g.
     ``"sg:5,2,1|msc|airpls:100,15,1|center"``; :data:`_STEPS` lists the
     steps, their argument types and their defaults (``sg`` (5, 2, 1),
-    ``airpls`` (100, 15, 1) when arguments are omitted).  airPLS's lambda
-    is a float (``airpls:1e5,15,2``); every other argument must be an
-    integral number.
+    ``airpls`` (100, 15, 1) when the colon and arguments are omitted).
+    An empty step or argument (``sg:5,,1``, ``sg:``) is refused.  airPLS's
+    lambda is a float (``airpls:1e5,15,2``); every other argument must be
+    an integral number.
     """
     text = text.strip()
     if not text:
@@ -459,11 +462,10 @@ def parse_pipeline(text: str) -> Pipeline:
         token = token.strip()
         if not token:
             raise ConfigurationError("empty pipeline step")
-        name, _, argtext = token.partition(":")
+        name, colon, argtext = token.partition(":")
         if name not in _STEPS:
             raise ConfigurationError(f"unknown pipeline step {name!r}")
         types, config, _ = _STEPS[name]
-        args = [a for a in argtext.split(",") if a]
-        values = _parse_args(args, name, types) if args else ()
+        values = _parse_args(argtext.split(","), name, types) if colon else ()
         steps.append(Step(name, None if config is None else config(*values)))
     return Pipeline(steps)

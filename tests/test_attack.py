@@ -17,7 +17,7 @@ from dppls.datagen import (
     gaussian_signal,
     simulate_two_holders,
 )
-from dppls.errors import ArgumentError, ShapeError, SingularSystemError
+from dppls.errors import ArgumentError, DegenerateInputError, ShapeError, SingularSystemError
 from dppls.pls import FitConfig, fit
 
 
@@ -129,6 +129,18 @@ def test_attack_and_score_validation():
         attack_and_score(Vg, Vl, np.zeros(Vg.shape[0] + 1))
     with pytest.raises(ArgumentError, match="no columns"):
         attack_and_score(np.zeros((10, 0)), np.zeros((10, 0)), np.zeros(10))
+    for bad in (np.nan, np.inf, -np.inf):
+        truth = np.ones(Vg.shape[0])
+        truth[3] = bad
+        with pytest.raises(DegenerateInputError, match="truth"):
+            attack_and_score(Vg, Vl, truth)
+
+
+def test_attack_without_truth_reports_the_residual_only():
+    Vg, Vl = _random_matrices(8)
+    report = attack_and_score(Vg, Vl)
+    np.testing.assert_array_equal(report.residual, orthogonal_complement_weights(Vg, Vl))
+    assert report.similarities is None and report.component_argmax == -1
 
 
 def test_report_without_scores_refuses_best():

@@ -241,6 +241,42 @@ def test_attack_truth_must_be_one_column_or_one_row(sim_dir, tmp_path):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_attack_with_a_non_finite_truth_exits_2(sim_dir, tmp_path, capsys, cell):
+    model_path = tmp_path / "pooled.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2"]) == 0
+    cells = [repr(v) for v in datagen.gaussian_signal(60, datagen.UNIQUE_HOLDER2).tolist()]
+    cells[7] = cell
+    truth_path = tmp_path / "truth.csv"
+    truth_path.write_text("\n".join(cells) + "\n")
+    report_path = tmp_path / "attack.json"
+    code = cli.main(["attack", "--global-model", str(model_path),
+                     "--input", str(sim_dir / "holder1.csv"),
+                     "--truth", str(truth_path), "--output", str(report_path)])
+    assert code == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err.startswith("error: truth signal contains NaN")
+    assert not report_path.exists()
+
+
+def test_attack_calls_attack_and_score_once(sim_dir, tmp_path, monkeypatch):
+    model_path = tmp_path / "pooled.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2"]) == 0
+    truth_path = tmp_path / "truth.csv"
+    save_matrix(truth_path, datagen.gaussian_signal(60, datagen.UNIQUE_HOLDER2)[:, None])
+    calls = []
+    real = cli.attack_and_score
+    monkeypatch.setattr(cli, "attack_and_score",
+                        lambda *args: calls.append(args) or real(*args))
+    for extra in ([], ["--truth", str(truth_path)]):
+        calls.clear()
+        assert cli.main(["attack", "--global-model", str(model_path),
+                         "--input", str(sim_dir / "holder1.csv"),
+                         "--output", str(tmp_path / "attack.json"), *extra]) == 0
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -826,6 +862,13 @@ def _corrupt_nested_too_deeply(text):
     return "[" * 100_000 + "]" * 100_000
 
 
+def _corrupt_array_nested_deeply(text):
+    # Within json's nesting limit but beyond numpy's dimension limit.
+    doc = json.loads(text)
+    doc["b"] = None
+    return json.dumps(doc).replace('"b": null', '"b": ' + "[" * 500 + "1" + "]" * 500)
+
+
 def _corrupt_int_beyond_float(text):
     doc = json.loads(text)
     doc["y_mean"] = 10 ** 400
@@ -905,13 +948,14 @@ def _corrupt_weights_sensitivity(text):
     _corrupt_truncated, _corrupt_missing_b,
     _corrupt_short_weights, _corrupt_nonfinite,
     _corrupt_b, _corrupt_singular_loadings,
-    _corrupt_nested_too_deeply, _corrupt_int_beyond_float,
+    _corrupt_nested_too_deeply, _corrupt_array_nested_deeply, _corrupt_int_beyond_float,
     _corrupt_privacy_dropped, _corrupt_log_cut, _corrupt_log_extra_entry,
     _corrupt_log_two_extra_on_early_stop, _corrupt_log_out_of_order,
     _scale_sigmas(1 - 1e-6), _scale_sigmas(1 + 1e-6), _corrupt_log_method_classic,
     _corrupt_log_zeroed, _corrupt_weights_sensitivity,
 ], ids=["truncated", "missing-key", "shape-mismatch", "non-finite",
-        "inconsistent-b", "singular-loadings", "nested-too-deeply", "int-beyond-float",
+        "inconsistent-b", "singular-loadings", "nested-too-deeply", "array-nested-deeply",
+        "int-beyond-float",
         "log-without-privacy", "log-cut", "log-extra-entry",
         "log-two-extra-on-early-stop", "log-out-of-order",
         "sigma-shrunk", "sigma-grown", "method-classic",
@@ -932,6 +976,44 @@ def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
                      "--output", str(tmp_path / "p.csv")])
     assert code == cli.EXIT_IO
     assert str(model_path) in capsys.readouterr().err
+
+
+def _set(*keys):
+    """A corruption that puts JSON true at doc[keys[0]][keys[1]]..."""
+    def corrupt(doc):
+        *parents, last = keys
+        for key in parents:
+            doc = doc[key]
+        doc[last] = True
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("privacy", "epsilon"), "privacy epsilon and delta must be numbers"),
+    (_set("y_mean"), "y_mean is not a numeric array"),
+    (_set("x_means", 0), "x_means is not a numeric array"),
+    (_set("calibration_log", 0, "sensitivity"),
+     "calibration_log entry 0: sensitivity and sigma must be numbers"),
+    (_set("calibration_log", 0, "sigma"),
+     "calibration_log entry 0: sensitivity and sigma must be numbers"),
+], ids=["epsilon", "y_mean", "array-entry", "sensitivity", "sigma"])
+def test_model_file_with_a_boolean_for_a_number_exits_3(sim_dir, tmp_path, capsys,
+                                                       corrupt, message):
+    # At epsilon 1, true would read as the budget the sigmas were calibrated for.
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2",
+                     "--epsilon", "1", "--seed", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    code = cli.main(["predict", "--model", str(model_path),
+                     "--input", str(sim_dir / "combined.csv"),
+                     "--response-col", "0", "--output", str(out)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {model_path}: malformed model: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

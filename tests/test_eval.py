@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dppls import evaluate
 from dppls.core import Dataset, PrivacyBudget, RngStream
 from dppls.errors import (
     ArgumentError,
@@ -22,7 +23,7 @@ from dppls.evaluate import (
     rmse,
     train_test_split,
 )
-from dppls.pls import FitConfig, fit, predict
+from dppls.pls import FitConfig, fit, predict, release_many
 from dppls.preprocess import parse_pipeline
 
 
@@ -297,6 +298,27 @@ def test_sweep_deterministic_reports(tmp_path):
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
 
+def test_sweep_releases_in_one_call(monkeypatch):
+    d = _rank3_dataset()
+    train, test = train_test_split(d, 0.3, RngStream(24))
+    calls = []
+
+    def counted(path, cfgs):
+        calls.append([cfg.privacy for cfg in cfgs])
+        return release_many(path, cfgs)
+
+    monkeypatch.setattr(evaluate, "release_many", counted)
+    report = privacy_utility_sweep(train, test, [10.0, 10.0, 1.0], k=3, repeats=4,
+                                   rng=RngStream(25))
+    # The baseline first, then each epsilon's repeats, in order.
+    assert len(calls) == 1
+    assert calls[0] == [None] + [PrivacyBudget(eps, 0.01)
+                                 for eps in (10.0, 10.0, 1.0) for _ in range(4)]
+    assert [e["epsilon"] for e in report.entries] == [None] + [10.0] * 8 + [1.0] * 4
+    # Equal budgets at different positions draw from different streams.
+    assert report.aggregates[1]["rmsep_mean"] != report.aggregates[2]["rmsep_mean"]
+
+
 def test_sweep_supports_stateful_pipelines():
     d = _rank3_dataset()
     train, test = train_test_split(d, 0.3, RngStream(26))
@@ -528,3 +550,18 @@ def test_report_csv_layout(tmp_path):
     # repr round-trips the float exactly.
     assert float(fields[8]) == 1.0 / 3.0
     assert fields[10] == "ok"
+
+
+def test_report_csv_writes_numpy_scalars_as_python_numbers(tmp_path):
+    plain = {
+        "kind": "holdout", "epsilon": 0.1, "delta": 0.25, "k": 3,
+        "preprocess": "", "fold": None, "repeat": 2,
+        "rmsecv": None, "rmsep": 1.0 / 3.0, "r2p": float("inf"), "status": "ok",
+    }
+    scalars = dict(plain, epsilon=np.float64(0.1), delta=np.float32(0.25), k=np.int64(3),
+                   repeat=np.int64(2), rmsep=np.float64(1.0 / 3.0), r2p=np.float64(np.inf))
+    for tag, entry in (("plain", plain), ("numpy", scalars)):
+        EvalReport(entries=[entry]).to_csv(tmp_path / f"{tag}.csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "plain.csv").read_text().splitlines()[1] == (
+        "holdout,0.1,0.25,3,,,2,,0.3333333333333333,inf,ok")

@@ -560,6 +560,9 @@ def test_parse_pipeline_rejects_garbage():
         parse_pipeline("msc:3")
     with pytest.raises(ConfigurationError, match="empty"):
         parse_pipeline("sg||center")
+    for spec in ("sg:5,,2,1", "sg:5,2,1,", "airpls:,,,", "sg:"):
+        with pytest.raises(ConfigurationError, match="empty argument"):
+            parse_pipeline(spec)
 
 
 def test_parse_pipeline_reads_airpls_lambda_as_float():
