@@ -37,6 +37,9 @@ for seed in 1 7; do
     # One budget repeated: the release call holds two equal budgets.
     dppls sweep --input sim/combined.csv --mode holdout --k 3 \
         --epsilons 10,10,1 --repeats 20 --seed "$seed" --output sweep-holdout-repeated
+    # Two grid points per k share a budget within each fold's release call.
+    dppls sweep --input sim/combined.csv --mode cv --k-max 5 \
+        --epsilons 10,10,1 --folds 10 --seed "$seed" --output sweep-cv-repeated
     for k in 3 5; do
         dppls fit --input sim/combined.csv --k "$k" --epsilon 1 --seed 7 \
             --output "models/private-k$k.json"

@@ -207,7 +207,7 @@ def _output(cfg: dict) -> Path:
 
 def _parse_eps_list(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        return [float(t) for t in text.split(",")] if text.strip() else []
     except ValueError:
         raise ConfigurationError(f"bad epsilon list {text!r}") from None
 

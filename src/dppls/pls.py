@@ -18,14 +18,14 @@ released quantities only.  Sensitivities come from each component's
 residual suprema, and every calibration budgets the full (epsilon, delta)
 for its own release.  A private release logs each released component's
 calibrations, in ``CALIBRATION_TARGETS`` order, and none for a component
-the recursion stopped on: no noise is drawn for it.  The path memoizes
-them per budget and component.
+the recursion stopped on: no noise is drawn for it.  Each
+:func:`release_many` call memoizes them per budget; the path holds none.
 
 A release draws all its noise from its stream in one call: one vector of
-uniforms, mapped to standard normals and cut into segments in the order
-weights, scores, x-loadings, y-loading of component 1, then of component
-2, and so on, each segment scaled by its release's sigma.  Releases with
-sigma 0 take no draws.  Each Gaussian value consumes one word of the
+k (2m + n + 1) uniforms, whatever the sigmas, mapped to standard normals
+and cut into segments in the order weights, scores, x-loadings, y-loading
+of component 1, then of component 2, and so on, each segment scaled by
+its release's sigma.  Each Gaussian value consumes one word of the
 stream and the normal transform works element by element, so this equals
 drawing each release's noise in turn from the same stream, value for
 value.
@@ -56,7 +56,7 @@ noise is added to the unit-normalized weight vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,9 +163,6 @@ class NipalsPath:
     x_means: np.ndarray
     y_mean: float
     k_max: int
-    # Per budget, one tuple of calibrations per leading component, in
-    # CALIBRATION_TARGETS order.
-    _calibrations: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def sizes(self) -> tuple:
@@ -183,7 +180,8 @@ def nipals_path(
 
     This is where the data is centered; the means are kept on the path.
     The recursion stops early once the covariance norm or the score norm
-    of the residuals drops below ``residual_tolerance``.  :func:`fit`,
+    of the residuals is at most ``residual_tolerance``, so even a
+    tolerance of 0 stops on residuals that vanish exactly.  :func:`fit`,
     cross-validation and the sweep use the default; this argument is the
     only way to change it.
     """
@@ -213,13 +211,13 @@ def nipals_path(
     for row in releases:
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
-        if cov_norm < residual_tolerance:
+        if cov_norm <= residual_tolerance:
             break
         w = cov / cov_norm
 
         s = E @ w
         s_norm = float(np.linalg.norm(s))
-        if s_norm < residual_tolerance:
+        if s_norm <= residual_tolerance:
             break
         t = s / s_norm
         bounds.append(sample_bounds(E, f))
@@ -235,29 +233,25 @@ def nipals_path(
                       y_mean=y_mean, k_max=k_max)
 
 
-def _calibrate(path: NipalsPath, cfg: FitConfig) -> tuple:
-    """Check cfg against the path; the calibrations of each component it
-    releases and the number of standard normals its release takes."""
+def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
+    """Check cfg against the path; the calibrations of the components it
+    releases, the first 4k of its budget's log in ``memo``."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
     if cfg.privacy is None:
-        return [], 0
+        return []
     k = min(cfg.k, len(path.bounds))
-    memo = path._calibrations.setdefault(cfg.privacy, [])
-    for bounds in path.bounds[len(memo):k]:
-        # All four before storing any, so a failure memoizes no part of it.
-        memo.append(tuple(
+    log = memo.setdefault(cfg.privacy, [])
+    for bounds in path.bounds[len(log) // 4:k]:
+        # All four before storing any, so a failure stores no part of it.
+        log.extend([
             NoiseCalibration(sensitivity=s, sigma=analytic_gaussian_sigma(s, cfg.privacy),
                              target=target)
             for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
-        ))
-    cals = memo[:k]
-    count = sum(
-        size for four in cals for size, cal in zip(path.sizes, four) if cal.sigma != 0.0
-    )
-    return cals, count
+        ])
+    return log[:4 * k]
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -267,26 +261,26 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
 
 
-def _release_group(path: NipalsPath, k: int, cfgs: list, cals: list, z: np.ndarray) -> list:
+def _release_group(path: NipalsPath, k: int, cfgs: list, logs: list, z: np.ndarray) -> list:
     """The models of R configs that release k components each, given each
-    config's calibrations and, end to end in config order, their standard
-    normals ``z``; a config whose solve fails gets its error instead.
+    config's calibrations and, end to end in config order, the k (2m + n + 1)
+    standard normals ``z`` of each private one; a config whose solve fails
+    gets its error instead.
 
     Each component's w, t, p and c, in CALIBRATION_TARGETS order, gets
     sigma times the next segment of its config's normals, or zeros when
-    sigma is 0 or the config is clean: clean + 0.0 * 0.0 has the bits of
-    clean + 0.0.  The noisy weights and scores are then scaled to unit
-    length.
+    the config is clean.  The noise is scaled in one buffer, in place, and
+    the clean rows added to it: IEEE addition commutes.  The noisy weights
+    and scores are then scaled to unit length.
     """
     sizes = path.sizes
     R, (m, n), width = len(cfgs), sizes[:2], sum(sizes)
-    sigma = np.zeros((R, k, 4))
-    for r, four_per_comp in enumerate(cals):
-        if four_per_comp:
-            sigma[r] = [[cal.sigma for cal in four] for four in four_per_comp]
-    noise = np.zeros((R, k * width))
-    noise[np.repeat((sigma != 0.0).reshape(R, 4 * k), np.tile(sizes, k), axis=1)] = z
-    noisy = path.releases[:k] + np.repeat(sigma, sizes, axis=2) * noise.reshape(R, k, width)
+    private = [bool(log) for log in logs]
+    sigma = np.array([[cal.sigma for cal in log] or [0.0] * (4 * k) for log in logs])
+    noisy = np.zeros((R, k, width))
+    noisy[private] = z.reshape(sum(private), k, width)
+    noisy *= np.repeat(sigma.reshape(R, k, 4), sizes, axis=2)
+    noisy += path.releases[:k]
 
     # Each config's W, T and P as a C-ordered m x k block, the layout of
     # one model's matrices, so that the stacked products make the BLAS
@@ -304,7 +298,7 @@ def _release_group(path: NipalsPath, k: int, cfgs: list, cals: list, z: np.ndarr
         singular[r] or PlsModel(
             W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
             y_mean=path.y_mean, T=T[r], privacy=cfg.privacy,
-            calibration_log=[cal for four in cals[r] for cal in four], early_stop=cfg.k > k,
+            calibration_log=logs[r], early_stop=cfg.k > k,
             rng_seed=cfg.rng.seed if cfg.rng is not None else None,
             rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
         )
@@ -316,7 +310,8 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
     """Release ``path`` once per config; one entry per config, in order:
     its model, or the DpplsError it raised.
 
-    Each config draws its uniforms from its own stream, as
+    Calibrations are memoized per budget within the call.  Each private
+    config draws its k (2m + n + 1) uniforms from its own stream, as
     :func:`release` would; all of them then pass through one
     :func:`norm_ppf` call.  Configs that release the same number of
     components are assembled and solved together, as one stack.  A config
@@ -324,24 +319,26 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
     others' streams and leaves their models unchanged.
     """
     out: list = [None] * len(cfgs)
-    groups: dict = {}  # released component count -> [(index, cals, uniforms)]
+    memo: dict = {}  # budget -> calibrations of the leading components
+    groups: dict = {}  # released component count -> [(index, calibrations)]
     for i, cfg in enumerate(cfgs):
         try:
-            cals, count = _calibrate(path, cfg)
+            log = _calibrate(path, cfg, memo)
         except DpplsError as exc:
             out[i] = exc
             continue
-        groups.setdefault(min(cfg.k, len(path.bounds)), []).append(
-            (i, cals, cfg.rng.open_unit(count) if count else np.empty(0))
-        )
-    if not groups:
-        return out
-    z = norm_ppf(np.concatenate([u for group in groups.values() for _, _, u in group]))
+        groups.setdefault(min(cfg.k, len(path.bounds)), []).append((i, log))
+    width = sum(path.sizes)
+    # The list of uniforms is freed once concatenated, before norm_ppf runs.
+    z = norm_ppf(np.concatenate([np.empty(0)] + [
+        cfgs[i].rng.open_unit(k * width)
+        for k, group in groups.items() for i, log in group if log
+    ]))
     at = 0
     for k, group in groups.items():
-        index, cals, uniforms = zip(*group)
-        size = sum(u.size for u in uniforms)
-        models = _release_group(path, k, [cfgs[i] for i in index], list(cals), z[at:at + size])
+        index, logs = zip(*group)
+        size = k * width * sum(map(bool, logs))
+        models = _release_group(path, k, [cfgs[i] for i in index], logs, z[at:at + size])
         for i, model in zip(index, models):
             out[i] = model
         at += size
@@ -532,10 +529,14 @@ def _model_from_doc(doc: dict) -> PlsModel:
     W = _finite_array(doc, "W", (m, k))
     P = _finite_array(doc, "P", (m, k))
     c = _finite_array(doc, "c", (k,))
-    (b_ref,), (singular,) = _solve_loading_system(W[None], P[None], c[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite b_ref is refused
+        (b_ref,), (singular,) = _solve_loading_system(W[None], P[None], c[None])
     if singular is not None:
         raise ModelFormatError(f"W and P do not determine b: {singular}")
-    if np.linalg.norm(b_ref - b) > _B_RTOL * np.linalg.norm(b):
+    # Both scaled by their largest magnitude, so that neither norm overflows.
+    scale = np.max(np.abs([b, b_ref])) or 1.0
+    if not np.isfinite(scale) or (
+            np.linalg.norm(b_ref / scale - b / scale) > _B_RTOL * np.linalg.norm(b / scale)):
         raise ModelFormatError("b disagrees with W (P^T W)^-1 c")
     x_means = _finite_array(doc, "x_means", (m,))
     y_mean = float(_finite_array(doc, "y_mean", ()))
@@ -577,16 +578,17 @@ def load_model(path) -> PlsModel:
     """Read a model written by :func:`save_model`.
 
     Raises ModelFormatError for anything else: invalid JSON, JSON nested
-    too deeply to parse, missing keys, values of the wrong type, arrays
-    whose shapes disagree with k and the channel count, non-finite numbers
-    or integers beyond float range, a singular P^T W, a b that differs
-    from W (P^T W)^-1 c by more than 1e-8 of its norm (``_B_RTOL``), or a
-    calibration_log that does not match the model: entries without a
-    privacy budget; with one, a count other than 4k (or 4k+1 when
-    early_stop is true: files of earlier versions log the weights of the
-    component the recursion stopped on), targets out of
-    CALIBRATION_TARGETS order, a
-    method other than "analytic", a sigma more than 1e-9 relative
+    too deeply to parse, a version other than the integer 1, missing
+    keys, values of the wrong type, arrays whose shapes disagree with k
+    and the channel count, non-finite numbers or integers beyond float
+    range, a singular P^T W, a b that differs from W (P^T W)^-1 c by more
+    than 1e-8 of its norm (``_B_RTOL``; both are scaled by their largest
+    entry first, so no norm overflows), or a calibration_log that does
+    not match the model: entries without a privacy budget; with one, a
+    count other than 4k (or 4k+1 when early_stop is true: files of
+    earlier versions log the weights of the component the recursion
+    stopped on), targets out of CALIBRATION_TARGETS order, a method
+    other than "analytic", a sigma more than 1e-9 relative
     (``_SIGMA_RTOL``) from the analytic sigma of the entry's sensitivity
     under the model's budget, or a component whose sensitivities are not
     (y r, r, r, y) for positive residual suprema y and r.
@@ -598,7 +600,7 @@ def load_model(path) -> PlsModel:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ModelFormatError(f"{path}: not a model file")
-    if doc.get("version") != _VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != _VERSION:
         raise ModelFormatError(f"{path}: unsupported model version {doc.get('version')}")
     missing = [key for key in _KEYS if key not in doc]
     if missing:

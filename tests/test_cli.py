@@ -6,6 +6,7 @@ import json
 import math
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,17 @@ def test_sweep_refuses_delta_outside_unit_interval_without_epsilons(sim_dir, tmp
                      "--epsilons", "", "--delta", "5", "--seed", "2"])
     assert code == cli.EXIT_ARGUMENT
     assert not (out / "holdout_report.json").exists()
+
+
+@pytest.mark.parametrize("epsilons", ["10,,1", "10,1,", ",10", ","])
+def test_sweep_refuses_an_empty_epsilon_entry(sim_dir, tmp_path, capsys, epsilons):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "cv", "--k-max", "1",
+                     "--epsilons", epsilons, "--folds", "3", "--seed", "2"])
+    assert code == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err == f"error: bad epsilon list {epsilons!r}\n"
+    assert not out.exists()
 
 
 def test_sweep_cv_only_refuses_a_bad_pipeline_spec(sim_dir, tmp_path):
@@ -978,13 +990,14 @@ def test_malformed_model_file_exits_3(sim_dir, tmp_path, capsys, corrupt):
     assert str(model_path) in capsys.readouterr().err
 
 
-def _set(*keys):
-    """A corruption that puts JSON true at doc[keys[0]][keys[1]]..."""
+def _set(*keys, value=True):
+    """A corruption that puts ``value``, JSON true by default, at
+    doc[keys[0]][keys[1]]..."""
     def corrupt(doc):
         *parents, last = keys
         for key in parents:
             doc = doc[key]
-        doc[last] = True
+        doc[last] = value
     return corrupt
 
 
@@ -1013,6 +1026,38 @@ def test_model_file_with_a_boolean_for_a_number_exits_3(sim_dir, tmp_path, capsy
                      "--response-col", "0", "--output", str(out)])
     assert code == cli.EXIT_IO
     assert capsys.readouterr().err == f"error: {model_path}: malformed model: {message}\n"
+    assert not out.exists()
+
+
+_DISAGREES = "malformed model: b disagrees with W (P^T W)^-1 c"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set("b", 0, value=1e200), _DISAGREES),
+    # The smallest entry whose square overflows: both norms would read inf.
+    (_set("b", 0, value=1.3407807929942597e+154), _DISAGREES),
+    (_set("c", 0, value=1e300), _DISAGREES),
+    (_set("version"), "unsupported model version True"),
+    (_set("version", value=1.0), "unsupported model version 1.0"),
+], ids=["b-1e200", "b-overflowing-square", "c-1e300", "version-true", "version-float"])
+def test_extreme_or_mistyped_model_file_exits_3_without_a_warning(sim_dir, tmp_path, capsys,
+                                                                  corrupt, message):
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2",
+                     "--epsilon", "1", "--seed", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["predict", "--model", str(model_path),
+                         "--input", str(sim_dir / "combined.csv"),
+                         "--response-col", "0", "--output", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ quantity but provably not the regression vector, so the two routes must
 agree to rounding error.
 """
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -221,6 +222,19 @@ def test_fit_zero_tolerance_on_rank_deficit_raises_singular():
     assert "reduce the component count" in str(err.value)
 
 
+def test_zero_tolerance_stops_on_an_exactly_vanishing_residual():
+    # The first component explains X and y exactly, so the second one's
+    # covariance norm is 0.0, which a tolerance of 0 must stop on.
+    d = Dataset(X=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+                y=np.array([1.0, 2.0, 3.0, 4.0]))
+    path = nipals_path(d, 2, 0.0)
+    assert path.releases.shape[0] == 1 and np.all(np.isfinite(path.releases))
+    one, two = release_many(path, [FitConfig(k=1), FitConfig(k=2)])
+    assert (one.k, one.early_stop) == (1, False)
+    assert (two.k, two.early_stop) == (1, True)
+    np.testing.assert_allclose(predict(two, d.X), d.y, rtol=1e-12)
+
+
 def test_all_components_skipped_predicts_mean():
     d = _random_dataset(11)
     model = release(nipals_path(d, 2, 1e12), FitConfig(k=2))
@@ -359,8 +373,6 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
     path = nipals_path(d, K, tol)
     assert (len(path.releases) < K) == (stop is not None)
     budgets = [None, PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01)]
-    # Deepest first, so shallower releases read calibrations memoized by
-    # deeper ones.
     for k in range(K, 0, -1):
         for bi, budget in enumerate(budgets):
             def cfg():
@@ -386,8 +398,9 @@ def test_release_rejects_configs_the_path_cannot_serve():
 
 
 def gaussian_vector(length, sigma, rng):
-    """``length`` iid N(0, sigma^2) draws from ``rng``; none at sigma 0."""
-    if sigma == 0.0:
+    """``length`` iid N(0, sigma^2) draws from ``rng``, at sigma 0 too;
+    zeros without a stream."""
+    if rng is None:
         return np.zeros(length)
     return sigma * norm_ppf(rng.open_unit(length))
 
@@ -395,9 +408,10 @@ def gaussian_vector(length, sigma, rng):
 def _reference_release(path, cfg):
     """cfg's release of ``path`` rebuilt one config and one vector at a
     time: calibrations in CALIBRATION_TARGETS order, one gaussian_vector
-    call per released vector in the documented order, np.linalg.norm per
-    vector and np.linalg.solve(P.T @ W, c).  Raises what release_many
-    reports for the config."""
+    call per released vector in the documented order (a private config
+    draws for every release, whatever its sigma; a clean one draws
+    nothing), np.linalg.norm per vector and np.linalg.solve(P.T @ W, c).
+    Raises what release_many reports for the config."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -405,6 +419,7 @@ def _reference_release(path, cfg):
     k = min(cfg.k, len(path.releases))
     m, n = path.sizes[:2]
     W, T, P, c, log = np.empty((m, k)), np.empty((n, k)), np.empty((m, k)), np.empty(k), []
+    rng = None if cfg.privacy is None else cfg.rng
     for j, (row, bounds) in enumerate(zip(path.releases[:k], path.bounds)):
         comp_w, comp_t, comp_p, comp_c = np.split(row, np.cumsum(path.sizes)[:-1])
         sig = [0.0] * 4
@@ -416,12 +431,12 @@ def _reference_release(path, cfg):
             ]
             log += four
             sig = [cal.sigma for cal in four]
-        w = comp_w + gaussian_vector(comp_w.size, sig[0], cfg.rng)
-        t = comp_t + gaussian_vector(comp_t.size, sig[1], cfg.rng)
+        w = comp_w + gaussian_vector(comp_w.size, sig[0], rng)
+        t = comp_t + gaussian_vector(comp_t.size, sig[1], rng)
         W[:, j] = w / np.linalg.norm(w)
         T[:, j] = t / np.linalg.norm(t)
-        P[:, j] = comp_p + gaussian_vector(comp_p.size, sig[2], cfg.rng)
-        c[j:j + 1] = comp_c + gaussian_vector(1, sig[3], cfg.rng)
+        P[:, j] = comp_p + gaussian_vector(comp_p.size, sig[2], rng)
+        c[j:j + 1] = comp_c + gaussian_vector(1, sig[3], rng)
     b = np.zeros(m)
     if k:
         PtW = P.T @ W
@@ -443,7 +458,7 @@ def _reference_release(path, cfg):
 @pytest.mark.parametrize("silenced", [None, "scores"])
 def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     if silenced is not None:
-        # A zero-sigma release must take no draws from the stream.
+        # A zero-sigma release still takes its draws from the stream.
         _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     d = _random_dataset(42)
     path = nipals_path(d, 3)
@@ -453,18 +468,28 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
 
 
-def test_a_zero_sigma_release_consumes_no_draws(monkeypatch):
-    _silence_all_but(monkeypatch)
-    a, b = RngStream(11), RngStream(11)
-    model = release(nipals_path(_random_dataset(46), 3),
-                    FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=a))
-    assert len(model.calibration_log) == 12
-    assert all(cal.sigma == 0.0 for cal in model.calibration_log)
-    # a must still be draw-for-draw aligned with the untouched stream b.
-    np.testing.assert_array_equal(a.open_unit(8), b.open_unit(8))
+@pytest.mark.parametrize("case", ["noised", "silenced", "score-stop"])
+def test_a_private_release_consumes_k_row_widths_of_its_stream(monkeypatch, case):
+    # k (2m + n + 1) words for the k released components, whatever their
+    # sigmas; a clean config takes none, even with a stream.
+    if case == "silenced":
+        _silence_all_but(monkeypatch)
+    path = nipals_path(_score_stop_dataset(), 4, 1e-8) if case == "score-stop" \
+        else nipals_path(_random_dataset(46), 3)
+    k = len(path.releases)
+    assert k == (1 if case == "score-stop" else 3)
+    budget = PrivacyBudget(1.0, 0.01)
+    streams = [RngStream(11, s) for s in range(3)]
+    release_many(path, [FitConfig(k=path.k_max, privacy=budget, rng=streams[0]),
+                        FitConfig(k=path.k_max, rng=streams[1]),
+                        FitConfig(k=1, privacy=budget, rng=streams[2])])
+    for used, stream in zip((k, 0, 1), streams):
+        fresh = RngStream(stream.seed, stream.stream_id)
+        fresh.open_unit(used * sum(path.sizes))
+        np.testing.assert_array_equal(stream.open_unit(8), fresh.open_unit(8))
 
 
-def test_path_memoizes_calibrations_per_budget(monkeypatch):
+def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypatch):
     calls = []
     calibrate = pls_module.analytic_gaussian_sigma
 
@@ -475,35 +500,42 @@ def test_path_memoizes_calibrations_per_budget(monkeypatch):
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
     path = nipals_path(_random_dataset(43), 3)
     budgets = (PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01))
-    for rep in range(3):
-        for budget in budgets:
-            release(path, FitConfig(k=3, privacy=budget, rng=RngStream(rep)))
+    # Shallow first: deeper releases extend the budget's log, once.
+    cfgs = lambda: [FitConfig(k=k, privacy=budget, rng=RngStream(k, rep))
+                    for k in (1, 3, 2) for rep in range(3) for budget in budgets]
+    models = release_many(path, cfgs())
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
+    # The path keeps nothing: the next call calibrates afresh.
+    assert [f.name for f in dataclasses.fields(path)] == [
+        "releases", "bounds", "x_means", "y_mean", "k_max"]
+    for got, want in zip(release_many(path, cfgs()), models):
+        _assert_models_identical(got, want)
+    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 4 * 3
 
 
 def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
     calibrate = pls_module.analytic_gaussian_sigma
-    armed = []
-    # A component's four calibrations run in CALIBRATION_TARGETS order.
-    targets = itertools.cycle(CALIBRATION_TARGETS)
+    calls = []
 
-    def fails_once_on_x_loadings(delta_f, budget):
-        if next(targets) == "x_loadings" and armed:
-            armed.clear()
+    def fails_on_the_seventh_call(delta_f, budget):
+        calls.append(budget)
+        if len(calls) == 7:
             raise NumericalError("synthetic calibration failure")
         return calibrate(delta_f, budget)
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_once_on_x_loadings)
     d = _random_dataset(45)
     path = nipals_path(d, 3)
     budget = PrivacyBudget(1.0, 0.01)
     cfg = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(s))
-    release(path, cfg(1, 0))  # memoizes the first component
-    armed.append(True)  # the second component's x-loadings calibration fails
-    failed, after = release_many(path, [cfg(3, 1), cfg(3, 2)])
-    assert isinstance(failed, NumericalError) and not armed
-    for got in (after, release(path, cfg(3, 2))):
-        _assert_models_identical(got, release(nipals_path(d, 3), cfg(3, 2)))
+    want = release(nipals_path(d, 3), cfg(3, 2))
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_the_seventh_call)
+    # Calls 1-4 calibrate component 1; the second component's x-loadings
+    # (call 7) fail, and the third config calibrates components 2 and 3
+    # in full: 4 + 3 + 8 calls.
+    first, failed, after = release_many(path, [cfg(1, 0), cfg(3, 1), cfg(3, 2)])
+    assert isinstance(failed, NumericalError) and len(calls) == 15
+    assert first.k == 1
+    _assert_models_identical(after, want)
 
 
 def _silence_all_but(monkeypatch, *noised):
@@ -620,7 +652,6 @@ def test_release_many_equals_the_per_config_reference(data):
         ]
 
     with pytest.MonkeyPatch.context() as mp:
-        # A fresh path per example: the path memoizes its calibrations.
         _silence_all_but(mp, *noised)
         path = _PATHS[case]()
         got = release_many(path, cfgs())
