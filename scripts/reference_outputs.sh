@@ -72,10 +72,15 @@ core.save_matrix(sys.argv[1], datagen.gaussian_signal(100, datagen.UNIQUE_HOLDER
         --output models/private-header.json
     dppls predict --model models/private-header.json --input preprocessed-header.csv \
         --header --response-col 0 --output predictions-header.csv
-    # airPLS at order 1 (the numpy tridiagonal solve) and at order 2
-    # (scipy's banded solver).
+    # airPLS at orders 1, 2 and 3 (bandwidths 1 to 3 of the banded solve),
+    # and at order 2 through a protocol.
     dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \
         --output preprocessed-airpls.csv
     dppls preprocess --input sim/combined.csv --pipeline "airpls:1e5,15,2|center" \
         --output preprocessed-airpls2.csv
+    dppls preprocess --input sim/combined.csv --pipeline "airpls:1e3,15,3|center" \
+        --output preprocessed-airpls3.csv
+    dppls sweep --input sim/combined.csv --mode holdout --k 3 \
+        --epsilons 100,10,1 --repeats 20 --seed "$seed" \
+        --pipeline "airpls:1e5,15,2|center" --output sweep-airpls2-holdout
 done

@@ -316,8 +316,9 @@ def cmd_sweep(cfg: dict) -> None:
                      header=cfg["header"])
     eps_list = _parse_eps_list(cfg["epsilons"])
     delta = float(cfg["delta"])
-    # Refused before either protocol runs, so that a refused sweep leaves
-    # no report behind; the protocols' own refusals hold the writes back.
+    # Reports are written only after both protocols have run, so no
+    # refusal leaves one behind; these checks come first so that a refused
+    # sweep runs no protocol.
     row_steps = parse_pipeline(cfg["pipeline"]).split()[0]
     if not 0 < delta < 1:
         raise ConfigurationError(f"--delta must lie in (0, 1), got {delta}")
@@ -325,15 +326,17 @@ def cmd_sweep(cfg: dict) -> None:
         raise ConfigurationError("missing required option --k")
     # The row steps map each row on its own, so one pass over d.X serves
     # both protocols, and the holdout split's permutation picks the same
-    # mapped rows.  Rows the steps refuse go to the protocols unmapped,
-    # which refuse them as they would on their own.
-    try:
-        d = Dataset(X=row_steps.transform(d.X), y=d.y)
-        rows_mapped = True
-    except DpplsError:
-        rows_mapped = False
+    # mapped rows.
+    d = Dataset(X=row_steps.transform(d.X), y=d.y)
     rng = RngStream(cfg["seed"])
     reports = {}
+
+    if cfg["mode"] in ("holdout", "both"):
+        # Taken before CV, so that a split it refuses costs no CV run; it
+        # draws from its own stream, so the order changes no output.
+        train, test = train_test_split(
+            d, float(cfg["test_fraction"]), rng.derive(_STREAM_SPLIT),
+        )
 
     if cfg["mode"] in ("cv", "both"):
         k_max = cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10)
@@ -349,17 +352,14 @@ def cmd_sweep(cfg: dict) -> None:
         reports["cv_report"] = kfold_cv(
             d, cfg["folds"], grid,
             pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),
-            rows_mapped=rows_mapped,
+            rows_mapped=True,
         )
 
     if cfg["mode"] in ("holdout", "both"):
-        train, test = train_test_split(
-            d, float(cfg["test_fraction"]), rng.derive(_STREAM_SPLIT),
-        )
         reports["holdout_report"] = privacy_utility_sweep(
             train, test, eps_list, cfg["k"],
             pipeline_spec=cfg["pipeline"], repeats=cfg["repeats"],
-            rng=rng.derive(_STREAM_HOLDOUT), delta=delta, rows_mapped=rows_mapped,
+            rng=rng.derive(_STREAM_HOLDOUT), delta=delta, rows_mapped=True,
         )
 
     out = _output(cfg)

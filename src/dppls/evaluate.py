@@ -162,8 +162,8 @@ def kfold_cv(
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
-    in that ranking, and every configuration is flagged when the row
-    steps refuse the data.  A bad ``pipeline_spec`` raises.
+    in that ranking.  A bad ``pipeline_spec``, rows or responses holding
+    NaN or infinite entries, and rows the row steps refuse raise.
     With ``rows_mapped`` the rows of ``d.X`` have been through the row
     steps already, and only the fitted steps run.
     """
@@ -173,7 +173,10 @@ def kfold_cv(
         raise ArgumentError("grid must contain at least one configuration")
     if not (2 <= folds <= d.n):
         raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
+    if not np.all(np.isfinite(d.X)) or not np.all(np.isfinite(d.y)):
+        raise DegenerateInputError("dataset contains NaN or infinite entries")
     row_steps, fitted = parse_pipeline(pipeline_spec).split()
+    X = d.X if rows_mapped else row_steps.transform(d.X)
 
     perm = rng.permutation(d.n)
     blocks = np.array_split(perm, folds)
@@ -189,11 +192,7 @@ def kfold_cv(
     k_top = max(cfg.k for cfg in grid)
     status = ["ok"] * len(grid)
     sq_errors = [[] for _ in grid]
-    try:
-        X = d.X if rows_mapped else row_steps.transform(d.X)
-    except DpplsError:
-        X, status = None, ["failed"] * len(grid)
-    for fold_i in range(folds if X is not None else 0):
+    for fold_i in range(folds):
         test_idx = blocks[fold_i]
         train_idx = np.concatenate(
             [blocks[j] for j in range(folds) if j != fold_i]

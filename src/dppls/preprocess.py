@@ -183,9 +183,7 @@ def _penalty_bands(m: int, order: int) -> np.ndarray:
     Row i of D holds the difference stencil s in columns i .. i + order,
     so entry (j, j + off) of D^T D is the sum of s_a s_(a+off) over the
     rows i = j - a that cover both columns.  The entries are small
-    integers, so the sums are exact.  The first r entries of superdiagonal
-    row ``order - r`` are zero, so copies tiled side by side form a
-    block-diagonal band."""
+    integers, so the sums are exact."""
     if m <= order:
         raise ShapeError(
             f"need more than {order} channels for a difference penalty, got {m}"
@@ -198,44 +196,60 @@ def _penalty_bands(m: int, order: int) -> np.ndarray:
     return ab
 
 
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one symmetric tridiagonal system per row, as LAPACK ``ptsv``.
+def _solve_banded(band: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + diag(weights[i])) z = rhs[i] for every row i.
 
-    Row i's system has diagonal ``diag[i]`` and the shared super- and
-    subdiagonal ``off`` (length m - 1); its right-hand side is ``rhs[i]``.
-    The LDL^T factorisation and the two substitutions take ``ptsv``'s
-    steps in its order, l_j = off_j / d_j, d_{j+1} -= l_j off_j and
-    b_{j+1} -= b_j l_j, then b_{m-1} /= d_{m-1} and
-    b_j = b_j / d_j - b_{j+1} l_j, each one IEEE operation, so every row
+    A is the symmetric band matrix of bandwidth p in the upper form of
+    :func:`_penalty_bands` (``band[p - s, j]`` holds A[j - s, j]).  Each
+    system, with entries a and pivots d, is solved by symmetric Gaussian
+    elimination without pivoting (LDL^T): at channel j,
+    l_s = a_(j, j+s) / d_j for s = 1 .. p, a_(j+s, j+t) -= l_s a_(j, j+t)
+    for s <= t <= p, and b_(j+s) -= b_j l_s; then b /= d, and backwards
+    b_j -= b_(j+s) l_s for s = 1 .. p.  At p = 1 these are LAPACK
+    ``ptsv``'s steps in its order, each one IEEE operation, so every row
     gets the bits of ``scipy.linalg.solveh_banded`` on its own system.
-    The rows are stored channel-major and step together: each step is one
-    ufunc call over all rows, written through ``out=`` into views bound
-    once.  A non-positive pivot raises NumericalError, as ``ptsv`` does.
+    At larger p, LAPACK's ``pbsv`` takes a Cholesky route whose bits
+    depend on its BLAS's fused multiply-adds; these steps give the same
+    bits on every BLAS, within 4 eps cond(A) max |z| of LAPACK's (the
+    tests' bound; at most 0.7 measured up to p = 4).  The rows are
+    stored channel-major and step together: each step is one ufunc call
+    over all rows, written through ``out=`` into views bound once.  A
+    non-positive pivot raises NumericalError, as LAPACK does.
     """
-    d = diag.T.copy()
+    p = band.shape[0] - 1
+    r, m = rhs.shape
+    # a[s, j] holds row j's entry s channels right of the diagonal, for
+    # j + s < m.  No step updates the outermost band, so the rows share it.
+    a = np.empty((p, m, r))
+    np.add(weights.T, band[p, :, None], out=a[0])
+    for s in range(1, p):
+        a[s, :m - s] = band[p - s, s:, None]
+    A = [list(x) for x in a] + [list(np.broadcast_to(band[0, p:, None], (m - p, r)))]
+    L = [None] + [list(x) for x in np.empty((p, m - 1, r))]
     b = rhs.T.copy()
-    m, r = d.shape
-    ls = list(np.empty((m - 1, r)))
-    es = list(np.broadcast_to(off[:, None], (m - 1, r)))
-    ds, bs = list(d), list(b)
+    B = list(b)
     tmp = np.empty(r)
-    # A non-positive pivot stays in d; the steps after it may divide by
-    # zero, so they run silenced and the pivots are checked at the end.
+    # A non-positive pivot stays in a[0]; the steps after it may divide
+    # by zero, so they run silenced and the pivots are checked at the end.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e, l, d0, d1, b0, b1 in zip(es, ls, ds, ds[1:], bs, bs[1:]):
-            np.divide(e, d0, out=l)
-            np.multiply(l, e, out=tmp)
-            np.subtract(d1, tmp, out=d1)
-            np.multiply(b0, l, out=tmp)
-            np.subtract(b1, tmp, out=b1)
+        for j in range(m - 1):
+            width = min(p, m - 1 - j)
+            for s in range(1, width + 1):
+                np.divide(A[s][j], A[0][j], out=L[s][j])
+                for t in range(s, width + 1):
+                    np.multiply(L[s][j], A[t][j], out=tmp)
+                    np.subtract(A[t - s][j + s], tmp, out=A[t - s][j + s])
+                np.multiply(B[j], L[s][j], out=tmp)
+                np.subtract(B[j + s], tmp, out=B[j + s])
         # Every b_j / d_j reads a b_j the backward steps have not touched
         # yet, so all of them are taken in one call.
-        np.divide(b, d, out=b)
-        for l, b0, b1 in zip(ls[::-1], bs[-2::-1], bs[::-1]):
-            np.multiply(b1, l, out=tmp)
-            np.subtract(b0, tmp, out=b0)
-    if not (d > 0).all():
-        j = int(np.flatnonzero(~(d > 0).all(axis=1))[0])
+        np.divide(b, a[0], out=b)
+        for j in range(m - 2, -1, -1):
+            for s in range(1, min(p, m - 1 - j) + 1):
+                np.multiply(B[j + s], L[s][j], out=tmp)
+                np.subtract(B[j], tmp, out=B[j])
+    if not (a[0] > 0).all():
+        j = int(np.flatnonzero(~(a[0] > 0).all(axis=1))[0])
         raise NumericalError(
             f"banded baseline solve failed: {j + 1}th leading minor not positive definite"
         )
@@ -268,18 +282,11 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     solve.  Returns the baseline-subtracted rows.
 
     Each iteration solves the systems of all rows still iterating at
-    once.  At diff_order 1 the system is tridiagonal and
-    :func:`_solve_tridiagonal` solves it in numpy with LAPACK ``ptsv``'s
-    steps, the route ``scipy.linalg.solveh_banded`` takes for it, so no
-    scipy module loads.  At higher orders ``solveh_banded`` (LAPACK
-    ``pbsv``, imported on first use) makes one banded Cholesky solve of
-    the rows stacked into one system of length n_active * m; the stacked
-    matrix is block diagonal, each row's band block having zero
-    couplings to the next row's channels, so every row gets exactly the
-    numbers of its own solve.  The stopping test and the weights are
-    computed per row, with each row's l1(d) summed over that row's own
-    residuals, so the output equals solving each row on its own, bit for
-    bit.
+    once with :func:`_solve_banded`, in numpy, at every diff_order.  The
+    stopping test and the weights are computed per row, with each row's
+    l1(d) summed over that row's own residuals, so the output equals
+    solving each row on its own, bit for bit.  A ``lam`` for which
+    lam D^T D overflows raises ArgumentError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
@@ -288,25 +295,18 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     baseline = np.zeros_like(X)
     if n == 0:
         return X - baseline
-    band = cfg.lam * _penalty_bands(m, cfg.diff_order)
+    with np.errstate(over="ignore"):
+        band = cfg.lam * _penalty_bands(m, cfg.diff_order)
+    if not np.isfinite(band).all():
+        raise ArgumentError(
+            f"lam {cfg.lam!r} overflows the order-{cfg.diff_order} difference penalty"
+        )
     abs_total = np.abs(X).sum(axis=1)
     active = np.arange(n)
     weights = np.ones_like(X)
     for iteration in range(1, cfg.max_iterations + 1):
         rows = X[active]
-        if cfg.diff_order == 1:
-            z = _solve_tridiagonal(band[1] + weights, band[0, 1:], weights * rows)
-        else:
-            # Imported here so that only higher-order airPLS loads scipy.
-            from scipy.linalg import solveh_banded
-
-            ab = np.tile(band, active.size)
-            ab[cfg.diff_order] += weights.ravel()
-            try:
-                z = solveh_banded(ab, (weights * rows).ravel(), lower=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"banded baseline solve failed: {exc}") from exc
-            z = z.reshape(rows.shape)
+        z = _solve_banded(band, weights, weights * rows)
         baseline[active] = z
         d = rows - z
         neg = d < 0

@@ -358,15 +358,15 @@ def test_sweep_cv_only_refuses_a_bad_pipeline_spec(sim_dir, tmp_path):
     assert not list(out.glob("*_report.*"))
 
 
-@pytest.mark.parametrize("flags,cv_runs", [
-    (["--k", "2", "--epsilons", "", "--delta", "5"], False),
-    (["--epsilons", "10"], False),
-    (["--k", "2", "--pipeline", "bogus"], False),
-    (["--k", "2", "--pipeline", "sg:4,2,1|center"], False),
-    # Refused by the holdout protocol itself, after CV has run.
-    (["--k", "2", "--test-fraction", "0.99"], True),
+@pytest.mark.parametrize("flags", [
+    ["--k", "2", "--epsilons", "", "--delta", "5"],
+    ["--epsilons", "10"],
+    ["--k", "2", "--pipeline", "bogus"],
+    ["--k", "2", "--pipeline", "sg:4,2,1|center"],
+    # Refused by the holdout split, which is taken before CV runs.
+    ["--k", "2", "--test-fraction", "0.99"],
 ], ids=["delta", "missing-k", "unknown-step", "even-window", "holdout-split"])
-def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags, cv_runs):
+def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags):
     calls = []
     kfold_cv = cli.kfold_cv
     monkeypatch.setattr(cli, "kfold_cv", lambda *a, **kw: calls.append(1) or kfold_cv(*a, **kw))
@@ -376,15 +376,15 @@ def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags, c
                      "--folds", "3", "--repeats", "2", "--seed", "2", *flags])
     assert code == cli.EXIT_ARGUMENT
     assert not list(out.glob("*_report.*"))
-    assert calls == ([1] if cv_runs else [])
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode,code", [
-    ("cv", cli.EXIT_OK), ("holdout", cli.EXIT_SHAPE), ("both", cli.EXIT_SHAPE),
+    ("cv", cli.EXIT_SHAPE), ("holdout", cli.EXIT_SHAPE), ("both", cli.EXIT_SHAPE),
 ])
-def test_sweep_whose_row_steps_refuse_the_data_keeps_each_mode_s_refusal(tmp_path, mode, code):
-    # A 9-point window does not fit 5 channels.  CV flags every entry;
-    # the holdout sweep refuses, and with it the whole command.
+def test_sweep_whose_row_steps_refuse_the_data_keeps_each_mode_s_refusal(
+        tmp_path, capsys, mode, code):
+    # A 9-point window does not fit 5 channels: every mode refuses.
     data = tmp_path / "narrow.csv"
     gen = np.random.default_rng(5)
     save_dataset(data, Dataset(X=gen.normal(size=(12, 5)), y=gen.normal(size=12)))
@@ -393,12 +393,53 @@ def test_sweep_whose_row_steps_refuse_the_data_keeps_each_mode_s_refusal(tmp_pat
                      "--mode", mode, "--k", "2", "--k-max", "2", "--epsilons", "10",
                      "--folds", "3", "--repeats", "2", "--seed", "2",
                      "--pipeline", "sg:9,2,1|center"]) == code
-    if mode == "cv":
-        entries = json.loads((out / "cv_report.json").read_text())["entries"]
-        assert len(entries) == 4
-        assert all(e["status"] == "failed" for e in entries)
-    else:
-        assert not list(out.glob("*_report.*"))
+    assert capsys.readouterr().err == "error: rows have 5 channels but the window needs 9\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pipeline,message", [
+    ("", "dataset contains NaN or infinite entries"),
+    ("airpls|center", "input contains NaN or infinite entries"),
+], ids=["no-pipeline", "airpls"])
+@pytest.mark.parametrize("mode", ["cv", "holdout", "both"])
+@pytest.mark.parametrize("column", [0, 9], ids=["response", "feature"])
+def test_sweep_refuses_non_finite_data_in_every_mode(
+        sim_dir, tmp_path, capsys, mode, pipeline, message, column):
+    d = load_dataset(sim_dir / "combined.csv")
+    data = np.column_stack([d.y, d.X])
+    data[17, column] = np.nan
+    path = tmp_path / "bad.csv"
+    save_matrix(path, data)
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--input", str(path), "--output", str(out),
+                         "--mode", mode, "--k", "2", "--k-max", "2", "--epsilons", "10",
+                         "--folds", "3", "--repeats", "2", "--seed", "2",
+                         "--pipeline", pipeline])
+    assert code == cli.EXIT_ARGUMENT
+    # A NaN response passes the row steps and is refused by the protocols.
+    want = message if column else "dataset contains NaN or infinite entries"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "sweep"])
+@pytest.mark.parametrize("spec", ["airpls:1e308,15,1", "airpls:1e308,15,2"])
+def test_airpls_whose_penalty_overflows_exits_2(sim_dir, tmp_path, capsys, command, spec):
+    out = tmp_path / "out"
+    args = {"preprocess": [],
+            "sweep": ["--mode", "both", "--k", "2", "--k-max", "2", "--folds", "3",
+                      "--repeats", "2", "--epsilons", "10"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--input", str(sim_dir / "combined.csv"),
+                         "--output", str(out), "--pipeline", spec, *args])
+    assert code == cli.EXIT_ARGUMENT
+    order = spec[-1]
+    assert capsys.readouterr().err == (
+        f"error: lam 1e+308 overflows the order-{order} difference penalty\n")
+    assert not out.exists()
 
 
 def test_sweep_maps_each_row_through_the_row_steps_once(sim_dir, tmp_path, monkeypatch):

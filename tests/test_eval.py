@@ -492,12 +492,14 @@ def test_cv_report_equals_reference_when_every_fold_fails(tmp_path):
     assert [e["status"] for e in got.entries] == ["failed", "failed"]
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
-    # The row steps refuse the whole data set before any fold is taken.
+    # Data no fold could use is refused before any fold is taken: a NaN
+    # with or without row steps, and rows the row steps refuse.
+    with pytest.raises(ShapeError, match="window needs 13"):
+        kfold_cv(d, 4, grid, pipeline_spec="sg:13,2,1|center", rng=RngStream(32))
     d.X[7] = np.nan
-    got = kfold_cv(d, 4, grid, pipeline_spec="sg:5,2,1|center", rng=RngStream(32))
-    want = _reference_kfold(d, 4, grid, "sg:5,2,1|center", RngStream(32))
-    assert [e["status"] for e in got.entries] == ["failed", "failed"]
-    assert _report_bytes(got, tmp_path, "rows") == _report_bytes(want, tmp_path, "rows_want")
+    for spec in ("", "sg:5,2,1|center"):
+        with pytest.raises(DegenerateInputError, match="NaN or infinite"):
+            kfold_cv(d, 4, grid, pipeline_spec=spec, rng=RngStream(32))
 
 
 @pytest.mark.parametrize("spec", ["", "sg:5,2,1|msc|center"] + _HOISTED_SPECS)

@@ -1,11 +1,9 @@
 """What importing dppls loads, checked in fresh interpreters.
 
 The package and its CLI load no scipy module: the privacy profile runs on
-``math`` alone, and first-order airPLS (the default ``airpls`` step)
-solves its tridiagonal systems in numpy.  Only airPLS at a higher
-difference order imports scipy's banded solver, when it first runs.  Each
-check starts a new interpreter, because this test process has scipy
-loaded already.
+``math`` alone, and airPLS solves its banded systems in numpy at every
+difference order.  Each check starts a new interpreter, because this test
+process has scipy loaded already.
 """
 
 import json
@@ -15,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dppls
 from dppls.preprocess import AirPlsConfig, airpls_correct
@@ -74,10 +73,12 @@ _ROWS = np.vstack([np.sin(np.linspace(0, 6, 40)) + np.linspace(0, 2, 40),
                    np.cos(np.linspace(0, 3, 40)) ** 2])
 
 
-def test_first_order_airpls_loads_no_scipy(tmp_path):
-    # The numpy tridiagonal solve gives the bits of this process's
-    # airpls_correct, which the preprocess tests tie to scipy's solver.
-    cfg = AirPlsConfig(lam=100.0, max_iterations=10)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_airpls_loads_no_scipy(tmp_path, order):
+    # The numpy banded solve gives the bits of this process's
+    # airpls_correct, which the preprocess tests tie to a per-row solve
+    # and to scipy's solver.
+    cfg = AirPlsConfig(lam=100.0, max_iterations=10, diff_order=order)
     before, after, out = _airpls_in_a_fresh_interpreter(_ROWS, cfg, tmp_path)
     assert before == after == []
     assert out == airpls_correct(_ROWS, cfg).tobytes().hex()
@@ -96,12 +97,3 @@ print({_SCIPY_MODULES})
 """
     assert _run(code, tmp_path) == "[]"
 
-
-def test_airpls_imports_its_solver_on_first_use(tmp_path):
-    # The lazy import path: a fresh interpreter has no scipy.linalg until
-    # airpls_correct runs at order 2, and then gives the same bits as
-    # this process.
-    cfg = AirPlsConfig(lam=100.0, max_iterations=10, diff_order=2)
-    before, after, out = _airpls_in_a_fresh_interpreter(_ROWS, cfg, tmp_path)
-    assert "scipy.linalg" not in before and "scipy.linalg" in after
-    assert out == airpls_correct(_ROWS, cfg).tobytes().hex()

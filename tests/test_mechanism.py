@@ -231,7 +231,7 @@ def test_profile_matches_erf_oracle():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.floats(min_value=0.05, max_value=50.0),
+    st.floats(min_value=0.06, max_value=7.0),
     st.floats(min_value=1.01, max_value=3.0),
 )
 def test_profile_strictly_decreasing_in_sigma(sigma, factor):
@@ -240,6 +240,9 @@ def test_profile_strictly_decreasing_in_sigma(sigma, factor):
     # Strictness is only claimable while the computed profile is neither
     # saturated at 1 (tiny sigma) nor drowned in cancellation noise near 0
     # (huge sigma); that band covers every delta a calibration can target.
+    # It spans sigma from about 0.0695 to 6.56, so the sigma range above
+    # holds all of it while the filter drops few draws (a wider range let
+    # Hypothesis's too-much-filtering health check fail the test).
     assume(1e-12 < lo < 1.0 - 1e-12)
     assert hi < lo
 

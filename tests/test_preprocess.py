@@ -24,7 +24,7 @@ from dppls.preprocess import (
     _STEPS,
     _penalty_bands,
     _segment_sums,
-    _solve_tridiagonal,
+    _solve_banded,
     airpls_correct,
     msc,
     parse_pipeline,
@@ -253,7 +253,8 @@ def test_penalty_bands_equal_the_dense_construction_bit_for_bit(order):
 
 
 def _reference_airpls(X, cfg):
-    """airPLS one row at a time: one banded solve per row per iteration.
+    """airPLS one row at a time: one banded solve per row per iteration,
+    each a system of its own.
 
     Returns the corrected rows, the number of solves each row made and
     whether each row ran into max_iterations without stopping.
@@ -265,9 +266,8 @@ def _reference_airpls(X, cfg):
         weights = np.ones(m)
         abs_total = float(np.sum(np.abs(x)))
         for iteration in range(1, cfg.max_iterations + 1):
-            ab = cfg.lam * _dense_penalty_bands(m, cfg.diff_order)
-            ab[cfg.diff_order] += weights
-            z = solveh_banded(ab, weights * x, lower=False)
+            band = cfg.lam * _dense_penalty_bands(m, cfg.diff_order)
+            z = _solve_banded(band, weights[None], (weights * x)[None])[0]
             d = x - z
             neg = d < 0
             dssn = float(np.sum(np.abs(d[neg])))
@@ -331,7 +331,7 @@ def test_airpls_row_with_too_few_negative_residuals_keeps_its_last_baseline():
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_tridiagonal_solve_equals_solveh_banded_bit_for_bit(data):
+def test_banded_solve_at_bandwidth_1_equals_solveh_banded_bit_for_bit(data):
     # airPLS's first-order systems: lam D^T D plus weights of which many
     # are exact zeros, against scipy's solve of each row's own system.
     m = data.draw(st.integers(2, 150), label="m")
@@ -346,12 +346,40 @@ def test_tridiagonal_solve_equals_solveh_banded_bit_for_bit(data):
     weights[np.arange(n), rng.integers(0, m, n)] = 1.0
     x = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     band = lam * _penalty_bands(m, 1)
-    got = _solve_tridiagonal(band[1] + weights, band[0, 1:], weights * x)
+    got = _solve_banded(band, weights, weights * x)
     for i in range(n):
         ab = band.copy()
         ab[1] += weights[i]
         want = solveh_banded(ab, weights[i] * x[i], lower=False)
         np.testing.assert_array_equal(got[i].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_banded_solve_is_within_eps_times_condition_of_solveh_banded(order):
+    # At bandwidth 2 and more LAPACK's pbsv factors by Cholesky with its
+    # BLAS's fused multiply-adds, so its bits cannot be matched; both
+    # solvers are backward stable, so they differ by about eps cond(A)
+    # max |z|.  Over 450 systems like these (orders 2-4, condition numbers
+    # up to 9e15) the largest measured ratio was 0.7; the bound is 4.
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        m = int(rng.integers(order + 1, 120))
+        lam = 10.0 ** rng.uniform(-2, 8)
+        weights = np.exp(rng.uniform(0.0, 15.0, (3, m)))
+        weights[rng.uniform(size=(3, m)) < rng.choice([0.0, 0.5, 0.9])] = 0.0
+        for w in weights:
+            w[rng.choice(m, order + 1, replace=False)] = 1.0
+        x = rng.normal(size=(3, m)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+        band = lam * _penalty_bands(m, order)
+        got = _solve_banded(band, weights, weights * x)
+        D = np.diff(np.eye(m), n=order, axis=0)
+        for i in range(3):
+            ab = band.copy()
+            ab[order] += weights[i]
+            want = solveh_banded(ab, weights[i] * x[i], lower=False)
+            cond = np.linalg.cond(lam * D.T @ D + np.diag(weights[i]))
+            bound = 4 * np.finfo(float).eps * cond * np.max(np.abs(want))
+            assert np.max(np.abs(got[i] - want)) <= bound
 
 
 @pytest.mark.parametrize("diag,off", [
@@ -361,30 +389,45 @@ def test_tridiagonal_solve_equals_solveh_banded_bit_for_bit(data):
 ])
 def test_tridiagonal_solve_refuses_a_non_positive_pivot_without_warnings(diag, off):
     diag = np.array(diag)
+    band = np.zeros((2, diag.shape[1]))
+    band[0, 1:] = off
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="not positive definite"):
-            _solve_tridiagonal(diag, np.array(off), np.ones_like(diag))
+        with pytest.raises(NumericalError, match="leading minor not positive definite"):
+            _solve_banded(band, diag, np.ones_like(diag))
+
+
+def test_banded_solve_refuses_an_indefinite_band_at_bandwidth_2_without_warnings():
+    # Pivots 1 and 0.75, then 1 - 1.5^2 - 0.25^2 / 0.75 < 0: the third
+    # leading minor, made indefinite by the second superdiagonal.
+    band = np.array([[0.0, 0.0, 1.5, 0.0], [0.0, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="3th leading minor not positive definite"):
+            _solve_banded(band, np.zeros((2, 4)), np.ones((2, 4)))
 
 
 def test_airpls_whose_system_has_a_non_positive_pivot_exits_5(monkeypatch, tmp_path, capsys):
-    # An indefinite penalty band makes the first-order solve meet a
-    # negative pivot; the CLI ends with the numerical exit code.
+    # An indefinite penalty band makes the solve meet a negative pivot, at
+    # first and at second order; the CLI ends with the numerical exit code.
     from dppls import cli, preprocess
 
     def indefinite(m, order):
-        ab = np.zeros((2, m))
-        ab[0, 1:], ab[1] = -3.0, 1.0
+        ab = np.zeros((order + 1, m))
+        ab[order - 1, 1:], ab[order] = -3.0, 1.0
         return ab
 
     monkeypatch.setattr(preprocess, "_penalty_bands", indefinite)
     np.savetxt(tmp_path / "x.csv", _baseline_rows(4, m=60), delimiter=",")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["preprocess", "--input", str(tmp_path / "x.csv"),
-                         "--output", str(tmp_path / "out.csv"), "--pipeline", "airpls"])
-    assert code == cli.EXIT_NUMERICAL == 5
-    assert "not positive definite" in capsys.readouterr().err
+    for spec in ("airpls", "airpls:100,15,2"):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["preprocess", "--input", str(tmp_path / "x.csv"),
+                             "--output", str(out), "--pipeline", spec])
+        assert code == cli.EXIT_NUMERICAL == 5
+        assert "leading minor not positive definite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @settings(deadline=None)
@@ -427,6 +470,12 @@ def test_airpls_validation():
         airpls_correct(np.array([[1.0, np.nan, 2.0]]))
     with pytest.raises(ShapeError):
         airpls_correct(np.ones((1, 1)), AirPlsConfig(diff_order=2))
+    # lam D^T D must be finite: its largest entry is 2 at order 1, 6 at 2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, order in ((1e308, 1), (1e308, 2), (3e307, 2)):
+            with pytest.raises(ArgumentError, match="overflows the order"):
+                airpls_correct(np.ones((1, 10)), AirPlsConfig(lam, 15, order))
 
 
 # ---------------------------------------------------------------------------
