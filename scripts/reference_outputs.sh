@@ -40,6 +40,11 @@ for seed in 1 7; do
     # Two grid points per k share a budget within each fold's release call.
     dppls sweep --input sim/combined.csv --mode cv --k-max 5 \
         --epsilons 10,10,1 --folds 10 --seed "$seed" --output sweep-cv-repeated
+    # Each fold's path has 17 components (18 training rows), so the k=18
+    # grid points fail on every fold.
+    dppls simulate --n 10 --m 20 --seed "$seed" --output sim-tiny
+    dppls sweep --input sim-tiny/combined.csv --mode cv --k-max 18 \
+        --epsilons 10,1 --folds 10 --seed "$seed" --output sweep-cv-failing
     for k in 3 5; do
         dppls fit --input sim/combined.csv --k "$k" --epsilon 1 --seed 7 \
             --output "models/private-k$k.json"

@@ -9,7 +9,7 @@ signals measures how much of their structure leaked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,16 +23,16 @@ _RANK_RTOL = 1e-10
 
 @dataclass
 class AttackReport:
-    """Result of one attack: the residual matrix and per-column scores."""
+    """Result of one attack: the residual and per-column scores, None without a truth."""
 
     residual: np.ndarray
-    similarities: np.ndarray = field(default=None)
-    component_argmax: int = -1
+    similarities: Optional[np.ndarray] = None
+    component_argmax: Optional[int] = None
 
     @property
-    def best_similarity(self) -> float:
-        if self.similarities is None or self.component_argmax < 0:
-            raise ArgumentError("report carries no similarity scores")
+    def best_similarity(self) -> Optional[float]:
+        if self.component_argmax is None:
+            return None
         return float(self.similarities[self.component_argmax])
 
 

@@ -36,7 +36,6 @@ from .core import (
     save_matrix,
 )
 from .errors import (
-    ArgumentError,
     ConfigurationError,
     CsvFormatError,
     DegenerateInputError,
@@ -265,14 +264,11 @@ def cmd_fit(cfg: dict) -> None:
 
 def cmd_predict(cfg: dict) -> None:
     model = load_model(cfg["model"])
-    X = load_matrix(cfg["input"], header=cfg["header"])
-    if cfg["response_col"] is not None:
-        rc = cfg["response_col"]
-        if not (0 <= rc < X.shape[1]):
-            raise ArgumentError(
-                f"response column {rc} out of range for {X.shape[1]} columns"
-            )
-        X = np.delete(X, rc, axis=1)
+    if cfg["response_col"] is None:
+        X = load_matrix(cfg["input"], header=cfg["header"])
+    else:
+        X = load_dataset(cfg["input"], response_col=cfg["response_col"],
+                         header=cfg["header"]).X
     y_hat = predict(model, X)
     save_matrix(_output(cfg), y_hat[:, None], header=["prediction"] if cfg["header"] else None)
 
@@ -300,13 +296,12 @@ def cmd_attack(cfg: dict) -> None:
                 f"got {truth.shape[0]} x {truth.shape[1]}"
             )
     report = attack_and_score(V_global, V_local, truth)
-    scored = report.similarities is not None
     save_json(_output(cfg), {
         "matrix": cfg["matrix"],
         "k": global_model.k,
-        "similarities": report.similarities.tolist() if scored else None,
-        "component_argmax": report.component_argmax if scored else None,
-        "best_similarity": report.best_similarity if scored else None,
+        "similarities": None if report.similarities is None else report.similarities.tolist(),
+        "component_argmax": report.component_argmax,
+        "best_similarity": report.best_similarity,
         "residual": report.residual.tolist(),
     })
 
@@ -342,13 +337,8 @@ def cmd_sweep(cfg: dict) -> None:
         k_max = cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10)
         if k_max < 1:
             raise ConfigurationError(f"--k-max must be at least 1, got {k_max}")
-        grid = []
-        for k in range(1, k_max + 1):
-            grid.append(FitConfig(k=k))
-            for eps in eps_list:
-                grid.append(FitConfig(
-                    k=k, privacy=PrivacyBudget(float(eps), delta),
-                ))
+        budgets = [None] + [PrivacyBudget(eps, delta) for eps in eps_list]
+        grid = [FitConfig(k=k, privacy=b) for k in range(1, k_max + 1) for b in budgets]
         reports["cv_report"] = kfold_cv(
             d, cfg["folds"], grid,
             pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),

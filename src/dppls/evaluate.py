@@ -156,9 +156,8 @@ def kfold_cv(
     grid points.  The pipeline's row steps run once over all of ``d.X``;
     each fold slices those rows, fits the remaining steps on its training
     rows and replays them on its held-out rows, and runs one clean NIPALS
-    path, at the default residual tolerance, up to the largest grid k (at
-    most min(n-1, m)); every grid point is a release of that path, with
-    noise stream ``rng.derive(gi, fold)``.
+    path up to the largest grid k (at most min(n-1, m)); every grid point
+    is a release of that path, with noise stream ``rng.derive(gi, fold)``.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
@@ -204,11 +203,10 @@ def kfold_cv(
         except DpplsError:
             status = ["failed"] * len(grid)
             break
-        live = [gi for gi in range(len(grid)) if status[gi] == "ok"]
         models = release_many(
-            path, [replace(grid[gi], rng=rng.derive(gi, fold_i)) for gi in live],
+            path, [replace(cfg, rng=rng.derive(gi, fold_i)) for gi, cfg in enumerate(grid)],
         )
-        for gi, model in zip(live, models):
+        for gi, model in enumerate(models):
             try:
                 pred = _predict(model, X_test)
             except DpplsError:

@@ -86,7 +86,8 @@ from .mechanism import SampleBounds, analytic_gaussian_sigma, sample_bounds
 # singular; roughly machine epsilon times a safety margin.
 _COND_LIMIT = 1e12
 
-DEFAULT_RESIDUAL_TOLERANCE = 1e-12
+# The residual norm at or below which nipals_path stops.
+RESIDUAL_TOLERANCE = 1e-12
 
 
 def _check_depth(k) -> int:
@@ -171,23 +172,14 @@ class NipalsPath:
         return (m, self.releases.shape[1] - 2 * m - 1, m, 1)
 
 
-def nipals_path(
-    d: Dataset,
-    k_max: int,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-) -> NipalsPath:
+def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
     """Run the clean NIPALS recursion for up to ``k_max`` components.
 
     This is where the data is centered; the means are kept on the path.
     The recursion stops early once the covariance norm or the score norm
-    of the residuals is at most ``residual_tolerance``, so even a
-    tolerance of 0 stops on residuals that vanish exactly.  :func:`fit`,
-    cross-validation and the sweep use the default; this argument is the
-    only way to change it.
+    of the residuals is at most ``RESIDUAL_TOLERANCE``.
     """
     k_max = _check_depth(k_max)
-    if residual_tolerance < 0:
-        raise ArgumentError("residual_tolerance must be nonnegative")
     if d.n >= 1 and np.max(d.y) == np.min(d.y):
         raise DegenerateInputError("response is constant")
     if d.n < 2:
@@ -211,13 +203,13 @@ def nipals_path(
     for row in releases:
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
-        if cov_norm <= residual_tolerance:
+        if cov_norm <= RESIDUAL_TOLERANCE:
             break
         w = cov / cov_norm
 
         s = E @ w
         s_norm = float(np.linalg.norm(s))
-        if s_norm <= residual_tolerance:
+        if s_norm <= RESIDUAL_TOLERANCE:
             break
         t = s / s_norm
         bounds.append(sample_bounds(E, f))
@@ -362,8 +354,8 @@ def fit(d: Dataset, cfg: FitConfig) -> PlsModel:
     """Fit a PLS1 model, privatized when cfg.privacy is set.
 
     The data is centered internally and the means stored on the model.
-    Stops early, flagging the model, if a residual norm drops below
-    ``DEFAULT_RESIDUAL_TOLERANCE`` before k components are extracted.
+    Stops early, flagging the model, if a residual norm drops to
+    ``RESIDUAL_TOLERANCE`` or below before k components are extracted.
     """
     return release(nipals_path(d, cfg.k), cfg)
 

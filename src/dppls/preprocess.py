@@ -286,7 +286,9 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     stopping test and the weights are computed per row, with each row's
     l1(d) summed over that row's own residuals, so the output equals
     solving each row on its own, bit for bit.  A ``lam`` for which
-    lam D^T D overflows raises ArgumentError.
+    lam D^T D overflows raises ArgumentError, a row whose l1(x) overflows
+    DegenerateInputError, and a ``lam`` so large that a system is not
+    numerically positive definite NumericalError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
@@ -297,16 +299,25 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
         return X - baseline
     with np.errstate(over="ignore"):
         band = cfg.lam * _penalty_bands(m, cfg.diff_order)
+        abs_total = np.abs(X).sum(axis=1)
     if not np.isfinite(band).all():
         raise ArgumentError(
             f"lam {cfg.lam!r} overflows the order-{cfg.diff_order} difference penalty"
         )
-    abs_total = np.abs(X).sum(axis=1)
+    if not np.isfinite(abs_total).all():
+        row = int(np.argmin(np.isfinite(abs_total)))
+        raise DegenerateInputError(f"row {row} has an l1 norm beyond float range")
     active = np.arange(n)
     weights = np.ones_like(X)
     for iteration in range(1, cfg.max_iterations + 1):
         rows = X[active]
-        z = _solve_banded(band, weights, weights * rows)
+        try:
+            z = _solve_banded(band, weights, weights * rows)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"lam {cfg.lam!r} is too large for the order-{cfg.diff_order} difference "
+                f"penalty; a smaller lam is needed ({exc})"
+            ) from None
         baseline[active] = z
         d = rows - z
         neg = d < 0

@@ -140,13 +140,13 @@ def test_attack_without_truth_reports_the_residual_only():
     Vg, Vl = _random_matrices(8)
     report = attack_and_score(Vg, Vl)
     np.testing.assert_array_equal(report.residual, orthogonal_complement_weights(Vg, Vl))
-    assert report.similarities is None and report.component_argmax == -1
+    assert report.similarities is None
+    assert report.component_argmax is None and report.best_similarity is None
 
 
 def test_report_without_scores_refuses_best():
     report = AttackReport(residual=np.zeros((3, 1)))
-    with pytest.raises(ArgumentError):
-        report.best_similarity
+    assert report.component_argmax is None and report.best_similarity is None
 
 
 # ---------------------------------------------------------------------------

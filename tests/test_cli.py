@@ -167,6 +167,25 @@ def test_predict_plain_matrix_input(sim_dir, tmp_path):
     np.testing.assert_array_equal(got, predict(load_model(model_path), d.X[:5]))
 
 
+@pytest.mark.parametrize("width, column, code, message", [
+    (1, 0, cli.EXIT_IO, "{input}: need at least 2 columns (response + 1 channel), got 1"),
+    (1, 1, cli.EXIT_IO, "{input}: need at least 2 columns (response + 1 channel), got 1"),
+    (61, 61, cli.EXIT_ARGUMENT, "response column 61 out of range for 61 columns"),
+    (61, -1, cli.EXIT_ARGUMENT, "response column -1 out of range for 61 columns"),
+], ids=["one-column-0", "one-column-1", "past-the-end", "negative"])
+def test_predict_refuses_a_response_column_it_cannot_drop(sim_dir, tmp_path, capsys,
+                                                          width, column, code, message):
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(model_path), "--k", "2"]) == 0
+    data, out = tmp_path / "data.csv", tmp_path / "pred.csv"
+    save_matrix(data, np.ones((4, width)))
+    assert cli.main(["predict", "--model", str(model_path), "--input", str(data),
+                     "--output", str(out), "--response-col", str(column)]) == code
+    assert capsys.readouterr().err == f"error: {message.format(input=data)}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
@@ -439,6 +458,55 @@ def test_airpls_whose_penalty_overflows_exits_2(sim_dir, tmp_path, capsys, comma
     order = spec[-1]
     assert capsys.readouterr().err == (
         f"error: lam 1e+308 overflows the order-{order} difference penalty\n")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def airpls_dir(tmp_path_factory):
+    """The rows of ``simulate --n 100 --m 100 --seed 1``'s combined.csv:
+    the first 6 as ``six.csv``, and with X scaled by 1e305 the first 6 as
+    ``six-scaled.csv`` and all 200 as ``scaled.csv``."""
+    out = tmp_path_factory.mktemp("airpls")
+    d = datagen.concat_rows(*datagen.simulate_two_holders(100, 100, RngStream(1)))
+    scaled = Dataset(X=d.X * 1e305, y=d.y)
+    save_dataset(out / "six.csv", Dataset(X=d.X[:6], y=d.y[:6]))
+    save_dataset(out / "six-scaled.csv", Dataset(X=scaled.X[:6], y=scaled.y[:6]))
+    save_dataset(out / "scaled.csv", scaled)
+    return out
+
+
+@pytest.mark.parametrize("command, data, args", [
+    ("preprocess", "six-scaled.csv", ["--pipeline", "airpls"]),
+    ("sweep", "scaled.csv", ["--pipeline", "airpls|center", "--mode", "both", "--k", "2",
+                             "--k-max", "2", "--folds", "3", "--repeats", "2",
+                             "--epsilons", "10"]),
+], ids=["preprocess", "sweep"])
+def test_airpls_on_a_row_whose_l1_norm_overflows_exits_2(airpls_dir, tmp_path, capsys,
+                                                         command, data, args):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--input", str(airpls_dir / data), "--output", str(out),
+                         *args])
+    assert code == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err == "error: row 0 has an l1 norm beyond float range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order, minor", [(1, 100), (2, 99)])
+def test_airpls_whose_lam_is_too_large_exits_5_naming_lam(airpls_dir, tmp_path, capsys,
+                                                          order, minor):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["preprocess", "--input", str(airpls_dir / "six.csv"),
+                         "--output", str(out), "--pipeline", f"airpls:1e16,15,{order}"])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"error: lam 1e+16 is too large for the order-{order} difference penalty; a "
+        f"smaller lam is needed (banded baseline solve failed: {minor}th leading minor "
+        "not positive definite)\n"
+    )
     assert not out.exists()
 
 

@@ -75,6 +75,13 @@ def _nipals_reference(X, y, k):
     return b, x_means, y_mean
 
 
+def _nipals_path_at(tol, d, k_max):
+    """nipals_path with its stop tolerance monkeypatched to ``tol``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pls_module, "RESIDUAL_TOLERANCE", tol)
+        return nipals_path(d, k_max)
+
+
 def _random_dataset(seed, n=20, m=10):
     rng = RngStream(seed)
     X = rng.uniform(-2, 2, (n, m))
@@ -181,8 +188,6 @@ def test_fit_requires_rng_with_privacy():
 def test_fit_config_validation():
     with pytest.raises(ArgumentError):
         FitConfig(k=0)
-    with pytest.raises(ArgumentError, match="residual_tolerance"):
-        nipals_path(_random_dataset(8), 1, -1.0)
 
 
 def test_fit_rejects_nonfinite_rows():
@@ -202,7 +207,7 @@ def test_fit_stops_early_on_rank_deficit():
     s = rng.uniform(-1, 1, 12)
     c = rng.uniform(1, 2, 15)
     d = Dataset(X=np.outer(c, s), y=c.copy())
-    model = release(nipals_path(d, 4, 1e-8), FitConfig(k=4))
+    model = release(_nipals_path_at(1e-8, d, 4), FitConfig(k=4))
     assert model.early_stop
     assert model.k == 1
     assert model.W.shape == (12, 1)
@@ -218,7 +223,7 @@ def test_fit_zero_tolerance_on_rank_deficit_raises_singular():
     c = rng.uniform(1, 2, 15)
     d = Dataset(X=np.outer(c, s), y=c.copy())
     with pytest.raises(SingularSystemError) as err:
-        release(nipals_path(d, 3, 0.0), FitConfig(k=3))
+        release(_nipals_path_at(0.0, d, 3), FitConfig(k=3))
     assert "reduce the component count" in str(err.value)
 
 
@@ -227,7 +232,7 @@ def test_zero_tolerance_stops_on_an_exactly_vanishing_residual():
     # covariance norm is 0.0, which a tolerance of 0 must stop on.
     d = Dataset(X=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
                 y=np.array([1.0, 2.0, 3.0, 4.0]))
-    path = nipals_path(d, 2, 0.0)
+    path = _nipals_path_at(0.0, d, 2)
     assert path.releases.shape[0] == 1 and np.all(np.isfinite(path.releases))
     one, two = release_many(path, [FitConfig(k=1), FitConfig(k=2)])
     assert (one.k, one.early_stop) == (1, False)
@@ -237,7 +242,7 @@ def test_zero_tolerance_stops_on_an_exactly_vanishing_residual():
 
 def test_all_components_skipped_predicts_mean():
     d = _random_dataset(11)
-    model = release(nipals_path(d, 2, 1e12), FitConfig(k=2))
+    model = release(_nipals_path_at(1e12, d, 2), FitConfig(k=2))
     assert model.k == 0
     assert model.early_stop
     np.testing.assert_array_equal(model.b, np.zeros(d.m))
@@ -370,7 +375,7 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
         "covariance-stop": _covariance_stop_dataset,
     }[case]()
     K = 4
-    path = nipals_path(d, K, tol)
+    path = _nipals_path_at(tol, d, K)
     assert (len(path.releases) < K) == (stop is not None)
     budgets = [None, PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01)]
     for k in range(K, 0, -1):
@@ -379,7 +384,7 @@ def test_release_of_a_deeper_path_equals_fit(case, tol, stop):
                 rng = None if budget is None else RngStream(k, bi)
                 return FitConfig(k=k, privacy=budget, rng=rng)
             replayed = release(path, cfg())
-            _assert_models_identical(replayed, release(nipals_path(d, k, tol), cfg()))
+            _assert_models_identical(replayed, release(_nipals_path_at(tol, d, k), cfg()))
             if budget is not None:
                 # Only the released components are calibrated, not the
                 # one the recursion stopped on.
@@ -474,8 +479,8 @@ def test_a_private_release_consumes_k_row_widths_of_its_stream(monkeypatch, case
     # sigmas; a clean config takes none, even with a stream.
     if case == "silenced":
         _silence_all_but(monkeypatch)
-    path = nipals_path(_score_stop_dataset(), 4, 1e-8) if case == "score-stop" \
-        else nipals_path(_random_dataset(46), 3)
+    path = (_nipals_path_at(1e-8, _score_stop_dataset(), 4) if case == "score-stop"
+            else nipals_path(_random_dataset(46), 3))
     k = len(path.releases)
     assert k == (1 if case == "score-stop" else 3)
     budget = PrivacyBudget(1.0, 0.01)
@@ -602,7 +607,7 @@ def _rank1_path():
     rng = RngStream(10)
     s = rng.uniform(-1, 1, 12)
     c = rng.uniform(1, 2, 15)
-    return nipals_path(Dataset(X=np.outer(c, s), y=c.copy()), 3, 0.0)
+    return _nipals_path_at(0.0, Dataset(X=np.outer(c, s), y=c.copy()), 3)
 
 
 def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
@@ -626,7 +631,7 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
 
 _PATHS = {
     "random": lambda: nipals_path(_random_dataset(44, n=12, m=9), 4),
-    "score-stop": lambda: nipals_path(_score_stop_dataset(), 4, 1e-8),
+    "score-stop": lambda: _nipals_path_at(1e-8, _score_stop_dataset(), 4),
     "rank-1": _rank1_path,
 }
 _BUDGETS = (None, PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5))
@@ -713,7 +718,7 @@ def test_early_stopped_private_models_load(tmp_path, case, logged):
         "covariance-stop": (_covariance_stop_dataset(), 1e-8),
         "all-skipped": (_random_dataset(22), 1e12),
     }[case]
-    model = release(nipals_path(d, 4, tol),
+    model = release(_nipals_path_at(tol, d, 4),
                     FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(3)))
     assert model.early_stop and len(model.calibration_log) == logged
     save_model(model, tmp_path / "model.json")
@@ -726,7 +731,7 @@ def test_a_score_stopped_model_logging_the_cut_off_weights_still_loads():
     old = load_model(Path(__file__).parent / "data" / "score_stop_model_with_cut_off_entry.json")
     assert old.early_stop and old.k == 1
     assert [cal.target for cal in old.calibration_log] == [*CALIBRATION_TARGETS, "weights"]
-    model = release(nipals_path(_score_stop_dataset(), 4, 1e-8),
+    model = release(_nipals_path_at(1e-8, _score_stop_dataset(), 4),
                     FitConfig(k=4, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(3)))
     np.testing.assert_allclose(old.b, model.b, rtol=1e-12)
     np.testing.assert_allclose([cal.sigma for cal in old.calibration_log[:4]],

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
 from dppls.core import RngStream
+from dppls.datagen import simulate_two_holders
 from dppls.errors import (
     ArgumentError,
     ConfigurationError,
@@ -476,6 +477,36 @@ def test_airpls_validation():
         for lam, order in ((1e308, 1), (1e308, 2), (3e307, 2)):
             with pytest.raises(ArgumentError, match="overflows the order"):
                 airpls_correct(np.ones((1, 10)), AirPlsConfig(lam, 15, order))
+
+
+def test_airpls_refuses_a_row_whose_l1_norm_overflows():
+    # l1(x) of each row is near 1e307, finite: corrected without a warning,
+    # bit for bit as one row at a time.  Row 2 scaled by 100 overflows it.
+    X = _baseline_rows(4) * 1e305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(airpls_correct(X),
+                                      _reference_airpls(X, AirPlsConfig())[0])
+        X[2] *= 100.0
+        assert np.isfinite(X).all()
+        with pytest.raises(DegenerateInputError,
+                           match="^row 2 has an l1 norm beyond float range$"):
+            airpls_correct(X)
+
+
+@pytest.mark.parametrize("order, minor", [(1, 100), (2, 99)])
+def test_airpls_whose_lam_is_too_large_names_lam(order, minor):
+    # Weights near 1 drown in the rounding of lam D^T D at lam 1e16.
+    X = simulate_two_holders(100, 100, RngStream(1))[0].X[:6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            airpls_correct(X, AirPlsConfig(1e16, 15, order))
+    assert str(err.value) == (
+        f"lam 1e+16 is too large for the order-{order} difference penalty; a smaller "
+        f"lam is needed (banded baseline solve failed: {minor}th leading minor not "
+        "positive definite)"
+    )
 
 
 # ---------------------------------------------------------------------------
