@@ -34,6 +34,11 @@ for seed in 1 7; do
             --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
             --pipeline "airpls|center" --output "sweep-airpls-$mode"
     done
+    # A row step, then fitted steps: sg maps every row once, msc and
+    # center are fitted per split.
+    dppls sweep --input sim/combined.csv --mode both --k 3 --k-max 5 \
+        --epsilons 100,10,1 --folds 10 --repeats 20 --seed "$seed" \
+        --pipeline "sg:5,2,1|msc|center" --output sweep-sg-msc
     # One budget repeated: the release call holds two equal budgets.
     dppls sweep --input sim/combined.csv --mode holdout --k 3 \
         --epsilons 10,10,1 --repeats 20 --seed "$seed" --output sweep-holdout-repeated

@@ -74,10 +74,9 @@ from .datagen import (
 )
 from .evaluate import (
     EvalReport,
-    kfold_cv,
-    privacy_utility_sweep,
     r2_score,
     rmse,
+    sweep,
     train_test_split,
 )
 

@@ -44,7 +44,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .evaluate import kfold_cv, privacy_utility_sweep, train_test_split
+from .evaluate import sweep
 from .pls import FitConfig, fit, load_model, predict, save_model
 from .preprocess import parse_pipeline
 
@@ -53,11 +53,6 @@ EXIT_ARGUMENT = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_NUMERICAL = 5
-
-# Substream indices so independent tasks never share a stream.
-_STREAM_SPLIT = 1
-_STREAM_CV = 2
-_STREAM_HOLDOUT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -311,46 +306,25 @@ def cmd_sweep(cfg: dict) -> None:
                      header=cfg["header"])
     eps_list = _parse_eps_list(cfg["epsilons"])
     delta = float(cfg["delta"])
-    # Reports are written only after both protocols have run, so no
-    # refusal leaves one behind; these checks come first so that a refused
-    # sweep runs no protocol.
-    row_steps = parse_pipeline(cfg["pipeline"]).split()[0]
     if not 0 < delta < 1:
         raise ConfigurationError(f"--delta must lie in (0, 1), got {delta}")
-    if cfg["mode"] in ("holdout", "both") and cfg["k"] is None:
+    holdout = cfg["mode"] in ("holdout", "both")
+    if holdout and cfg["k"] is None:
         raise ConfigurationError("missing required option --k")
-    # The row steps map each row on its own, so one pass over d.X serves
-    # both protocols, and the holdout split's permutation picks the same
-    # mapped rows.
-    d = Dataset(X=row_steps.transform(d.X), y=d.y)
-    rng = RngStream(cfg["seed"])
-    reports = {}
-
-    if cfg["mode"] in ("holdout", "both"):
-        # Taken before CV, so that a split it refuses costs no CV run; it
-        # draws from its own stream, so the order changes no output.
-        train, test = train_test_split(
-            d, float(cfg["test_fraction"]), rng.derive(_STREAM_SPLIT),
-        )
-
+    grid = []
     if cfg["mode"] in ("cv", "both"):
         k_max = cfg["k_max"] if cfg["k_max"] is not None else (cfg["k"] or 10)
         if k_max < 1:
             raise ConfigurationError(f"--k-max must be at least 1, got {k_max}")
         budgets = [None] + [PrivacyBudget(eps, delta) for eps in eps_list]
         grid = [FitConfig(k=k, privacy=b) for k in range(1, k_max + 1) for b in budgets]
-        reports["cv_report"] = kfold_cv(
-            d, cfg["folds"], grid,
-            pipeline_spec=cfg["pipeline"], rng=rng.derive(_STREAM_CV),
-            rows_mapped=True,
-        )
-
-    if cfg["mode"] in ("holdout", "both"):
-        reports["holdout_report"] = privacy_utility_sweep(
-            train, test, eps_list, cfg["k"],
-            pipeline_spec=cfg["pipeline"], repeats=cfg["repeats"],
-            rng=rng.derive(_STREAM_HOLDOUT), delta=delta, rows_mapped=True,
-        )
+    # Reports are written only once both protocols have run, so a refused
+    # sweep leaves none behind.
+    reports = sweep(
+        d, RngStream(cfg["seed"]), pipeline_spec=cfg["pipeline"], grid=grid,
+        folds=cfg["folds"], k=cfg["k"] if holdout else None, eps_list=eps_list,
+        delta=delta, repeats=cfg["repeats"], test_fraction=float(cfg["test_fraction"]),
+    )
 
     out = _output(cfg)
     out.mkdir(exist_ok=True)

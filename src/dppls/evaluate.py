@@ -1,16 +1,15 @@
-"""Metrics, data splitting, cross-validation, and privacy-utility sweeps.
+"""Metrics, data splitting, and the sweep: cross-validation and a
+privacy-utility holdout sweep over one dataset.
 
-Preprocessing inside every protocol is fitted on the training rows only
-and replayed on held-out rows, so no statistic of the evaluation data
-leaks into the transform.  The pipeline's row steps (its leading steps
-that learn nothing, see :meth:`Pipeline.split`) run once over all of a
-protocol's rows before the splits are taken, or, with ``rows_mapped``,
-not at all, because the caller mapped the rows already: the ``sweep``
-command maps its input once and hands the same rows to both protocols.
-That leaks nothing either: each of their output rows depends on its own
-input row alone, so the rows equal those of a per-split run bit for bit.
-All randomness (splits, shuffles, noise) comes from the caller's
-RngStream; per-task substreams are derived with documented indices,
+:func:`sweep` is the one entry to both protocols.  It checks every
+argument before it maps a row, then runs the pipeline's row steps (its
+leading steps that learn nothing, see :meth:`Pipeline.split`) once over
+all of the dataset's rows; both protocols take their splits from those
+rows and fit the remaining steps on each training split only, replaying
+them on its held-out rows.  That leaks nothing: each row step's output
+row depends on its own input row alone, so the rows equal those of a
+per-split run bit for bit.  All randomness (splits, shuffles, noise)
+comes from substreams of the caller's RngStream with fixed indices,
 which makes every report reproducible from one master seed.
 """
 
@@ -25,7 +24,7 @@ import numpy as np
 from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from .pls import FitConfig, nipals_path, predict, release_many
-from .preprocess import parse_pipeline
+from .preprocess import Pipeline, parse_pipeline
 
 
 def rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -52,17 +51,13 @@ def r2_score(y: np.ndarray, y_hat: np.ndarray) -> float:
     return 1.0 - sse / sst
 
 
-def train_test_split(d: Dataset, test_fraction: float, rng: RngStream):
-    """Random split into (train, test) datasets.
-
-    The training side gets ceil(n * (1 - test_fraction)) samples of a
-    seeded permutation, the test side the remainder.
-    """
+def _train_size(n: int, test_fraction: float) -> int:
+    """Training rows of a split of ``n`` rows: ceil(n * (1 - test_fraction)),
+    refused unless both sides get at least 2."""
     if not (0.0 < test_fraction < 1.0):
         raise ArgumentError(
             f"test_fraction must lie strictly inside (0, 1), got {test_fraction}"
         )
-    n = d.n
     n_train = int(np.ceil(n * (1.0 - test_fraction)))
     n_test = n - n_train
     if n_train < 2 or n_test < 2:
@@ -70,7 +65,17 @@ def train_test_split(d: Dataset, test_fraction: float, rng: RngStream):
             f"split of {n} samples at fraction {test_fraction} leaves "
             f"{n_train} train / {n_test} test; need at least 2 on each side"
         )
-    perm = rng.permutation(n)
+    return n_train
+
+
+def train_test_split(d: Dataset, test_fraction: float, rng: RngStream):
+    """Random split into (train, test) datasets.
+
+    The training side gets ceil(n * (1 - test_fraction)) samples of a
+    seeded permutation, the test side the remainder.
+    """
+    n_train = _train_size(d.n, test_fraction)
+    perm = rng.permutation(d.n)
     tr, te = perm[:n_train], perm[n_train:]
     return (
         Dataset(X=d.X[tr], y=d.y[tr]),
@@ -138,45 +143,90 @@ def _predict(model, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# k-fold cross-validation
+# the sweep
 # ---------------------------------------------------------------------------
 
-def kfold_cv(
+# Substreams of the caller's stream, one per task, so no two share one.
+_STREAM_SPLIT = 1
+_STREAM_CV = 2
+_STREAM_HOLDOUT = 3
+
+
+def sweep(
     d: Dataset,
-    folds: int,
-    grid: Sequence[FitConfig],
-    pipeline_spec: str = "",
-    rng: Optional[RngStream] = None,
+    rng: RngStream,
     *,
-    rows_mapped: bool = False,
-) -> EvalReport:
-    """Cross-validate every configuration in ``grid``.
+    pipeline_spec: str = "",
+    grid: Sequence[FitConfig] = (),
+    folds: int = 10,
+    k: Optional[int] = None,
+    eps_list: Sequence[float] = (),
+    delta: float = 0.01,
+    repeats: int = 20,
+    test_fraction: float = 0.3,
+) -> dict:
+    """Cross-validate ``grid`` and sweep the held-out error over ``eps_list``.
+
+    Returns ``{"cv_report": ..., "holdout_report": ...}``, holding the
+    report of each protocol that ran: CV when ``grid`` is non-empty, the
+    holdout sweep at ``k`` components when ``k`` is given.  Before any
+    row is mapped it refuses a bad ``pipeline_spec``; for CV, ``folds``
+    outside [2, n]; for the holdout sweep, ``repeats`` below 1, ``delta``
+    outside (0, 1), a bad epsilon, a split at ``test_fraction`` leaving
+    fewer than 2 rows on a side, and a ``k`` beyond the training split;
+    and responses holding NaN or infinite entries.  The row steps then
+    map ``d.X`` once; rows they refuse, or that hold NaN or infinite
+    entries once mapped, raise.  The holdout split is taken on
+    ``rng.derive(1)``, CV runs on ``rng.derive(2)`` and the holdout
+    sweep on ``rng.derive(3)``.
+    """
+    row_steps, fitted = parse_pipeline(pipeline_spec).split()
+    if grid and not (2 <= folds <= d.n):
+        raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
+    if k is not None:
+        if repeats < 1:
+            raise ArgumentError(f"repeats must be at least 1, got {repeats}")
+        if not (0 < delta < 1):
+            raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
+        budgets = [PrivacyBudget(epsilon=float(eps), delta=delta) for eps in eps_list]
+        base = FitConfig(k=k)
+        # Every step keeps the channel count, so this is the path's own limit.
+        k_limit = min(_train_size(d.n, test_fraction) - 1, d.m)
+        if base.k > k_limit:
+            raise ArgumentError(f"k={base.k} exceeds min(n-1, m)={k_limit} for this dataset")
+    if not np.all(np.isfinite(d.y)):
+        raise DegenerateInputError("dataset contains NaN or infinite entries")
+    d = Dataset(X=row_steps.transform(d.X), y=d.y)
+    if not np.all(np.isfinite(d.X)):
+        raise DegenerateInputError("dataset contains NaN or infinite entries")
+
+    reports = {}
+    if grid:
+        reports["cv_report"] = _kfold_cv(
+            d, folds, grid, pipeline_spec, fitted, rng.derive(_STREAM_CV))
+    if k is not None:
+        train, test = train_test_split(d, test_fraction, rng.derive(_STREAM_SPLIT))
+        reports["holdout_report"] = _privacy_utility_sweep(
+            train, test, base, budgets, repeats, delta, pipeline_spec, fitted,
+            rng.derive(_STREAM_HOLDOUT))
+    return reports
+
+
+def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: str,
+              fitted: Pipeline, rng: RngStream) -> EvalReport:
+    """Cross-validate every configuration in ``grid`` on rows the row
+    steps have mapped.
 
     Folds are contiguous blocks of one seeded permutation, shared by all
-    grid points.  The pipeline's row steps run once over all of ``d.X``;
-    each fold slices those rows, fits the remaining steps on its training
+    grid points.  Each fold fits the ``fitted`` steps on its training
     rows and replays them on its held-out rows, and runs one clean NIPALS
     path up to the largest grid k (at most min(n-1, m)); every grid point
     is a release of that path, with noise stream ``rng.derive(gi, fold)``.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
-    in that ranking.  A bad ``pipeline_spec``, rows or responses holding
-    NaN or infinite entries, and rows the row steps refuse raise.
-    With ``rows_mapped`` the rows of ``d.X`` have been through the row
-    steps already, and only the fitted steps run.
+    in that ranking.
     """
-    if rng is None:
-        rng = RngStream(0)
-    if not grid:
-        raise ArgumentError("grid must contain at least one configuration")
-    if not (2 <= folds <= d.n):
-        raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
-    if not np.all(np.isfinite(d.X)) or not np.all(np.isfinite(d.y)):
-        raise DegenerateInputError("dataset contains NaN or infinite entries")
-    row_steps, fitted = parse_pipeline(pipeline_spec).split()
-    X = d.X if rows_mapped else row_steps.transform(d.X)
-
     perm = rng.permutation(d.n)
     blocks = np.array_split(perm, folds)
 
@@ -197,8 +247,8 @@ def kfold_cv(
             [blocks[j] for j in range(folds) if j != fold_i]
         )
         try:
-            train = Dataset(X=fitted.fit_transform(X[train_idx]), y=d.y[train_idx])
-            X_test = fitted.transform(X[test_idx])
+            train = Dataset(X=fitted.fit_transform(d.X[train_idx]), y=d.y[train_idx])
+            X_test = fitted.transform(d.X[test_idx])
             path = nipals_path(train, min(k_top, train.n - 1, train.m))
         except DpplsError:
             status = ["failed"] * len(grid)
@@ -228,58 +278,28 @@ def kfold_cv(
     return report
 
 
-# ---------------------------------------------------------------------------
-# privacy-utility sweep
-# ---------------------------------------------------------------------------
+def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
+                           budgets: Sequence[PrivacyBudget], repeats: int, delta: float,
+                           pipeline_spec: str, fitted: Pipeline, rng: RngStream) -> EvalReport:
+    """Measure held-out error across privacy levels on rows the row steps
+    have mapped.
 
-def privacy_utility_sweep(
-    train: Dataset,
-    test: Dataset,
-    eps_list: Sequence[float],
-    k: int,
-    pipeline_spec: str = "",
-    repeats: int = 20,
-    rng: Optional[RngStream] = None,
-    delta: float = 0.01,
-    *,
-    rows_mapped: bool = False,
-) -> EvalReport:
-    """Measure held-out error across privacy levels.
-
-    The pipeline's row steps run once over the training and test rows
-    together; the remaining steps are fitted on the training rows and
-    replayed on the test rows.  With ``rows_mapped`` the rows of both
-    sets have been through the row steps already, and only the fitted
-    steps run.
-    One clean NIPALS path of the training set serves every fit, released
-    in one :func:`release_many` call: once without noise for the baseline
-    row, which is always included, then ``repeats`` times per epsilon with
-    noise substreams ``rng.derive(ei, rep)``.  RMSEP and R2 on the test
-    set are recorded per repeat and aggregated as mean with standard
-    error.  An empty ``eps_list`` yields the baseline only.
+    The ``fitted`` steps are fitted on the training rows and replayed on
+    the test rows.  One clean NIPALS path of the training set serves
+    every fit, released in one :func:`release_many` call: as ``base``,
+    without noise, for the baseline row, which is always included, then
+    ``repeats`` times per budget with noise substreams
+    ``rng.derive(ei, rep)``.  RMSEP and R2 on the test set are recorded
+    per repeat and aggregated as mean with standard error.  No budgets
+    yield the baseline only.
     """
-    if rng is None:
-        rng = RngStream(0)
-    if repeats < 1:
-        raise ArgumentError(f"repeats must be at least 1, got {repeats}")
-    if not (0 < delta < 1):
-        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
-    budgets = [PrivacyBudget(epsilon=float(eps), delta=delta) for eps in eps_list]
-    cfgs = [FitConfig(k=k)] + [
-        FitConfig(k=k, privacy=budget, rng=rng.derive(ei, rep))
+    k = base.k
+    cfgs = [base] + [
+        replace(base, privacy=budget, rng=rng.derive(ei, rep))
         for ei, budget in enumerate(budgets) for rep in range(repeats)
     ]
-    if train.m != test.m:
-        raise ShapeError(f"channel counts differ: {train.m} vs {test.m}")
-
-    row_steps, fitted = parse_pipeline(pipeline_spec).split()
-    if rows_mapped:
-        train_X, test_X = train.X, test.X
-    else:
-        rows = row_steps.transform(np.vstack([train.X, test.X]))
-        train_X, test_X = rows[:train.n], rows[train.n:]
-    train_ds = Dataset(X=fitted.fit_transform(train_X), y=train.y)
-    X_test = fitted.transform(test_X)
+    train_ds = Dataset(X=fitted.fit_transform(train.X), y=train.y)
+    X_test = fitted.transform(test.X)
 
     report = EvalReport(metadata={
         "protocol": "privacy_utility_sweep",

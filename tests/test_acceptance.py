@@ -28,7 +28,7 @@ from dppls.datagen import (
     gaussian_signal,
     simulate_two_holders,
 )
-from dppls.evaluate import privacy_utility_sweep, train_test_split
+from dppls.evaluate import sweep
 from dppls.mechanism import (
     analytic_gaussian_sigma,
     gaussian_privacy_profile,
@@ -250,11 +250,8 @@ def _utility_sweep(master_seed=1):
     rng = RngStream(master_seed)
     d1, d2 = simulate_two_holders(100, 100, rng)
     pooled = concat_rows(d1, d2)
-    train, test = train_test_split(pooled, 0.3, rng.derive(1))
-    return privacy_utility_sweep(
-        train, test, [1.0, 10.0, 100.0, 1e9], k=3, repeats=20,
-        rng=rng.derive(3), delta=0.01,
-    )
+    return sweep(pooled, rng, k=3, eps_list=[1.0, 10.0, 100.0, 1e9], repeats=20,
+                 delta=0.01, test_fraction=0.3)["holdout_report"]
 
 
 def test_criterion_07_utility_improves_with_epsilon():

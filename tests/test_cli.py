@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dppls import cli, datagen, preprocess
+from dppls import cli, datagen, evaluate, preprocess
 from dppls.core import (
     Dataset, PrivacyBudget, RngStream, load_dataset, load_matrix, save_dataset, save_matrix,
 )
 from dppls.errors import NumericalError
-from dppls.evaluate import kfold_cv, privacy_utility_sweep, train_test_split
 from dppls.mechanism import analytic_gaussian_sigma
 from dppls.pls import FitConfig, fit, load_model, predict, save_model
 
@@ -377,6 +376,17 @@ def test_sweep_cv_only_refuses_a_bad_pipeline_spec(sim_dir, tmp_path):
     assert not list(out.glob("*_report.*"))
 
 
+@pytest.fixture
+def protocol_calls(monkeypatch):
+    """The names of the evaluate protocols called, in call order."""
+    calls = []
+    for name in ("_kfold_cv", "_privacy_utility_sweep"):
+        protocol = getattr(evaluate, name)
+        monkeypatch.setattr(evaluate, name, lambda *a, name=name, protocol=protocol, **kw:
+                            calls.append(name) or protocol(*a, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("flags", [
     ["--k", "2", "--epsilons", "", "--delta", "5"],
     ["--epsilons", "10"],
@@ -385,17 +395,43 @@ def test_sweep_cv_only_refuses_a_bad_pipeline_spec(sim_dir, tmp_path):
     # Refused by the holdout split, which is taken before CV runs.
     ["--k", "2", "--test-fraction", "0.99"],
 ], ids=["delta", "missing-k", "unknown-step", "even-window", "holdout-split"])
-def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, monkeypatch, flags):
-    calls = []
-    kfold_cv = cli.kfold_cv
-    monkeypatch.setattr(cli, "kfold_cv", lambda *a, **kw: calls.append(1) or kfold_cv(*a, **kw))
+def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, protocol_calls, flags):
     out = tmp_path / "sweep"
     code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
                      "--output", str(out), "--mode", "both", "--k-max", "1",
                      "--folds", "3", "--repeats", "2", "--seed", "2", *flags])
     assert code == cli.EXIT_ARGUMENT
     assert not list(out.glob("*_report.*"))
-    assert calls == []
+    assert protocol_calls == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "0"], "repeats must be at least 1, got 0"),
+    (["--k-max", "0"], "--k-max must be at least 1, got 0"),
+    (["--epsilons", "-1"], "epsilon must be positive, got -1.0"),
+    (["--folds", "1"], "folds must lie in [2, n=60], got 1"),
+    (["--folds", "500"], "folds must lie in [2, n=60], got 500"),
+    (["--k", "500"], "k=500 exceeds min(n-1, m)=41 for this dataset"),
+    (["--test-fraction", "0.99"],
+     "split of 60 samples at fraction 0.99 leaves 1 train / 59 test; "
+     "need at least 2 on each side"),
+], ids=["repeats", "k-max", "epsilons", "folds-1", "folds-500", "k", "test-fraction"])
+def test_refused_sweep_maps_no_row_and_runs_no_protocol(sim_dir, tmp_path, capsys, monkeypatch,
+                                                        protocol_calls, flags, message):
+    rows = []
+    airpls_correct = preprocess.airpls_correct
+    monkeypatch.setattr(preprocess, "airpls_correct",
+                        lambda X, cfg: rows.append(len(X)) or airpls_correct(X, cfg))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--input", str(sim_dir / "combined.csv"),
+                     "--output", str(out), "--mode", "both", "--pipeline", "airpls|center",
+                     "--k", "2", "--k-max", "2", "--epsilons", "10", "--folds", "3",
+                     "--repeats", "2", "--seed", "2", *flags])
+    assert code == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert rows == []
+    assert protocol_calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode,code", [
@@ -524,22 +560,15 @@ def test_sweep_maps_each_row_through_the_row_steps_once(sim_dir, tmp_path, monke
     d = load_dataset(sim_dir / "combined.csv")
     assert sum(rows) == d.n
 
-    # Library calls on the unmapped rows, with the CLI's streams and grid,
-    # each map every row themselves and write the same bytes.
+    # The driver, called with the CLI's grid on the unmapped rows, maps
+    # each row once too and returns the reports the CLI wrote.
     rows.clear()
-    rng = RngStream(4)
     grid = [FitConfig(k=k, privacy=budget) for k in (1, 2)
             for budget in (None, PrivacyBudget(10.0, 0.01), PrivacyBudget(1.0, 0.01))]
-    train, test = train_test_split(d, 0.3, rng.derive(cli._STREAM_SPLIT))
-    reports = {
-        "cv_report": kfold_cv(d, 3, grid, pipeline_spec=spec,
-                              rng=rng.derive(cli._STREAM_CV)),
-        "holdout_report": privacy_utility_sweep(
-            train, test, [10.0, 1.0], 2, pipeline_spec=spec, repeats=2,
-            rng=rng.derive(cli._STREAM_HOLDOUT), delta=0.01,
-        ),
-    }
-    assert sum(rows) == 2 * d.n
+    reports = evaluate.sweep(d, RngStream(4), pipeline_spec=spec, grid=grid, folds=3,
+                             k=2, eps_list=[10.0, 1.0], repeats=2)
+    assert sum(rows) == d.n
+    assert list(reports) == ["cv_report", "holdout_report"]
     lib = tmp_path / "lib"
     lib.mkdir()
     for name, report in reports.items():

@@ -15,14 +15,7 @@ from dppls.errors import (
     DpplsError,
     ShapeError,
 )
-from dppls.evaluate import (
-    EvalReport,
-    kfold_cv,
-    privacy_utility_sweep,
-    r2_score,
-    rmse,
-    train_test_split,
-)
+from dppls.evaluate import EvalReport, r2_score, rmse, sweep, train_test_split
 from dppls.pls import FitConfig, fit, predict, release_many
 from dppls.preprocess import parse_pipeline
 
@@ -39,6 +32,16 @@ def _rank1_dataset(n=24, m=12, seed=1):
     c = rng.uniform(1.0, 3.0, n)
     s = rng.uniform(-1.0, 1.0, m)
     return Dataset(X=np.outer(c, s), y=c.copy())
+
+
+def _cv(d, folds, grid, rng, spec=""):
+    """The driver's CV report, CV alone."""
+    return sweep(d, rng, pipeline_spec=spec, grid=grid, folds=folds)["cv_report"]
+
+
+def _holdout(d, eps_list, k, rng, **kwargs):
+    """The driver's holdout report, the holdout sweep alone."""
+    return sweep(d, rng, k=k, eps_list=eps_list, **kwargs)["holdout_report"]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def test_split_validation():
 # ---------------------------------------------------------------------------
 
 def test_cv_noiseless_rank1_has_zero_error():
-    report = kfold_cv(_rank1_dataset(), 4, [FitConfig(k=1)], rng=RngStream(8))
+    report = _cv(_rank1_dataset(), 4, [FitConfig(k=1)], RngStream(8))
     assert report.best["k"] == 1
     assert report.best["rmsecv"] < 1e-8
     assert report.entries[0]["status"] == "ok"
@@ -155,7 +158,7 @@ def test_cv_noiseless_rank1_has_zero_error():
 def test_cv_prefers_sufficient_rank():
     d = _rank3_dataset()
     grid = [FitConfig(k=1), FitConfig(k=3)]
-    report = kfold_cv(d, 5, grid, rng=RngStream(9))
+    report = _cv(d, 5, grid, RngStream(9))
     assert report.best["k"] == 3
     assert report.entries[1]["rmsecv"] < report.entries[0]["rmsecv"]
     assert report.entries[1]["rmsecv"] < 1e-8
@@ -165,7 +168,7 @@ def test_cv_tie_breaks_toward_smaller_k():
     # On rank-1 data the k=2 fit stops early and predicts identically to
     # k=1, so the RMSECV values tie exactly and the smaller k must win.
     d = _rank1_dataset()
-    report = kfold_cv(d, 3, [FitConfig(k=2), FitConfig(k=1)], rng=RngStream(10))
+    report = _cv(d, 3, [FitConfig(k=2), FitConfig(k=1)], RngStream(10))
     assert report.entries[0]["rmsecv"] == report.entries[1]["rmsecv"]
     assert report.best["k"] == 1
 
@@ -173,7 +176,7 @@ def test_cv_tie_breaks_toward_smaller_k():
 def test_cv_flags_failures_and_keeps_going():
     d = _rank3_dataset(n=20, m=3)
     # k=5 exceeds the 3 channels on every fold; k=2 is fine.
-    report = kfold_cv(d, 4, [FitConfig(k=5), FitConfig(k=2)], rng=RngStream(11))
+    report = _cv(d, 4, [FitConfig(k=5), FitConfig(k=2)], RngStream(11))
     assert [e["status"] for e in report.entries] == ["failed", "ok"]
     assert report.entries[0]["rmsecv"] is None
     assert report.best["k"] == 2
@@ -181,7 +184,7 @@ def test_cv_flags_failures_and_keeps_going():
 
 def test_cv_leave_one_out_runs():
     d = _rank1_dataset(n=10)
-    report = kfold_cv(d, 10, [FitConfig(k=1)], rng=RngStream(12))
+    report = _cv(d, 10, [FitConfig(k=1)], RngStream(12))
     assert report.best["rmsecv"] < 1e-8
 
 
@@ -189,19 +192,18 @@ def test_cv_private_grid_points_get_derived_streams():
     d = _rank3_dataset()
     budget = PrivacyBudget(epsilon=100.0, delta=0.01)
     grid = [FitConfig(k=3, privacy=budget)]
-    a = kfold_cv(d, 4, grid, rng=RngStream(13))
-    b = kfold_cv(d, 4, grid, rng=RngStream(13))
+    a = _cv(d, 4, grid, RngStream(13))
+    b = _cv(d, 4, grid, RngStream(13))
     assert a.entries == b.entries
     assert a.entries[0]["epsilon"] == 100.0
     assert a.entries[0]["delta"] == 0.01
-    c = kfold_cv(d, 4, grid, rng=RngStream(14))
+    c = _cv(d, 4, grid, RngStream(14))
     assert c.entries[0]["rmsecv"] != a.entries[0]["rmsecv"]
 
 
 def test_cv_records_pipeline_spec():
     d = _rank3_dataset()
-    report = kfold_cv(d, 4, [FitConfig(k=3)], pipeline_spec="sg:5,2,0|center",
-                      rng=RngStream(15))
+    report = _cv(d, 4, [FitConfig(k=3)], RngStream(15), "sg:5,2,0|center")
     assert report.metadata["preprocess"] == "sg:5,2,0|center"
     assert report.entries[0]["preprocess"] == "sg:5,2,0|center"
     assert report.entries[0]["status"] == "ok"
@@ -210,19 +212,19 @@ def test_cv_records_pipeline_spec():
 def test_cv_refuses_a_bad_pipeline_spec():
     d = _rank3_dataset(n=20)
     with pytest.raises(ConfigurationError, match="unknown"):
-        kfold_cv(d, 4, [FitConfig(k=1)], pipeline_spec="bogus", rng=RngStream(0))
+        _cv(d, 4, [FitConfig(k=1)], RngStream(0), "bogus")
     with pytest.raises(ArgumentError, match="window"):
-        kfold_cv(d, 4, [FitConfig(k=1)], pipeline_spec="sg:4,2,1|center", rng=RngStream(0))
+        _cv(d, 4, [FitConfig(k=1)], RngStream(0), "sg:4,2,1|center")
 
 
 def test_cv_validation():
     d = _rank3_dataset(n=20)
-    with pytest.raises(ArgumentError, match="grid"):
-        kfold_cv(d, 4, [], rng=RngStream(0))
     with pytest.raises(ArgumentError, match="folds"):
-        kfold_cv(d, 1, [FitConfig(k=1)], rng=RngStream(0))
+        _cv(d, 1, [FitConfig(k=1)], RngStream(0))
     with pytest.raises(ArgumentError, match="folds"):
-        kfold_cv(d, 21, [FitConfig(k=1)], rng=RngStream(0))
+        _cv(d, 21, [FitConfig(k=1)], RngStream(0))
+    # No grid and no k: neither protocol runs, so folds goes unchecked.
+    assert sweep(d, RngStream(0), folds=1) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +233,7 @@ def test_cv_validation():
 
 def test_sweep_empty_grid_is_baseline_only():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(16))
-    report = privacy_utility_sweep(train, test, [], k=3, rng=RngStream(17))
+    report = _holdout(d, [], 3, RngStream(17))
     assert len(report.entries) == 1
     assert len(report.aggregates) == 1
     entry = report.entries[0]
@@ -245,9 +246,7 @@ def test_sweep_empty_grid_is_baseline_only():
 
 def test_sweep_entry_and_aggregate_layout():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(18))
-    report = privacy_utility_sweep(
-        train, test, [1.0, 10.0], k=3, repeats=3, rng=RngStream(19))
+    report = _holdout(d, [1.0, 10.0], 3, RngStream(19), repeats=3)
     assert len(report.entries) == 1 + 2 * 3
     assert len(report.aggregates) == 3
     holdouts = [e for e in report.entries if e["kind"] == "holdout"]
@@ -259,9 +258,7 @@ def test_sweep_entry_and_aggregate_layout():
 
 def test_sweep_aggregates_match_entry_recomputation():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(20))
-    report = privacy_utility_sweep(
-        train, test, [5.0], k=3, repeats=4, rng=RngStream(21))
+    report = _holdout(d, [5.0], 3, RngStream(21), repeats=4)
     vals = [e["rmsep"] for e in report.entries
             if e["kind"] == "holdout" and e["status"] == "ok"]
     agg = report.aggregates[1]
@@ -272,9 +269,8 @@ def test_sweep_aggregates_match_entry_recomputation():
 
 def test_sweep_huge_epsilon_tracks_baseline():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(22))
-    report = privacy_utility_sweep(
-        train, test, [1e9], k=3, repeats=2, rng=RngStream(23))
+    report = _holdout(d, [1e9], 3, RngStream(23), repeats=2)
+    _, test = train_test_split(d, 0.3, RngStream(23).derive(evaluate._STREAM_SPLIT))
     scale = float(np.std(test.y))
     for e in report.entries:
         if e["kind"] == "holdout":
@@ -284,11 +280,9 @@ def test_sweep_huge_epsilon_tracks_baseline():
 
 def test_sweep_deterministic_reports(tmp_path):
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(24))
     paths = []
     for tag in ("a", "b"):
-        report = privacy_utility_sweep(
-            train, test, [1.0], k=3, repeats=3, rng=RngStream(25))
+        report = _holdout(d, [1.0], 3, RngStream(25), repeats=3)
         jp = tmp_path / f"{tag}.json"
         cp = tmp_path / f"{tag}.csv"
         report.to_json(jp)
@@ -300,7 +294,6 @@ def test_sweep_deterministic_reports(tmp_path):
 
 def test_sweep_releases_in_one_call(monkeypatch):
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(24))
     calls = []
 
     def counted(path, cfgs):
@@ -308,8 +301,7 @@ def test_sweep_releases_in_one_call(monkeypatch):
         return release_many(path, cfgs)
 
     monkeypatch.setattr(evaluate, "release_many", counted)
-    report = privacy_utility_sweep(train, test, [10.0, 10.0, 1.0], k=3, repeats=4,
-                                   rng=RngStream(25))
+    report = _holdout(d, [10.0, 10.0, 1.0], 3, RngStream(25), repeats=4)
     # The baseline first, then each epsilon's repeats, in order.
     assert len(calls) == 1
     assert calls[0] == [None] + [PrivacyBudget(eps, 0.01)
@@ -321,29 +313,30 @@ def test_sweep_releases_in_one_call(monkeypatch):
 
 def test_sweep_supports_stateful_pipelines():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(26))
-    report = privacy_utility_sweep(
-        train, test, [100.0], k=3, pipeline_spec="center",
-        repeats=2, rng=RngStream(27))
+    report = _holdout(d, [100.0], 3, RngStream(27), pipeline_spec="center", repeats=2)
     assert all(e["status"] == "ok" for e in report.entries)
     assert report.metadata["preprocess"] == "center"
 
 
 def test_sweep_validation():
     d = _rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(28))
+    rng = RngStream(28)
     with pytest.raises(ArgumentError, match="repeats"):
-        privacy_utility_sweep(train, test, [1.0], k=3, repeats=0)
+        _holdout(d, [1.0], 3, rng, repeats=0)
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ArgumentError, match="positive"):
-            privacy_utility_sweep(train, test, [bad], k=3)
+            _holdout(d, [bad], 3, rng)
     # delta is checked even when no epsilon uses it.
     for bad in (0.0, 1.0, 5.0, float("nan")):
         with pytest.raises(ArgumentError, match="delta"):
-            privacy_utility_sweep(train, test, [], k=3, delta=bad)
-    with pytest.raises(ShapeError):
-        narrow = Dataset(X=test.X[:, :-1], y=test.y)
-        privacy_utility_sweep(train, narrow, [], k=3)
+            _holdout(d, [], 3, rng, delta=bad)
+    with pytest.raises(ArgumentError, match="positive integer"):
+        _holdout(d, [], 0, rng)
+    # 60 rows at 0.3 leave 42 to train on, and there are 25 channels.
+    with pytest.raises(ArgumentError, match=r"k=26 exceeds min\(n-1, m\)=25"):
+        _holdout(d, [], 26, rng)
+    with pytest.raises(DegenerateInputError, match="split of 60 samples"):
+        _holdout(d, [], 3, rng, test_fraction=0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +457,8 @@ def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
         grid.append(FitConfig(k=k))
         for eps in (100.0, 1.0):
             grid.append(FitConfig(k=k, privacy=PrivacyBudget(eps, 0.01)))
-    got = kfold_cv(d, 5, grid, pipeline_spec=spec, rng=RngStream(31))
-    want = _reference_kfold(d, 5, grid, spec, RngStream(31))
+    got = _cv(d, 5, grid, RngStream(31), spec)
+    want = _reference_kfold(d, 5, grid, spec, RngStream(31).derive(evaluate._STREAM_CV))
     assert [e["status"] for e in got.entries].count("failed") == 3  # k=13 > m
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
@@ -474,9 +467,10 @@ def test_cv_report_equals_one_fit_per_grid_point_and_fold(tmp_path, spec):
     # airPLS is not linear, so it need not keep the rank at 3.
     exact = _rank3_dataset(n=40, m=12, seed=30)
     grid = [FitConfig(k=5), FitConfig(k=5, privacy=PrivacyBudget(10.0, 0.01))]
-    got = kfold_cv(exact, 4, grid, pipeline_spec=spec, rng=RngStream(35))
+    got = _cv(exact, 4, grid, RngStream(35), spec)
     early_stops = []
-    want = _reference_kfold(exact, 4, grid, spec, RngStream(35), early_stops)
+    want = _reference_kfold(exact, 4, grid, spec, RngStream(35).derive(evaluate._STREAM_CV),
+                            early_stops)
     if "airpls" not in spec:
         assert [e["status"] for e in got.entries] == ["ok", "ok"]
         assert early_stops == [True] * 8
@@ -487,29 +481,49 @@ def test_cv_report_equals_reference_when_every_fold_fails(tmp_path):
     d = _noisy_rank3_dataset()
     d.X[7] = 0.0  # no slope against any reference: scatter correction fails
     grid = [FitConfig(k=1), FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01))]
-    got = kfold_cv(d, 4, grid, pipeline_spec="msc", rng=RngStream(32))
-    want = _reference_kfold(d, 4, grid, "msc", RngStream(32))
+    got = _cv(d, 4, grid, RngStream(32), "msc")
+    want = _reference_kfold(d, 4, grid, "msc", RngStream(32).derive(evaluate._STREAM_CV))
     assert [e["status"] for e in got.entries] == ["failed", "failed"]
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
 
     # Data no fold could use is refused before any fold is taken: a NaN
     # with or without row steps, and rows the row steps refuse.
     with pytest.raises(ShapeError, match="window needs 13"):
-        kfold_cv(d, 4, grid, pipeline_spec="sg:13,2,1|center", rng=RngStream(32))
+        _cv(d, 4, grid, RngStream(32), "sg:13,2,1|center")
     d.X[7] = np.nan
     for spec in ("", "sg:5,2,1|center"):
         with pytest.raises(DegenerateInputError, match="NaN or infinite"):
-            kfold_cv(d, 4, grid, pipeline_spec=spec, rng=RngStream(32))
+            _cv(d, 4, grid, RngStream(32), spec)
 
 
 @pytest.mark.parametrize("spec", ["", "sg:5,2,1|msc|center"] + _HOISTED_SPECS)
 def test_sweep_report_equals_one_fit_per_repeat(tmp_path, spec):
     d = _noisy_rank3_dataset()
-    train, test = train_test_split(d, 0.3, RngStream(33))
-    args = ([100.0, 10.0, 1.0], 3, spec, 4, RngStream(34), 0.01)
-    got = privacy_utility_sweep(train, test, *args)
-    want = _reference_sweep(train, test, *args)
+    rng = RngStream(34)
+    got = _holdout(d, [100.0, 10.0, 1.0], 3, rng, pipeline_spec=spec, repeats=4)
+    train, test = train_test_split(d, 0.3, rng.derive(evaluate._STREAM_SPLIT))
+    want = _reference_sweep(train, test, [100.0, 10.0, 1.0], 3, spec, 4,
+                            rng.derive(evaluate._STREAM_HOLDOUT), 0.01)
     assert _report_bytes(got, tmp_path, "got") == _report_bytes(want, tmp_path, "want")
+
+
+def test_both_protocols_in_one_sweep_equal_each_run_alone(tmp_path):
+    # Each protocol draws from its own substream and refits the fitted
+    # steps on its own splits, so running the other changes none of its bytes.
+    d = _noisy_rank3_dataset()
+    spec = "sg:5,2,1|msc|center"
+    grid = [FitConfig(k=2), FitConfig(k=3, privacy=PrivacyBudget(10.0, 0.01))]
+    both = sweep(d, RngStream(36), pipeline_spec=spec, grid=grid, folds=4,
+                 k=3, eps_list=[10.0], repeats=2)
+    alone = {
+        "cv_report": _cv(d, 4, grid, RngStream(36), spec),
+        "holdout_report": _holdout(d, [10.0], 3, RngStream(36), pipeline_spec=spec,
+                                   repeats=2),
+    }
+    assert list(both) == list(alone)
+    for name in both:
+        assert (_report_bytes(both[name], tmp_path, f"both-{name}")
+                == _report_bytes(alone[name], tmp_path, f"alone-{name}"))
 
 
 # ---------------------------------------------------------------------------
