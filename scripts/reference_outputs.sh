@@ -7,6 +7,8 @@
 #
 # Commands run from inside OUTDIR with relative paths, so the config
 # files the CLI writes next to its outputs do not depend on OUTDIR.
+# Warnings are errors: a command that warns exits non-zero and stops the
+# script.
 set -eu
 if [ "$#" -ne 2 ]; then
     echo "usage: $0 CHECKOUT OUTDIR" >&2
@@ -17,7 +19,7 @@ mkdir -p "$2"
 out="$(cd "$2" && pwd)"
 
 dppls() {
-    PYTHONPATH="$src" python3 -m dppls "$@" > /dev/null
+    PYTHONPATH="$src" python3 -W error -m dppls "$@" > /dev/null
 }
 
 for seed in 1 7; do

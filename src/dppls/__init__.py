@@ -68,7 +68,6 @@ from .preprocess import (
 from .datagen import (
     DEFAULT_SPECS,
     SignalSpec,
-    concat_rows,
     gaussian_signal,
     simulate_two_holders,
 )

@@ -9,7 +9,9 @@ command is bit-reproducible from --seed.
 
 Exit codes: 0 success, 2 argument/configuration problems, 3 I/O and file
 format problems (CSV and model files), 4 shape mismatches, 5 numerical
-failures.
+failures.  A command whose arithmetic overflows, divides by zero or
+produces an invalid value (NaN) stops with exit 5 and writes nothing
+further, rather than going on with non-finite numbers.
 """
 
 from __future__ import annotations
@@ -217,9 +219,9 @@ def cmd_simulate(cfg: dict) -> None:
 
     save_dataset(out / "holder1.csv", d1, header=cfg["header"])
     save_dataset(out / "holder2.csv", d2, header=cfg["header"])
-    # combined.csv holds the rows of datagen.concat_rows(d1, d2): holder
-    # 1's file, then holder 2's without its header line.  Copying the
-    # bytes formats no value twice.
+    # combined.csv is the pooled view: holder 1's file, then holder 2's
+    # without its header line, the rows of d1 followed by those of d2.
+    # Copying the bytes formats no value twice.
     with open(out / "combined.csv", "wb") as dst:
         for name, skip_header in (("holder1.csv", False), ("holder2.csv", cfg["header"])):
             with open(out / name, "rb") as src:
@@ -398,7 +400,12 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:  # cmd_<command> is looked up here, so replacing it takes effect
         cfg = _resolve(args)
-        globals()[f"cmd_{args.command}"](cfg)
+        # Underflow stays quiet: simulate's Gaussian tails underflow in exp.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                globals()[f"cmd_{args.command}"](cfg)
+            except FloatingPointError as exc:
+                raise NumericalError(f"{args.command}: floating-point {exc}") from None
         _write_config(cfg, args.command)
     except (DpplsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

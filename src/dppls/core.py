@@ -111,10 +111,11 @@ class PlsModel:
     """A fitted PLS1 model, possibly privatized.
 
     W, P are m x k weight / x-loading matrices, c the length-k y-loading
-    vector, T the n x k training score matrix (None for models loaded from
-    disk), b the length-m regression vector.  Released columns of W and T
-    are unit length by construction.  ``calibration_log`` holds one entry
-    per noisy release, in release order.
+    vector, b the length-m regression vector.  Released columns of W are
+    unit length by construction.  No model holds training scores: b =
+    W (P^T W)^-1 c reads none, and the clean ones stay on the path
+    (:class:`dppls.pls.NipalsPath`).  ``calibration_log`` holds one entry
+    per noisy release, in release order, scores included.
     """
 
     W: np.ndarray
@@ -124,7 +125,6 @@ class PlsModel:
     k: int
     x_means: np.ndarray
     y_mean: float
-    T: Optional[np.ndarray] = None
     privacy: Optional[PrivacyBudget] = None
     calibration_log: list = field(default_factory=list)
     early_stop: bool = False
@@ -148,13 +148,44 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+class _PhiloxKey:
+    """A seed sequence that hands Philox the key ``[seed, stream_id]``.
+
+    ``Philox(key=...)`` also builds an OS-entropy ``SeedSequence()`` that
+    it never reads; given this object as its seed it builds none and
+    takes the same key, at counter 0.  :meth:`generator` registers the
+    class as an ``ISeedSequence`` on first use, so that importing dppls
+    loads no ``numpy.random``; at module level, its generators pickle.
+    """
+
+    __slots__ = ("key",)
+    registered = False
+
+    def __init__(self, seed: int, stream_id: int):
+        self.key = (seed, stream_id)
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        """The key: Philox asks for its two 64-bit key words."""
+        return np.array(self.key, dtype=np.uint64)
+
+    @classmethod
+    def generator(cls, seed: int, stream_id: int):
+        """A Philox generator at counter 0 keyed by ``[seed, stream_id]``."""
+        if not cls.registered:
+            np.random.bit_generator.ISeedSequence.register(cls)
+            cls.registered = True
+        return np.random.Generator(np.random.Philox(cls(seed, stream_id)))
+
+
 @dataclass
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
 
-    Wraps the counter-based Philox bit generator.  Each logical task must
-    derive its own stream via :meth:`derive`; streams are stateful and must
-    not be shared.  Identical ``(seed, stream_id)`` pairs reproduce
+    Wraps the counter-based Philox bit generator keyed by the two words
+    ``[seed, stream_id]`` at counter 0, which draws what
+    ``Philox(key=[seed, stream_id])`` draws.  Each logical task must
+    derive its own stream via :meth:`derive`; streams are stateful and
+    must not be shared.  Identical ``(seed, stream_id)`` pairs reproduce
     identical draw sequences.
     """
 
@@ -169,9 +200,7 @@ class RngStream:
                 raise ArgumentError(f"{name} must fit in an unsigned 64-bit integer")
         self.seed = int(self.seed)
         self.stream_id = int(self.stream_id)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
+        self._gen = _PhiloxKey.generator(self.seed, self.stream_id)
 
     def derive(self, *indices: int) -> "RngStream":
         """Return a fresh stream for a subtask, keyed by integer indices.
@@ -185,17 +214,14 @@ class RngStream:
             child = _splitmix64(child ^ _splitmix64(int(idx) & _U64_MASK))
         return RngStream(self.seed, child)
 
-    def open_unit(self, size: int) -> np.ndarray:
-        """Uniform draws strictly inside (0, 1).
+    def raw_words(self, size: int) -> np.ndarray:
+        """The next ``size`` raw 64-bit words of the stream: the draws that
+        :meth:`open_unit` maps, through :func:`open_unit_of`."""
+        return self._gen.bit_generator.random_raw(size)
 
-        Uses 53-bit integers offset by half a step, so neither endpoint can
-        occur and the inverse normal CDF below stays finite.  The integers
-        are the top 53 bits of raw 64-bit draws: the same values, from the
-        same draws, as ``integers(0, 1 << 53, dtype=np.uint64)``, whose
-        Lemire method rejects nothing for a power-of-two range.
-        """
-        r = self._gen.bit_generator.random_raw(size) >> np.uint64(11)
-        return (r.astype(np.float64) + 0.5) * (2.0 ** -53)
+    def open_unit(self, size: int) -> np.ndarray:
+        """Uniform draws strictly inside (0, 1): ``open_unit_of(raw_words(size))``."""
+        return open_unit_of(self.raw_words(size))
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         if not (high > low):
@@ -206,6 +232,22 @@ class RngStream:
         if n < 0:
             raise ArgumentError("permutation length must be nonnegative")
         return self._gen.permutation(n)
+
+
+def open_unit_of(words: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words mapped to uniforms strictly inside (0, 1), each
+    word to one value.
+
+    Uses 53-bit integers offset by half a step, so neither endpoint can
+    occur and the inverse normal CDF below stays finite.  The integers
+    are the top 53 bits of each word: the same values, from the same
+    draws, as ``integers(0, 1 << 53, dtype=np.uint64)``, whose Lemire
+    method rejects nothing for a power-of-two range.
+    """
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # Coefficients of Wichura's algorithm AS 241 (PPND16): rational

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, RngStream
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError
 
 CONCENTRATION_LOW = 0.0
 CONCENTRATION_HIGH = 10.0
@@ -83,14 +83,3 @@ def simulate_two_holders(n: int, m: int, rng: RngStream):
         holders.append(Dataset(X=conc @ signals.T, y=conc[:, 0].copy()))
     return tuple(holders)
 
-
-def concat_rows(d1: Dataset, d2: Dataset) -> Dataset:
-    """Stack two datasets sample-wise (the pooled view)."""
-    if d1.m != d2.m:
-        raise ShapeError(
-            f"channel counts differ: {d1.m} vs {d2.m}"
-        )
-    return Dataset(
-        X=np.vstack([d1.X, d2.X]),
-        y=np.concatenate([d1.y, d2.y]),
-    )

@@ -221,7 +221,9 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
     grid points.  Each fold fits the ``fitted`` steps on its training
     rows and replays them on its held-out rows, and runs one clean NIPALS
     path up to the largest grid k (at most min(n-1, m)); every grid point
-    is a release of that path, with noise stream ``rng.derive(gi, fold)``.
+    is a release of that path.  A private grid point gi draws its noise
+    from ``rng.derive(gi, fold)``; a clean one draws nothing, and no
+    stream is derived for it.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
@@ -253,9 +255,10 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
         except DpplsError:
             status = ["failed"] * len(grid)
             break
-        models = release_many(
-            path, [replace(cfg, rng=rng.derive(gi, fold_i)) for gi, cfg in enumerate(grid)],
-        )
+        models = release_many(path, [
+            cfg if cfg.privacy is None else replace(cfg, rng=rng.derive(gi, fold_i))
+            for gi, cfg in enumerate(grid)
+        ])
         for gi, model in enumerate(models):
             try:
                 pred = _predict(model, X_test)

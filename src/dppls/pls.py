@@ -12,40 +12,45 @@ count.  One path therefore serves every fit of the same data.
 
 :func:`release` turns the first k components of a path into a model.
 With a privacy budget set, it releases noisy copies of each component's
-weights, scores, x-loadings and y-loading, re-normalizes the weights and
-scores to unit length, and solves for the regression vector from the
-released quantities only.  Sensitivities come from each component's
-residual suprema, and every calibration budgets the full (epsilon, delta)
-for its own release.  A private release logs each released component's
-calibrations, in ``CALIBRATION_TARGETS`` order, and none for a component
-the recursion stopped on: no noise is drawn for it.  Each
-:func:`release_many` call memoizes them per budget; the path holds none.
+weights, scores, x-loadings and y-loading, re-normalizes the weights to
+unit length, and solves for the regression vector b = W (P^T W)^-1 c
+from the released quantities only.  Sensitivities come from each
+component's residual suprema, and every calibration budgets the full
+(epsilon, delta) for its own release.  A private release logs each
+released component's calibrations, in ``CALIBRATION_TARGETS`` order,
+and none for a component the recursion stopped on: no noise is drawn for
+it.  Each :func:`release_many` call memoizes them per budget; the path
+holds none.  The noisy scores are calibrated, drawn and logged like the
+other releases, but no model holds them and b reads none, so they are
+never built: their draws are dropped before the normal transform.
+Dropping a release is post-processing, so each remaining release keeps
+its own guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
-k (2m + n + 1) uniforms, whatever the sigmas, mapped to standard normals
-and cut into segments in the order weights, scores, x-loadings, y-loading
-of component 1, then of component 2, and so on, each segment scaled by
+k (2m + n + 1) raw words, whatever the sigmas, cut into segments in the
+order weights, scores, x-loadings, y-loading of component 1, then of
+component 2, and so on.  The score segments are left out; the rest are
+mapped to uniforms and then to standard normals, each segment scaled by
 its release's sigma.  Each Gaussian value consumes one word of the
-stream and the normal transform works element by element, so this equals
-drawing each release's noise in turn from the same stream, value for
-value.
+stream and both maps work element by element, so this equals drawing
+each release's noise in turn from the same stream, value for value.
 
 :func:`release_many` releases one path under many configs, and
 :func:`release` is its one-config case.  Each config still draws its
-uniforms from its own stream, in the same count as alone; the uniforms of
-all configs are then concatenated, pass through one :func:`norm_ppf`
-call, and are split back per config.  Because that transform is element
-by element, every config gets the normals it would get alone, value for
-value.  The configs that release the same number of components k are
-then released as one stack: their noisy w, t, p and c in one array
-operation, the unit scaling of the weights and scores through one
-stacked dot product, P^T W through one stacked matrix product, and one
-stacked condition estimate, k x k solve and W z.  Per config, each of
-these runs the elementwise operation, or the BLAS or LAPACK call on the
-same memory layout, that np.linalg.norm, P.T @ W and np.linalg.solve run
-on one config's vectors, so every model equals that per-config release
-bit for bit.  A config that fails gets its own error without
-touching the others' draws or models.  :func:`fit` is
+words from its own stream, in the same count as alone; the words of all
+configs are then concatenated, their score segments cut out, the rest
+mapped to uniforms, passed through one :func:`norm_ppf` call and split
+back per config.  Because those maps work element by element, every
+config gets the normals it would get alone, value for value.  The configs that release
+the same number of components k are then released as one stack: their
+noisy w, p and c in one array operation, the unit scaling of the weights
+through one stacked dot product, P^T W through one stacked matrix
+product, and one stacked condition estimate, k x k solve and W z.  Per
+config, each of these runs the elementwise operation, or the BLAS or
+LAPACK call on the same memory layout, that np.linalg.norm, P.T @ W and
+np.linalg.solve run on one config's vectors, so every model equals that
+per-config release bit for bit.  A config that fails gets its own error
+without touching the others' draws or models.  :func:`fit` is
 ``release(nipals_path(d, cfg.k), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
@@ -69,6 +74,7 @@ from .core import (
     PrivacyBudget,
     RngStream,
     norm_ppf,
+    open_unit_of,
     save_json,
 )
 from .errors import (
@@ -253,43 +259,42 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
 
 
-def _release_group(path: NipalsPath, k: int, cfgs: list, logs: list, z: np.ndarray) -> list:
-    """The models of R configs that release k components each, given each
-    config's calibrations and, end to end in config order, the k (2m + n + 1)
-    standard normals ``z`` of each private one; a config whose solve fails
-    gets its error instead.
+def _release_group(path: NipalsPath, clean: np.ndarray, cfgs: list, logs: list,
+                   z: np.ndarray) -> list:
+    """The models of R configs that release k components each, given the
+    path's first k rows without their scores (``clean``), each config's
+    calibrations and, end to end in config order, the k (2m + 1) standard
+    normals ``z`` of each private one, its noise on w, p and c; a config
+    whose solve fails gets its error instead.
 
-    Each component's w, t, p and c, in CALIBRATION_TARGETS order, gets
-    sigma times the next segment of its config's normals, or zeros when
-    the config is clean.  The noise is scaled in one buffer, in place, and
-    the clean rows added to it: IEEE addition commutes.  The noisy weights
-    and scores are then scaled to unit length.
+    Each component's w, p and c gets sigma times the next segment of its
+    config's normals, or zeros when the config is clean.  The noise is
+    scaled in one buffer, in place, and the clean rows added to it: IEEE
+    addition commutes.  The noisy weights are then scaled to unit length.
     """
-    sizes = path.sizes
-    R, (m, n), width = len(cfgs), sizes[:2], sum(sizes)
+    m = path.sizes[0]
+    R, (k, width) = len(cfgs), clean.shape
     private = [bool(log) for log in logs]
     sigma = np.array([[cal.sigma for cal in log] or [0.0] * (4 * k) for log in logs])
     noisy = np.zeros((R, k, width))
     noisy[private] = z.reshape(sum(private), k, width)
-    noisy *= np.repeat(sigma.reshape(R, k, 4), sizes, axis=2)
-    noisy += path.releases[:k]
+    # The scores' sigma repeated 0 times: their noise is not in z.
+    noisy *= np.repeat(sigma.reshape(R, k, 4), (m, 0, m, 1), axis=2)
+    noisy += clean
 
-    # Each config's W, T and P as a C-ordered m x k block, the layout of
-    # one model's matrices, so that the stacked products make the BLAS
-    # calls that P.T @ W and W @ z make on one model.
-    W, T, P = (
-        np.ascontiguousarray(v.transpose(0, 2, 1)) for v in (
-            _unit_rows(noisy[:, :, :m]),
-            _unit_rows(noisy[:, :, m:m + n]),
-            noisy[:, :, m + n:m + n + m],
-        )
+    # Each config's W and P as a C-ordered m x k block, the layout of one
+    # model's matrices, so that the stacked products make the BLAS calls
+    # that P.T @ W and W @ z make on one model.
+    W, P = (
+        np.ascontiguousarray(v.transpose(0, 2, 1))
+        for v in (_unit_rows(noisy[:, :, :m]), noisy[:, :, m:2 * m])
     )
     c = noisy[:, :, -1].copy()
     b, singular = _solve_loading_system(W, P, c)
     return [
         singular[r] or PlsModel(
             W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
-            y_mean=path.y_mean, T=T[r], privacy=cfg.privacy,
+            y_mean=path.y_mean, privacy=cfg.privacy,
             calibration_log=logs[r], early_stop=cfg.k > k,
             rng_seed=cfg.rng.seed if cfg.rng is not None else None,
             rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
@@ -298,17 +303,25 @@ def _release_group(path: NipalsPath, k: int, cfgs: list, logs: list, z: np.ndarr
     ]
 
 
+def _without_scores(path: NipalsPath, rows: np.ndarray) -> np.ndarray:
+    """``rows`` laid out as the path's releases, w, t, p and c end to end,
+    with the t segment left out."""
+    m, n = path.sizes[:2]
+    return np.concatenate((rows[:, :m], rows[:, m + n:]), axis=1)
+
+
 def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
     """Release ``path`` once per config; one entry per config, in order:
     its model, or the DpplsError it raised.
 
     Calibrations are memoized per budget within the call.  Each private
-    config draws its k (2m + n + 1) uniforms from its own stream, as
-    :func:`release` would; all of them then pass through one
-    :func:`norm_ppf` call.  Configs that release the same number of
-    components are assembled and solved together, as one stack.  A config
-    that fails its checks, calibration or solve takes no draws from the
-    others' streams and leaves their models unchanged.
+    config draws its k (2m + n + 1) words from its own stream, as
+    :func:`release` would, scores included; the scores' words are left
+    out, and the rest, of all configs, are mapped to uniforms and pass
+    through one :func:`norm_ppf` call.  Configs that release the same
+    number of components are assembled and solved together, as one
+    stack.  A config that fails its checks, calibration or solve takes no
+    draws from the others' streams and leaves their models unchanged.
     """
     out: list = [None] * len(cfgs)
     memo: dict = {}  # budget -> calibrations of the leading components
@@ -321,19 +334,23 @@ def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
             continue
         groups.setdefault(min(cfg.k, len(path.bounds)), []).append((i, log))
     width = sum(path.sizes)
-    # The list of uniforms is freed once concatenated, before norm_ppf runs.
-    z = norm_ppf(np.concatenate([np.empty(0)] + [
-        cfgs[i].rng.open_unit(k * width)
-        for k, group in groups.items() for i, log in group if log
-    ]))
+    # One row of raw words per released component; the scores' words are
+    # cut out before any is mapped, and the concatenation is freed then.
+    z = norm_ppf(open_unit_of(_without_scores(path, np.concatenate(
+        [np.empty(0, np.uint64)] + [
+            cfgs[i].rng.raw_words(k * width)
+            for k, group in groups.items() for i, log in group if log
+        ]).reshape(-1, width))))
+    clean = _without_scores(path, path.releases)
     at = 0
     for k, group in groups.items():
         index, logs = zip(*group)
-        size = k * width * sum(map(bool, logs))
-        models = _release_group(path, k, [cfgs[i] for i in index], logs, z[at:at + size])
+        rows = k * sum(map(bool, logs))
+        models = _release_group(path, clean[:k], [cfgs[i] for i in index], logs,
+                                z[at:at + rows])
         for i, model in zip(index, models):
             out[i] = model
-        at += size
+        at += rows
     return out
 
 
@@ -560,7 +577,7 @@ def _model_from_doc(doc: dict) -> PlsModel:
         log.append(NoiseCalibration(sensitivity=sensitivity, sigma=sigma, target=e["target"]))
     _check_log(log, k, privacy, doc["early_stop"])
     return PlsModel(
-        W=W, P=P, c=c, b=b, k=k, x_means=x_means, y_mean=y_mean, T=None,
+        W=W, P=P, c=c, b=b, k=k, x_means=x_means, y_mean=y_mean,
         privacy=privacy, calibration_log=log, early_stop=doc["early_stop"],
         rng_seed=doc["rng_seed"], rng_stream=doc["rng_stream"],
     )

@@ -24,7 +24,6 @@ from dppls.core import (
 )
 from dppls.datagen import (
     UNIQUE_HOLDER2,
-    concat_rows,
     gaussian_signal,
     simulate_two_holders,
 )
@@ -36,6 +35,7 @@ from dppls.mechanism import (
 )
 from dppls.pls import FitConfig, fit
 from dppls.preprocess import AirPlsConfig, SgConfig, airpls_correct, msc, sg_kernel
+from pooled import concat_rows
 
 
 def classic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:

@@ -13,12 +13,12 @@ from dppls.attack import (
 from dppls.core import RngStream
 from dppls.datagen import (
     UNIQUE_HOLDER2,
-    concat_rows,
     gaussian_signal,
     simulate_two_holders,
 )
 from dppls.errors import ArgumentError, DegenerateInputError, ShapeError, SingularSystemError
 from dppls.pls import FitConfig, fit
+from pooled import concat_rows
 
 
 def _random_matrices(seed, m=30, k_global=4, k_local=3):

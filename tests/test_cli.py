@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,6 +23,7 @@ from dppls.core import (
 from dppls.errors import NumericalError
 from dppls.mechanism import analytic_gaussian_sigma
 from dppls.pls import FitConfig, fit, load_model, predict, save_model
+from pooled import concat_rows
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +89,7 @@ def test_simulate_files_equal_save_dataset(tmp_path, header):
                     + ["--header"] * header) == 0
     d1, d2 = datagen.simulate_two_holders(7, 5, RngStream(4))
     for name, d in (("holder1.csv", d1), ("holder2.csv", d2),
-                    ("combined.csv", datagen.concat_rows(d1, d2))):
+                    ("combined.csv", concat_rows(d1, d2))):
         save_dataset(tmp_path / name, d, header=header)
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -503,7 +507,7 @@ def airpls_dir(tmp_path_factory):
     the first 6 as ``six.csv``, and with X scaled by 1e305 the first 6 as
     ``six-scaled.csv`` and all 200 as ``scaled.csv``."""
     out = tmp_path_factory.mktemp("airpls")
-    d = datagen.concat_rows(*datagen.simulate_two_holders(100, 100, RngStream(1)))
+    d = concat_rows(*datagen.simulate_two_holders(100, 100, RngStream(1)))
     scaled = Dataset(X=d.X * 1e305, y=d.y)
     save_dataset(out / "six.csv", Dataset(X=d.X[:6], y=d.y[:6]))
     save_dataset(out / "six-scaled.csv", Dataset(X=scaled.X[:6], y=scaled.y[:6]))
@@ -544,6 +548,60 @@ def test_airpls_whose_lam_is_too_large_exits_5_naming_lam(airpls_dir, tmp_path, 
         "not positive definite)\n"
     )
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def overflow_dir(tmp_path_factory):
+    """Inputs whose arithmetic overflows: ``big.csv``, the rows of
+    ``simulate --n 100 --m 100 --seed 1``'s combined.csv with X scaled by
+    1e150, and ``spike.csv``, one row of 100 zero channels but -1e305 at
+    channel 90, whose l1 norm is finite."""
+    out = tmp_path_factory.mktemp("overflow")
+    d = concat_rows(*datagen.simulate_two_holders(100, 100, RngStream(1)))
+    save_dataset(out / "big.csv", Dataset(X=d.X * 1e150, y=d.y))
+    spike = np.zeros((1, 100))
+    spike[0, 90] = -1e305
+    save_dataset(out / "spike.csv", Dataset(X=spike, y=np.ones(1)))
+    return out
+
+
+_OVERFLOWS = {
+    "fit": ("big.csv", "model.json", ["--k", "3", "--epsilon", "1"]),
+    "preprocess": ("spike.csv", "out.csv", ["--pipeline", "airpls:900,15,2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOWS))
+def test_a_command_whose_arithmetic_overflows_exits_5(overflow_dir, tmp_path, capsys,
+                                                       command):
+    # fit used to write a k=0 model, and airPLS non-finite rows, each with
+    # a RuntimeWarning.
+    data, name, args = _OVERFLOWS[command]
+    out = tmp_path / "out" / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--input", str(overflow_dir / data), "--output", str(out),
+                         *args])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: floating-point overflow encountered in ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflow_under_python_warnings_as_errors_prints_one_line(overflow_dir, tmp_path):
+    data, name, args = _OVERFLOWS["fit"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dppls", "fit",
+         "--input", str(overflow_dir / data), "--output", str(tmp_path / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: fit: floating-point overflow encountered in ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_maps_each_row_through_the_row_steps_once(sim_dir, tmp_path, monkeypatch):
@@ -629,7 +687,7 @@ def test_command_holds_few_copies_of_its_matrix(tmp_path, argv):
     # one copy beside the input; whole-matrix copies that no output needs
     # (a response view keeping the parsed block alive, a stacked [y, X],
     # the matrix as Python floats) push the peak past four.
-    d = datagen.concat_rows(*datagen.simulate_two_holders(1000, 100, RngStream(2)))
+    d = concat_rows(*datagen.simulate_two_holders(1000, 100, RngStream(2)))
     save_dataset(tmp_path / "in.csv", d)
     argv = argv[:-1] + [str(tmp_path / argv[-1]), "--input", str(tmp_path / "in.csv")]
     assert cli.main(argv) == 0  # first-call set-up stays out of the peak

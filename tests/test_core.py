@@ -1,6 +1,7 @@
 """Containers, deterministic randomness, and CSV round-trips."""
 
 import csv
+import pickle
 import warnings
 
 import numpy as np
@@ -157,6 +158,37 @@ def test_open_unit_equals_the_bounded_integer_reference():
             )
             np.testing.assert_array_equal(rng.uniform(0.0, 1.0, 3), ref.random(3))
             np.testing.assert_array_equal(rng.permutation(count), ref.permutation(count))
+
+
+_U64 = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(deadline=None)
+@given(seed=_U64, stream_id=_U64)
+@example(seed=0, stream_id=0)
+@example(seed=2 ** 64 - 1, stream_id=2 ** 64 - 1)
+@example(seed=0, stream_id=2 ** 64 - 1)
+@example(seed=2 ** 64 - 1, stream_id=0)
+def test_a_stream_draws_what_philox_keyed_directly_draws(seed, stream_id):
+    # The reference keys Philox through its key argument; the stream
+    # hands it the same two words as a seed sequence.  A pickled copy
+    # resumes the same draws.
+    rng = RngStream(seed, stream_id)
+    ref = np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+    )
+
+    def draws(gen):
+        return (gen.open_unit(5), gen.uniform(0.0, 1.0, 4), gen.permutation(9))
+
+    for got, want in zip(draws(rng), (
+            (ref.integers(0, 1 << 53, size=5, dtype=np.uint64) + 0.5) * (2.0 ** -53),
+            ref.random(4), ref.permutation(9))):
+        np.testing.assert_array_equal(got, want)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert (copy.seed, copy.stream_id) == (seed, stream_id)
+    for got, want in zip(draws(copy), draws(rng)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_uniform_range_and_validation():

@@ -13,11 +13,11 @@ from dppls.datagen import (
     UNIQUE_HOLDER1,
     UNIQUE_HOLDER2,
     SignalSpec,
-    concat_rows,
     gaussian_signal,
     simulate_two_holders,
 )
-from dppls.errors import ArgumentError, ShapeError
+from dppls.errors import ArgumentError
+from pooled import concat_rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_simulate_validation():
 
 
 # ---------------------------------------------------------------------------
-# concatenation
+# the tests' pooled view, the rows of simulate's combined.csv
 # ---------------------------------------------------------------------------
 
 def test_concat_stacks_in_order():
@@ -161,10 +161,3 @@ def test_concat_with_empty_is_identity():
     pooled = concat_rows(d1, empty)
     np.testing.assert_array_equal(pooled.X, d1.X)
     np.testing.assert_array_equal(pooled.y, d1.y)
-
-
-def test_concat_rejects_channel_mismatch():
-    d1, _ = simulate_two_holders(10, 20, RngStream(7))
-    d3, _ = simulate_two_holders(10, 21, RngStream(7))
-    with pytest.raises(ShapeError):
-        concat_rows(d1, d3)

@@ -2,7 +2,7 @@
 
 The package and its CLI load no scipy module: the privacy profile runs on
 ``math`` alone, and airPLS solves its banded systems in numpy at every
-difference order.  Each check starts a new interpreter, because this test
+difference order.  Nor do they load ``numpy.random``.  Each check starts a new interpreter, because this test
 process has scipy loaded already.
 """
 
@@ -35,6 +35,15 @@ def _run(code: str, cwd) -> str:
 
 def test_import_dppls_and_cli_loads_no_scipy(tmp_path):
     out = _run(f"import sys, dppls, dppls.cli; print({_SCIPY_MODULES})", tmp_path)
+    assert out == "[]"
+
+
+def test_import_dppls_and_cli_loads_no_numpy_random(tmp_path):
+    # numpy.random loads on a stream's first use, not at import, which
+    # keeps it out of every command's start-up that draws nothing.
+    out = _run("import sys, dppls, dppls.cli; "
+               "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))",
+               tmp_path)
     assert out == "[]"
 
 

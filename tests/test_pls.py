@@ -138,8 +138,10 @@ def test_nipals_path_centers_and_keeps_the_means():
 
 
 def test_fit_scores_are_orthonormal():
-    model = fit(_random_dataset(4), FitConfig(k=5))
-    G = model.T.T @ model.T
+    path = nipals_path(_random_dataset(4), 5)
+    m, n = path.sizes[:2]
+    t = path.releases[:, m:m + n]  # one component's unit scores per row
+    G = t @ t.T
     np.testing.assert_allclose(G, np.eye(5), atol=1e-8)
 
 
@@ -309,7 +311,6 @@ def test_private_fit_released_columns_are_unit_norm():
     model = fit(d, FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01),
                              rng=RngStream(2)))
     np.testing.assert_allclose(np.linalg.norm(model.W, axis=0), 1.0, atol=1e-10)
-    np.testing.assert_allclose(np.linalg.norm(model.T, axis=0), 1.0, atol=1e-10)
 
 
 def test_private_fit_huge_epsilon_approaches_baseline():
@@ -356,7 +357,7 @@ def _covariance_stop_dataset():
 
 
 def _assert_models_identical(a, b):
-    for name in ("W", "P", "c", "b", "T", "x_means"):
+    for name in ("W", "P", "c", "b", "x_means"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.calibration_log == b.calibration_log
     assert (a.k, a.early_stop, a.y_mean) == (b.k, b.early_stop, b.y_mean)
@@ -414,16 +415,17 @@ def _reference_release(path, cfg):
     """cfg's release of ``path`` rebuilt one config and one vector at a
     time: calibrations in CALIBRATION_TARGETS order, one gaussian_vector
     call per released vector in the documented order (a private config
-    draws for every release, whatever its sigma; a clean one draws
-    nothing), np.linalg.norm per vector and np.linalg.solve(P.T @ W, c).
-    Raises what release_many reports for the config."""
+    draws for every release, whatever its sigma, the scores' too, which
+    no model holds; a clean one draws nothing), np.linalg.norm per
+    weight vector and np.linalg.solve(P.T @ W, c).  Raises what
+    release_many reports for the config."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
         raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
     k = min(cfg.k, len(path.releases))
-    m, n = path.sizes[:2]
-    W, T, P, c, log = np.empty((m, k)), np.empty((n, k)), np.empty((m, k)), np.empty(k), []
+    m = path.sizes[0]
+    W, P, c, log = np.empty((m, k)), np.empty((m, k)), np.empty(k), []
     rng = None if cfg.privacy is None else cfg.rng
     for j, (row, bounds) in enumerate(zip(path.releases[:k], path.bounds)):
         comp_w, comp_t, comp_p, comp_c = np.split(row, np.cumsum(path.sizes)[:-1])
@@ -437,9 +439,8 @@ def _reference_release(path, cfg):
             log += four
             sig = [cal.sigma for cal in four]
         w = comp_w + gaussian_vector(comp_w.size, sig[0], rng)
-        t = comp_t + gaussian_vector(comp_t.size, sig[1], rng)
+        gaussian_vector(comp_t.size, sig[1], rng)  # the scores' draws, then dropped
         W[:, j] = w / np.linalg.norm(w)
-        T[:, j] = t / np.linalg.norm(t)
         P[:, j] = comp_p + gaussian_vector(comp_p.size, sig[2], rng)
         c[j:j + 1] = comp_c + gaussian_vector(1, sig[3], rng)
     b = np.zeros(m)
@@ -453,21 +454,41 @@ def _reference_release(path, cfg):
             )
         b = W @ np.linalg.solve(PtW, c)
     return PlsModel(
-        W=W, P=P, c=c, b=b, k=k, x_means=path.x_means, y_mean=path.y_mean, T=T,
+        W=W, P=P, c=c, b=b, k=k, x_means=path.x_means, y_mean=path.y_mean,
         privacy=cfg.privacy, calibration_log=log, early_stop=cfg.k > k,
         rng_seed=None if cfg.rng is None else cfg.rng.seed,
         rng_stream=None if cfg.rng is None else cfg.rng.stream_id,
     )
 
 
+def _assert_score_noise_reaches_no_model(path, cfgs):
+    """Released with noise on the scores alone, every private config that
+    gives a model gives its clean release's W, P, c and b bit for bit,
+    while its log holds 4k calibrations with positive score sigmas."""
+    with pytest.MonkeyPatch.context() as mp:
+        _silence_all_but(mp, "scores")
+        noised = release_many(path, cfgs)
+    clean = release_many(path, [dataclasses.replace(cfg, privacy=None) for cfg in cfgs])
+    models = [(a, b) for a, b in zip(noised, clean)
+              if isinstance(a, PlsModel) and a.privacy is not None]
+    assert models
+    for a, b in models:
+        for name in ("W", "P", "c", "b"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert len(a.calibration_log) == 4 * a.k
+        scores = a.calibration_log[1::4]
+        assert all(cal.target == "scores" and cal.sigma > 0 for cal in scores)
+
+
 @pytest.mark.parametrize("silenced", [None, "scores"])
 def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
-    if silenced is not None:
-        # A zero-sigma release still takes its draws from the stream.
-        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     d = _random_dataset(42)
     path = nipals_path(d, 3)
     cfg = lambda: FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(5, 9))
+    if silenced is not None:
+        _assert_score_noise_reaches_no_model(path, [cfg()])
+        # A zero-sigma release still takes its draws from the stream.
+        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     model = release(path, cfg())
     _assert_models_identical(model, _reference_release(path, cfg()))
     assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
@@ -577,8 +598,6 @@ def _assert_outcomes_identical(got, want):
 
 @pytest.mark.parametrize("silenced", [None, "scores"])
 def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
-    if silenced is not None:
-        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     path = nipals_path(_random_dataset(44, n=12, m=9), 4)
     b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
 
@@ -593,6 +612,9 @@ def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
             FitConfig(k=4, privacy=b1, rng=RngStream(6, 4)),
         ]
 
+    if silenced is not None:
+        _assert_score_noise_reaches_no_model(path, cfgs())
+        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     got = release_many(path, cfgs())
     _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
     assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
@@ -701,7 +723,6 @@ def test_model_round_trip_predicts_identically(tmp_path):
     np.testing.assert_array_equal(back.W, model.W)
     np.testing.assert_array_equal(back.b, model.b)
     assert back.k == model.k
-    assert back.T is None
     assert back.privacy == model.privacy
     assert back.early_stop == model.early_stop
     assert back.rng_seed == 7 and back.rng_stream == 0
