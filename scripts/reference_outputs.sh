@@ -47,6 +47,10 @@ for seed in 1 7; do
     # Two grid points per k share a budget within each fold's release call.
     dppls sweep --input sim/combined.csv --mode cv --k-max 5 \
         --epsilons 10,10,1 --folds 10 --seed "$seed" --output sweep-cv-repeated
+    # Seven folds of 200 rows train on 171 or 172 rows: one release call
+    # stacks paths of different n.
+    dppls sweep --input sim/combined.csv --mode cv --k-max 5 --folds 7 \
+        --seed "$seed" --output sweep-cv-7folds
     # Each fold's path has 17 components (18 training rows), so the k=18
     # grid points fail on every fold.
     dppls simulate --n 10 --m 20 --seed "$seed" --output sim-tiny

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
-from .pls import FitConfig, nipals_path, predict, release_many
+from .pls import FitConfig, NipalsPath, nipals_path, release_many
 from .preprocess import Pipeline, parse_pipeline
 
 
@@ -135,11 +135,23 @@ class EvalReport:
             writer.writerows([e.get(col) for col in _CSV_COLUMNS] for e in self.entries)
 
 
-def _predict(model, X: np.ndarray) -> np.ndarray:
-    """predict() for an entry of release_many, raising the error it holds."""
-    if isinstance(model, DpplsError):
-        raise model
-    return predict(model, X)
+def _scorer(path: NipalsPath, X: np.ndarray):
+    """predict() for the entries of release_many on ``path``: a function
+    of an entry that raises the error it holds, or gives
+    ``predict(model, X)`` bit for bit.  Every model of a path shares its
+    means, so the held-out rows ``X`` are checked and centred once; each
+    model gets its own matrix-vector product."""
+    finite = bool(np.all(np.isfinite(X)))
+    Xc = X - path.x_means if finite else None
+
+    def score(model) -> np.ndarray:
+        if isinstance(model, DpplsError):
+            raise model
+        if not finite:
+            raise DegenerateInputError("X_new contains NaN or infinite entries")
+        return Xc @ model.b + model.y_mean
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +233,13 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
     grid points.  Each fold fits the ``fitted`` steps on its training
     rows and replays them on its held-out rows, and runs one clean NIPALS
     path up to the largest grid k (at most min(n-1, m)); every grid point
-    is a release of that path.  A private grid point gi draws its noise
-    from ``rng.derive(gi, fold)``; a clean one draws nothing, and no
-    stream is derived for it.
+    is a release of that path.  Every fold's path and held-out rows are
+    built first, and then all folds x grid points are released in one
+    :func:`release_many` call, fold-major; a fold that fails to build
+    fails every grid point, and nothing is released.  A private grid
+    point gi draws its noise from ``rng.derive(gi, fold)``; a clean one
+    draws nothing, and no stream is derived for it.  Each fold's
+    held-out rows are checked and centred once for all its models.
     RMSECV pools the squared errors of all held-out samples.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
@@ -243,6 +259,7 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
     k_top = max(cfg.k for cfg in grid)
     status = ["ok"] * len(grid)
     sq_errors = [[] for _ in grid]
+    splits = []  # (path, held-out rows, held-out responses) per fold
     for fold_i in range(folds):
         test_idx = blocks[fold_i]
         train_idx = np.concatenate(
@@ -254,18 +271,24 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
             path = nipals_path(train, min(k_top, train.n - 1, train.m))
         except DpplsError:
             status = ["failed"] * len(grid)
+            splits = []
             break
-        models = release_many(path, [
-            cfg if cfg.privacy is None else replace(cfg, rng=rng.derive(gi, fold_i))
-            for gi, cfg in enumerate(grid)
-        ])
-        for gi, model in enumerate(models):
+        splits.append((path, X_test, d.y[test_idx]))
+
+    models = release_many([
+        (path, cfg if cfg.privacy is None else replace(cfg, rng=rng.derive(gi, fold_i)))
+        for fold_i, (path, _, _) in enumerate(splits)
+        for gi, cfg in enumerate(grid)
+    ])
+    for fold_i, (path, X_test, y_test) in enumerate(splits):
+        score = _scorer(path, X_test)
+        for gi, model in enumerate(models[fold_i * len(grid):(fold_i + 1) * len(grid)]):
             try:
-                pred = _predict(model, X_test)
+                pred = score(model)
             except DpplsError:
                 status[gi] = "failed"
                 continue
-            sq_errors[gi].extend(((d.y[test_idx] - pred) ** 2).tolist())
+            sq_errors[gi].extend(((y_test - pred) ** 2).tolist())
 
     for cfg, st, errors in zip(grid, status, sq_errors):
         p = cfg.privacy
@@ -321,8 +344,10 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
             status="ok" if pred_ok else "failed",
         )
 
-    baseline, *noisy = release_many(nipals_path(train_ds, k), cfgs)
-    baseline_pred = _predict(baseline, X_test)
+    path = nipals_path(train_ds, k)
+    score = _scorer(path, X_test)
+    baseline, *noisy = release_many([(path, cfg) for cfg in cfgs])
+    baseline_pred = score(baseline)
     base_r, base_q = rmse(test.y, baseline_pred), r2_score(test.y, baseline_pred)
     report.entries.append(entry("baseline", None, None, True, rmsep=base_r, r2p=base_q))
     report.aggregates.append(_aggregate(None, [base_r], [base_q]))
@@ -332,7 +357,7 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
         r_vals, q_vals = [], []
         for rep, model in enumerate(noisy[ei * repeats:(ei + 1) * repeats]):
             try:
-                pred = _predict(model, X_test)
+                pred = score(model)
                 r, q = rmse(test.y, pred), r2_score(test.y, pred)
             except DpplsError:
                 report.entries.append(entry("holdout", eps, rep, False))

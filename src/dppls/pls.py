@@ -19,12 +19,12 @@ component's residual suprema, and every calibration budgets the full
 (epsilon, delta) for its own release.  A private release logs each
 released component's calibrations, in ``CALIBRATION_TARGETS`` order,
 and none for a component the recursion stopped on: no noise is drawn for
-it.  Each :func:`release_many` call memoizes them per budget; the path
-holds none.  The noisy scores are calibrated, drawn and logged like the
-other releases, but no model holds them and b reads none, so they are
-never built: their draws are dropped before the normal transform.
-Dropping a release is post-processing, so each remaining release keeps
-its own guarantee.
+it.  Each :func:`release_many` call memoizes them per path and budget;
+the path holds none.  The noisy scores are calibrated, drawn and logged
+like the other releases, but no model holds them and b reads none, so
+they are never built: their draws are dropped before the normal
+transform.  Dropping a release is post-processing, so each remaining
+release keeps its own guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
 k (2m + n + 1) raw words, whatever the sigmas, cut into segments in the
@@ -35,23 +35,25 @@ its release's sigma.  Each Gaussian value consumes one word of the
 stream and both maps work element by element, so this equals drawing
 each release's noise in turn from the same stream, value for value.
 
-:func:`release_many` releases one path under many configs, and
-:func:`release` is its one-config case.  Each config still draws its
-words from its own stream, in the same count as alone; the words of all
-configs are then concatenated, their score segments cut out, the rest
-mapped to uniforms, passed through one :func:`norm_ppf` call and split
-back per config.  Because those maps work element by element, every
-config gets the normals it would get alone, value for value.  The configs that release
-the same number of components k are then released as one stack: their
-noisy w, p and c in one array operation, the unit scaling of the weights
-through one stacked dot product, P^T W through one stacked matrix
-product, and one stacked condition estimate, k x k solve and W z.  Per
-config, each of these runs the elementwise operation, or the BLAS or
-LAPACK call on the same memory layout, that np.linalg.norm, P.T @ W and
-np.linalg.solve run on one config's vectors, so every model equals that
-per-config release bit for bit.  A config that fails gets its own error
-without touching the others' draws or models.  :func:`fit` is
-``release(nipals_path(d, cfg.k), cfg)``.
+:func:`release_many` releases many ``(path, config)`` jobs, and
+:func:`release` is its one-job case.  The jobs that release the same
+number of components k from paths of the same channel count m are
+released as one stack, whatever path each comes from: cross-validation
+releases every fold's grid in one call.  Each config still draws its
+words from its own stream, in the same count as alone; a stack's kept
+words are mapped to uniforms and through :func:`norm_ppf` in fixed-size
+blocks.  Because those maps work element by element, every config gets
+the normals it would get alone, value for value.  The stack then gets
+its noisy w, p and c in one buffer, each config's clean rows from its
+own path, the unit scaling of the weights through one stacked dot
+product, P^T W through one stacked matrix product, and one stacked
+condition estimate, k x k solve and W z.  Per config, each of these runs
+the elementwise operation, or the BLAS or LAPACK call on the same memory
+layout, that np.linalg.norm, P.T @ W and np.linalg.solve run on one
+config's vectors, so every model equals that per-config release bit for
+bit.  A config that fails gets its own error without touching the
+others' draws or models.  :func:`fit` is ``release(nipals_path(d, cfg.k),
+cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
 weight sensitivity is that of the unnormalized covariance E^T f, yet the
@@ -94,6 +96,10 @@ _COND_LIMIT = 1e12
 
 # The residual norm at or below which nipals_path stops.
 RESIDUAL_TOLERANCE = 1e-12
+
+# Values _release_group maps from words to normals per norm_ppf call, so
+# that the map's temporaries stay this size however many configs stack.
+_MAP_BLOCK = 8192
 
 
 def _check_depth(k) -> int:
@@ -259,28 +265,45 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
 
 
-def _release_group(path: NipalsPath, clean: np.ndarray, cfgs: list, logs: list,
-                   z: np.ndarray) -> list:
-    """The models of R configs that release k components each, given the
-    path's first k rows without their scores (``clean``), each config's
-    calibrations and, end to end in config order, the k (2m + 1) standard
-    normals ``z`` of each private one, its noise on w, p and c; a config
+def _release_group(jobs: list, k: int, logs: list) -> list:
+    """The models of R (path, config) jobs that release k components each
+    from paths of one channel count m, given each config's calibrations;
+    the private configs, those with calibrations, come first.  A config
     whose solve fails gets its error instead.
 
-    Each component's w, p and c gets sigma times the next segment of its
-    config's normals, or zeros when the config is clean.  The noise is
-    scaled in one buffer, in place, and the clean rows added to it: IEEE
-    addition commutes.  The noisy weights are then scaled to unit length.
+    Each private config draws its k (2m + n + 1) words, n its own path's
+    row count, and keeps those of w, p and c; they are gathered in the
+    noise buffer itself and mapped to normals in place, in blocks of
+    ``_MAP_BLOCK`` values.  Each component's w, p and c gets sigma times
+    the next segment of its config's normals, scaled in place one
+    segment at a time, or zeros when the config is clean.  Each config's
+    clean rows, from its own path, are then added: IEEE addition
+    commutes.  The noisy weights are then scaled to unit length.
     """
-    m = path.sizes[0]
-    R, (k, width) = len(cfgs), clean.shape
-    private = [bool(log) for log in logs]
-    sigma = np.array([[cal.sigma for cal in log] or [0.0] * (4 * k) for log in logs])
+    m = jobs[0][0].sizes[0]
+    R, width = len(jobs), 2 * m + 1
+    private = sum(map(bool, logs))
     noisy = np.zeros((R, k, width))
-    noisy[private] = z.reshape(sum(private), k, width)
-    # The scores' sigma repeated 0 times: their noise is not in z.
-    noisy *= np.repeat(sigma.reshape(R, k, 4), (m, 0, m, 1), axis=2)
-    noisy += clean
+    if private:
+        words = noisy[:private].view(np.uint64)
+        for dst, (path, cfg) in zip(words, jobs):
+            raw = cfg.rng.raw_words(k * sum(path.sizes)).reshape(k, -1)
+            dst[:, :m], dst[:, m:] = raw[:, :m], raw[:, m + path.sizes[1]:]
+        flat, words = noisy.reshape(-1), words.reshape(-1)
+        for at in range(0, words.size, _MAP_BLOCK):
+            block = words[at:at + _MAP_BLOCK]
+            flat[at:at + block.size] = norm_ppf(open_unit_of(block))
+        # The scores' sigmas (index 1) scale nothing: their noise is not drawn.
+        sigma = np.array([[cal.sigma for cal in log] for log in logs[:private]])
+        sigma = sigma.reshape(private, k, 4)
+        head = noisy[:private]
+        head[..., :m] *= sigma[..., 0, None]
+        head[..., m:2 * m] *= sigma[..., 2, None]
+        head[..., -1] *= sigma[..., 3]
+    paths = {id(path): path for path, _ in jobs}
+    clean = {key: _without_scores(path, path.releases[:k]) for key, path in paths.items()}
+    for rows, (path, _) in zip(noisy, jobs):
+        rows += clean[id(path)]
 
     # Each config's W and P as a C-ordered m x k block, the layout of one
     # model's matrices, so that the stacked products make the BLAS calls
@@ -299,7 +322,7 @@ def _release_group(path: NipalsPath, clean: np.ndarray, cfgs: list, logs: list,
             rng_seed=cfg.rng.seed if cfg.rng is not None else None,
             rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
         )
-        for r, cfg in enumerate(cfgs)
+        for r, (path, cfg) in enumerate(jobs)
     ]
 
 
@@ -310,47 +333,36 @@ def _without_scores(path: NipalsPath, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((rows[:, :m], rows[:, m + n:]), axis=1)
 
 
-def release_many(path: NipalsPath, cfgs: Sequence[FitConfig]) -> list:
-    """Release ``path`` once per config; one entry per config, in order:
-    its model, or the DpplsError it raised.
+def release_many(jobs: Sequence[tuple]) -> list:
+    """Release each ``(path, cfg)`` job; one entry per job, in order: its
+    model, or the DpplsError it raised.
 
-    Calibrations are memoized per budget within the call.  Each private
-    config draws its k (2m + n + 1) words from its own stream, as
-    :func:`release` would, scores included; the scores' words are left
-    out, and the rest, of all configs, are mapped to uniforms and pass
-    through one :func:`norm_ppf` call.  Configs that release the same
-    number of components are assembled and solved together, as one
-    stack.  A config that fails its checks, calibration or solve takes no
-    draws from the others' streams and leaves their models unchanged.
+    Calibrations are memoized per path and budget within the call.  Each
+    private config draws its k (2m + n + 1) words from its own stream, as
+    :func:`release` would, scores included, and only its w, p and c
+    words are mapped to normals.  Jobs that release the same number of
+    components from paths of the same channel count are assembled and
+    solved together, as one stack, whatever their paths' row counts;
+    each config's clean rows, means and draws come from its own path.  A
+    config that fails its checks, calibration or solve takes no draws
+    from the others' streams and leaves their models unchanged.
     """
-    out: list = [None] * len(cfgs)
-    memo: dict = {}  # budget -> calibrations of the leading components
-    groups: dict = {}  # released component count -> [(index, calibrations)]
-    for i, cfg in enumerate(cfgs):
+    out: list = [None] * len(jobs)
+    memos: dict = {}  # id(path) -> {budget: calibrations of the leading components}
+    groups: dict = {}  # (channel count, released k) -> [(index, calibrations)]
+    for i, (path, cfg) in enumerate(jobs):
         try:
-            log = _calibrate(path, cfg, memo)
+            log = _calibrate(path, cfg, memos.setdefault(id(path), {}))
         except DpplsError as exc:
             out[i] = exc
             continue
-        groups.setdefault(min(cfg.k, len(path.bounds)), []).append((i, log))
-    width = sum(path.sizes)
-    # One row of raw words per released component; the scores' words are
-    # cut out before any is mapped, and the concatenation is freed then.
-    z = norm_ppf(open_unit_of(_without_scores(path, np.concatenate(
-        [np.empty(0, np.uint64)] + [
-            cfgs[i].rng.raw_words(k * width)
-            for k, group in groups.items() for i, log in group if log
-        ]).reshape(-1, width))))
-    clean = _without_scores(path, path.releases)
-    at = 0
-    for k, group in groups.items():
+        key = (path.sizes[0], min(cfg.k, len(path.bounds)))
+        groups.setdefault(key, []).append((i, log))
+    for (_, k), group in groups.items():
+        group.sort(key=lambda entry: not entry[1])  # private configs first, in order
         index, logs = zip(*group)
-        rows = k * sum(map(bool, logs))
-        models = _release_group(path, clean[:k], [cfgs[i] for i in index], logs,
-                                z[at:at + rows])
-        for i, model in zip(index, models):
+        for i, model in zip(index, _release_group([jobs[i] for i in index], k, logs)):
             out[i] = model
-        at += rows
     return out
 
 
@@ -361,7 +373,7 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
     holding fewer than cfg.k components gives a model flagged as stopped
     early.
     """
-    (result,) = release_many(path, [cfg])
+    (result,) = release_many([(path, cfg)])
     if isinstance(result, DpplsError):
         raise result
     return result

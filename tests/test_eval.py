@@ -16,7 +16,7 @@ from dppls.errors import (
     ShapeError,
 )
 from dppls.evaluate import EvalReport, r2_score, rmse, sweep, train_test_split
-from dppls.pls import FitConfig, fit, predict, release_many
+from dppls.pls import FitConfig, fit, nipals_path, predict, release_many
 from dppls.preprocess import parse_pipeline
 
 
@@ -296,9 +296,10 @@ def test_sweep_releases_in_one_call(monkeypatch):
     d = _rank3_dataset()
     calls = []
 
-    def counted(path, cfgs):
-        calls.append([cfg.privacy for cfg in cfgs])
-        return release_many(path, cfgs)
+    def counted(jobs):
+        calls.append([cfg.privacy for _, cfg in jobs])
+        assert len({id(path) for path, _ in jobs}) == 1
+        return release_many(jobs)
 
     monkeypatch.setattr(evaluate, "release_many", counted)
     report = _holdout(d, [10.0, 10.0, 1.0], 3, RngStream(25), repeats=4)
@@ -309,6 +310,61 @@ def test_sweep_releases_in_one_call(monkeypatch):
     assert [e["epsilon"] for e in report.entries] == [None] + [10.0] * 8 + [1.0] * 4
     # Equal budgets at different positions draw from different streams.
     assert report.aggregates[1]["rmsep_mean"] != report.aggregates[2]["rmsep_mean"]
+
+
+def test_cv_releases_in_one_call(monkeypatch):
+    d = _rank3_dataset(n=23)
+    calls = []
+
+    def counted(jobs):
+        calls.append(jobs)
+        return release_many(jobs)
+
+    monkeypatch.setattr(evaluate, "release_many", counted)
+    budget = PrivacyBudget(10.0, 0.01)
+    grid = [FitConfig(k=1), FitConfig(k=3, privacy=budget), FitConfig(k=2, privacy=budget)]
+    rng = RngStream(26)
+    report = _cv(d, 4, grid, rng)
+    # Folds x grid jobs, fold-major: each fold's path, then its grid in order.
+    assert len(calls) == 1 and len(calls[0]) == 4 * len(grid)
+    paths = [path for path, _ in calls[0][::len(grid)]]
+    assert len({id(path) for path in paths}) == 4
+    # 23 rows in 4 folds: training splits of 17 and 18 rows.
+    assert sorted({path.sizes[1] for path in paths}) == [17, 18]
+    cv = rng.derive(evaluate._STREAM_CV)
+    for j, (path, cfg) in enumerate(calls[0]):
+        fold_i, gi = divmod(j, len(grid))
+        assert path is paths[fold_i]
+        assert (cfg.k, cfg.privacy) == (grid[gi].k, grid[gi].privacy)
+        want = cv.derive(gi, fold_i)
+        assert cfg.rng is None if cfg.privacy is None else (
+            (cfg.rng.seed, cfg.rng.stream_id) == (want.seed, want.stream_id))
+    assert [e["status"] for e in report.entries] == ["ok"] * 3
+
+
+def test_scorer_equals_predict_bit_for_bit():
+    d = _noisy_rank3_dataset()
+    path = nipals_path(Dataset(X=d.X[:30], y=d.y[:30]), 4)
+    budget = PrivacyBudget(1.0, 0.01)
+    jobs = [(path, FitConfig(k=k)) for k in (1, 4)] + [
+        (path, FitConfig(k=k, privacy=budget, rng=RngStream(3, k))) for k in (1, 2, 4)]
+    X_test = d.X[30:]
+    score = evaluate._scorer(path, X_test)
+    for model in release_many(jobs):
+        np.testing.assert_array_equal(score(model), predict(model, X_test))
+    # An error entry raises its error; non-finite rows raise what predict raises.
+    failed = ShapeError("synthetic")
+    with pytest.raises(ShapeError, match="synthetic"):
+        score(failed)
+    X_bad = X_test.copy()
+    X_bad[2, 3] = np.nan
+    with pytest.raises(DegenerateInputError) as want:
+        predict(model, X_bad)
+    with pytest.raises(DegenerateInputError) as got:
+        evaluate._scorer(path, X_bad)(model)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ShapeError, match="synthetic"):
+        evaluate._scorer(path, X_bad)(failed)
 
 
 def test_sweep_supports_stateful_pipelines():

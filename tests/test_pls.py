@@ -82,6 +82,11 @@ def _nipals_path_at(tol, d, k_max):
         return nipals_path(d, k_max)
 
 
+def _jobs(path, cfgs):
+    """release_many's jobs: each config on ``path``."""
+    return [(path, cfg) for cfg in cfgs]
+
+
 def _random_dataset(seed, n=20, m=10):
     rng = RngStream(seed)
     X = rng.uniform(-2, 2, (n, m))
@@ -236,7 +241,7 @@ def test_zero_tolerance_stops_on_an_exactly_vanishing_residual():
                 y=np.array([1.0, 2.0, 3.0, 4.0]))
     path = _nipals_path_at(0.0, d, 2)
     assert path.releases.shape[0] == 1 and np.all(np.isfinite(path.releases))
-    one, two = release_many(path, [FitConfig(k=1), FitConfig(k=2)])
+    one, two = release_many(_jobs(path, [FitConfig(k=1), FitConfig(k=2)]))
     assert (one.k, one.early_stop) == (1, False)
     assert (two.k, two.early_stop) == (1, True)
     np.testing.assert_allclose(predict(two, d.X), d.y, rtol=1e-12)
@@ -467,8 +472,8 @@ def _assert_score_noise_reaches_no_model(path, cfgs):
     while its log holds 4k calibrations with positive score sigmas."""
     with pytest.MonkeyPatch.context() as mp:
         _silence_all_but(mp, "scores")
-        noised = release_many(path, cfgs)
-    clean = release_many(path, [dataclasses.replace(cfg, privacy=None) for cfg in cfgs])
+        noised = release_many(_jobs(path, cfgs))
+    clean = release_many(_jobs(path, [dataclasses.replace(cfg, privacy=None) for cfg in cfgs]))
     models = [(a, b) for a, b in zip(noised, clean)
               if isinstance(a, PlsModel) and a.privacy is not None]
     assert models
@@ -506,9 +511,9 @@ def test_a_private_release_consumes_k_row_widths_of_its_stream(monkeypatch, case
     assert k == (1 if case == "score-stop" else 3)
     budget = PrivacyBudget(1.0, 0.01)
     streams = [RngStream(11, s) for s in range(3)]
-    release_many(path, [FitConfig(k=path.k_max, privacy=budget, rng=streams[0]),
-                        FitConfig(k=path.k_max, rng=streams[1]),
-                        FitConfig(k=1, privacy=budget, rng=streams[2])])
+    release_many(_jobs(path, [FitConfig(k=path.k_max, privacy=budget, rng=streams[0]),
+                              FitConfig(k=path.k_max, rng=streams[1]),
+                              FitConfig(k=1, privacy=budget, rng=streams[2])]))
     for used, stream in zip((k, 0, 1), streams):
         fresh = RngStream(stream.seed, stream.stream_id)
         fresh.open_unit(used * sum(path.sizes))
@@ -529,12 +534,12 @@ def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypat
     # Shallow first: deeper releases extend the budget's log, once.
     cfgs = lambda: [FitConfig(k=k, privacy=budget, rng=RngStream(k, rep))
                     for k in (1, 3, 2) for rep in range(3) for budget in budgets]
-    models = release_many(path, cfgs())
+    models = release_many(_jobs(path, cfgs()))
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
     # The path keeps nothing: the next call calibrates afresh.
     assert [f.name for f in dataclasses.fields(path)] == [
         "releases", "bounds", "x_means", "y_mean", "k_max"]
-    for got, want in zip(release_many(path, cfgs()), models):
+    for got, want in zip(release_many(_jobs(path, cfgs())), models):
         _assert_models_identical(got, want)
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 4 * 3
 
@@ -558,7 +563,7 @@ def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatc
     # Calls 1-4 calibrate component 1; the second component's x-loadings
     # (call 7) fail, and the third config calibrates components 2 and 3
     # in full: 4 + 3 + 8 calls.
-    first, failed, after = release_many(path, [cfg(1, 0), cfg(3, 1), cfg(3, 2)])
+    first, failed, after = release_many(_jobs(path, [cfg(1, 0), cfg(3, 1), cfg(3, 2)]))
     assert isinstance(failed, NumericalError) and len(calls) == 15
     assert first.k == 1
     _assert_models_identical(after, want)
@@ -615,12 +620,12 @@ def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
     if silenced is not None:
         _assert_score_noise_reaches_no_model(path, cfgs())
         _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
-    got = release_many(path, cfgs())
+    got = release_many(_jobs(path, cfgs()))
     _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
     assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
     assert "path's 4 components" in str(got[3])
     assert (silenced is None) == all(cal.sigma > 0 for cal in got[0].calibration_log)
-    assert release_many(path, []) == []
+    assert release_many([]) == []
 
 
 def _rank1_path():
@@ -645,7 +650,7 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
         return [private(1, 0), private(2, 1), private(1, 2),
                 FitConfig(k=3), FitConfig(k=1)]
 
-    got = release_many(path, cfgs())
+    got = release_many(_jobs(path, cfgs()))
     _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
     assert [type(r).__name__ for r in got] == [
         "PlsModel", "SingularSystemError", "PlsModel", "SingularSystemError", "PlsModel"]
@@ -681,8 +686,75 @@ def test_release_many_equals_the_per_config_reference(data):
     with pytest.MonkeyPatch.context() as mp:
         _silence_all_but(mp, *noised)
         path = _PATHS[case]()
-        got = release_many(path, cfgs())
+        got = release_many(_jobs(path, cfgs()))
         _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
+
+
+def _rank4_path():
+    """Rank-4 data of 16 rows and 12 channels: up to 5 components asked
+    for, the path stops after 4."""
+    rng = RngStream(12)
+    C = rng.uniform(0.0, 10.0, (16, 4))
+    S = rng.uniform(-1.0, 1.0, (4, 12))
+    return _nipals_path_at(1e-8, Dataset(X=C @ S, y=C[:, 0].copy()), 5)
+
+
+def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
+    calibrate = pls_module.analytic_gaussian_sigma
+    failing = PrivacyBudget(2.0, 0.01)
+    calls = []
+
+    def fails_on_one_budget(delta_f, budget):
+        calls.append(budget)
+        if budget == failing:
+            raise NumericalError("synthetic calibration failure")
+        return calibrate(delta_f, budget)
+
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_one_budget)
+    short = nipals_path(_random_dataset(47, n=14, m=12), 5)
+    tall = nipals_path(_random_dataset(48, n=19, m=12), 5)
+    stopped, rank1 = _rank4_path(), _rank1_path()
+    narrow = nipals_path(_random_dataset(44, n=12, m=9), 4)
+    paths = (short, tall, stopped, rank1, narrow)
+    assert [p.sizes[:2] for p in paths] == [(12, 14), (12, 19), (12, 16), (12, 15), (9, 12)]
+    assert [len(p.bounds) for p in paths] == [5, 5, 4, 3, 4]
+    b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
+
+    def jobs():
+        def private(path, k, budget, s):
+            return path, FitConfig(k=k, privacy=budget, rng=RngStream(9, s))
+        return [
+            private(short, 4, b1, 0),
+            (tall, FitConfig(k=4)),
+            private(stopped, 5, b1, 1),  # releases 4, stacked with the k=4 jobs
+            (rank1, FitConfig(k=3)),  # a singular solve
+            private(tall, 4, b2, 2),
+            (short, FitConfig(k=2)),
+            private(short, 5, b1, 3),  # short again: extends its b1 calibrations
+            private(tall, 3, failing, 4),  # a failed calibration
+            private(stopped, 2, b2, 5),
+            private(short, 3, b2, 6),  # stacked with the singular solve
+            private(rank1, 1, b1, 7),
+            (stopped, FitConfig(k=5)),
+            private(narrow, 4, b1, 8),  # 9 channels: stacked apart from the k=4 jobs
+        ]
+
+    got = release_many(jobs())
+    # One memo per (path, budget): short's b1 calibrates 5 components
+    # once, and the failing budget stops at its first calibration.
+    assert len(calls) == 4 * (5 + 3 + 4 + 4 + 2 + 1 + 4) + 1
+    assert [type(r).__name__ for r in got] == (
+        ["PlsModel"] * 3 + ["SingularSystemError"] + ["PlsModel"] * 3 + ["NumericalError"]
+        + ["PlsModel"] * 5)
+    assert (got[2].k, got[2].early_stop, got[11].k, got[11].early_stop) == (4, True, 4, True)
+    all_jobs, want = jobs(), [None] * len(got)
+    for path in paths:
+        index = [j for j, (p, _) in enumerate(all_jobs) if p is path]
+        for j, outcome in zip(index, release_many([all_jobs[j] for j in index])):
+            want[j] = outcome
+    _assert_outcomes_identical(got, want)
+    _assert_outcomes_identical(
+        got, [_reference_outcomes(path, [cfg])[0] for path, cfg in jobs()])
 
 
 # ---------------------------------------------------------------------------
