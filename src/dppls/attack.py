@@ -21,7 +21,7 @@ from .errors import ArgumentError, DegenerateInputError, ShapeError, SingularSys
 _RANK_RTOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class AttackReport:
     """Result of one attack: the residual and per-column scores, None without a truth."""
 

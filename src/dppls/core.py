@@ -36,7 +36,7 @@ CALIBRATION_TARGETS = ("weights", "scores", "x_loadings", "y_loading")
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """A spectral regression dataset: X is n x m, y has length n.
 
@@ -57,9 +57,8 @@ class Dataset:
             raise ShapeError(
                 f"X has {self.X.shape[0]} rows but y has {self.y.shape[0]} entries"
             )
-        # Zero-row datasets are allowed structurally (they arise as neutral
-        # elements of concatenation); operations that need samples enforce
-        # their own minimum counts.
+        # Zero-row datasets are allowed structurally; operations that need
+        # samples enforce their own minimum counts.
         if self.X.shape[1] < 1:
             raise ShapeError("X must have at least one column")
 
@@ -106,7 +105,7 @@ class NoiseCalibration:
             raise ArgumentError(f"target must be one of {CALIBRATION_TARGETS}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PlsModel:
     """A fitted PLS1 model, possibly privatized.
 
@@ -114,8 +113,8 @@ class PlsModel:
     vector, b the length-m regression vector.  Released columns of W are
     unit length by construction.  No model holds training scores: b =
     W (P^T W)^-1 c reads none, and the clean ones stay on the path
-    (:class:`dppls.pls.NipalsPath`).  ``calibration_log`` holds one entry
-    per noisy release, in release order, scores included.
+    (:attr:`dppls.pls.NipalsPath.scores`).  ``calibration_log`` holds one
+    entry per noisy release, in release order, scores included.
     """
 
     W: np.ndarray
@@ -450,5 +449,4 @@ def save_json(path, doc) -> None:
     a final newline: the layout of every JSON file dppls writes.  Floats
     take their shortest round-trip form, as in :func:`save_matrix`."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")

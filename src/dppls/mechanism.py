@@ -66,6 +66,10 @@ _LOG_NDTR_SERIES_TERMS = 10
 _SQRT_HALF = math.sqrt(0.5)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Rows per block of a pass over an n x m residual: its temporaries stay
+# this many rows tall, however many samples there are.
+ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SampleBounds:
@@ -103,7 +107,8 @@ def sample_bounds(E: np.ndarray, f: np.ndarray) -> SampleBounds:
     """Compute sample suprema of the current residuals.
 
     Recomputed at every component, because deflation shrinks the residuals
-    and with them the sensitivity of later releases.
+    and with them the sensitivity of later releases.  Row norms are taken
+    ``ROW_BLOCK`` rows at a time: the same reductions, and an exact max.
     """
     E = np.asarray(E, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -115,7 +120,8 @@ def sample_bounds(E: np.ndarray, f: np.ndarray) -> SampleBounds:
         raise ArgumentError("residuals contain NaN or infinite entries")
     return SampleBounds(
         y_max_abs=float(np.max(np.abs(f))),
-        max_row_norm=float(np.max(np.linalg.norm(E, axis=1))),
+        max_row_norm=max(float(np.max(np.linalg.norm(E[at:at + ROW_BLOCK], axis=1)))
+                         for at in range(0, E.shape[0], ROW_BLOCK)),
     )
 
 

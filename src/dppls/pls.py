@@ -2,10 +2,10 @@
 
 A fit has two stages.  :func:`nipals_path` centers the clean data and
 runs the NIPALS recursion on it.  It writes each component, as it is
-extracted, into one row of a table: the unit weight vector w, the unit
-score vector t, the x-loadings p and the y-loading c end to end.  Beside
-each row it keeps the sample suprema of the residuals the component was
-extracted from.
+extracted, into one row of a table: the unit weight vector w, the
+x-loadings p and the y-loading c end to end, what a release noises.
+Beside it the path keeps the unit score vector t and the sample suprema
+of the residuals the component was extracted from.
 Deflation uses only these clean quantities, so a path depends on the
 training data alone: not on the noise, the budget or the final component
 count.  One path therefore serves every fit of the same data.
@@ -88,7 +88,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .mechanism import SampleBounds, analytic_gaussian_sigma, sample_bounds
+from .mechanism import ROW_BLOCK, SampleBounds, analytic_gaussian_sigma, sample_bounds
 
 # Condition number beyond which the k x k loading system is treated as
 # singular; roughly machine epsilon times a safety margin.
@@ -159,19 +159,20 @@ def _solve_loading_system(W: np.ndarray, P: np.ndarray, c: np.ndarray) -> tuple:
 # the clean path and its releases
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class NipalsPath:
     """The clean NIPALS recursion of one dataset, up to ``k_max`` components.
 
-    Row j of the ``releases`` table is component j's w, t, p and c end to
-    end, in CALIBRATION_TARGETS order, and ``bounds[j]`` holds the suprema
-    of the residuals it was extracted from.  Fewer than k_max rows means
-    the recursion stopped early.  A private release logs four calibrations
-    per component it releases, and none for a component the recursion
-    stopped on.
+    Row j of the ``releases`` table is component j's w, p and c end to
+    end, row j of ``scores`` its unit scores t, and ``bounds[j]`` holds
+    the suprema of the residuals it was extracted from.  Fewer than k_max
+    rows means the recursion stopped early.  A private release logs four
+    calibrations per component it releases, and none for a component the
+    recursion stopped on.
     """
 
     releases: np.ndarray
+    scores: np.ndarray
     bounds: list
     x_means: np.ndarray
     y_mean: float
@@ -179,9 +180,9 @@ class NipalsPath:
 
     @property
     def sizes(self) -> tuple:
-        """The lengths of w, t, p and c in a row of ``releases``."""
+        """The lengths of w, t, p and c: a private release's draws per component."""
         m = self.x_means.size
-        return (m, self.releases.shape[1] - 2 * m - 1, m, 1)
+        return (m, self.scores.shape[1], m, 1)
 
 
 def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
@@ -189,7 +190,8 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
 
     This is where the data is centered; the means are kept on the path.
     The recursion stops early once the covariance norm or the score norm
-    of the residuals is at most ``RESIDUAL_TOLERANCE``.
+    of the residuals is at most ``RESIDUAL_TOLERANCE``.  Deflation works
+    ``ROW_BLOCK`` rows at a time, so no second n x m array is built.
     """
     k_max = _check_depth(k_max)
     if d.n >= 1 and np.max(d.y) == np.min(d.y):
@@ -210,9 +212,9 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
     E = d.X - x_means
     y_mean = float(d.y.mean())
     f = d.y - y_mean
-    releases = np.empty((k_max, 2 * m + n + 1))
+    releases, scores = np.empty((k_max, 2 * m + 1)), np.empty((k_max, n))
     bounds = []
-    for row in releases:
+    for row, t in zip(releases, scores):
         cov = E.T @ f
         cov_norm = float(np.linalg.norm(cov))
         if cov_norm <= RESIDUAL_TOLERANCE:
@@ -223,18 +225,19 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
         s_norm = float(np.linalg.norm(s))
         if s_norm <= RESIDUAL_TOLERANCE:
             break
-        t = s / s_norm
+        t[:] = s / s_norm
         bounds.append(sample_bounds(E, f))
 
         tt = float(t @ t)
         p = (E.T @ t) / tt
         c = float(f @ t) / tt
-        E -= np.outer(t, p)  # E is the path's own copy, never d.X
+        for at in range(0, n, ROW_BLOCK):  # E is the path's own copy, never d.X
+            E[at:at + ROW_BLOCK] -= np.outer(t[at:at + ROW_BLOCK], p)
         f = f - c * t
-        row[:m], row[m:m + n], row[m + n:-1], row[-1] = w, t, p, c
+        row[:m], row[m:-1], row[-1] = w, p, c
 
-    return NipalsPath(releases=releases[:len(bounds)], bounds=bounds, x_means=x_means,
-                      y_mean=y_mean, k_max=k_max)
+    return NipalsPath(releases=releases[:len(bounds)], scores=scores[:len(bounds)],
+                      bounds=bounds, x_means=x_means, y_mean=y_mean, k_max=k_max)
 
 
 def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
@@ -276,9 +279,9 @@ def _release_group(jobs: list, k: int, logs: list) -> list:
     noise buffer itself and mapped to normals in place, in blocks of
     ``_MAP_BLOCK`` values.  Each component's w, p and c gets sigma times
     the next segment of its config's normals, scaled in place one
-    segment at a time, or zeros when the config is clean.  Each config's
-    clean rows, from its own path, are then added: IEEE addition
-    commutes.  The noisy weights are then scaled to unit length.
+    segment at a time, or zeros when the config is clean.  The first k
+    rows of each config's own path's ``releases`` are then added: IEEE
+    addition commutes.  The noisy weights are then scaled to unit length.
     """
     m = jobs[0][0].sizes[0]
     R, width = len(jobs), 2 * m + 1
@@ -300,10 +303,8 @@ def _release_group(jobs: list, k: int, logs: list) -> list:
         head[..., :m] *= sigma[..., 0, None]
         head[..., m:2 * m] *= sigma[..., 2, None]
         head[..., -1] *= sigma[..., 3]
-    paths = {id(path): path for path, _ in jobs}
-    clean = {key: _without_scores(path, path.releases[:k]) for key, path in paths.items()}
     for rows, (path, _) in zip(noisy, jobs):
-        rows += clean[id(path)]
+        rows += path.releases[:k]
 
     # Each config's W and P as a C-ordered m x k block, the layout of one
     # model's matrices, so that the stacked products make the BLAS calls
@@ -326,13 +327,6 @@ def _release_group(jobs: list, k: int, logs: list) -> list:
     ]
 
 
-def _without_scores(path: NipalsPath, rows: np.ndarray) -> np.ndarray:
-    """``rows`` laid out as the path's releases, w, t, p and c end to end,
-    with the t segment left out."""
-    m, n = path.sizes[:2]
-    return np.concatenate((rows[:, :m], rows[:, m + n:]), axis=1)
-
-
 def release_many(jobs: Sequence[tuple]) -> list:
     """Release each ``(path, cfg)`` job; one entry per job, in order: its
     model, or the DpplsError it raised.
@@ -348,11 +342,11 @@ def release_many(jobs: Sequence[tuple]) -> list:
     from the others' streams and leaves their models unchanged.
     """
     out: list = [None] * len(jobs)
-    memos: dict = {}  # id(path) -> {budget: calibrations of the leading components}
+    memos: dict = {}  # path -> {budget: calibrations of the leading components}
     groups: dict = {}  # (channel count, released k) -> [(index, calibrations)]
     for i, (path, cfg) in enumerate(jobs):
         try:
-            log = _calibrate(path, cfg, memos.setdefault(id(path), {}))
+            log = _calibrate(path, cfg, memos.setdefault(path, {}))
         except DpplsError as exc:
             out[i] = exc
             continue

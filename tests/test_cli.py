@@ -757,6 +757,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
                      "--output", str(tmp_path / "o")]) == cli.EXIT_ARGUMENT
 
 
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps([{"n": 5}]))
+    assert cli.main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "o")]) == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err == f"error: {config}: config must be a flat JSON object\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def run_dir(sim_dir, tmp_path_factory):
     """A fitted model next to the simulated corpus, for config-file runs."""

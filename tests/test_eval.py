@@ -14,6 +14,7 @@ from dppls.errors import (
     DegenerateInputError,
     DpplsError,
     ShapeError,
+    SingularSystemError,
 )
 from dppls.evaluate import EvalReport, r2_score, rmse, sweep, train_test_split
 from dppls.pls import FitConfig, fit, nipals_path, predict, release_many
@@ -265,6 +266,27 @@ def test_sweep_aggregates_match_entry_recomputation():
     assert agg["rmsep_mean"] == float(np.mean(vals))
     assert agg["rmsep_se"] == float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     assert agg["repeats"] == 4
+
+
+def test_a_failed_holdout_repeat_is_recorded_and_left_out_of_its_aggregate(monkeypatch):
+    d = _rank3_dataset()
+    release_all = evaluate.release_many
+
+    def one_fails(jobs):
+        out = release_all(jobs)
+        out[2] = SingularSystemError("synthetic singular system")  # eps 5, repeat 1
+        return out
+
+    monkeypatch.setattr(evaluate, "release_many", one_fails)
+    report = _holdout(d, [5.0], 3, RngStream(21), repeats=4)
+    failed = report.entries[2]
+    assert (failed["kind"], failed["repeat"], failed["status"]) == ("holdout", 1, "failed")
+    assert failed["rmsep"] is None and failed["r2p"] is None
+    ok = [e for e in report.entries[1:] if e["status"] == "ok"]
+    assert [e["repeat"] for e in ok] == [0, 2, 3]
+    agg = report.aggregates[1]
+    assert agg["repeats"] == 3
+    assert agg["rmsep_mean"] == float(np.mean([e["rmsep"] for e in ok]))
 
 
 def test_sweep_huge_epsilon_tracks_baseline():

@@ -346,6 +346,13 @@ def test_scaled_unit_sigma_is_feasible_and_matches_a_fresh_bisection(delta_f, ep
     assert sigma == pytest.approx(_bisect_sigma(delta_f, eps, delta), rel=1e-8)
 
 
+def test_bisection_returns_the_bottom_of_its_bracket_when_that_is_feasible():
+    # At epsilon 1e12 the profile is within delta already at delta_f * 1e-6.
+    delta_f, eps, delta = 2.0, 1e12, 0.01
+    assert gaussian_privacy_profile(delta_f * 1e-6, delta_f, eps) <= delta
+    assert _bisect_sigma(delta_f, eps, delta) == delta_f * 1e-6
+
+
 def _count_profile_evals(monkeypatch, answer=None):
     """Count profile evaluations from here on; ``answer`` replaces their
     result when given."""

@@ -10,6 +10,8 @@ agree to rounding error.
 import dataclasses
 import itertools
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dppls.pls as pls_module
+from dppls.attack import AttackReport
 from dppls.core import (
     CALIBRATION_TARGETS,
     Dataset,
@@ -137,17 +140,50 @@ def test_nipals_path_centers_and_keeps_the_means():
     # The first component comes from the centered data.
     E, f = X - X.mean(axis=0), y - y.mean()
     w = E.T @ f
-    m, n = path.sizes[:2]
+    m = path.sizes[0]
     np.testing.assert_allclose(path.releases[0, :m], w / np.linalg.norm(w), atol=1e-12)
-    np.testing.assert_allclose(path.releases[0, m:m + n].sum(), 0.0, atol=1e-12)
+    np.testing.assert_allclose(path.scores[0].sum(), 0.0, atol=1e-12)
 
 
 def test_fit_scores_are_orthonormal():
     path = nipals_path(_random_dataset(4), 5)
-    m, n = path.sizes[:2]
-    t = path.releases[:, m:m + n]  # one component's unit scores per row
+    t = path.scores  # one component's unit scores per row
     G = t @ t.T
     np.testing.assert_allclose(G, np.eye(5), atol=1e-8)
+
+
+def test_nipals_path_builds_no_second_copy_of_the_data():
+    # 2,000 x 100: the deflation and the row norms would each allocate an
+    # n x m temporary beside the path's centered copy.
+    d = _random_dataset(3, n=2000, m=100)
+    tracemalloc.start()
+    try:
+        path = nipals_path(d, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.bounds) == 3
+    assert peak < 1.5 * d.X.nbytes, f"peak {peak / d.X.nbytes:.2f} copies of the matrix"
+
+
+def test_array_records_compare_by_identity():
+    d = _random_dataset(6)
+    path = nipals_path(d, 2)
+    model = release(path, FitConfig(k=2))
+    records = [
+        (d, Dataset(X=d.X, y=d.y)),
+        (path, dataclasses.replace(path)),
+        (model, dataclasses.replace(model)),
+        (AttackReport(residual=d.X, similarities=d.y, component_argmax=0),
+         AttackReport(residual=d.X, similarities=d.y, component_argmax=0)),
+    ]
+    for record, twin in records:
+        assert (record == record) is True and (record == twin) is False
+        assert len({record, twin}) == 2
+    # Value records keep value equality.
+    assert PrivacyBudget(1.0, 0.01) == PrivacyBudget(1.0, 0.01)
+    assert path.bounds[0] == dataclasses.replace(path.bounds[0])
+    assert FitConfig(k=2) == FitConfig(k=2)
 
 
 def test_fit_weight_columns_are_unit_norm():
@@ -432,8 +468,8 @@ def _reference_release(path, cfg):
     m = path.sizes[0]
     W, P, c, log = np.empty((m, k)), np.empty((m, k)), np.empty(k), []
     rng = None if cfg.privacy is None else cfg.rng
-    for j, (row, bounds) in enumerate(zip(path.releases[:k], path.bounds)):
-        comp_w, comp_t, comp_p, comp_c = np.split(row, np.cumsum(path.sizes)[:-1])
+    for j, (row, comp_t, bounds) in enumerate(zip(path.releases[:k], path.scores, path.bounds)):
+        comp_w, comp_p, comp_c = np.split(row, [m, 2 * m])
         sig = [0.0] * 4
         if cfg.privacy is not None:
             four = [
@@ -538,7 +574,7 @@ def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypat
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
     # The path keeps nothing: the next call calibrates afresh.
     assert [f.name for f in dataclasses.fields(path)] == [
-        "releases", "bounds", "x_means", "y_mean", "k_max"]
+        "releases", "scores", "bounds", "x_means", "y_mean", "k_max"]
     for got, want in zip(release_many(_jobs(path, cfgs())), models):
         _assert_models_identical(got, want)
     assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 4 * 3
@@ -848,6 +884,30 @@ def test_load_model_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "dppls-model", "version": 99}')
     with pytest.raises(ArgumentError, match="unsupported model version"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("k", -1, "k must be a nonnegative integer, got -1"),
+    ("k", 2.5, "k must be a nonnegative integer, got 2.5"),
+    ("b", [[1.0, 2.0]], "b has shape (1, 2), expected one value per channel"),
+    ("b", [], "b has shape (0,), expected one value per channel"),
+    ("rng_seed", 7.5, "rng_seed must be an integer or null"),
+    ("rng_stream", "0", "rng_stream must be an integer or null"),
+    ("early_stop", 0, "early_stop must be true or false"),
+    ("sensitivity", math.nan, "calibration_log holds non-finite values"),
+    ("sigma", math.inf, "calibration_log holds non-finite values"),
+])
+def test_load_model_refuses_mistyped_fields(tmp_path, key, value, message):
+    model = fit(_random_dataset(24), FitConfig(k=2, privacy=PrivacyBudget(1.0, 0.01),
+                                               rng=RngStream(4)))
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    (doc["calibration_log"][0] if key in ("sensitivity", "sigma") else doc)[key] = value
+    # json writes NaN and Infinity, and reads them back as floats.
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(tmp_path / "model.json")
+    assert str(caught.value) == f"{tmp_path / 'model.json'}: malformed model: {message}"
 
 
 def _resaved_log(tmp_path, model, **changes):
