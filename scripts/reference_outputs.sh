@@ -51,6 +51,13 @@ for seed in 1 7; do
     # stacks paths of different n.
     dppls sweep --input sim/combined.csv --mode cv --k-max 5 --folds 7 \
         --seed "$seed" --output sweep-cv-7folds
+    # Leave-one-out: each of the 200 folds holds out one row, so each
+    # fold's held-out product has a single row.
+    dppls sweep --input sim/combined.csv --mode cv --k-max 2 --folds 200 \
+        --epsilons 10 --seed "$seed" --output sweep-cv-loo
+    # One repeat per budget: stacks of one noisy model, no standard errors.
+    dppls sweep --input sim/combined.csv --mode holdout --k 3 \
+        --epsilons 10,1 --repeats 1 --seed "$seed" --output sweep-holdout-single
     # Each fold's path has 17 components (18 training rows), so the k=18
     # grid points fail on every fold.
     dppls simulate --n 10 --m 20 --seed "$seed" --output sim-tiny

@@ -8,9 +8,12 @@ all of the dataset's rows; both protocols take their splits from those
 rows and fit the remaining steps on each training split only, replaying
 them on its held-out rows.  That leaks nothing: each row step's output
 row depends on its own input row alone, so the rows equal those of a
-per-split run bit for bit.  All randomness (splits, shuffles, noise)
-comes from substreams of the caller's RngStream with fixed indices,
-which makes every report reproducible from one master seed.
+per-split run bit for bit.  Each protocol releases all its models in
+one :func:`release_many` call and scores each split's models as one
+stack (:func:`_predictions`), with the bits a per-model predict() gives.
+All randomness (splits, shuffles, noise) comes from substreams of the
+caller's RngStream with fixed indices, which makes every report
+reproducible from one master seed.
 """
 
 from __future__ import annotations
@@ -135,23 +138,41 @@ class EvalReport:
             writer.writerows([e.get(col) for col in _CSV_COLUMNS] for e in self.entries)
 
 
-def _scorer(path: NipalsPath, X: np.ndarray):
-    """predict() for the entries of release_many on ``path``: a function
-    of an entry that raises the error it holds, or gives
-    ``predict(model, X)`` bit for bit.  Every model of a path shares its
-    means, so the held-out rows ``X`` are checked and centred once; each
-    model gets its own matrix-vector product."""
-    finite = bool(np.all(np.isfinite(X)))
-    Xc = X - path.x_means if finite else None
+def _predictions(path: NipalsPath, X: np.ndarray, models: list) -> tuple:
+    """predict() for the entries of release_many on ``path``, as one stack.
 
-    def score(model) -> np.ndarray:
-        if isinstance(model, DpplsError):
-            raise model
-        if not finite:
-            raise DegenerateInputError("X_new contains NaN or infinite entries")
-        return Xc @ model.b + model.y_mean
+    Returns an array whose row r is ``predict(models[r], X)`` bit for bit,
+    and per entry None or the error predict() would raise: the DpplsError
+    the entry holds, else predict's error when ``X`` holds NaN or infinite
+    entries (the array is then None).  A failed entry's row holds no
+    meaning.  Every model of a path shares its means, so ``X`` is checked
+    and centred once, and the models' b vectors take one ``np.matmul``:
+    each of its slices is the matrix-vector product that predict's
+    ``Xc @ b`` makes.
+    """
+    errors = [model if isinstance(model, DpplsError) else None for model in models]
+    if not np.all(np.isfinite(X)):
+        error = DegenerateInputError("X_new contains NaN or infinite entries")
+        return None, [e or error for e in errors]
+    B = np.zeros((len(models), path.x_means.size))
+    for row, model, error in zip(B, models, errors):
+        if error is None:
+            row[:] = model.b
+    pred = np.matmul(X - path.x_means, B[:, :, None])[:, :, 0]
+    pred += path.y_mean
+    return pred, errors
 
-    return score
+
+def _rmsep_r2p(y: np.ndarray, pred: np.ndarray) -> tuple:
+    """``rmse(y, row)`` and ``r2_score(y, row)`` for each row of ``pred``,
+    bit for bit, as two lists: the same reductions, one per row, with the
+    total sum of squares taken once.  A constant ``y`` raises r2_score's
+    error."""
+    sst = float(np.sum((y - y.mean()) ** 2))
+    if sst == 0.0:
+        raise DegenerateInputError("r2 is undefined for a constant response")
+    sse = np.sum((y - pred) ** 2, axis=1)
+    return np.sqrt(sse / y.size).tolist(), (1.0 - sse / sst).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +259,11 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
     :func:`release_many` call, fold-major; a fold that fails to build
     fails every grid point, and nothing is released.  A private grid
     point gi draws its noise from ``rng.derive(gi, fold)``; a clean one
-    draws nothing, and no stream is derived for it.  Each fold's
-    held-out rows are checked and centred once for all its models.
-    RMSECV pools the squared errors of all held-out samples.
+    draws nothing, and no stream is derived for it.  Each fold's models
+    predict its held-out rows as one stack (:func:`_predictions`), which
+    are checked and centred once.  RMSECV pools the squared errors of
+    all held-out samples: each grid point's rows of every fold, in fold
+    order.
     The best entry has the smallest RMSECV, ties resolved toward smaller
     k; a configuration whose fit fails on any fold is flagged and skipped
     in that ranking.
@@ -258,7 +281,6 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
 
     k_top = max(cfg.k for cfg in grid)
     status = ["ok"] * len(grid)
-    sq_errors = [[] for _ in grid]
     splits = []  # (path, held-out rows, held-out responses) per fold
     for fold_i in range(folds):
         test_idx = blocks[fold_i]
@@ -280,22 +302,22 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
         for fold_i, (path, _, _) in enumerate(splits)
         for gi, cfg in enumerate(grid)
     ])
+    fold_errors = []  # per fold, one row of squared errors per grid point
     for fold_i, (path, X_test, y_test) in enumerate(splits):
-        score = _scorer(path, X_test)
-        for gi, model in enumerate(models[fold_i * len(grid):(fold_i + 1) * len(grid)]):
-            try:
-                pred = score(model)
-            except DpplsError:
+        pred, errors = _predictions(
+            path, X_test, models[fold_i * len(grid):(fold_i + 1) * len(grid)])
+        fold_errors.append(None if pred is None else (y_test - pred) ** 2)
+        for gi, error in enumerate(errors):
+            if error is not None:
                 status[gi] = "failed"
-                continue
-            sq_errors[gi].extend(((y_test - pred) ** 2).tolist())
 
-    for cfg, st, errors in zip(grid, status, sq_errors):
+    for gi, (cfg, st) in enumerate(zip(grid, status)):
         p = cfg.privacy
         report.entries.append(_entry(
             kind="cv", k=cfg.k, preprocess=pipeline_spec, status=st,
             epsilon=p.epsilon if p else None, delta=p.delta if p else None,
-            rmsecv=float(np.sqrt(np.mean(errors))) if st == "ok" else None,
+            rmsecv=(float(np.sqrt(np.mean(np.concatenate([sq[gi] for sq in fold_errors]))))
+                    if st == "ok" else None),
         ))
 
     usable = [e for e in report.entries if e["status"] == "ok"]
@@ -315,9 +337,11 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
     every fit, released in one :func:`release_many` call: as ``base``,
     without noise, for the baseline row, which is always included, then
     ``repeats`` times per budget with noise substreams
-    ``rng.derive(ei, rep)``.  RMSEP and R2 on the test set are recorded
-    per repeat and aggregated as mean with standard error.  No budgets
-    yield the baseline only.
+    ``rng.derive(ei, rep)``.  All the models predict the test set as one
+    stack (:func:`_predictions`); RMSEP and R2 are reduced per model with
+    the total sum of squares taken once, recorded per repeat and
+    aggregated as mean with standard error.  No budgets yield the
+    baseline only.
     """
     k = base.k
     cfgs = [base] + [
@@ -345,21 +369,19 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
         )
 
     path = nipals_path(train_ds, k)
-    score = _scorer(path, X_test)
-    baseline, *noisy = release_many([(path, cfg) for cfg in cfgs])
-    baseline_pred = score(baseline)
-    base_r, base_q = rmse(test.y, baseline_pred), r2_score(test.y, baseline_pred)
-    report.entries.append(entry("baseline", None, None, True, rmsep=base_r, r2p=base_q))
-    report.aggregates.append(_aggregate(None, [base_r], [base_q]))
+    pred, errors = _predictions(path, X_test, release_many([(path, cfg) for cfg in cfgs]))
+    if errors[0] is not None:
+        raise errors[0]
+    rmseps, r2ps = _rmsep_r2p(test.y, pred)
+    report.entries.append(entry("baseline", None, None, True, rmsep=rmseps[0], r2p=r2ps[0]))
+    report.aggregates.append(_aggregate(None, rmseps[:1], r2ps[:1]))
 
     for ei, budget in enumerate(budgets):
         eps = budget.epsilon
         r_vals, q_vals = [], []
-        for rep, model in enumerate(noisy[ei * repeats:(ei + 1) * repeats]):
-            try:
-                pred = score(model)
-                r, q = rmse(test.y, pred), r2_score(test.y, pred)
-            except DpplsError:
+        block = slice(1 + ei * repeats, 1 + (ei + 1) * repeats)
+        for rep, (error, r, q) in enumerate(zip(errors[block], rmseps[block], r2ps[block])):
+            if error is not None:
                 report.entries.append(entry("holdout", eps, rep, False))
                 continue
             r_vals.append(r)

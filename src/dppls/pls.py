@@ -19,12 +19,14 @@ component's residual suprema, and every calibration budgets the full
 (epsilon, delta) for its own release.  A private release logs each
 released component's calibrations, in ``CALIBRATION_TARGETS`` order,
 and none for a component the recursion stopped on: no noise is drawn for
-it.  Each :func:`release_many` call memoizes them per path and budget;
-the path holds none.  The noisy scores are calibrated, drawn and logged
-like the other releases, but no model holds them and b reads none, so
-they are never built: their draws are dropped before the normal
-transform.  Dropping a release is post-processing, so each remaining
-release keeps its own guarantee.
+it.  Each :func:`release_many` call memoizes them per path and budget,
+and their sigmas per (sensitivity, budget): the scores and the
+x-loadings share one sensitivity, so a component takes three sigma
+calibrations, not four.  The path holds none.  The noisy scores are
+calibrated, drawn and logged like the other releases, but no model
+holds them and b reads none, so they are never built: their draws are
+dropped before the normal transform.  Dropping a release is
+post-processing, so each remaining release keeps its own guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
 k (2m + n + 1) raw words, whatever the sigmas, cut into segments in the
@@ -240,9 +242,24 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
                       bounds=bounds, x_means=x_means, y_mean=y_mean, k_max=k_max)
 
 
-def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
+def _component_calibrations(bounds: SampleBounds, budget: PrivacyBudget,
+                            sigmas: dict) -> list:
+    """One component's four calibrations under ``budget``, in
+    CALIBRATION_TARGETS order.  ``sigmas`` memoizes the sigma of each
+    sensitivity under ``budget``: the scores and the x-loadings share r,
+    so a component calibrates at most three.  Its new sigmas are stored
+    once all of them are calibrated, so a failure stores none."""
+    sensitivities = bounds.sensitivities
+    sigmas.update({s: analytic_gaussian_sigma(s, budget)
+                   for s in dict.fromkeys(sensitivities) if s not in sigmas})
+    return [NoiseCalibration(sensitivity=s, sigma=sigmas[s], target=target)
+            for target, s in zip(CALIBRATION_TARGETS, sensitivities)]
+
+
+def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict, sigmas: dict) -> list:
     """Check cfg against the path; the calibrations of the components it
-    releases, the first 4k of its budget's log in ``memo``."""
+    releases, the first 4k of its budget's log in ``memo``, with the
+    budget's sigmas memoized in ``sigmas``."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -252,12 +269,8 @@ def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
     k = min(cfg.k, len(path.bounds))
     log = memo.setdefault(cfg.privacy, [])
     for bounds in path.bounds[len(log) // 4:k]:
-        # All four before storing any, so a failure stores no part of it.
-        log.extend([
-            NoiseCalibration(sensitivity=s, sigma=analytic_gaussian_sigma(s, cfg.privacy),
-                             target=target)
-            for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
-        ])
+        log.extend(_component_calibrations(
+            bounds, cfg.privacy, sigmas.setdefault(cfg.privacy, {})))
     return log[:4 * k]
 
 
@@ -331,22 +344,24 @@ def release_many(jobs: Sequence[tuple]) -> list:
     """Release each ``(path, cfg)`` job; one entry per job, in order: its
     model, or the DpplsError it raised.
 
-    Calibrations are memoized per path and budget within the call.  Each
-    private config draws its k (2m + n + 1) words from its own stream, as
-    :func:`release` would, scores included, and only its w, p and c
-    words are mapped to normals.  Jobs that release the same number of
-    components from paths of the same channel count are assembled and
-    solved together, as one stack, whatever their paths' row counts;
-    each config's clean rows, means and draws come from its own path.  A
-    config that fails its checks, calibration or solve takes no draws
-    from the others' streams and leaves their models unchanged.
+    Calibrations are memoized per path and budget within the call, and
+    their sigmas per (sensitivity, budget).  Each private config draws
+    its k (2m + n + 1) words from its own stream, as :func:`release`
+    would, scores included, and only its w, p and c words are mapped to
+    normals.  Jobs that release the same number of components from
+    paths of the same channel count are assembled and solved together,
+    as one stack, whatever their paths' row counts; each config's clean
+    rows, means and draws come from its own path.  A config that fails
+    its checks, calibration or solve takes no draws from the others'
+    streams and leaves their models unchanged.
     """
     out: list = [None] * len(jobs)
     memos: dict = {}  # path -> {budget: calibrations of the leading components}
+    sigmas: dict = {}  # budget -> {sensitivity: sigma}
     groups: dict = {}  # (channel count, released k) -> [(index, calibrations)]
     for i, (path, cfg) in enumerate(jobs):
         try:
-            log = _calibrate(path, cfg, memos.setdefault(path, {}))
+            log = _calibrate(path, cfg, memos.setdefault(path, {}), sigmas)
         except DpplsError as exc:
             out[i] = exc
             continue

@@ -191,6 +191,31 @@ def test_a_stream_draws_what_philox_keyed_directly_draws(seed, stream_id):
         np.testing.assert_array_equal(got, want)
 
 
+@settings(deadline=None)
+@given(seed=_U64, stream_id=_U64)
+@example(seed=0, stream_id=0)
+@example(seed=2 ** 64 - 1, stream_id=2 ** 64 - 1)
+def test_raw_words_then_uniforms_then_a_permutation_draw_what_philox_draws(seed, stream_id):
+    # Raw words, uniforms and permutations advance one Philox counter, in
+    # either order of the first two.  A copy pickled between any two
+    # draws resumes the same stream.
+    raw = (lambda s: s.raw_words(7), lambda g: g.bit_generator.random_raw(7))
+    uniform = (lambda s: s.uniform(0.0, 1.0, 4), lambda g: g.random(4))
+    permutation = (lambda s: s.permutation(9), lambda g: g.permutation(9))
+    for steps in ((raw, uniform, permutation), (uniform, raw, permutation)):
+        ref = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        )
+        want = [draw(ref) for _, draw in steps]
+        for cut in range(len(steps) + 1):
+            rng = RngStream(seed, stream_id)
+            got = [step(rng) for step, _ in steps[:cut]]
+            rng = pickle.loads(pickle.dumps(rng))
+            got += [step(rng) for step, _ in steps[cut:]]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
 def test_uniform_range_and_validation():
     rng = RngStream(3)
     u = rng.uniform(2.0, 5.0, 1000)

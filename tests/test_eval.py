@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dppls import evaluate
 from dppls.core import Dataset, PrivacyBudget, RngStream
@@ -370,23 +371,123 @@ def test_scorer_equals_predict_bit_for_bit():
     budget = PrivacyBudget(1.0, 0.01)
     jobs = [(path, FitConfig(k=k)) for k in (1, 4)] + [
         (path, FitConfig(k=k, privacy=budget, rng=RngStream(3, k))) for k in (1, 2, 4)]
-    X_test = d.X[30:]
-    score = evaluate._scorer(path, X_test)
-    for model in release_many(jobs):
-        np.testing.assert_array_equal(score(model), predict(model, X_test))
-    # An error entry raises its error; non-finite rows raise what predict raises.
+    models = release_many(jobs)
     failed = ShapeError("synthetic")
-    with pytest.raises(ShapeError, match="synthetic"):
-        score(failed)
-    X_bad = X_test.copy()
+    # The whole stack, a failed entry among the models, a stack of one
+    # model, and one held-out row, whose 1 x m products are dot products.
+    for X_test, stack in ((d.X[30:], models), (d.X[30:], models[:2] + [failed] + models[2:]),
+                          (d.X[30:], models[3:4]), (d.X[30:31], models), (d.X[39:], [models[0]])):
+        pred, errors = evaluate._predictions(path, X_test, stack)
+        assert pred.shape == (len(stack), X_test.shape[0])
+        for row, model, error in zip(pred, stack, errors):
+            if model is failed:
+                assert error is failed
+                continue
+            assert error is None
+            np.testing.assert_array_equal(row, predict(model, X_test))
+    # Non-finite rows give every entry predict's error, a failed entry its own.
+    X_bad = d.X[30:].copy()
     X_bad[2, 3] = np.nan
     with pytest.raises(DegenerateInputError) as want:
-        predict(model, X_bad)
-    with pytest.raises(DegenerateInputError) as got:
-        evaluate._scorer(path, X_bad)(model)
-    assert str(got.value) == str(want.value)
-    with pytest.raises(ShapeError, match="synthetic"):
-        evaluate._scorer(path, X_bad)(failed)
+        predict(models[0], X_bad)
+    pred, errors = evaluate._predictions(path, X_bad, [models[0], failed, models[1]])
+    assert pred is None and errors[1] is failed
+    assert [type(e) for e in errors[::2]] == [DegenerateInputError] * 2
+    assert all(str(e) == str(want.value) for e in errors[::2])
+    # Every entry failed.
+    pred, errors = evaluate._predictions(path, d.X[30:], [failed, failed])
+    assert errors == [failed, failed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rmsep_r2p_equal_rmse_and_r2_score_per_row(data):
+    t = data.draw(st.integers(1, 40), label="rows")
+    R = data.draw(st.integers(0, 6), label="models")
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    y = np.array(data.draw(st.lists(values, min_size=t, max_size=t), label="y"))
+    pred = np.array(data.draw(st.lists(st.lists(values, min_size=t, max_size=t),
+                                       min_size=R, max_size=R), label="pred")).reshape(R, t)
+    try:
+        r2_score(y, y)
+    except DegenerateInputError:  # zero total sum of squares
+        with pytest.raises(DegenerateInputError, match="constant response"):
+            evaluate._rmsep_r2p(y, pred)
+        return
+    rmseps, r2ps = evaluate._rmsep_r2p(y, pred)
+    assert rmseps == [rmse(y, row) for row in pred]
+    assert r2ps == [r2_score(y, row) for row in pred]
+
+
+def _failing_release(positions, outcomes):
+    """release_many with the entries at ``positions`` replaced by errors;
+    appends each call's outcomes to ``outcomes``."""
+    def release(jobs):
+        got = release_many(jobs)
+        for i in positions:
+            if i < len(got):
+                got[i] = SingularSystemError(f"synthetic failure {i}")
+        outcomes.append(got)
+        return got
+    return release
+
+
+_SCORED_GRID = [FitConfig(k=1), FitConfig(k=2, privacy=PrivacyBudget(10.0, 0.01)),
+                FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01)), FitConfig(k=3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_scores_equal_the_per_model_metrics(data):
+    # The protocols score each split's models as one stack; the reference
+    # calls predict per model and reduces as the metrics do: RMSECV over
+    # the list each grid point's fold errors extend, in fold order.
+    d = _noisy_rank3_dataset()
+    fitted = parse_pipeline("").split()[1]
+    folds = data.draw(st.sampled_from([2, 3, 7, d.n]), label="folds")
+    G = len(_SCORED_GRID)
+    failing = set(data.draw(st.lists(st.integers(0, folds * G - 1), max_size=6), label="cv"))
+    if data.draw(st.booleans(), label="a fold fails whole"):
+        fold = data.draw(st.integers(0, folds - 1), label="failing fold")
+        failing |= set(range(fold * G, (fold + 1) * G))
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "release_many", _failing_release(failing, outcomes))
+        report = evaluate._kfold_cv(d, folds, _SCORED_GRID, "", fitted, RngStream(31, 2))
+    (models,) = outcomes
+    errors, status = [[] for _ in _SCORED_GRID], ["ok"] * G
+    for fold_i, rows in enumerate(np.array_split(RngStream(31, 2).permutation(d.n), folds)):
+        for gi, model in enumerate(models[fold_i * G:(fold_i + 1) * G]):
+            if isinstance(model, DpplsError):
+                status[gi] = "failed"
+                continue
+            errors[gi].extend(((d.y[rows] - predict(model, d.X[rows])) ** 2).tolist())
+    assert [e["status"] for e in report.entries] == status
+    assert [e["rmsecv"] for e in report.entries] == [
+        float(np.sqrt(np.mean(e))) if st_ == "ok" else None for e, st_ in zip(errors, status)]
+
+    train, test = Dataset(X=d.X[:28], y=d.y[:28]), Dataset(X=d.X[28:], y=d.y[28:])
+    repeats, budgets = 3, [PrivacyBudget(100.0, 0.01), PrivacyBudget(1.0, 0.01)]
+    failing = set(data.draw(st.lists(st.integers(0, 6), max_size=7), label="holdout"))
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "release_many", _failing_release(failing, outcomes))
+        if 0 in failing:  # a failed baseline is the sweep's error
+            with pytest.raises(SingularSystemError, match="synthetic failure 0"):
+                evaluate._privacy_utility_sweep(train, test, FitConfig(k=3), budgets, repeats,
+                                                0.01, "", fitted, RngStream(31, 3))
+            return
+        report = evaluate._privacy_utility_sweep(train, test, FitConfig(k=3), budgets, repeats,
+                                                 0.01, "", fitted, RngStream(31, 3))
+    (models,) = outcomes
+    want = []
+    for model in models:
+        if isinstance(model, DpplsError):
+            want.append(("failed", None, None))
+            continue
+        pred = predict(model, test.X)
+        want.append(("ok", rmse(test.y, pred), r2_score(test.y, pred)))
+    assert [(e["status"], e["rmsep"], e["r2p"]) for e in report.entries] == want
 
 
 def test_sweep_supports_stateful_pipelines():

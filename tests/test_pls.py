@@ -8,7 +8,6 @@ agree to rounding error.
 """
 
 import dataclasses
-import itertools
 import json
 import math
 import tracemalloc
@@ -39,6 +38,7 @@ from dppls.errors import (
     ShapeError,
     SingularSystemError,
 )
+from dppls.mechanism import SampleBounds
 from dppls.pls import (
     FitConfig,
     fit,
@@ -452,14 +452,16 @@ def gaussian_vector(length, sigma, rng):
     return sigma * norm_ppf(rng.open_unit(length))
 
 
-def _reference_release(path, cfg):
+def _reference_release(path, cfg, noised=CALIBRATION_TARGETS):
     """cfg's release of ``path`` rebuilt one config and one vector at a
-    time: calibrations in CALIBRATION_TARGETS order, one gaussian_vector
-    call per released vector in the documented order (a private config
-    draws for every release, whatever its sigma, the scores' too, which
-    no model holds; a clean one draws nothing), np.linalg.norm per
-    weight vector and np.linalg.solve(P.T @ W, c).  Raises what
-    release_many reports for the config."""
+    time: one analytic_gaussian_sigma call per calibration, in
+    CALIBRATION_TARGETS order, each target outside ``noised`` then set
+    to sigma 0 (as _silence_all_but sets it in release_many), one
+    gaussian_vector call per released vector in the documented order (a
+    private config draws for every release, whatever its sigma, the
+    scores' too, which no model holds; a clean one draws nothing),
+    np.linalg.norm per weight vector and np.linalg.solve(P.T @ W, c).
+    Raises what release_many reports for the config."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -472,11 +474,11 @@ def _reference_release(path, cfg):
         comp_w, comp_p, comp_c = np.split(row, [m, 2 * m])
         sig = [0.0] * 4
         if cfg.privacy is not None:
-            four = [
-                NoiseCalibration(sensitivity=s, target=target,
-                                 sigma=pls_module.analytic_gaussian_sigma(s, cfg.privacy))
-                for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities)
-            ]
+            four = []
+            for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities):
+                sigma = pls_module.analytic_gaussian_sigma(s, cfg.privacy)
+                four.append(NoiseCalibration(sensitivity=s, target=target,
+                                             sigma=sigma if target in noised else 0.0))
             log += four
             sig = [cal.sigma for cal in four]
         w = comp_w + gaussian_vector(comp_w.size, sig[0], rng)
@@ -526,12 +528,14 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     d = _random_dataset(42)
     path = nipals_path(d, 3)
     cfg = lambda: FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(5, 9))
+    noised = CALIBRATION_TARGETS
     if silenced is not None:
         _assert_score_noise_reaches_no_model(path, [cfg()])
         # A zero-sigma release still takes its draws from the stream.
-        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
+        noised = _silence_all_but(
+            monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     model = release(path, cfg())
-    _assert_models_identical(model, _reference_release(path, cfg()))
+    _assert_models_identical(model, _reference_release(path, cfg(), noised))
     assert (silenced is None) == all(cal.sigma > 0 for cal in model.calibration_log)
 
 
@@ -571,22 +575,23 @@ def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypat
     cfgs = lambda: [FitConfig(k=k, privacy=budget, rng=RngStream(k, rep))
                     for k in (1, 3, 2) for rep in range(3) for budget in budgets]
     models = release_many(_jobs(path, cfgs()))
-    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 4 * 3
+    # Three sigmas per component: the scores and x-loadings share r.
+    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 3 * 3
     # The path keeps nothing: the next call calibrates afresh.
     assert [f.name for f in dataclasses.fields(path)] == [
         "releases", "scores", "bounds", "x_means", "y_mean", "k_max"]
     for got, want in zip(release_many(_jobs(path, cfgs())), models):
         _assert_models_identical(got, want)
-    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 4 * 3
+    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 3 * 3
 
 
 def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
     calibrate = pls_module.analytic_gaussian_sigma
     calls = []
 
-    def fails_on_the_seventh_call(delta_f, budget):
+    def fails_on_the_fifth_call(delta_f, budget):
         calls.append(budget)
-        if len(calls) == 7:
+        if len(calls) == 5:
             raise NumericalError("synthetic calibration failure")
         return calibrate(delta_f, budget)
 
@@ -595,34 +600,67 @@ def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatc
     budget = PrivacyBudget(1.0, 0.01)
     cfg = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(s))
     want = release(nipals_path(d, 3), cfg(3, 2))
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_the_seventh_call)
-    # Calls 1-4 calibrate component 1; the second component's x-loadings
-    # (call 7) fail, and the third config calibrates components 2 and 3
-    # in full: 4 + 3 + 8 calls.
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_the_fifth_call)
+    # Calls 1-3 calibrate component 1's y r, r and y; the second
+    # component's r, the sigma of its scores and x-loadings (call 5),
+    # fails after its y r (call 4); neither is stored, so the third
+    # config calibrates components 2 and 3 in full: 3 + 2 + 6 calls.
     first, failed, after = release_many(_jobs(path, [cfg(1, 0), cfg(3, 1), cfg(3, 2)]))
-    assert isinstance(failed, NumericalError) and len(calls) == 15
+    assert isinstance(failed, NumericalError) and len(calls) == 11
     assert first.k == 1
     _assert_models_identical(after, want)
 
 
-def _silence_all_but(monkeypatch, *noised):
-    """Calibrate every target outside ``noised`` to sigma 0.  A component's
-    four calibrations run in CALIBRATION_TARGETS order."""
+def test_component_calibrations_calibrate_each_sensitivity_once(monkeypatch):
     calibrate = pls_module.analytic_gaussian_sigma
-    targets = itertools.cycle(CALIBRATION_TARGETS)
+    calls = []
 
-    def partly_silent(delta_f, budget):
-        return calibrate(delta_f, budget) if next(targets) in noised else 0.0
+    def counting(delta_f, budget):
+        calls.append((delta_f, budget))
+        if budget.epsilon == 2.0 and delta_f == 3.0:
+            raise NumericalError("synthetic calibration failure")
+        return calibrate(delta_f, budget)
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", partly_silent)
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
+    bounds, budget = SampleBounds(y_max_abs=3.0, max_row_norm=5.0), PrivacyBudget(1.0, 0.01)
+    sigmas = {}
+    four = pls_module._component_calibrations(bounds, budget, sigmas)
+    assert four == [NoiseCalibration(sensitivity=s, sigma=calibrate(s, budget), target=target)
+                    for target, s in zip(CALIBRATION_TARGETS, (15.0, 5.0, 5.0, 3.0))]
+    # One call per distinct sensitivity, in target order; the memo holds them.
+    assert calls == [(15.0, budget), (5.0, budget), (3.0, budget)]
+    assert sigmas == {cal.sensitivity: cal.sigma for cal in four}
+    assert pls_module._component_calibrations(bounds, budget, sigmas) == four
+    assert len(calls) == 3
+    # A budget whose y fails after its y r and r calibrated stores neither.
+    failing, failing_sigmas = PrivacyBudget(2.0, 0.01), {}
+    with pytest.raises(NumericalError):
+        pls_module._component_calibrations(bounds, failing, failing_sigmas)
+    assert len(calls) == 6 and failing_sigmas == {}
 
 
-def _reference_outcomes(path, cfgs):
+def _silence_all_but(monkeypatch, *noised):
+    """Calibrate every target outside ``noised`` to sigma 0, at the seam
+    that gives a component's four calibrations: the scores and the
+    x-loadings share one sigma calibration, so the hook cannot sit on
+    analytic_gaussian_sigma.  The memoized sigmas stay the true ones.
+    Returns ``noised``, for _reference_release."""
+    calibrations = pls_module._component_calibrations
+
+    def partly_silent(bounds, budget, sigmas):
+        return [cal if cal.target in noised else dataclasses.replace(cal, sigma=0.0)
+                for cal in calibrations(bounds, budget, sigmas)]
+
+    monkeypatch.setattr(pls_module, "_component_calibrations", partly_silent)
+    return noised
+
+
+def _reference_outcomes(path, cfgs, noised=CALIBRATION_TARGETS):
     """_reference_release per config, each error kept in place of its model."""
     out = []
     for cfg in cfgs:
         try:
-            out.append(_reference_release(path, cfg))
+            out.append(_reference_release(path, cfg, noised))
         except DpplsError as exc:
             out.append(exc)
     return out
@@ -653,11 +691,13 @@ def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
             FitConfig(k=4, privacy=b1, rng=RngStream(6, 4)),
         ]
 
+    noised = CALIBRATION_TARGETS
     if silenced is not None:
         _assert_score_noise_reaches_no_model(path, cfgs())
-        _silence_all_but(monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
+        noised = _silence_all_but(
+            monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
     got = release_many(_jobs(path, cfgs()))
-    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
+    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
     assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
     assert "path's 4 components" in str(got[3])
     assert (silenced is None) == all(cal.sigma > 0 for cal in got[0].calibration_log)
@@ -677,7 +717,7 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
     # Noising only the y-loadings leaves the rank-1 path's loading system
     # singular, so the private k=2 release draws its noise and then fails
     # its solve.
-    _silence_all_but(monkeypatch, "y_loading")
+    noised = _silence_all_but(monkeypatch, "y_loading")
     path = _rank1_path()
     budget = PrivacyBudget(1.0, 0.01)
 
@@ -687,7 +727,7 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
                 FitConfig(k=3), FitConfig(k=1)]
 
     got = release_many(_jobs(path, cfgs()))
-    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
+    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
     assert [type(r).__name__ for r in got] == [
         "PlsModel", "SingularSystemError", "PlsModel", "SingularSystemError", "PlsModel"]
 
@@ -723,7 +763,7 @@ def test_release_many_equals_the_per_config_reference(data):
         _silence_all_but(mp, *noised)
         path = _PATHS[case]()
         got = release_many(_jobs(path, cfgs()))
-        _assert_outcomes_identical(got, _reference_outcomes(path, cfgs()))
+        _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
 
 
 def _rank4_path():
@@ -777,8 +817,9 @@ def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
 
     got = release_many(jobs())
     # One memo per (path, budget): short's b1 calibrates 5 components
-    # once, and the failing budget stops at its first calibration.
-    assert len(calls) == 4 * (5 + 3 + 4 + 4 + 2 + 1 + 4) + 1
+    # once, three sigmas each, and the failing budget stops at its first
+    # calibration.
+    assert len(calls) == 3 * (5 + 3 + 4 + 4 + 2 + 1 + 4) + 1
     assert [type(r).__name__ for r in got] == (
         ["PlsModel"] * 3 + ["SingularSystemError"] + ["PlsModel"] * 3 + ["NumericalError"]
         + ["PlsModel"] * 5)
