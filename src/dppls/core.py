@@ -182,10 +182,11 @@ class RngStream:
 
     Wraps the counter-based Philox bit generator keyed by the two words
     ``[seed, stream_id]`` at counter 0, which draws what
-    ``Philox(key=[seed, stream_id])`` draws.  Each logical task must
-    derive its own stream via :meth:`derive`; streams are stateful and
-    must not be shared.  Identical ``(seed, stream_id)`` pairs reproduce
-    identical draw sequences.
+    ``Philox(key=np.array([seed, stream_id], dtype=np.uint64))`` draws (a
+    key given as a list rounds words of 2^53 and above through float).
+    Each logical task must derive its own stream via :meth:`derive`;
+    streams are stateful and must not be shared.  Identical
+    ``(seed, stream_id)`` pairs reproduce identical draw sequences.
     """
 
     seed: int

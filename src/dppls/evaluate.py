@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
+from .mechanism import analytic_gaussian_sigma
 from .pls import FitConfig, NipalsPath, nipals_path, release_many
 from .preprocess import Pipeline, parse_pipeline
 
@@ -207,7 +208,8 @@ def sweep(
     outside [2, n]; for the holdout sweep, ``repeats`` below 1, ``delta``
     outside (0, 1), a bad epsilon, a split at ``test_fraction`` leaving
     fewer than 2 rows on a side, and a ``k`` beyond the training split;
-    and responses holding NaN or infinite entries.  The row steps then
+    a budget of either protocol that no calibration can serve; and
+    responses holding NaN or infinite entries.  The row steps then
     map ``d.X`` once; rows they refuse, or that hold NaN or infinite
     entries once mapped, raise.  The holdout split is taken on
     ``rng.derive(1)``, CV runs on ``rng.derive(2)`` and the holdout
@@ -216,6 +218,7 @@ def sweep(
     row_steps, fitted = parse_pipeline(pipeline_spec).split()
     if grid and not (2 <= folds <= d.n):
         raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
+    budgets = []
     if k is not None:
         if repeats < 1:
             raise ArgumentError(f"repeats must be at least 1, got {repeats}")
@@ -227,6 +230,8 @@ def sweep(
         k_limit = min(_train_size(d.n, test_fraction) - 1, d.m)
         if base.k > k_limit:
             raise ArgumentError(f"k={base.k} exceeds min(n-1, m)={k_limit} for this dataset")
+    for budget in {cfg.privacy for cfg in grid if cfg.privacy is not None}.union(budgets):
+        analytic_gaussian_sigma(1.0, budget)
     if not np.all(np.isfinite(d.y)):
         raise DegenerateInputError("dataset contains NaN or infinite entries")
     d = Dataset(X=row_steps.transform(d.X), y=d.y)

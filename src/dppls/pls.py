@@ -19,14 +19,12 @@ component's residual suprema, and every calibration budgets the full
 (epsilon, delta) for its own release.  A private release logs each
 released component's calibrations, in ``CALIBRATION_TARGETS`` order,
 and none for a component the recursion stopped on: no noise is drawn for
-it.  Each :func:`release_many` call memoizes them per path and budget,
-and their sigmas per (sensitivity, budget): the scores and the
-x-loadings share one sensitivity, so a component takes three sigma
-calibrations, not four.  The path holds none.  The noisy scores are
-calibrated, drawn and logged like the other releases, but no model
-holds them and b reads none, so they are never built: their draws are
-dropped before the normal transform.  Dropping a release is
-post-processing, so each remaining release keeps its own guarantee.
+it.  Each :func:`release_many` call memoizes them per path and budget;
+the path holds none.  The noisy scores are calibrated, drawn and logged
+like the other releases, but no model holds them and b reads none, so
+they are never built: their draws are dropped before the normal
+transform.  Dropping a release is post-processing, so each remaining
+release keeps its own guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
 k (2m + n + 1) raw words, whatever the sigmas, cut into segments in the
@@ -90,7 +88,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .mechanism import ROW_BLOCK, SampleBounds, analytic_gaussian_sigma, sample_bounds
+from .mechanism import SampleBounds, analytic_gaussian_sigma, sample_bounds
 
 # Condition number beyond which the k x k loading system is treated as
 # singular; roughly machine epsilon times a safety margin.
@@ -192,8 +190,7 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
 
     This is where the data is centered; the means are kept on the path.
     The recursion stops early once the covariance norm or the score norm
-    of the residuals is at most ``RESIDUAL_TOLERANCE``.  Deflation works
-    ``ROW_BLOCK`` rows at a time, so no second n x m array is built.
+    of the residuals is at most ``RESIDUAL_TOLERANCE``.
     """
     k_max = _check_depth(k_max)
     if d.n >= 1 and np.max(d.y) == np.min(d.y):
@@ -233,8 +230,7 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
         tt = float(t @ t)
         p = (E.T @ t) / tt
         c = float(f @ t) / tt
-        for at in range(0, n, ROW_BLOCK):  # E is the path's own copy, never d.X
-            E[at:at + ROW_BLOCK] -= np.outer(t[at:at + ROW_BLOCK], p)
+        E -= np.outer(t, p)  # E is the path's own copy, never d.X
         f = f - c * t
         row[:m], row[m:-1], row[-1] = w, p, c
 
@@ -242,24 +238,19 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
                       bounds=bounds, x_means=x_means, y_mean=y_mean, k_max=k_max)
 
 
-def _component_calibrations(bounds: SampleBounds, budget: PrivacyBudget,
-                            sigmas: dict) -> list:
+def _component_calibrations(bounds: SampleBounds, budget: PrivacyBudget) -> list:
     """One component's four calibrations under ``budget``, in
-    CALIBRATION_TARGETS order.  ``sigmas`` memoizes the sigma of each
-    sensitivity under ``budget``: the scores and the x-loadings share r,
-    so a component calibrates at most three.  Its new sigmas are stored
-    once all of them are calibrated, so a failure stores none."""
+    CALIBRATION_TARGETS order.  The scores and the x-loadings share r, so
+    each distinct sensitivity is calibrated once: three sigmas, not four."""
     sensitivities = bounds.sensitivities
-    sigmas.update({s: analytic_gaussian_sigma(s, budget)
-                   for s in dict.fromkeys(sensitivities) if s not in sigmas})
+    sigmas = {s: analytic_gaussian_sigma(s, budget) for s in dict.fromkeys(sensitivities)}
     return [NoiseCalibration(sensitivity=s, sigma=sigmas[s], target=target)
             for target, s in zip(CALIBRATION_TARGETS, sensitivities)]
 
 
-def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict, sigmas: dict) -> list:
+def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
     """Check cfg against the path; the calibrations of the components it
-    releases, the first 4k of its budget's log in ``memo``, with the
-    budget's sigmas memoized in ``sigmas``."""
+    releases, the first 4k of its budget's log in ``memo``."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -269,8 +260,7 @@ def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict, sigmas: dict) -> li
     k = min(cfg.k, len(path.bounds))
     log = memo.setdefault(cfg.privacy, [])
     for bounds in path.bounds[len(log) // 4:k]:
-        log.extend(_component_calibrations(
-            bounds, cfg.privacy, sigmas.setdefault(cfg.privacy, {})))
+        log.extend(_component_calibrations(bounds, cfg.privacy))
     return log[:4 * k]
 
 
@@ -344,24 +334,22 @@ def release_many(jobs: Sequence[tuple]) -> list:
     """Release each ``(path, cfg)`` job; one entry per job, in order: its
     model, or the DpplsError it raised.
 
-    Calibrations are memoized per path and budget within the call, and
-    their sigmas per (sensitivity, budget).  Each private config draws
-    its k (2m + n + 1) words from its own stream, as :func:`release`
-    would, scores included, and only its w, p and c words are mapped to
-    normals.  Jobs that release the same number of components from
-    paths of the same channel count are assembled and solved together,
+    Calibrations are memoized per path and budget within the call.  Each
+    private config draws its k (2m + n + 1) words from its own stream, as
+    :func:`release` would, scores included, and only its w, p and c words
+    are mapped to normals.  Jobs that release the same number of components
+    from paths of the same channel count are assembled and solved together,
     as one stack, whatever their paths' row counts; each config's clean
-    rows, means and draws come from its own path.  A config that fails
-    its checks, calibration or solve takes no draws from the others'
-    streams and leaves their models unchanged.
+    rows, means and draws come from its own path.  A config that fails its
+    checks, calibration or solve takes no draws from the others' streams
+    and leaves their models unchanged.
     """
     out: list = [None] * len(jobs)
     memos: dict = {}  # path -> {budget: calibrations of the leading components}
-    sigmas: dict = {}  # budget -> {sensitivity: sigma}
     groups: dict = {}  # (channel count, released k) -> [(index, calibrations)]
     for i, (path, cfg) in enumerate(jobs):
         try:
-            log = _calibrate(path, cfg, memos.setdefault(path, {}), sigmas)
+            log = _calibrate(path, cfg, memos.setdefault(path, {}))
         except DpplsError as exc:
             out[i] = exc
             continue

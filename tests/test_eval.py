@@ -14,6 +14,7 @@ from dppls.errors import (
     ConfigurationError,
     DegenerateInputError,
     DpplsError,
+    NumericalError,
     ShapeError,
     SingularSystemError,
 )
@@ -516,6 +517,11 @@ def test_sweep_validation():
         _holdout(d, [], 26, rng)
     with pytest.raises(DegenerateInputError, match="split of 60 samples"):
         _holdout(d, [], 3, rng, test_fraction=0.99)
+    # A budget no calibration can serve is refused, not failed per entry.
+    with pytest.raises(NumericalError, match="epsilon 1e-310, delta 0.01"):
+        _holdout(d, [1.0, 1e-310], 3, rng)
+    with pytest.raises(NumericalError, match="epsilon 1e-310, delta 0.01"):
+        _cv(d, 4, [FitConfig(k=2, privacy=PrivacyBudget(1e-310, 0.01))], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ log Phi against scipy.special, which the package itself does not load.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,34 @@ def test_scaled_unit_sigma_is_feasible_and_matches_a_fresh_bisection(delta_f, ep
     # The bisection stops at relative width 1e-9, and the two routes may
     # end one step apart.
     assert sigma == pytest.approx(_bisect_sigma(delta_f, eps, delta), rel=1e-8)
+
+
+def test_bisection_converges_at_an_epsilon_far_below_one():
+    # At delta 0.01 the bracket tops out near 6e60: converging to 1e-9 of
+    # sigma 39.9 takes about 227 halvings.
+    eps, delta = 1e-60, 0.01
+    sigma = analytic_gaussian_sigma(1.0, PrivacyBudget(eps, delta))
+    assert gaussian_privacy_profile(sigma, 1.0, eps) <= delta
+    assert gaussian_privacy_profile(sigma * (1 - 1e-8), 1.0, eps) > delta
+
+
+def test_a_bracket_that_overflows_is_refused_by_name():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="profile at epsilon 1e-310, delta 0.01"):
+            analytic_gaussian_sigma(1.0, PrivacyBudget(1e-310, 0.01))
+
+
+def test_a_bracket_whose_top_is_not_feasible_is_refused(monkeypatch):
+    _count_profile_evals(monkeypatch, answer=1.0)
+    with pytest.raises(NumericalError, match="cannot bracket the privacy profile at epsilon 1.0"):
+        _bisect_sigma(1.0, 1.0, 0.01)
+
+
+def test_a_bisection_that_runs_out_of_halvings_is_refused(monkeypatch):
+    monkeypatch.setattr(mechanism_module, "_MAX_HALVINGS", 10)
+    with pytest.raises(NumericalError, match="did not converge in 10 halvings"):
+        _bisect_sigma(1.0, 1.0, 0.01)
 
 
 def test_bisection_returns_the_bottom_of_its_bracket_when_that_is_feasible():
