@@ -95,6 +95,27 @@ core.save_matrix(sys.argv[1], datagen.gaussian_signal(100, datagen.UNIQUE_HOLDER
         --output models/private-header.json
     dppls predict --model models/private-header.json --input preprocessed-header.csv \
         --header --response-col 0 --output predictions-header.csv
+    # Values of every layout repr gives: signed zeros, subnormals (5e-324,
+    # 1e-323 and both sides of the smallest normal), both sides of each
+    # switch to the exponent form, integers at 2^53, and inf and nan in
+    # the channels.  An empty pipeline writes them back byte for byte, in
+    # both writers.
+    python3 -c 'import sys
+inf, nan = float("inf"), float("nan")
+rows = [[1.5, 0.0, -0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308],
+        [-2.0, 1e-05, 0.0001, 1e+16, 9999999999999998.0, 1e+22, 1e+23],
+        [0.25, 9007199254740991.0, 9007199254740992.0, 9007199254740994.0, 123.0,
+         -1.5e+300, 0.001234],
+        [1e+300, inf, -inf, nan, -5e-324, 1125899906842624.2, 0.1]]
+with open(sys.argv[1], "w") as fh:
+    for row in rows:
+        fh.write(",".join(map(repr, row)) + "\n")
+' edges.csv
+    dppls preprocess --input edges.csv --pipeline "" --output edges-dataset.csv
+    dppls preprocess --input edges.csv --matrix-only --pipeline "" \
+        --output edges-matrix.csv
+    cmp edges.csv edges-dataset.csv
+    cmp edges.csv edges-matrix.csv
     # airPLS at orders 1, 2 and 3 (bandwidths 1 to 3 of the banded solve),
     # and at order 2 through a protocol.
     dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \

@@ -47,6 +47,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluate import sweep
+from .mechanism import analytic_gaussian_sigma
 from .pls import FitConfig, fit, load_model, predict, save_model
 from .preprocess import parse_pipeline
 
@@ -248,13 +249,16 @@ def cmd_simulate(cfg: dict) -> None:
 
 
 def cmd_fit(cfg: dict) -> None:
-    d = load_dataset(cfg["input"], response_col=cfg["response_col"],
-                     header=cfg["header"])
     privacy = None
     rng = None
     if cfg["epsilon"] is not None:
         privacy = PrivacyBudget(float(cfg["epsilon"]), float(cfg["delta"]))
+        # A budget that no calibration can serve is refused before the
+        # CSV is read, as evaluate.sweep refuses it before mapping a row.
+        analytic_gaussian_sigma(1.0, privacy)
         rng = RngStream(cfg["seed"])
+    d = load_dataset(cfg["input"], response_col=cfg["response_col"],
+                     header=cfg["header"])
     model = fit(d, FitConfig(k=cfg["k"], privacy=privacy, rng=rng))
     save_model(model, _output(cfg))
 

@@ -11,12 +11,16 @@ and library versions.
 CSV layout used throughout: one sample per line, UTF-8, ``.`` decimal,
 ``,`` separator, optional single header line, response in a designated
 column (first by default) with the remaining columns the spectral
-channels in ascending order.
+channels in ascending order.  Each value is written as ``repr`` writes
+it, the shortest decimal that reads back to the same float; the writers
+make those bytes in numpy, a block of values at a time, with Schubfach's
+integer algorithm on the float64 bit patterns (:func:`_shortest`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -417,32 +421,203 @@ def load_dataset(path, response_col: int = 0, header: bool = False) -> Dataset:
 
 
 def save_matrix(path, X: np.ndarray, header: Optional[Sequence[str]] = None) -> None:
-    """Write one row per line.  repr of a Python float is the shortest
-    string that round-trips, so written files are lossless and byte-stable
-    across runs."""
+    """Write one row per line, each value as ``repr`` writes it: the
+    shortest string that reads back to the same float, so written files
+    are lossless and byte-stable across runs.  :func:`_format` makes
+    those bytes from the float64 bit patterns, a block at a time."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError("save_matrix expects a 2-d array")
-    _write_rows(path, header, (row.tolist() for row in X))
+    _write_csv(path, header, X.shape, lambda lo, hi: X[lo:hi])
 
 
 def save_dataset(path, d: Dataset, header: bool = False) -> None:
     """Write a dataset with the response in the first column: the bytes
-    :func:`save_matrix` writes for ``[y, X]``, without building that
-    matrix."""
+    :func:`save_matrix` writes for ``[y, X]``, with y put beside X one
+    block of rows at a time."""
     names = ["y"] + [f"x{j}" for j in range(d.m)] if header else None
-    _write_rows(path, names, ([y, *row.tolist()] for y, row in zip(d.y.tolist(), d.X)))
+    _write_csv(path, names, (d.n, d.m + 1),
+               lambda lo, hi: np.column_stack((d.y[lo:hi], d.X[lo:hi])))
 
 
-def _write_rows(path, header, rows) -> None:
-    """Write the header line, if any, then each row of Python floats as one
-    line.  Rows are formatted as they come, so a matrix is never held as
-    Python floats all at once."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+# Values formatted per block.  A write holds at most about 230 bytes per
+# value of a block at once (0.9 MiB at 4,096), whatever the matrix size.
+_BLOCK = 4096
+
+
+def _write_csv(path, header, shape, rows) -> None:
+    """Write the header line, if any, then the ``shape`` matrix whose rows
+    lo..hi ``rows(lo, hi)`` returns, in blocks of ``_BLOCK`` values;
+    a block may end inside a row."""
+    n, width = shape
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+        if not width:
+            fh.write(b"\n" * n)
+        for a in range(0, n * width, _BLOCK):
+            b = min(a + _BLOCK, n * width)
+            lo = a // width
+            block = np.ascontiguousarray(rows(lo, -(-b // width)), dtype=np.float64).ravel()
+            fh.write(_format(block[a - lo * width:b - lo * width].view(np.uint64), width, a))
+
+
+# Shortest round-trip decimals in numpy: Giulietti's Schubfach ("The
+# Schubfach way to render doubles", 2020) on uint64 arrays, laid out by
+# Python's ``repr`` rules.  No float arithmetic runs on the values.
+_M32 = 0xFFFFFFFF
+# Row offsets of the fixed strings in the layout table of _format_tables.
+_SIGN, _DOT, _SEP, _SFX = 50000, 50002, 50004, 50006
+
+
+@functools.cache
+def _format_tables():
+    """Built on the first write, read-only: Schubfach's 126-bit g for
+    10^-k, k in -324..292, as five uint64 rows (g >> 63, then its 32-bit
+    limbs from the top); 10^0..10^17; per shown digit count, the offsets
+    that blank the other digits of five 4-digit groups; and the layout
+    table of 4-byte strings: the groups 0000..9999 with 0..4 leading
+    digits blank, then blank and ``-``, blank and ``.``, ``,`` and
+    newline, and 8-byte suffixes: none, ``e-324``..``e+308``, inf, nan."""
+    g = np.empty((5, 617), np.uint64)
+    for k in range(-324, 293):
+        e, sh = -k, 125 - ((-k * 913124641741) >> 38)
+        x = (10 ** max(e, 0) << max(sh, 0)) // (10 ** max(-e, 0) << max(-sh, 0)) + 1
+        g[:, k + 324] = x >> 63, x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32
+    fixed = "    -       .   ,   \n   " + "".join(
+        s.ljust(8) for s in ["", *("e%+03d" % x for x in range(-324, 309)), "inf", "nan"])
+    strings = np.full(200000 + len(fixed), 32, np.uint8)
+    strings[200000:] = np.frombuffer(fixed.encode(), np.uint8)
+    groups = strings[:200000].reshape(5, 10000, 4)
+    for j in range(4):
+        groups[:j + 1, :, j] = np.arange(10000, dtype=np.uint16) // 10 ** (3 - j) % 10 + 48
+    blanks = 10000 * np.clip(4 * np.arange(5, 0, -1) - np.arange(-1, 21)[:, None], 0, 4)
+    p10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
+    for table in (g, p10, blanks, strings):  # shared by every caller
+        table.flags.writeable = False
+    return g, p10, blanks, strings.view(np.uint32)
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit halves;
+    b1 is below 2^28, as a shifted significand's is, so a0 b1 needs no
+    split."""
+    p10 = a1 * b0
+    mid = (a0 * b0 >> 32) + a0 * b1 + (p10 & _M32)
+    return a1 * b1 + (p10 >> 32) + (mid >> 32)
+
+
+def _rop(g, cp):
+    """cp g / 2^127 rounded to odd, for g in the five rows of the tables,
+    from the partial products Schubfach's proof keeps (not g0 cp's low half)."""
+    ghi, g3, g2, g1, g0 = g
+    c1, c0 = cp >> 32, cp & _M32
+    z = (ghi * cp >> 1) + _mulhi(g1, g0, c1, c0)
+    return _mulhi(g3, g2, c1, c0) + (z >> 63) | (z << 1 != 0)
+
+
+def _shortest(bits):
+    """Schubfach on float64 bit patterns: (f, e) with f 10^e the shortest
+    decimal that rounds to each value, the closest one of that length, ties
+    to an even last digit; f may end in zeros.  Zeros, infinities and NaNs
+    give f = e = 0.  Python's ``repr`` also takes one-digit results, which
+    Java's ``toString`` skips: so the one-digit-shorter candidates are
+    tried at every length, which also covers Schubfach's narrowed interval
+    for the subnormals with significand below 3 (5e-324 and 1e-323)."""
+    g = _format_tables()[0]
+    c = bits & (2 ** 52 - 1)
+    q = (bits >> 52 & 0x7FF).astype(np.int64)
+    special = (q == 0x7FF) | ((q == 0) & (c == 0))
+    irregular = (c == 0) & (q > 1) & ~special
+    c = np.where(q != 0, c | 2 ** 52, c)
+    c[special] = 2 ** 52
+    q = np.where(special, 0, np.maximum(q, 1) - 1075)
+    tiny = c < 3
+    c[tiny] *= 10
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    q += ((-k * 913124641741) >> 38) + 2
+    h = q.view(np.uint64)
+    cb = c << 2
+    gk = g.take(k + 324, axis=1)
+    # 4v and the ends of its rounding interval, in units of 10^k, one at a
+    # time to keep the block's memory small.
+    vb = _rop(gk, cb << h)
+    vbl = _rop(gk, cb - 2 + irregular << h)
+    vbr = _rop(gk, cb + 2 << h)
+    out = c & 1
+    s = vb >> 2
+    st2 = (s << 1) + 1 << 1
+    uin, win = vbl + out <= s << 2, (s + 1 << 2) + out <= vbr
+    f = s + np.where(uin != win, win, (vb > st2) | ((vb == st2) & (s & 1 != 0)))
+    sp10 = s // 10 * 10
+    upin, wpin = vbl + out <= sp10 << 2, (sp10 + 10 << 2) + out <= vbr
+    f = np.where(upin != wpin, (s // 10 + wpin) * 10, f).astype(np.int64)
+    f[special] = 0
+    return f, np.where(special, 0, k - tiny)
+
+
+def _units(v, shown, blanks):
+    """Rows of the layout table's 4-digit groups spelling each integer of
+    ``v`` in as many groups as the largest ``shown`` needs, most significant
+    first, all but its last ``shown`` digits blank."""
+    count = -(-int(shown.max()) // 4)
+    rows = np.empty((count, v.size), np.int64)
+    for j in range(count - 1, -1, -1):
+        q = v // 10000
+        rows[j] = v - q * 10000
+        v = q
+    rows += blanks.take(shown + 1, axis=0)[:, 5 - count:].T
+    return rows
+
+
+def _fields(bits):
+    """The layout table rows of each value's fields but the separator:
+    sign, whole digits, point, fraction digits and, when a value of the
+    block needs one, the 8-byte exponent suffix.  As in ``repr``, a value
+    takes the exponent form when its decimal point falls 4 or more places
+    before its first digit or more than 16 after it, and integral values
+    end in ``.0``."""
+    _, p10, blanks, _ = _format_tables()
+    f, e = _shortest(bits)
+    t = bits & (2 ** 52 - 1)
+    nonfinite = bits & 0x7FF << 52 == 0x7FF << 52
+    decpt = e + np.searchsorted(p10, f, side="right")
+    i = np.flatnonzero((f % 10 == 0) & (f != 0))
+    while i.size:
+        f[i] //= 10
+        e[i] += 1
+        i = i[f[i] % 10 == 0]
+    fixed = (decpt > -4) & (decpt <= 16) & ~nonfinite
+    fd = np.where(fixed, np.maximum(-e, 0), decpt - e - 1)
+    pw = p10[np.minimum(fd, 17)]
+    whole = f // pw
+    frac = f - whole * pw
+    whole *= p10[np.where(fixed, np.maximum(e, 0), 0)]
+    nf = np.where(fixed, np.maximum(fd, 1), fd)
+    rows = [_SIGN + ((bits >> 63 != 0) & ~(nonfinite & (t != 0))),
+            *_units(whole, np.where(fixed, np.maximum(decpt, 1), ~nonfinite), blanks),
+            _DOT + (nf > 0), *_units(frac, nf, blanks)]
+    if not fixed.all():
+        sfx = _SFX + 2 * np.where(fixed, 0, np.where(nonfinite, 634 + (t != 0), decpt + 324))
+        rows += [sfx, sfx + 1]
+    return rows
+
+
+def _format(bits, width, start) -> bytes:
+    """The bytes ``repr`` writes for each float64 bit pattern, each value
+    followed by ``,`` or, at the end of a ``width``-value row, a newline;
+    ``start`` is the index of the first value in the matrix.  Each value is
+    laid out in fixed fields of 4-byte strings from the layout table, one
+    column per field row of :func:`_fields`; the blanks that pad the
+    fields are then deleted."""
+    rows = _fields(bits)
+    rows.append(_SEP + (np.arange(start + 1, start + bits.size + 1) % width == 0))
+    strings = _format_tables()[3]
+    text = np.empty((bits.size, len(rows)), np.uint32)
+    for j, row in enumerate(rows):
+        text[:, j] = strings[row]
+    del rows  # before the two copies of the text, to bound the memory
+    return text.tobytes().translate(None, b" ")
 
 
 def save_json(path, doc) -> None:

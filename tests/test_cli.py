@@ -589,6 +589,23 @@ def test_a_command_whose_arithmetic_overflows_exits_5(overflow_dir, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_fit_refuses_an_uncalibratable_budget_before_reading_its_csv(sim_dir, tmp_path,
+                                                                     capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("load_dataset was called")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    out = tmp_path / "out" / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["fit", "--input", str(sim_dir / "combined.csv"), "--output", str(out),
+                         "--k", "3", "--epsilon", "1e-310"])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: cannot bracket the privacy profile at epsilon 1e-310, delta 0.01\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflow_under_python_warnings_as_errors_prints_one_line(overflow_dir, tmp_path):
     data, name, args = _OVERFLOWS["fit"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))

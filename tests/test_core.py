@@ -2,6 +2,7 @@
 
 import csv
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -481,6 +482,104 @@ def test_save_dataset_leaves_its_arrays_unchanged(tmp_path):
     X, y = d.X.copy(), d.y.copy()
     save_dataset(tmp_path / "d.csv", d, header=True)
     assert d.X.tobytes() == X.tobytes() and d.y.tobytes() == y.tobytes()
+
+
+def _assert_writes_repr(tmp_path, X, header=None):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_matrix(got, X, header=header)
+    _reference_save_matrix(want, X, header=header)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _binade_edges(ulps):
+    """The first and last ``ulps`` bit patterns of every binade, subnormals
+    and the non-finite exponent included, with both signs."""
+    tops = np.arange(2048, dtype=np.uint64) << np.uint64(52)
+    steps = np.arange(ulps, dtype=np.uint64)
+    offsets = np.concatenate((steps, np.uint64(2 ** 52 - 1) - steps))
+    bits = (tops[:, None] + offsets).ravel()
+    return np.concatenate((bits, bits | np.uint64(1 << 63))).view(np.float64)
+
+
+def test_save_matrix_writes_repr_on_a_million_raw_bit_patterns(tmp_path):
+    # Raw words hold about 500 subnormals and 500 NaNs of assorted
+    # payloads; zeros and infinities are set by hand.
+    X = RngStream(27).raw_words(1_000_000).view(np.float64).reshape(10_000, 100)
+    X[0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+    bits = X.view(np.uint64)
+    exponents = bits >> np.uint64(52) & np.uint64(0x7FF)
+    assert (exponents == 0).sum() > 300 and (exponents == 0x7FF).sum() > 300
+    _assert_writes_repr(tmp_path, X)
+
+
+def test_save_matrix_writes_repr_at_the_ends_of_every_binade(tmp_path):
+    _assert_writes_repr(tmp_path, _binade_edges(24).reshape(-1, 96))
+
+
+# Each value with the bytes repr gives it: halfway ties, where the layout
+# changes form, around 2^53, and the smallest and largest subnormals.
+_LAYOUT_EDGES = [
+    (2.0 ** 50 + 0.25, "1125899906842624.2"), (2.0 ** 50 + 0.75, "1125899906842624.8"),
+    (9999999999999998.0, "9999999999999998.0"), (1e16, "1e+16"),
+    (0.0001, "0.0001"), (1e-05, "1e-05"), (1e22, "1e+22"), (1e23, "1e+23"),
+    (2.0 ** 53 - 2, "9007199254740990.0"), (2.0 ** 53 - 1, "9007199254740991.0"),
+    (2.0 ** 53, "9007199254740992.0"), (2.0 ** 53 + 2, "9007199254740994.0"),
+    (2.0 ** 53 + 4, "9007199254740996.0"), (5e-324, "5e-324"), (1e-323, "1e-323"),
+    (np.nextafter(2.0 ** -1022, 0), "2.225073858507201e-308"),
+    (-0.0, "-0.0"), (-np.inf, "-inf"), (np.nan, "nan"), (123.0, "123.0"),
+    (-1.5e300, "-1.5e+300"), (0.001234, "0.001234"),
+]
+
+
+@pytest.mark.parametrize("value,text", _LAYOUT_EDGES)
+def test_save_matrix_writes_the_layout_edges_as_repr_does(tmp_path, value, text):
+    assert repr(float(value)) == text
+    path = tmp_path / "x.csv"
+    save_matrix(path, np.array([[value, value]]))
+    assert path.read_text() == f"{text},{text}\n"
+
+
+@pytest.mark.parametrize("block", [7, core_module._BLOCK])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (9, 1), (3, 101), (29, 5)])
+@pytest.mark.parametrize("header", [False, True])
+def test_writers_write_repr_for_every_width_and_block(tmp_path, monkeypatch, block, shape,
+                                                      header):
+    # A 7-value block ends inside most rows.
+    monkeypatch.setattr(core_module, "_BLOCK", block)
+    values = np.array([value for value, _ in _LAYOUT_EDGES])
+    X = np.resize(np.concatenate((values, RngStream(3).uniform(-2, 2, 50))), shape)
+    names = [f"c{j}" for j in range(shape[1])] if header else None
+    _assert_writes_repr(tmp_path, X, header=names)
+    d = Dataset(X=X[:, 1:] if shape[1] > 1 else X, y=X[:, 0])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_dataset(got, d, header=header)
+    _reference_save_dataset(want, d, header=header)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_matrix_writes_an_empty_line_for_each_row_without_columns(tmp_path):
+    _assert_writes_repr(tmp_path, np.zeros((3, 0)))
+    _assert_writes_repr(tmp_path, np.zeros((3, 0)), header=[])
+
+
+def test_save_matrix_round_trips_every_non_nan_class_bit_for_bit(tmp_path):
+    X = _binade_edges(4)
+    X = X[~np.isnan(X)].reshape(-1, 6)
+    path = tmp_path / "x.csv"
+    save_matrix(path, X)
+    assert (load_matrix(path).view(np.int64) == X.view(np.int64)).all()
+
+
+def test_save_matrix_holds_at_most_1_mib_while_writing(tmp_path):
+    X = RngStream(2).uniform(-1, 1, (2000, 101))
+    save_matrix(tmp_path / "warm.csv", X[:1])  # builds the tables
+    tracemalloc.start()
+    try:
+        save_matrix(tmp_path / "x.csv", X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 @pytest.mark.parametrize("response_col", [0, 2, 3])

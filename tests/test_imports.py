@@ -63,6 +63,26 @@ print({_SCIPY_MODULES})
     assert _run(code, tmp_path) == "[]"
 
 
+def test_simulate_preprocess_and_predict_load_no_numpy_ma(tmp_path):
+    # numpy.ma adds about 2 MiB to a command's resident memory; np.unique,
+    # for one, imports it.  Each command writes CSV files.
+    code = """
+import sys
+from dppls import cli
+loaded = lambda: sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+assert cli.main(["simulate", "--n", "10", "--m", "8", "--seed", "1", "--output", "sim"]) == 0
+after_simulate = loaded()
+assert cli.main(["preprocess", "--input", "sim/combined.csv", "--output", "pre.csv",
+                 "--pipeline", "sg:5,2,1|msc"]) == 0
+after_preprocess = loaded()
+assert cli.main(["fit", "--input", "pre.csv", "--output", "m.json", "--k", "2"]) == 0
+assert cli.main(["predict", "--model", "m.json", "--input", "pre.csv",
+                 "--response-col", "0", "--output", "p.csv"]) == 0
+print([after_simulate, after_preprocess, loaded()])
+"""
+    assert _run(code, tmp_path) == "[[], [], []]"
+
+
 def _airpls_in_a_fresh_interpreter(X, cfg, tmp_path):
     """airpls_correct(X, cfg) in a new interpreter: its output's bytes
     and the scipy modules loaded before and after the call."""
