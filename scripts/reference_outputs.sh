@@ -116,6 +116,39 @@ with open(sys.argv[1], "w") as fh:
         --output edges-matrix.csv
     cmp edges.csv edges-dataset.csv
     cmp edges.csv edges-matrix.csv
+    # The finite layouts alone, the dotless forms (1e-05, 5e-324, 1e+16)
+    # included, in rows of equal width: the grammar the fast reader takes.
+    # They are written back byte for byte, in both writers; CRLF and quoted
+    # copies, which the reader leaves to loadtxt, give the same bytes.
+    python3 -c 'import sys
+rows = [[1.5, 0.0, -0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308],
+        [-2.0, 1e-05, 0.0001, 1e+16, 9999999999999998.0, 1e+22, 1e+23],
+        [0.25, 9007199254740991.0, 9007199254740992.0, 9007199254740994.0, 123.0,
+         -1.5e+300, 0.001234],
+        [1e+300, 1.7976931348623157e+308, -1.7976931348623157e+308, -1e-05, -5e-324,
+         1125899906842624.2, 0.1],
+        [1125899906842624.8, 1e-07, 0.000123, -1e+16, 1.2345678901234567e-300,
+         123456789012345.67, -0.5]]
+with open(sys.argv[1], "w") as fh:
+    for row in rows:
+        fh.write(",".join(map(repr, row)) + "\n")
+' edges-finite.csv
+    # Sources with the fast reader check that it takes the file.
+    PYTHONPATH="$src" python3 -c 'import sys
+from dppls import core
+read = getattr(core, "_read_fast", None)
+sys.exit(read is not None and read(sys.argv[1], False) is None)
+' edges-finite.csv
+    sed 's/$/\r/' edges-finite.csv > edges-finite-crlf.csv
+    sed 's/[^,]*/"&"/g' edges-finite.csv > edges-finite-quoted.csv
+    for copy in "" -crlf -quoted; do
+        dppls preprocess --input "edges-finite$copy.csv" --pipeline "" \
+            --output "edges-finite$copy-dataset.csv"
+        dppls preprocess --input "edges-finite$copy.csv" --matrix-only --pipeline "" \
+            --output "edges-finite$copy-matrix.csv"
+        cmp edges-finite.csv "edges-finite$copy-dataset.csv"
+        cmp edges-finite.csv "edges-finite$copy-matrix.csv"
+    done
     # airPLS at orders 1, 2 and 3 (bandwidths 1 to 3 of the banded solve),
     # and at order 2 through a protocol.
     dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \

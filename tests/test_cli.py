@@ -717,6 +717,36 @@ def test_command_holds_few_copies_of_its_matrix(tmp_path, argv):
     assert peak < 4 * d.X.nbytes, f"peak {peak / d.X.nbytes:.2f} copies of the matrix"
 
 
+@pytest.mark.parametrize("header", [[], ["--header"]], ids=["plain", "header"])
+def test_commands_read_every_csv_without_loadtxt(tmp_path, monkeypatch, header):
+    # Each CSV that simulate, preprocess, fit, predict and attack read is
+    # one a dppls writer wrote, so the fast reader takes every one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    w = str(tmp_path)
+    save_matrix(tmp_path / "truth.csv",
+                datagen.gaussian_signal(40, datagen.UNIQUE_HOLDER2)[:, None])
+    for argv in [
+        ["simulate", "--n", "20", "--m", "40", "--seed", "3", "--output", f"{w}/sim"],
+        ["preprocess", "--input", f"{w}/sim/combined.csv", "--output", f"{w}/pre.csv",
+         "--pipeline", "sg:9,2,1|msc|center"],
+        ["preprocess", "--input", f"{w}/pre.csv", "--output", f"{w}/pre-x.csv",
+         "--pipeline", "center", "--matrix-only"],
+        ["fit", "--input", f"{w}/pre.csv", "--output", f"{w}/model.json", "--k", "3",
+         "--epsilon", "1", "--seed", "3"],
+        ["predict", "--model", f"{w}/model.json", "--input", f"{w}/pre.csv",
+         "--response-col", "0", "--output", f"{w}/pred.csv"],
+        ["predict", "--model", f"{w}/model.json", "--input", f"{w}/sim/holder2.csv",
+         "--response-col", "0", "--output", f"{w}/pred2.csv"],
+        ["attack", "--global-model", f"{w}/model.json", "--input", f"{w}/sim/holder1.csv",
+         "--truth", f"{w}/truth.csv", "--output", f"{w}/attack.json"],
+    ]:
+        assert cli.main(argv + header) == 0, argv[0]
+    assert load_matrix(tmp_path / "pred.csv", header=bool(header)).shape == (40, 1)
+
+
 def test_preprocess_rejects_unknown_step(sim_dir, tmp_path):
     code = cli.main(["preprocess", "--input", str(sim_dir / "combined.csv"),
                      "--output", str(tmp_path / "x.csv"),

@@ -4,6 +4,7 @@ import csv
 import pickle
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -584,13 +585,20 @@ def test_save_matrix_holds_at_most_1_mib_while_writing(tmp_path):
 
 @pytest.mark.parametrize("response_col", [0, 2, 3])
 def test_load_dataset_y_holds_no_part_of_the_parsed_block(tmp_path, response_col):
-    # A view would keep the whole parsed block alive beside X.
-    path = tmp_path / "d.csv"
-    save_matrix(path, np.arange(12.0).reshape(3, 4))
-    d = load_dataset(path, response_col=response_col)
-    assert d.y.base is None
-    assert not np.shares_memory(d.y, d.X)
-    np.testing.assert_array_equal(d.y, np.arange(12.0).reshape(3, 4)[:, response_col])
+    # A view would keep the whole parsed block alive beside X.  The file
+    # as written takes the fast path, its CRLF copy the loadtxt path.
+    M = np.arange(12.0).reshape(3, 4)
+    fast, crlf = tmp_path / "d.csv", tmp_path / "crlf.csv"
+    save_matrix(fast, M)
+    crlf.write_bytes(fast.read_bytes().replace(b"\n", b"\r\n"))
+    for path, takes_fast_path in ((fast, True), (crlf, False)):
+        assert (core_module._read_fast(path, False) is not None) == takes_fast_path
+        d = load_dataset(path, response_col=response_col)
+        assert d.y.base is None
+        assert not np.shares_memory(d.y, d.X)
+        assert d.X.flags.c_contiguous
+        np.testing.assert_array_equal(d.y, M[:, response_col])
+        np.testing.assert_array_equal(d.X, np.delete(M, response_col, axis=1))
 
 
 def _reference_load_matrix(path, header=False):
@@ -696,3 +704,253 @@ def test_load_matrix_reads_a_long_numeric_cell(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("1,0." + "0" * 150000 + "1\n2,3\n")
     np.testing.assert_array_equal(load_matrix(path), [[1.0, 0.0], [2.0, 3.0]])
+
+
+# ---------------------------------------------------------------------------
+# the fast reader
+# ---------------------------------------------------------------------------
+
+def _write_rows(path, cells, width, header=None):
+    """Rows of ``width`` cells, ``,`` between cells and a newline after
+    each row, under an optional header line."""
+    rows = [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    text = "".join(f"{row}\n" for row in ([header] if header is not None else []) + rows)
+    path.write_bytes(text.encode())
+
+
+def _assert_fast_reads_float(path, header=False):
+    """The file takes the fast path, and load_matrix gives each cell the
+    bits float() gives it."""
+    assert core_module._read_fast(path, header) is not None
+    _assert_same_bits(path, header)
+
+
+def _finite(X):
+    """X with the non-finite values made finite by clearing the top bit
+    of their exponents."""
+    bits = X.view(np.uint64)
+    bits[~np.isfinite(X)] &= np.uint64(~(1 << 62) & (2 ** 64 - 1))
+    return X
+
+
+def test_fast_reader_reads_a_million_raw_bit_patterns(tmp_path):
+    X = _finite(RngStream(28).raw_words(1_000_000).view(np.float64).reshape(10_000, 100))
+    X[0, :2] = [0.0, -0.0]
+    exponents = X.view(np.uint64) >> np.uint64(52) & np.uint64(0x7FF)
+    assert (exponents == 0).sum() > 300 and np.isfinite(X).all()
+    path = tmp_path / "raw.csv"
+    save_matrix(path, X)
+    _assert_fast_reads_float(path)
+    assert (load_matrix(path).view(np.int64) == X.view(np.int64)).all()
+
+
+def test_fast_reader_reads_the_ends_of_every_finite_binade(tmp_path):
+    X = _binade_edges(24)
+    path = tmp_path / "edges.csv"
+    save_matrix(path, X[np.isfinite(X)].reshape(-1, 96))
+    _assert_fast_reads_float(path)
+
+
+def _random_decimals(rng, count):
+    """Decimal strings of 1 to 25 digits in the fast grammar: a sign, a
+    point and an exponent of up to 339 in size, each optional."""
+    cells = []
+    for _ in range(count):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 26))))
+        point = int(rng.integers(1, len(digits))) if len(digits) > 1 and rng.random() < 0.7 else 0
+        cell = digits[:point] + "." + digits[point:] if point else digits
+        if rng.random() < 0.5:
+            cell = "-" + cell
+        if rng.random() < 0.6:
+            cell += "e%+03d" % rng.integers(-339, 340)
+        cells.append(cell)
+    return cells
+
+
+def test_fast_reader_reads_random_decimal_strings(tmp_path):
+    path = tmp_path / "random.csv"
+    _write_rows(path, _random_decimals(np.random.default_rng(28), 100_000), 10)
+    _assert_fast_reads_float(path)
+
+
+def _midpoint_cells(rng, count):
+    """For random positive doubles, the 17- and 18-digit decimals just
+    below and above the midpoint to the next double, and the midpoints
+    whose exact expansion fits 19 digits (ties, which go to even)."""
+    cells = []
+    for b in rng.integers(1, 0x7FE << 52, count):
+        lo, hi = (Fraction(float(np.int64(v).view(np.float64))) for v in (b, b + 1))
+        mid = (lo + hi) / 2
+        e10 = len(str(mid.numerator)) - len(str(mid.denominator))
+        e10 -= mid < Fraction(10) ** e10
+        for digits in (17, 18):
+            k = e10 + 1 - digits
+            scaled = mid / Fraction(10) ** k
+            whole = scaled.numerator // scaled.denominator
+            cells += [f"{whole}e{k:+d}", f"{whole + 1}e{k:+d}"]
+    for b in rng.integers(0x430 << 52, 0x43E << 52, count):  # 2^49 .. 2^63
+        lo, hi = (Fraction(float(np.int64(v).view(np.float64))) for v in (b, b + 1))
+        mid = (lo + hi) / 2
+        places = mid.denominator.bit_length() - 1
+        text = str(mid.numerator * 5 ** places)
+        if len(text) <= 19:
+            cells.append(f"{text[:-places]}.{text[-places:]}" if places else text)
+    return cells
+
+
+def test_fast_reader_rounds_near_and_at_midpoints_as_float_does(tmp_path):
+    cells = _midpoint_cells(np.random.default_rng(28), 4000)
+    assert sum("e" not in c for c in cells) > 2000  # ties
+    path = tmp_path / "midpoints.csv"
+    _write_rows(path, cells[:len(cells) // 8 * 8], 8)
+    _assert_fast_reads_float(path)
+
+
+# Cells in the fast grammar that float() converts one by one: mantissas and
+# exponents past the int64 limit, exponents past 10^+-342, and subnormal,
+# underflowing and overflowing values; then zeros and the dotless forms
+# repr writes, which the fast path converts.
+_SLOW_CELLS = [
+    "1" + "0" * 25, "9" * 20, "-12345678901234567890123", "0.000000000000000000000000001234",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "1e+99999999999999999999", "1e-99999999999999999999",
+    "-0e+99999999999999999999", "1.5e+9223372036854775807", "1.5e-9223372036854775808",
+    "0." + "0" * 30 + "1e+4611686018427387904", "1e-343", "1e+309",
+    "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "4.9406564584124654e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e+308", "1.7976931348623158e+308", "1.7976931348623159e+308",
+    "1e-400", "-1e+400", "-0.0", "0e+0", "-0", "1e+308", "1e-05", "1e+16", "123",
+]
+
+
+@pytest.mark.parametrize("width", [1, 5, len(_SLOW_CELLS)])
+def test_fast_reader_leaves_out_of_range_cells_to_float(tmp_path, width):
+    path = tmp_path / "slow.csv"
+    cells = _SLOW_CELLS * width
+    _write_rows(path, cells, width)
+    _assert_fast_reads_float(path)
+    got = load_matrix(path).ravel()
+    assert np.signbit(got[cells.index("-0.0")]) and np.isinf(got[cells.index("-1e+400")])
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_fast_reader_reads_across_chunk_boundaries(tmp_path, monkeypatch, chunk, header, width):
+    # Seven-byte chunks end inside most cells, and the long cell makes a
+    # line longer than several chunks.
+    monkeypatch.setattr(core_module, "_CHUNK", chunk)
+    cells = _random_decimals(np.random.default_rng(width), 60 * width)
+    cells[7] = "-0.000" + "1234567890" * 6 + "e+17"
+    path = tmp_path / "chunks.csv"
+    _write_rows(path, cells, width, header="a,b" if header else None)
+    _assert_fast_reads_float(path, header)
+
+
+def test_fast_reader_restarts_through_loadtxt_on_a_late_nan(tmp_path, monkeypatch):
+    # The last chunk holds the nan, after every earlier chunk was parsed.
+    X = RngStream(5).uniform(-1, 1, (4000, 10))
+    path = tmp_path / "late.csv"
+    save_matrix(path, X)
+    with open(path, "ab") as fh:
+        fh.write(b"nan" + b",1.5" * 9 + b"\n")
+    assert path.stat().st_size > 2 * core_module._CHUNK
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    got = load_matrix(path)
+    assert calls == [1]
+    _assert_same_bits(path)
+    np.testing.assert_array_equal(got[:-1], X)
+    assert np.isnan(got[-1, 0])
+
+
+def _outcome(read, path, header):
+    """What ``read(path, header)`` gives: the shape and bytes of the
+    matrix, or the message and line of its CsvFormatError."""
+    try:
+        data = read(path, header)
+    except CsvFormatError as exc:
+        return str(exc), exc.line
+    return data.shape, data.tobytes()
+
+
+# Files outside the fast grammar, with their header flag.
+_FALLBACK_FILES = {
+    "quoted": ('"1.5",2\n3,4\n', False),
+    "spaces": ("1, 2\n3,4\n", False),
+    "crlf": ("1,2\r\n3,4\r\n", False),
+    "cr": ("1,2\r3,4\r", False),
+    "blank-line": ("1,2\n\n3,4\n", False),
+    "leading-blank-line": ("\n1,2\n", False),
+    "nan": ("1,nan\n3,4\n", False),
+    "inf": ("1,2\n-inf,4\n", False),
+    "plus": ("+5,2\n", False),
+    "leading-point": (".5,2\n", False),
+    "trailing-point": ("5.,2\n", False),
+    "capital-e": ("1E+05,2\n", False),
+    "unsigned-exponent": ("1e5,2\n", False),
+    "digit-separator": ("1_0,2\n", False),
+    "ragged": ("1,2\n3,4,5\n", False),
+    "ragged-short": ("1,2,3\n4,5\n", False),
+    "ragged-split": ("1,2\n3\n4\n", False),
+    "header-quote": ('"y",x\n1,2\n', True),
+    "header-quoted-newline": ('"y\n,x"\n1,2\n', True),
+    "header-cr": ("y,x\r\n1,2\n", True),
+    "header-not-utf8": ("y\xff,x\n1,2\n", True),
+    "lone-minus": ("-,2\n", False),
+    "space-before-separator": ("1 ,2\n", False),
+    "trailing-separator": ("1,2,\n3,4,\n", False),
+    "empty-field": ("1,,2\n3,4,5\n", False),
+    "no-final-newline": ("1,2\n3,4", False),
+    "comment": ("1,2\n# c\n", False),
+    "empty": ("", False),
+    "header-only": ("y,x\n", True),
+    "zero-columns": ("\n\n", False),
+    "double-point": ("1.2.3,4\n", False),
+    "double-exponent": ("1e+2e+3,4\n", False),
+    "exponent-point": ("1e+2.5,4\n", False),
+    "minus-minus": ("--1,4\n", False),
+    "minus-inside": ("1-2,4\n", False),
+    "bare-exponent": ("1e+,4\n", False),
+    "bom": ("\ufeff1,2\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_FILES))
+def test_files_outside_the_grammar_read_as_loadtxt_reads_them(tmp_path, name):
+    text, header = _FALLBACK_FILES[name]
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("latin-1" if name == "header-not-utf8" else "utf-8"))
+    assert core_module._read_fast(path, header) is None
+    assert _outcome(load_matrix, path, header) == _outcome(core_module._loadtxt, path, header)
+
+
+def test_fast_reader_reads_what_save_matrix_writes_in_every_layout(tmp_path):
+    values = np.array([value for value, _ in _LAYOUT_EDGES if np.isfinite(value)])
+    for header in (None, [f"c{j}" for j in range(values.size)]):
+        path = tmp_path / "layouts.csv"
+        save_matrix(path, np.vstack([values, -values]), header=header)
+        _assert_fast_reads_float(path, header is not None)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fast_reader_holds_little_beside_its_output(tmp_path):
+    # A 1.54 MiB matrix.  loadtxt peaked at 1.89 MiB on this file, and
+    # load_dataset at 3.08 MiB with np.delete's copy.  The fast reader
+    # holds its output, sized a sixteenth over, and one chunk's
+    # temporaries: 2.13 and 2.16 MiB measured.
+    path = tmp_path / "x.csv"
+    save_matrix(path, RngStream(2).uniform(-1, 1, (2000, 101)))
+    load_matrix(path)  # builds the tables
+    assert core_module._read_fast(path, False) is not None
+    assert _peak(lambda: load_matrix(path)) <= 2.2 * 2 ** 20
+    assert _peak(lambda: load_dataset(path)) <= 2.2 * 2 ** 20

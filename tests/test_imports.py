@@ -47,6 +47,15 @@ def test_import_dppls_and_cli_loads_no_numpy_random(tmp_path):
     assert out == "[]"
 
 
+def test_import_dppls_and_cli_builds_no_csv_tables(tmp_path):
+    # The Schubfach and Eisel-Lemire tables are built on the first write
+    # and the first read, not at import.
+    out = _run("import dppls, dppls.cli; from dppls import core; "
+               "print(core._format_tables.cache_info().currsize, "
+               "core._parse_tables.cache_info().currsize)", tmp_path)
+    assert out == "0 0"
+
+
 def test_private_fit_and_predict_load_no_scipy(tmp_path):
     # A private fit evaluates the privacy profile; it must not pull scipy in
     # lazily either.
