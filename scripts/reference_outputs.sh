@@ -149,6 +149,34 @@ sys.exit(read is not None and read(sys.argv[1], False) is None)
         cmp edges-finite.csv "edges-finite$copy-dataset.csv"
         cmp edges-finite.csv "edges-finite$copy-matrix.csv"
     done
+    # Every decimal layout repr gives, in both signs: each decimal point
+    # position -5..18 (both switches to the exponent form and each place
+    # of the point among 17 digits), one row each, and each significant
+    # digit count 1..17.  An empty pipeline writes it back byte for byte,
+    # in both writers.
+    python3 -c 'import math, sys
+def layout(text):
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    point = len(whole) - len(digits) + len(digits.lstrip("0")) + int(exponent or 0)
+    return point, len(digits.strip("0"))
+with open(sys.argv[1], "w") as fh:
+    for sign in (1, -1):
+        for point in range(-5, 19):
+            row = []
+            for count in range(1, 18):
+                x = float("0.%se%d" % ("12345678912345678"[:count], point))
+                while layout(repr(x)) != (point, count):
+                    x = math.nextafter(x, math.inf)
+                row.append(repr(sign * x))
+            fh.write(",".join(row) + "\n")
+' layouts.csv
+    dppls preprocess --input layouts.csv --pipeline "" --output layouts-dataset.csv
+    dppls preprocess --input layouts.csv --matrix-only --pipeline "" \
+        --output layouts-matrix.csv
+    cmp layouts.csv layouts-dataset.csv
+    cmp layouts.csv layouts-matrix.csv
     # airPLS at orders 1, 2 and 3 (bandwidths 1 to 3 of the banded solve),
     # and at order 2 through a protocol.
     dppls preprocess --input sim/combined.csv --pipeline "airpls|center" \

@@ -14,7 +14,10 @@ column (first by default) with the remaining columns the spectral
 channels in ascending order.  Each value is written as ``repr`` writes
 it, the shortest decimal that reads back to the same float; the writers
 make those bytes in numpy, a block of values at a time, with Schubfach's
-integer algorithm on the float64 bit patterns (:func:`_shortest`).
+integer algorithm on the float64 bit patterns (:func:`_shortest`), and
+build each value's text as one fixed-width record of 64-bit words, its
+digits left-aligned and the rest put in with masks and shifts
+(:func:`_format`).
 Files of finite values so written are read back in numpy too, with the
 Eisel-Lemire algorithm on the exact decimal mantissas (:func:`_read_fast`),
 others by numpy's ``loadtxt``; either way each cell gets the bits
@@ -458,8 +461,8 @@ def save_dataset(path, d: Dataset, header: bool = False) -> None:
                lambda lo, hi: np.column_stack((d.y[lo:hi], d.X[lo:hi])))
 
 
-# Values formatted per block.  A write holds at most about 230 bytes per
-# value of a block at once (0.9 MiB at 4,096), whatever the matrix size.
+# Values formatted per block.  A write holds at most about 180 bytes per
+# value of a block at once (0.7 MiB at 4,096), whatever the matrix size.
 _BLOCK = 4096
 
 
@@ -484,36 +487,61 @@ def _write_csv(path, header, shape, rows) -> None:
 # Schubfach way to render doubles", 2020) on uint64 arrays, laid out by
 # Python's ``repr`` rules.  No float arithmetic runs on the values.
 _M32 = 0xFFFFFFFF
-# Row offsets of the fixed strings in the layout table of _format_tables.
-_SIGN, _DOT, _SEP, _SFX = 50000, 50002, 50004, 50006
+_ZEROS = 0x3030303030303030  # eight ASCII zeros
 
 
 @functools.cache
 def _format_tables():
     """Built on the first write, read-only: Schubfach's 126-bit g for
-    10^-k, k in -324..292, as five uint64 rows (g >> 63, then its 32-bit
-    limbs from the top); 10^0..10^17; per shown digit count, the offsets
-    that blank the other digits of five 4-digit groups; and the layout
-    table of 4-byte strings: the groups 0000..9999 with 0..4 leading
-    digits blank, then blank and ``-``, blank and ``.``, ``,`` and
-    newline, and 8-byte suffixes: none, ``e-324``..``e+308``, inf, nan."""
-    g = np.empty((5, 617), np.uint64)
+    10^-k, k in -324..292, as six uint64 rows (its high 63 bits, their
+    32-bit limbs, the limbs of its low 63 bits, those bits); 10^0..10^17;
+    per float64 exponent field, the digit count of that power of two and,
+    for a word of ASCII digits less ``0``, the number of the digit in its
+    highest nonzero byte when the word starts at the 2nd or the 10th digit;
+    the ASCII of 0000..9999 in the low half of a word; the
+    masks and the word of :func:`_format`'s records for each layout class,
+    significant digit count and sign; and the exponent suffixes with their
+    separator, ``e-324,``..``e+308,``."""
+    g = np.empty((6, 617), np.uint64)
     for k in range(-324, 293):
         e, sh = -k, 125 - ((-k * 913124641741) >> 38)
         x = (10 ** max(e, 0) << max(sh, 0)) // (10 ** max(-e, 0) << max(-sh, 0)) + 1
-        g[:, k + 324] = x >> 63, x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32
-    fixed = "    -       .   ,   \n   " + "".join(
-        s.ljust(8) for s in ["", *("e%+03d" % x for x in range(-324, 309)), "inf", "nan"])
-    strings = np.full(200000 + len(fixed), 32, np.uint8)
-    strings[200000:] = np.frombuffer(fixed.encode(), np.uint8)
-    groups = strings[:200000].reshape(5, 10000, 4)
-    for j in range(4):
-        groups[:j + 1, :, j] = np.arange(10000, dtype=np.uint16) // 10 ** (3 - j) % 10 + 48
-    blanks = 10000 * np.clip(4 * np.arange(5, 0, -1) - np.arange(-1, 21)[:, None], 0, 4)
+        g[:, k + 324] = (x >> 63, x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32,
+                         x & _U64_MASK >> 1)
     p10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
-    for table in (g, p10, blanks, strings):  # shared by every caller
+    exponents = np.zeros((3, 1087), np.int8)
+    exponents[0, 1023:] = [len(str(2 ** i)) for i in range(64)]
+    exponents[1:, 1023:] = np.arange(64) // 8 + np.array([[2], [10]])
+    ascii4 = np.zeros(10000, np.uint64)
+    for j in range(4):
+        ascii4 |= (np.arange(10000, dtype=np.uint64) // 10 ** (3 - j) % 10 + 48) << (8 * j)
+    # Classes: decimal point position clipped to -4..17, plus 4; 22 inf,
+    # 23 nan.  The point goes after the first p digits of the 17, and the
+    # first `keep` bytes of digits and point stay.
+    layouts = np.zeros((3, 24, 18, 2, 4), np.uint64)
+    for c, nd, neg in np.ndindex(24, 18, 2):
+        decpt = c - 4
+        if c >= 22:
+            p, keep, head = 17, 0, ("inf", "nan")[c - 22]
+        elif 0 < decpt < 17:
+            p, keep, head = decpt, max(nd, decpt + 1) + 1, ""
+        elif -4 < decpt <= 0:
+            p, keep, head = 17, nd, "0." + "0" * -decpt
+        else:  # exponent form: the suffix brings the separator
+            p, keep, head = 1, nd + (nd > 1), ""
+        text = ("-" if neg and c != 23 else "") + head
+        word = (int.from_bytes(text.encode(), "little") << 8 * (7 - len(text))
+                | (0x2E << 8 * (7 + p) if p < keep else 0)
+                | (0x2C << 8 * (7 + keep) if -4 < decpt < 17 or c >= 22 else 0))
+        before, after = (1 << 8 * min(p, keep)) - 1, (1 << 8 * keep) - (1 << 8 * min(p + 1, keep))
+        for t, v in enumerate((before << 56, after << 56, word)):
+            layouts[t, c, nd, neg] = [v >> 64 * w & _U64_MASK for w in range(4)]
+    layouts = layouts.reshape(3, -1, 4)
+    suffixes = np.array([int.from_bytes(b"e%+03d," % x, "little") for x in range(-324, 309)],
+                        np.uint64)
+    for table in (g, p10, exponents, ascii4, layouts, suffixes):  # shared by every caller
         table.flags.writeable = False
-    return g, p10, blanks, strings.view(np.uint32)
+    return g, p10, exponents, ascii4, layouts, suffixes
 
 
 def _mulhi(a1, a0, b1, b0):
@@ -525,13 +553,24 @@ def _mulhi(a1, a0, b1, b0):
     return a1 * b1 + (p10 >> 32) + (mid >> 32)
 
 
-def _rop(g, cp):
-    """cp g / 2^127 rounded to odd, for g in the five rows of the tables,
-    from the partial products Schubfach's proof keeps (not g0 cp's low half)."""
-    ghi, g3, g2, g1, g0 = g
-    c1, c0 = cp >> 32, cp & _M32
-    z = (ghi * cp >> 1) + _mulhi(g1, g0, c1, c0)
-    return _mulhi(g3, g2, c1, c0) + (z >> 63) | (z << 1 != 0)
+def _rop(hi, lo):
+    """cp g / 2^127 rounded to odd, from the products of cp with g's high
+    and low 63 bits as (high, low) word pairs: of the low product Schubfach's
+    proof keeps only the high word."""
+    z = (hi[1] >> 1) + lo[0]
+    return hi[0] + (z >> 63) | (z << 1 != 0)
+
+
+def _offset(prod, v, s, down):
+    """The (high, low) words ``prod`` of a product v x, made those of
+    v (x + 2^s), or with ``down`` of v (x - 2^s); s in 1..63."""
+    high, low = prod
+    vh, vl = v >> 64 - s, v << s
+    if down:
+        out = low - vl
+        return high - vh - (out > low), out
+    out = low + vl
+    return high + vh + (out < low), out
 
 
 def _shortest(bits):
@@ -555,13 +594,24 @@ def _shortest(bits):
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     q += ((-k * 913124641741) >> 38) + 2
     h = q.view(np.uint64)
-    cb = c << 2
-    gk = g.take(k + 324, axis=1)
-    # 4v and the ends of its rounding interval, in units of 10^k, one at a
-    # time to keep the block's memory small.
-    vb = _rop(gk, cb << h)
-    vbl = _rop(gk, cb - 2 + irregular << h)
-    vbr = _rop(gk, cb + 2 << h)
+    cp = c << h + 2
+    i = k + 324
+    c1, c0 = cp >> 32, cp & _M32
+    hi = _mulhi(g[1].take(i), g[2].take(i), c1, c0)
+    lo = _mulhi(g[3].take(i), g[4].take(i), c1, c0)
+    del c1, c0
+    ghi, glo = g[0].take(i), g[5].take(i)
+    hi, lo = (hi, ghi * cp), (lo, glo * cp)
+    del cp, i
+    # 4v and the ends of its rounding interval, cp + 2^(h+1) and cp - 2^(h+1)
+    # (2^h for an irregular spacing), in units of 10^k.  The ends' products
+    # are vb's plus or minus g shifted.
+    vb = _rop(hi, lo)
+    up = h + 1
+    vbr = _rop(_offset(hi, ghi, up, False), _offset(lo, glo, up, False))
+    up -= irregular
+    vbl = _rop(_offset(hi, ghi, up, True), _offset(lo, glo, up, True))
+    del hi, lo, ghi, glo
     out = c & 1
     s = vb >> 2
     st2 = (s << 1) + 1 << 1
@@ -574,68 +624,82 @@ def _shortest(bits):
     return f, np.where(special, 0, k - tiny)
 
 
-def _units(v, shown, blanks):
-    """Rows of the layout table's 4-digit groups spelling each integer of
-    ``v`` in as many groups as the largest ``shown`` needs, most significant
-    first, all but its last ``shown`` digits blank."""
-    count = -(-int(shown.max()) // 4)
-    rows = np.empty((count, v.size), np.int64)
-    for j in range(count - 1, -1, -1):
-        q = v // 10000
-        rows[j] = v - q * 10000
-        v = q
-    rows += blanks.take(shown + 1, axis=0)[:, 5 - count:].T
-    return rows
-
-
-def _fields(bits):
-    """The layout table rows of each value's fields but the separator:
-    sign, whole digits, point, fraction digits and, when a value of the
-    block needs one, the 8-byte exponent suffix.  As in ``repr``, a value
-    takes the exponent form when its decimal point falls 4 or more places
-    before its first digit or more than 16 after it, and integral values
-    end in ``.0``."""
-    _, p10, blanks, _ = _format_tables()
-    f, e = _shortest(bits)
-    t = bits & (2 ** 52 - 1)
-    nonfinite = bits & 0x7FF << 52 == 0x7FF << 52
-    decpt = e + np.searchsorted(p10, f, side="right")
-    i = np.flatnonzero((f % 10 == 0) & (f != 0))
-    while i.size:
-        f[i] //= 10
-        e[i] += 1
-        i = i[f[i] % 10 == 0]
-    fixed = (decpt > -4) & (decpt <= 16) & ~nonfinite
-    fd = np.where(fixed, np.maximum(-e, 0), decpt - e - 1)
-    pw = p10[np.minimum(fd, 17)]
-    whole = f // pw
-    frac = f - whole * pw
-    whole *= p10[np.where(fixed, np.maximum(e, 0), 0)]
-    nf = np.where(fixed, np.maximum(fd, 1), fd)
-    rows = [_SIGN + ((bits >> 63 != 0) & ~(nonfinite & (t != 0))),
-            *_units(whole, np.where(fixed, np.maximum(decpt, 1), ~nonfinite), blanks),
-            _DOT + (nf > 0), *_units(frac, nf, blanks)]
-    if not fixed.all():
-        sfx = _SFX + 2 * np.where(fixed, 0, np.where(nonfinite, 634 + (t != 0), decpt + 324))
-        rows += [sfx, sfx + 1]
-    return rows
-
-
 def _format(bits, width, start) -> bytes:
     """The bytes ``repr`` writes for each float64 bit pattern, each value
     followed by ``,`` or, at the end of a ``width``-value row, a newline;
-    ``start`` is the index of the first value in the matrix.  Each value is
-    laid out in fixed fields of 4-byte strings from the layout table, one
-    column per field row of :func:`_fields`; the blanks that pad the
-    fields are then deleted."""
-    rows = _fields(bits)
-    rows.append(_SEP + (np.arange(start + 1, start + bits.size + 1) % width == 0))
-    strings = _format_tables()[3]
-    text = np.empty((bits.size, len(rows)), np.uint32)
-    for j, row in enumerate(rows):
-        text[:, j] = strings[row]
-    del rows  # before the two copies of the text, to bound the memory
-    return text.tobytes().translate(None, b" ")
+    ``start`` is the index of the first value in the matrix.
+
+    Each value is built as a 32-byte record of four uint64 words, bytes in
+    text order.  Its shortest digits (:func:`_shortest`), left-aligned to
+    17 as f 10^(17 - len f), go to bytes 7..23 in ASCII, four at a time.
+    Its layout class (decimal point position, significant digits, sign)
+    selects two masks and a word that move the digits after the point one
+    byte on, cut those after the last significant one (but the 0 of
+    ``.0``), and put in the sign and ``0.000`` zeros (ending at byte 6),
+    the point and the separator; an exponent suffix is shifted in after
+    the digits.  As in ``repr``, the exponent form is taken when the point
+    falls 4 or more places before the first digit or more than 16 after
+    it.  The records' other bytes are zero and are deleted."""
+    _, p10, exponents, ascii4, layouts, suffixes = _format_tables()
+    n = bits.size
+    f, e = _shortest(bits)
+    special = np.flatnonzero(f == 0)
+    # f's digit count: its power of two's, or one more.  Below 2^53 the
+    # float64 exponent is exact; above, no power of ten lies close enough
+    # below a power of two for its rounding to matter.
+    d = exponents[0].take(f.astype(np.float64).view(np.int64) >> 52)
+    d += f >= p10.take(d)
+    decpt = e + d
+    f *= p10.take(17 - d)
+    head = f // 10 ** 8  # the first 9 digits; f keeps the last 8
+    f -= head * 10 ** 8
+    first = head // 10 ** 8
+    head -= first * 10 ** 8
+    rec = np.empty((n, 4), np.uint64)
+    np.left_shift(first.view(np.uint64) + 48, 56, out=rec[:, 0])
+    rec[:, 3] = 0
+    nd = np.ones(n, np.int64)
+    for w, v in ((1, head), (2, f)):
+        q = v // 10 ** 4
+        v -= q * 10 ** 4
+        np.bitwise_or(ascii4.take(q), ascii4.take(v) << 32, out=rec[:, w])
+        # The highest byte of the word that is not ASCII 0 holds its last
+        # significant digit.
+        last = (rec[:, w] ^ _ZEROS).astype(np.float64).view(np.int64) >> 52
+        np.maximum(nd, exponents[w].take(last), out=nd)
+    del f, e, d, head, first, q, v, last  # before the records' temporaries
+    c = np.clip(decpt, -4, 17)
+    c += 4
+    if special.size:  # zeros read 0.0 in class 4 (decpt 0); inf and nan get 22, 23
+        t = bits[special]
+        c[special] = np.where(t >> 52 & 0x7FF == 0x7FF, 22 + (t & 2 ** 52 - 1 != 0), 4)
+    c *= 36  # the row of the layout tables: class, digit count, sign
+    c += nd << 1
+    c += (bits >> 63).view(np.int64)
+    moved = np.empty_like(rec)  # the records' bytes, one place on
+    moved.view(np.uint8).reshape(-1)[1:] = rec.view(np.uint8).reshape(-1)[:-1]
+    rec &= layouts[0].take(c, axis=0)
+    moved &= layouts[1].take(c, axis=0)
+    rec |= moved
+    del moved
+    rec |= layouts[2].take(c, axis=0)
+    x = np.flatnonzero((decpt < -3) | (decpt > 16))  # zeros, inf and nan have decpt 0
+    if x.size:
+        sfx = suffixes.take(decpt[x] + 323)
+        at = nd[x] + (nd[x] > 1) + 7  # the record byte after the digits
+        i = x * 4 + (at >> 3)
+        shift = (at & 7).view(np.uint64) << 3
+        words = rec.reshape(-1)
+        words[i] |= sfx << shift
+        # Past a record's last word only zero bits remain.
+        i = np.minimum(i + 1, words.size - 1)
+        words[i] |= sfx >> 64 - shift
+    text = rec.view(np.uint8)  # a row's last value: its comma becomes a newline
+    ends = np.arange((-start - 1) % width, n, width)
+    last = text[ends]
+    last[last == 44] = 10
+    text[ends] = last
+    return rec.tobytes().translate(None, b"\0")
 
 
 # Correctly rounded decimals in numpy: the Eisel-Lemire algorithm
@@ -652,9 +716,9 @@ _CHUNK = 1 << 16
 def _parse_tables():
     """Built on the first read, read-only: 5^q for q in -342..308,
     normalized to 128 bits and cut as in Lemire's fast_float, as two uint64
-    rows (high and low word); 2^0..2^63; each byte's token rank (0 ``,``
-    or newline, 1 ``-``, 2 ``.``, 3 ``e``, 4 ``+``, 5 outside the grammar);
-    and the allowed token steps."""
+    rows (high and low word); each byte's token rank (0 ``,`` or newline,
+    1 ``-``, 2 ``.``, 3 ``e``, 4 ``+``, 5 outside the grammar); and the
+    allowed token steps."""
     t = np.empty((2, 651), np.uint64)
     for q in range(-342, 309):
         if q < 0:
@@ -665,7 +729,6 @@ def _parse_tables():
         else:
             c = 5 ** q << 128 >> (5 ** q).bit_length()
         t[:, q + 342] = c >> 64, c & _U64_MASK
-    pow2 = np.array([1 << i for i in range(64)], np.uint64)
     rank = np.full(256, 5, np.uint8)
     rank[list(b",\n-.e+")] = 0, 0, 1, 2, 3, 4
     # Indexed by previous rank << 4 | rank << 1 | (no digit in between):
@@ -675,9 +738,9 @@ def _parse_tables():
     for cur, prevs, adjacent in ((0, (0, 1, 2, 4), 0), (1, (0,), 1), (2, (0, 1), 0),
                                  (3, (0, 1, 2), 0), (4, (3,), 1)):
         steps[np.array(prevs) << 4 | cur << 1 | adjacent] = True
-    for table in (t, pow2, rank, steps):  # shared by every caller
+    for table in (t, rank, steps):  # shared by every caller
         table.flags.writeable = False
-    return t, pow2, rank, steps
+    return t, rank, steps
 
 
 def _mul128(a, b):
@@ -696,12 +759,17 @@ def _eisel_lemire(w, q, neg):
     subnormal or overflowing results.  With the 128-bit table no other
     value needs a fallback (Mushtak and Lemire, "Fast Number Parsing
     Without Fallback", 2023).  Takes over w and q."""
-    t, pow2 = _parse_tables()[:2]
+    t = _parse_tables()[0]
     slow = (w == 2 ** 63 - 1) | (w < 0) | (q < -342) | (q > 308)
     np.minimum(np.maximum(q, -342, out=q), 308, out=q)
     w = w.view(np.uint64)
     zero = w == 0
-    lz = 64 - np.searchsorted(pow2, w, side="right")  # w's leading zeros
+    # w's leading zeros: 63 - e, for e the float64 exponent of w | 1 (w's
+    # bit length less one, or one more where w rounded up to 2^e), and one
+    # more where w < 2^e, a zero w included.
+    e = ((w | 1).astype(np.float64).view(np.int64) >> 52) - 1023
+    lz = 63 - e + (w >> e.view(np.uint64) == 0)
+    del e
     w <<= lz.view(np.uint64)
     k = q + 342
     hi, lo = _mul128(w, t[0].take(k))
@@ -745,7 +813,7 @@ def _decimals(data, cut, width):
     points deleted, are parsed in C; q is a field's exponent minus its
     digits after the point, and the signs of the mantissas are read from
     the text, so that ``-0`` keeps its bit."""
-    rank, steps = _parse_tables()[2:]
+    rank, steps = _parse_tables()[1:]
     b = np.frombuffer(data, np.uint8, cut)
     # Token 0 stands for the line break before the chunk: position -1
     # reads the chunk's last byte, a newline.
@@ -827,10 +895,12 @@ def _read_fast(path, header: bool, response_col=None):
                 cap = max(n + rows, size * (n + rows) // done * 17 // 16 + 1)
                 for out in outs:
                     out.resize((cap,) + out.shape[1:], refcheck=False)
-            parts = ((values,) if response_col is None else
-                     (values[:, response_col], np.delete(values, response_col, axis=1)))
-            for out, part in zip(outs, parts):
-                out[n:n + rows] = part
+            if response_col is None:
+                outs[0][n:n + rows] = values
+            else:  # X takes the columns on either side of y's
+                outs[0][n:n + rows] = values[:, response_col]
+                outs[1][n:n + rows, :response_col] = values[:, :response_col]
+                outs[1][n:n + rows, response_col:] = values[:, response_col + 1:]
             n += rows
     if carry or not n:
         return None

@@ -43,16 +43,29 @@ def rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 
 def r2_score(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Coefficient of determination, 1 - SSE/SST."""
+    """Coefficient of determination, 1 - SSE/SST, in Python floats: an
+    SSE/SST beyond the float range gives -inf, with no warning."""
     y = np.asarray(y, dtype=float).ravel()
     y_hat = np.asarray(y_hat, dtype=float).ravel()
     if y.shape != y_hat.shape:
         raise ShapeError(f"length mismatch: {y.shape[0]} vs {y_hat.shape[0]}")
+    sst = _total_sum_of_squares(y)
+    sse = float(np.sum((y - y_hat) ** 2))
+    return 1.0 - sse / sst
+
+
+def _total_sum_of_squares(y: np.ndarray) -> float:
+    """SST, the sum of squared deviations of y from its mean; r2 is refused
+    when it is zero (a constant response) or subnormal, where it has lost
+    its relative precision and even an SSE of 1 overflows SSE/SST."""
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
         raise DegenerateInputError("r2 is undefined for a constant response")
-    sse = float(np.sum((y - y_hat) ** 2))
-    return 1.0 - sse / sst
+    if sst < np.finfo(float).tiny:
+        raise DegenerateInputError(
+            f"r2 is undefined for a response whose total sum of squares {sst!r} is subnormal"
+        )
+    return sst
 
 
 def _train_size(n: int, test_fraction: float) -> int:
@@ -167,13 +180,12 @@ def _predictions(path: NipalsPath, X: np.ndarray, models: list) -> tuple:
 def _rmsep_r2p(y: np.ndarray, pred: np.ndarray) -> tuple:
     """``rmse(y, row)`` and ``r2_score(y, row)`` for each row of ``pred``,
     bit for bit, as two lists: the same reductions, one per row, with the
-    total sum of squares taken once.  A constant ``y`` raises r2_score's
-    error."""
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        raise DegenerateInputError("r2 is undefined for a constant response")
+    total sum of squares taken once and divided by in Python floats, as
+    r2_score divides.  A ``y`` whose total sum of squares r2_score refuses
+    raises its error."""
+    sst = _total_sum_of_squares(y)
     sse = np.sum((y - pred) ** 2, axis=1)
-    return np.sqrt(sse / y.size).tolist(), (1.0 - sse / sst).tolist()
+    return np.sqrt(sse / y.size).tolist(), [1.0 - s / sst for s in sse.tolist()]
 
 
 # ---------------------------------------------------------------------------

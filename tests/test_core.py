@@ -1,6 +1,7 @@
 """Containers, deterministic randomness, and CSV round-trips."""
 
 import csv
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -538,6 +539,48 @@ def test_save_matrix_writes_the_layout_edges_as_repr_does(tmp_path, value, text)
     path = tmp_path / "x.csv"
     save_matrix(path, np.array([[value, value]]))
     assert path.read_text() == f"{text},{text}\n"
+
+
+def _decimal_layout(text):
+    """The decimal point position and significant digit count of a repr:
+    its value is 0.d1..dn 10^decpt."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    leading = len(digits) - len(digits.lstrip("0"))
+    return len(whole) - leading + int(exponent or 0), len(digits.strip("0"))
+
+
+def _layout_grid():
+    """For each decimal point position -5..18 (both switches to the
+    exponent form and every place of the point in 17 digits) and each
+    significant digit count 1..17, the first float from 0.123..  10^decpt
+    up whose repr has that layout."""
+    values = []
+    for decpt in range(-5, 19):
+        for nd in range(1, 18):
+            x = float(f"0.{'12345678912345678'[:nd]}e{decpt}")
+            while _decimal_layout(repr(x)) != (decpt, nd):
+                x = math.nextafter(x, math.inf)
+            values.append(x)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("block", [7, core_module._BLOCK])
+def test_writers_write_every_decimal_layout_as_repr_does(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(core_module, "_BLOCK", block)
+    values = _layout_grid()
+    X = np.concatenate((values, -values)).reshape(-1, 17)
+    texts = [[repr(float(v)) for v in row] for row in X]
+    assert {_decimal_layout(t) for row in texts for t in row} == {
+        (decpt, nd) for decpt in range(-5, 19) for nd in range(1, 18)}
+    assert sum(t.startswith("-") for row in texts for t in row) == values.size
+    want = "".join(",".join(row) + "\n" for row in texts)
+    path = tmp_path / "x.csv"
+    save_matrix(path, X)
+    assert path.read_text() == want
+    save_dataset(path, Dataset(X=X[:, 1:], y=X[:, 0]))
+    assert path.read_text() == want
 
 
 @pytest.mark.parametrize("block", [7, core_module._BLOCK])

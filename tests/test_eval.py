@@ -1,11 +1,12 @@
 """Metrics, splitting, cross-validation, and the privacy-utility sweep."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dppls import evaluate
 from dppls.core import Dataset, PrivacyBudget, RngStream
@@ -97,6 +98,10 @@ def test_r2_validation():
         r2_score([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ShapeError):
         r2_score([1.0, 2.0], [1.0])
+    # SST 1.3e-309 is subnormal; 2^-1021 is not.
+    with pytest.raises(DegenerateInputError, match="subnormal"):
+        r2_score([0.0, 5.188149624689684e-155], [0.0, 1.0])
+    assert r2_score([0.0, 2.0 ** -510], [0.0, 2.0 ** -510]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +405,29 @@ def test_scorer_equals_predict_bit_for_bit():
     assert errors == [failed, failed]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_rmsep_r2p_equal_rmse_and_r2_score_per_row(data):
-    t = data.draw(st.integers(1, 40), label="rows")
-    R = data.draw(st.integers(0, 6), label="models")
+@st.composite
+def _response_and_predictions(draw):
+    t = draw(st.integers(1, 40), label="rows")
+    R = draw(st.integers(0, 6), label="models")
     values = st.floats(-1e3, 1e3, allow_nan=False)
-    y = np.array(data.draw(st.lists(values, min_size=t, max_size=t), label="y"))
-    pred = np.array(data.draw(st.lists(st.lists(values, min_size=t, max_size=t),
-                                       min_size=R, max_size=R), label="pred")).reshape(R, t)
+    y = np.array(draw(st.lists(values, min_size=t, max_size=t), label="y"))
+    pred = np.array(draw(st.lists(st.lists(values, min_size=t, max_size=t),
+                                  min_size=R, max_size=R), label="pred")).reshape(R, t)
+    return y, pred
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_response_and_predictions())
+# A subnormal total sum of squares, where 1 / SST overflows.
+@example(case=(np.array([0.0, 5.188149624689684e-155]), np.array([[0.0, 1.0]])))
+# A normal SST that SSE / SST still overflows: -inf in both.
+@example(case=(np.array([0.0, 3e-153]), np.array([[0.0, 50.0]])))
+def test_rmsep_r2p_equal_rmse_and_r2_score_per_row(case):
+    y, pred = case
     try:
         r2_score(y, y)
-    except DegenerateInputError:  # zero total sum of squares
-        with pytest.raises(DegenerateInputError, match="constant response"):
+    except DegenerateInputError as exc:  # zero or subnormal total sum of squares
+        with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
             evaluate._rmsep_r2p(y, pred)
         return
     rmseps, r2ps = evaluate._rmsep_r2p(y, pred)
