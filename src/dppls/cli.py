@@ -12,6 +12,13 @@ format problems (CSV and model files), 4 shape mismatches, 5 numerical
 failures.  A command whose arithmetic overflows, divides by zero or
 produces an invalid value (NaN) stops with exit 5 and writes nothing
 further, rather than going on with non-finite numbers.
+
+Importing this module loads numpy, ``core`` and ``errors``, which every
+command uses.  A command's other names (``fit``, ``sweep``, ...) are
+module attributes bound on its first run, so ``simulate`` never
+compiles ``pls`` and ``preprocess`` never compiles ``mechanism``;
+replacing one, as in ``cli.fit = traced_fit``, before or after that run
+changes what the command calls.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import datagen
-from .attack import attack_and_score
 from .core import (
     Dataset,
     PrivacyBudget,
@@ -46,10 +51,27 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .evaluate import sweep
-from .mechanism import analytic_gaussian_sigma
-from .pls import FitConfig, fit, load_model, predict, save_model
-from .preprocess import parse_pipeline
+
+# Per command, the names it calls from the package's other modules.  main
+# binds them as attributes of this module before running the command.
+_CALLS = {
+    "simulate": ("datagen",),
+    "fit": ("analytic_gaussian_sigma", "FitConfig", "fit", "save_model"),
+    "predict": ("load_model", "predict"),
+    "attack": ("load_model", "FitConfig", "fit", "attack_and_score"),
+    "sweep": ("FitConfig", "sweep"),
+    "preprocess": ("parse_pipeline",),
+}
+_LAZY = frozenset(name for names in _CALLS.values() for name in names)
+
+
+def __getattr__(name):
+    # dppls.<name> imports the module that defines the name (PEP 562).
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -404,6 +426,9 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:  # cmd_<command> is looked up here, so replacing it takes effect
         cfg = _resolve(args)
+        for name in _CALLS[args.command]:  # a name already set is kept
+            if name not in globals():
+                __getattr__(name)
         # Underflow stays quiet: simulate's Gaussian tails underflow in exp.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
