@@ -91,6 +91,9 @@ core.save_matrix(sys.argv[1], datagen.gaussian_signal(100, datagen.UNIQUE_HOLDER
         --pipeline "sg:9,2,1|msc|center" --output preprocessed-header.csv
     dppls preprocess --input sim/combined.csv --matrix-only \
         --pipeline "sg:9,2,1|msc|center" --output preprocessed-matrix.csv
+    # The matrix writer with a header line: x0, x1, ... for every column.
+    dppls preprocess --input sim-header/combined.csv --header --matrix-only \
+        --pipeline "" --output matrix-header.csv
     dppls fit --input preprocessed-header.csv --header --k 3 --epsilon 1 --seed 7 \
         --output models/private-header.json
     dppls predict --model models/private-header.json --input preprocessed-header.csv \

@@ -365,7 +365,8 @@ def cmd_preprocess(cfg: dict) -> None:
     pipe = parse_pipeline(cfg["pipeline"])
     if cfg["matrix_only"]:
         X = pipe.fit_transform(load_matrix(cfg["input"], header=cfg["header"]))
-        save_matrix(_output(cfg), X)
+        save_matrix(_output(cfg), X,
+                    header=[f"x{j}" for j in range(X.shape[1])] if cfg["header"] else None)
     else:
         d = load_dataset(cfg["input"], response_col=cfg["response_col"],
                          header=cfg["header"])

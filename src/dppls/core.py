@@ -21,7 +21,8 @@ digits left-aligned and the rest put in with masks and shifts
 Files of finite values so written are read back in numpy too, with the
 Eisel-Lemire algorithm on the exact decimal mantissas (:func:`_read_fast`),
 others by numpy's ``loadtxt``; either way each cell gets the bits
-``float()`` gives it.
+``float()`` gives it.  Both directions rest on exact 64 x 64 -> 128-bit
+products of uint64 arrays, made by the one :func:`_mul128`.
 """
 
 from __future__ import annotations
@@ -490,24 +491,34 @@ _M32 = 0xFFFFFFFF
 _ZEROS = 0x3030303030303030  # eight ASCII zeros
 
 
+def _mul128(a, b):
+    """The high and low 64-bit words of the 128-bit products a b of uint64
+    arrays, exact for any words: the partial sums t and w stay below 2^64.
+    Both codecs use it: the writer for Schubfach's g (:func:`_shortest`),
+    the reader for Eisel-Lemire's powers of five (:func:`_eisel_lemire`)."""
+    a1, a0, b1, b0 = a >> 32, a & _M32, b >> 32, b & _M32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    w = (t & _M32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (w >> 32), a * b
+
+
 @functools.cache
 def _format_tables():
     """Built on the first write, read-only: Schubfach's 126-bit g for
-    10^-k, k in -324..292, as six uint64 rows (its high 63 bits, their
-    32-bit limbs, the limbs of its low 63 bits, those bits); 10^0..10^17;
-    per float64 exponent field, the digit count of that power of two and,
-    for a word of ASCII digits less ``0``, the number of the digit in its
-    highest nonzero byte when the word starts at the 2nd or the 10th digit;
-    the ASCII of 0000..9999 in the low half of a word; the
-    masks and the word of :func:`_format`'s records for each layout class,
-    significant digit count and sign; and the exponent suffixes with their
-    separator, ``e-324,``..``e+308,``."""
-    g = np.empty((6, 617), np.uint64)
+    10^-k, k in -324..292, as two uint64 rows, its high and its low 63 bits,
+    which :func:`_mul128` takes whole; 10^0..10^17; per float64 exponent
+    field, the digit count of that power of two and, for a word of ASCII
+    digits less ``0``, the number of the digit in its highest nonzero byte
+    when the word starts at the 2nd or the 10th digit; the ASCII of
+    0000..9999 in the low half of a word; the masks and the word of
+    :func:`_format`'s records for each layout class, significant digit
+    count and sign; and the exponent suffixes with their separator,
+    ``e-324,``..``e+308,``."""
+    g = np.empty((2, 617), np.uint64)
     for k in range(-324, 293):
         e, sh = -k, 125 - ((-k * 913124641741) >> 38)
         x = (10 ** max(e, 0) << max(sh, 0)) // (10 ** max(-e, 0) << max(-sh, 0)) + 1
-        g[:, k + 324] = (x >> 63, x >> 95, x >> 63 & _M32, x >> 32 & _M32 >> 1, x & _M32,
-                         x & _U64_MASK >> 1)
+        g[:, k + 324] = x >> 63, x & _U64_MASK >> 1
     p10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
     exponents = np.zeros((3, 1087), np.int8)
     exponents[0, 1023:] = [len(str(2 ** i)) for i in range(64)]
@@ -542,15 +553,6 @@ def _format_tables():
     for table in (g, p10, exponents, ascii4, layouts, suffixes):  # shared by every caller
         table.flags.writeable = False
     return g, p10, exponents, ascii4, layouts, suffixes
-
-
-def _mulhi(a1, a0, b1, b0):
-    """The high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit halves;
-    b1 is below 2^28, as a shifted significand's is, so a0 b1 needs no
-    split."""
-    p10 = a1 * b0
-    mid = (a0 * b0 >> 32) + a0 * b1 + (p10 & _M32)
-    return a1 * b1 + (p10 >> 32) + (mid >> 32)
 
 
 def _rop(hi, lo):
@@ -595,14 +597,9 @@ def _shortest(bits):
     q += ((-k * 913124641741) >> 38) + 2
     h = q.view(np.uint64)
     cp = c << h + 2
-    i = k + 324
-    c1, c0 = cp >> 32, cp & _M32
-    hi = _mulhi(g[1].take(i), g[2].take(i), c1, c0)
-    lo = _mulhi(g[3].take(i), g[4].take(i), c1, c0)
-    del c1, c0
-    ghi, glo = g[0].take(i), g[5].take(i)
-    hi, lo = (hi, ghi * cp), (lo, glo * cp)
-    del cp, i
+    ghi, glo = g.take(k + 324, axis=1)
+    hi, lo = _mul128(ghi, cp), _mul128(glo, cp)
+    del cp
     # 4v and the ends of its rounding interval, cp + 2^(h+1) and cp - 2^(h+1)
     # (2^h for an irregular spacing), in units of 10^k.  The ends' products
     # are vb's plus or minus g shifted.
@@ -741,15 +738,6 @@ def _parse_tables():
     for table in (t, rank, steps):  # shared by every caller
         table.flags.writeable = False
     return t, rank, steps
-
-
-def _mul128(a, b):
-    """The high and low 64-bit words of the 128-bit products a b; the high
-    word from 32-bit halves."""
-    a1, a0, b1, b0 = a >> 32, a & _M32, b >> 32, b & _M32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
 
 
 def _eisel_lemire(w, q, neg):

@@ -124,9 +124,12 @@ def msc(X: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
 
     Each row x is fit as x ~ a + b * reference by ordinary least squares
     and replaced with (x - a) / b.  Without an explicit reference the
-    column mean of X is used.
+    column mean of X is used.  Rows or a reference with NaN or infinite
+    entries raise DegenerateInputError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise DegenerateInputError("input contains NaN or infinite entries")
     n, m = X.shape
     if reference is None:
         if n < 2:
@@ -139,6 +142,8 @@ def msc(X: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
         raise ShapeError(
             f"reference has {reference.shape[0]} channels, rows have {m}"
         )
+    if not np.all(np.isfinite(reference)):
+        raise DegenerateInputError("reference contains NaN or infinite entries")
     ref_centered = reference - reference.mean()
     ref_var = float(ref_centered @ ref_centered)
     if ref_var <= 0.0:

@@ -671,13 +671,22 @@ def test_preprocess_dataset_round_trip(sim_dir, tmp_path):
 
 
 def test_preprocess_matrix_only(sim_dir, tmp_path):
+    X = load_dataset(sim_dir / "combined.csv").X[:6]
     matrix_path = tmp_path / "mat.csv"
-    save_matrix(matrix_path, load_dataset(sim_dir / "combined.csv").X[:6])
+    save_matrix(matrix_path, X)
     out = tmp_path / "smoothed.csv"
     assert cli.main(["preprocess", "--input", str(matrix_path),
                      "--output", str(out), "--pipeline", "sg:7,2,0",
                      "--matrix-only"]) == 0
     assert load_matrix(out).shape == (6, 60)
+    # With --header the output carries one too, x0..x59.
+    save_matrix(matrix_path, X, header=[f"c{j}" for j in range(60)])
+    assert cli.main(["preprocess", "--input", str(matrix_path),
+                     "--output", str(out), "--pipeline", "sg:7,2,0",
+                     "--matrix-only", "--header"]) == 0
+    assert out.read_text().split("\n", 1)[0] == ",".join(f"x{j}" for j in range(60))
+    expected = preprocess.parse_pipeline("sg:7,2,0").fit_transform(X)
+    np.testing.assert_array_equal(load_matrix(out, header=True), expected)
 
 
 def test_preprocess_airpls_keeps_an_all_zero_row(sim_dir, tmp_path):

@@ -749,6 +749,39 @@ def test_load_matrix_reads_a_long_numeric_cell(tmp_path):
     np.testing.assert_array_equal(load_matrix(path), [[1.0, 0.0], [2.0, 3.0]])
 
 
+def _floor_log2(x):
+    """floor(log2 x) of a positive Fraction, exactly."""
+    p, q = x.numerator, x.denominator
+    t = p.bit_length() - q.bit_length()
+    return t - ((p << max(-t, 0)) < (q << max(t, 0)))
+
+
+def test_mul128_and_schubfach_table_are_exact():
+    # The writer and the reader multiply with the one _mul128: its words are
+    # those of the product in Python integers, for the edge words and for
+    # random ones.
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+    pairs = np.array([(a, b) for a in edges for b in edges], dtype=np.uint64)
+    rng = np.random.default_rng(32)
+    pairs = np.concatenate((pairs, rng.integers(0, 2 ** 64, (10 ** 5, 2), np.uint64,
+                                                endpoint=False)))
+    hi, lo = core_module._mul128(pairs[:, 0], pairs[:, 1])
+    assert hi.dtype == lo.dtype == np.uint64
+    want = [divmod(a * b, 2 ** 64) for a, b in pairs.tolist()]
+    assert list(zip(hi.tolist(), lo.tolist())) == want
+    # Schubfach's g for 10^-k is floor(10^-k 2^s) + 1 with s such that
+    # 10^-k 2^s lies in [2^125, 2^126); the table keeps its high and low
+    # 63 bits.
+    g = core_module._format_tables()[0]
+    assert g.shape == (2, 617)
+    for k in range(-324, 293):
+        v = Fraction(10) ** -k
+        s = 125 - _floor_log2(v)
+        x = math.floor(v * Fraction(2) ** s) + 1
+        assert 2 ** 125 < x <= 2 ** 126
+        assert (int(g[0, k + 324]), int(g[1, k + 324])) == (x >> 63, x & 2 ** 63 - 1), k
+
+
 # ---------------------------------------------------------------------------
 # the fast reader
 # ---------------------------------------------------------------------------

@@ -186,6 +186,20 @@ def test_msc_degenerate_cases():
     flat = np.vstack([ref, np.full(ref.size, 4.0)])
     with pytest.raises(DegenerateInputError, match="row 1"):
         msc(flat, reference=ref)
+    # NaN fails both comparisons above, so non-finite entries are refused
+    # before them: in a row, with the mean or a given reference, and in a
+    # given reference.
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.vstack([ref, 2.0 * ref + 1.0])
+        X[1, 3] = bad
+        with pytest.raises(DegenerateInputError, match="input contains NaN or infinite"):
+            msc(X)
+        with pytest.raises(DegenerateInputError, match="input contains NaN or infinite"):
+            msc(X, reference=ref)
+        given = ref.copy()
+        given[3] = bad
+        with pytest.raises(DegenerateInputError, match="reference contains NaN or infinite"):
+            msc(np.vstack([ref, 2.0 * ref + 1.0]), reference=given)
 
 
 # ---------------------------------------------------------------------------
