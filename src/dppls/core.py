@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -92,7 +93,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+        if not np.isfinite(self.epsilon):
+            raise ArgumentError(f"epsilon must be finite, got {self.epsilon}")
+        if self.epsilon <= 0:
             raise ArgumentError(f"epsilon must be positive, got {self.epsilon}")
         if not (0 < self.delta < 1):
             raise ArgumentError(f"delta must lie in (0, 1), got {self.delta}")
@@ -237,11 +240,19 @@ class RngStream:
         return open_unit_of(self.raw_words(size))
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """``size`` draws uniform on [low, high): low, high and the width
+        high - low must be finite, and high above low."""
+        if not all(map(math.isfinite, (low, high, float(high) - float(low)))):
+            raise ArgumentError(
+                f"uniform requires finite bounds and width, got low {low}, high {high}")
         if not (high > low):
             raise ArgumentError("uniform requires high > low")
         return low + (high - low) * self._gen.random(size=size, dtype=np.float64)
 
     def permutation(self, n: int) -> np.ndarray:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ArgumentError(
+                f"permutation length must be an integer, got {type(n).__name__}")
         if n < 0:
             raise ArgumentError("permutation length must be nonnegative")
         return self._gen.permutation(n)

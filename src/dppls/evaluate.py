@@ -8,8 +8,9 @@ all of the dataset's rows; both protocols take their splits from those
 rows and fit the remaining steps on each training split only, replaying
 them on its held-out rows.  That leaks nothing: each row step's output
 row depends on its own input row alone, so the rows equal those of a
-per-split run bit for bit.  Each protocol releases all its models in
-one :func:`release_many` call and scores each split's models as one
+per-split run bit for bit.  Each protocol releases all its configs in
+one :func:`release_b` call, which returns their regression vectors as
+one array and builds no model, and scores each split's vectors as one
 stack (:func:`_predictions`), with the bits a per-model predict() gives.
 All randomness (splits, shuffles, noise) comes from substreams of the
 caller's RngStream with fixed indices, which makes every report
@@ -19,7 +20,7 @@ reproducible from one master seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .core import Dataset, PrivacyBudget, RngStream, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from .mechanism import analytic_gaussian_sigma
-from .pls import FitConfig, NipalsPath, nipals_path, release_many
+from .pls import FitConfig, NipalsPath, nipals_path, release_b
 from .preprocess import Pipeline, parse_pipeline
 
 
@@ -152,26 +153,21 @@ class EvalReport:
             writer.writerows([e.get(col) for col in _CSV_COLUMNS] for e in self.entries)
 
 
-def _predictions(path: NipalsPath, X: np.ndarray, models: list) -> tuple:
-    """predict() for the entries of release_many on ``path``, as one stack.
+def _predictions(path: NipalsPath, X: np.ndarray, B: np.ndarray, errors: list) -> tuple:
+    """predict() for the rows of release_b on ``path``, as one stack.
 
-    Returns an array whose row r is ``predict(models[r], X)`` bit for bit,
-    and per entry None or the error predict() would raise: the DpplsError
-    the entry holds, else predict's error when ``X`` holds NaN or infinite
-    entries (the array is then None).  A failed entry's row holds no
-    meaning.  Every model of a path shares its means, so ``X`` is checked
-    and centred once, and the models' b vectors take one ``np.matmul``:
-    each of its slices is the matrix-vector product that predict's
-    ``Xc @ b`` makes.
+    Returns an array whose row r is ``predict(model, X)`` bit for bit for
+    the model whose b is ``B[r]``, and per row None or the error predict()
+    would raise: ``errors[r]``, else predict's error when ``X`` holds NaN
+    or infinite entries (the array is then None).  A failed row's
+    prediction holds no meaning.  Every release of a path shares its
+    means, so ``X`` is checked and centred once, and the b vectors take
+    one ``np.matmul``: each of its slices is the matrix-vector product
+    that predict's ``Xc @ b`` makes.
     """
-    errors = [model if isinstance(model, DpplsError) else None for model in models]
     if not np.all(np.isfinite(X)):
         error = DegenerateInputError("X_new contains NaN or infinite entries")
         return None, [e or error for e in errors]
-    B = np.zeros((len(models), path.x_means.size))
-    for row, model, error in zip(B, models, errors):
-        if error is None:
-            row[:] = model.b
     pred = np.matmul(X - path.x_means, B[:, :, None])[:, :, 0]
     pred += path.y_mean
     return pred, errors
@@ -273,11 +269,11 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
     path up to the largest grid k (at most min(n-1, m)); every grid point
     is a release of that path.  Every fold's path and held-out rows are
     built first, and then all folds x grid points are released in one
-    :func:`release_many` call, fold-major; a fold that fails to build
+    :func:`release_b` call, fold-major; a fold that fails to build
     fails every grid point, and nothing is released.  A private grid
     point gi draws its noise from ``rng.derive(gi, fold)``; a clean one
-    draws nothing, and no stream is derived for it.  Each fold's models
-    predict its held-out rows as one stack (:func:`_predictions`), which
+    draws nothing, and no stream is derived for it.  Each fold's b
+    vectors predict its held-out rows as one stack (:func:`_predictions`), which
     are checked and centred once.  RMSECV pools the squared errors of
     all held-out samples: each grid point's rows of every fold, in fold
     order.
@@ -314,15 +310,15 @@ def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: 
             break
         splits.append((path, X_test, d.y[test_idx]))
 
-    models = release_many([
-        (path, cfg if cfg.privacy is None else replace(cfg, rng=rng.derive(gi, fold_i)))
+    B, released = release_b([
+        (path, cfg.k, cfg.privacy, None if cfg.privacy is None else rng.derive(gi, fold_i))
         for fold_i, (path, _, _) in enumerate(splits)
         for gi, cfg in enumerate(grid)
     ])
     fold_errors = []  # per fold, one row of squared errors per grid point
     for fold_i, (path, X_test, y_test) in enumerate(splits):
-        pred, errors = _predictions(
-            path, X_test, models[fold_i * len(grid):(fold_i + 1) * len(grid)])
+        rows = slice(fold_i * len(grid), (fold_i + 1) * len(grid))
+        pred, errors = _predictions(path, X_test, B[rows], released[rows])
         fold_errors.append(None if pred is None else (y_test - pred) ** 2)
         for gi, error in enumerate(errors):
             if error is not None:
@@ -351,20 +347,16 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
 
     The ``fitted`` steps are fitted on the training rows and replayed on
     the test rows.  One clean NIPALS path of the training set serves
-    every fit, released in one :func:`release_many` call: as ``base``,
+    every fit, released in one :func:`release_b` call: at ``base.k``,
     without noise, for the baseline row, which is always included, then
     ``repeats`` times per budget with noise substreams
-    ``rng.derive(ei, rep)``.  All the models predict the test set as one
-    stack (:func:`_predictions`); RMSEP and R2 are reduced per model with
+    ``rng.derive(ei, rep)``.  All the b vectors predict the test set as
+    one stack (:func:`_predictions`); RMSEP and R2 are reduced per row with
     the total sum of squares taken once, recorded per repeat and
     aggregated as mean with standard error.  No budgets yield the
     baseline only.
     """
     k = base.k
-    cfgs = [base] + [
-        replace(base, privacy=budget, rng=rng.derive(ei, rep))
-        for ei, budget in enumerate(budgets) for rep in range(repeats)
-    ]
     train_ds = Dataset(X=fitted.fit_transform(train.X), y=train.y)
     X_test = fitted.transform(test.X)
 
@@ -386,7 +378,10 @@ def _privacy_utility_sweep(train: Dataset, test: Dataset, base: FitConfig,
         )
 
     path = nipals_path(train_ds, k)
-    pred, errors = _predictions(path, X_test, release_many([(path, cfg) for cfg in cfgs]))
+    pred, errors = _predictions(path, X_test, *release_b([(path, k, None, None)] + [
+        (path, k, budget, rng.derive(ei, rep))
+        for ei, budget in enumerate(budgets) for rep in range(repeats)
+    ]))
     if errors[0] is not None:
         raise errors[0]
     rmseps, r2ps = _rmsep_r2p(test.y, pred)

@@ -25,6 +25,11 @@ most ``_MAX_ULP_STEPS`` times before raising NumericalError.  Over 20,000
 random calibrations (sensitivity 1e-4..1e4, epsilon 0.01..1000, delta
 1e-10..0.3) no step was needed, and the scaled sigma was within 1.3e-15
 relative of a bisection run at the sensitivity itself.
+:func:`analytic_gaussian_sigmas` calibrates a sequence of sensitivities
+under one budget, each with those operations, and
+:func:`analytic_gaussian_sigma` is its one-value case.  The profile's
+arithmetic is one function, which :func:`gaussian_privacy_profile` calls
+after checking its arguments.
 
 The analytic profile is that of Balle & Wang, "Improving the Gaussian
 Mechanism for Differential Privacy" (ICML 2018).  It needs Phi, the
@@ -45,10 +50,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError, ShapeError
+from .errors import ArgumentError, DpplsError, NumericalError, ShapeError
 from .core import PrivacyBudget
 
 # Bisection control for analytic calibration.  Halving a bracket no
@@ -156,6 +162,12 @@ def gaussian_privacy_profile(sigma: float, delta_f: float, epsilon: float) -> fl
     for name, v in (("sigma", sigma), ("delta_f", delta_f), ("epsilon", epsilon)):
         if not math.isfinite(v) or v <= 0:
             raise ArgumentError(f"{name} must be finite and positive, got {v}")
+    return _profile(sigma, delta_f, epsilon)
+
+
+def _profile(sigma: float, delta_f: float, epsilon: float) -> float:
+    """The privacy profile's arithmetic, for arguments known to be finite
+    and positive."""
     a = delta_f / (2.0 * sigma) - epsilon * sigma / delta_f
     b = -delta_f / (2.0 * sigma) - epsilon * sigma / delta_f
     log_second = epsilon + _log_ndtr(b)
@@ -206,37 +218,63 @@ def _unit_sigma(epsilon: float, delta: float) -> float:
     return _bisect_sigma(1.0, epsilon, delta)
 
 
-def analytic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:
-    """Minimal Gaussian noise scale meeting ``budget`` for sensitivity
-    ``delta_f``, found by inverting the privacy profile.
+def analytic_gaussian_sigmas(delta_f: Sequence[float], budget: PrivacyBudget) -> tuple:
+    """Minimal Gaussian noise scales meeting ``budget`` for a sequence of
+    sensitivities, found by inverting the privacy profile.
+
+    Returns an array of sigmas and None, or, where a sensitivity fails,
+    the sigmas of those before it and the DpplsError it raised: a
+    sensitivity that is negative or not finite, a budget whose bisection
+    cannot converge in floats (NumericalError naming it), or a sigma
+    that no ulp step makes feasible.
 
     A zero sensitivity needs no noise and yields sigma 0.  Otherwise sigma
     is delta_f * r, where r is the sigma bisected at sensitivity 1 to
     relative tolerance 1e-9 (the feasible end of the final bracket) and
-    cached per (epsilon, delta); a budget whose bisection cannot converge
-    in floats raises NumericalError naming it.  The profile at delta_f * r
-    is then evaluated once more; where rounding puts it above delta, sigma
-    steps up one ulp at a time until it is not.  So the profile as
-    computed never exceeds delta at the returned sigma.  The exact profile
-    can exceed delta by at most the computed one's error, which comes from
-    two terms that nearly cancel near the calibrated sigma: against a
-    50-digit evaluation it was at most 4.6e-17 absolute at delta 0.01 and
-    epsilon 1 to 100, and at most 1.1e-15 (1e-11 of delta) over 2,000
-    random calibrations (sensitivity 1e-4..1e4, epsilon 0.01..1000, delta
-    1e-10..0.3).
+    cached per (epsilon, delta), looked up once per call.  The profile at
+    delta_f * r is then evaluated once more; where rounding puts it above
+    delta, sigma steps up one ulp at a time until it is not, at most
+    ``_MAX_ULP_STEPS`` times.  So the profile as computed never exceeds
+    delta at a returned sigma.  The exact profile can exceed delta by at
+    most the computed one's error, which comes from two terms that nearly
+    cancel near the calibrated sigma: against a 50-digit evaluation it
+    was at most 4.6e-17 absolute at delta 0.01 and epsilon 1 to 100, and
+    at most 1.1e-15 (1e-11 of delta) over 2,000 random calibrations
+    (sensitivity 1e-4..1e4, epsilon 0.01..1000, delta 1e-10..0.3).
     """
-    if not np.isfinite(delta_f) or delta_f < 0:
-        raise ArgumentError(f"sensitivity must be finite and nonnegative, got {delta_f}")
-    if delta_f == 0.0:
-        return 0.0
-
     eps, delta = budget.epsilon, budget.delta
-    sigma = delta_f * _unit_sigma(eps, delta)
-    for _ in range(_MAX_ULP_STEPS):
-        if gaussian_privacy_profile(sigma, delta_f, eps) <= delta:
-            return float(sigma)
-        sigma = math.nextafter(sigma, math.inf)
-    raise NumericalError(
-        f"privacy profile stays above delta {_MAX_ULP_STEPS} ulps past the "
-        f"scaled unit sigma (sensitivity {delta_f}, epsilon {eps})"
-    )
+    sigmas, unit = [], None
+    try:
+        for s in delta_f:
+            if not 0.0 <= s < math.inf:
+                raise ArgumentError(f"sensitivity must be finite and nonnegative, got {s}")
+            if s == 0.0:
+                sigmas.append(0.0)
+                continue
+            if unit is None:
+                unit = _unit_sigma(eps, delta)
+            sigma = s * unit
+            for _ in range(_MAX_ULP_STEPS):
+                # gaussian_privacy_profile's check; s and eps are valid already.
+                if not 0.0 < sigma < math.inf:
+                    raise ArgumentError(f"sigma must be finite and positive, got {sigma}")
+                if _profile(sigma, s, eps) <= delta:
+                    break
+                sigma = math.nextafter(sigma, math.inf)
+            else:
+                raise NumericalError(
+                    f"privacy profile stays above delta {_MAX_ULP_STEPS} ulps past the "
+                    f"scaled unit sigma (sensitivity {s}, epsilon {eps})")
+            sigmas.append(sigma)
+    except DpplsError as exc:
+        return np.array(sigmas), exc
+    return np.array(sigmas), None
+
+
+def analytic_gaussian_sigma(delta_f: float, budget: PrivacyBudget) -> float:
+    """The sigma :func:`analytic_gaussian_sigmas` gives ``delta_f`` under
+    ``budget``; raises its error."""
+    sigmas, error = analytic_gaussian_sigmas((delta_f,), budget)
+    if error is not None:
+        raise error
+    return float(sigmas[0])

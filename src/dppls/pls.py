@@ -19,11 +19,15 @@ component's residual suprema, and every calibration budgets the full
 (epsilon, delta) for its own release.  A private release logs each
 released component's calibrations, in ``CALIBRATION_TARGETS`` order,
 and none for a component the recursion stopped on: no noise is drawn for
-it.  Each :func:`release_many` call memoizes them per path and budget;
-the path holds none.  The noisy scores are calibrated, drawn and logged
-like the other releases, but no model holds them and b reads none, so
-they are never built: their draws are dropped before the normal
-transform.  Dropping a release is post-processing, so each remaining
+it.  Each release call calibrates each (path, budget) once, through the
+deepest component a config releases: the components' (y r, r, y)
+sensitivities go to :func:`analytic_gaussian_sigmas` as one array, whose
+(components x 3) sigmas, widened to the four targets, scale the noise.
+The path holds none of them.  Log entries (NoiseCalibration records) are
+built from those arrays only for a caller that receives a model.  The
+noisy scores are calibrated, drawn and logged like the other releases,
+but no model holds them and b reads none, so they are never built:
+their draws are dropped before the normal transform.  Dropping a release is post-processing, so each remaining
 release keeps its own guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
@@ -53,7 +57,10 @@ layout, that np.linalg.norm, P.T @ W and np.linalg.solve run on one
 config's vectors, so every model equals that per-config release bit for
 bit.  A config that fails gets its own error without touching the
 others' draws or models.  :func:`fit` is ``release(nipals_path(d, cfg.k),
-cfg)``.
+cfg)``.  :func:`release_b` releases ``(path, k, budget, stream)`` jobs the
+same way and returns only their stacked b vectors and errors, with no
+model, log or config built per job: the sweep's protocols read nothing
+else.
 
 Note the intentional scale asymmetry inherited from the method: the
 weight sensitivity is that of the unnormalized covariance E^T f, yet the
@@ -88,7 +95,12 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .mechanism import SampleBounds, analytic_gaussian_sigma, sample_bounds
+from .mechanism import (
+    SampleBounds,
+    analytic_gaussian_sigma,
+    analytic_gaussian_sigmas,
+    sample_bounds,
+)
 
 # Condition number beyond which the k x k loading system is treated as
 # singular; roughly machine epsilon times a safety margin.
@@ -238,30 +250,32 @@ def nipals_path(d: Dataset, k_max: int) -> NipalsPath:
                       bounds=bounds, x_means=x_means, y_mean=y_mean, k_max=k_max)
 
 
-def _component_calibrations(bounds: SampleBounds, budget: PrivacyBudget) -> list:
-    """One component's four calibrations under ``budget``, in
-    CALIBRATION_TARGETS order.  The scores and the x-loadings share r, so
-    each distinct sensitivity is calibrated once: three sigmas, not four."""
-    sensitivities = bounds.sensitivities
-    sigmas = {s: analytic_gaussian_sigma(s, budget) for s in dict.fromkeys(sensitivities)}
-    return [NoiseCalibration(sensitivity=s, sigma=sigmas[s], target=target)
-            for target, s in zip(CALIBRATION_TARGETS, sensitivities)]
+# The column of a component's (y r, r, y) sigmas that each of
+# CALIBRATION_TARGETS takes: the scores and the x-loadings share r.
+_TARGET_COLUMNS = (0, 1, 1, 2)
 
 
-def _calibrate(path: NipalsPath, cfg: FitConfig, memo: dict) -> list:
-    """Check cfg against the path; the calibrations of the components it
-    releases, the first 4k of its budget's log in ``memo``."""
-    if cfg.privacy is not None and cfg.rng is None:
-        raise ConfigurationError("a privacy budget requires an rng stream")
-    if cfg.k > path.k_max:
-        raise ArgumentError(f"k={cfg.k} exceeds the path's {path.k_max} components")
-    if cfg.privacy is None:
-        return []
-    k = min(cfg.k, len(path.bounds))
-    log = memo.setdefault(cfg.privacy, [])
-    for bounds in path.bounds[len(log) // 4:k]:
-        log.extend(_component_calibrations(bounds, cfg.privacy))
-    return log[:4 * k]
+def _calibrate(bounds: list, budget: PrivacyBudget) -> tuple:
+    """The calibrations of every component of ``bounds`` under ``budget``:
+    (components x 4) sensitivities and sigmas in CALIBRATION_TARGETS
+    order, and None or the error of the first component whose
+    calibration failed.  The sigmas then hold only the components before
+    that one.  The components' (y r, r, y) sensitivities are calibrated
+    in one analytic_gaussian_sigmas call: three sigmas a component, not
+    four."""
+    sens = np.array([b.sensitivities for b in bounds]).reshape(-1, 4)
+    sigmas, error = analytic_gaussian_sigmas(sens[:, (0, 1, 3)].ravel().tolist(), budget)
+    done = sigmas.size // 3
+    return sens, sigmas[:3 * done].reshape(done, 3)[:, _TARGET_COLUMNS], error
+
+
+def _calibration_log(table: tuple) -> list:
+    """The NoiseCalibrations of the calibrated components of a
+    ``_calibrate`` table, four a component."""
+    sens, sigmas, _ = table
+    return [NoiseCalibration(sensitivity=s, sigma=sigma, target=target)
+            for s, sigma, target in zip(sens.ravel().tolist(), sigmas.ravel().tolist(),
+                                        CALIBRATION_TARGETS * len(sigmas))]
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -271,45 +285,47 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
 
 
-def _release_group(jobs: list, k: int, logs: list) -> list:
-    """The models of R (path, config) jobs that release k components each
-    from paths of one channel count m, given each config's calibrations;
-    the private configs, those with calibrations, come first.  A config
-    whose solve fails gets its error instead.
+def _release_group(jobs: list, k: int, sigmas: list) -> tuple:
+    """The releases of R (path, k, budget, stream) jobs that release k
+    components each from paths of one channel count m, given each
+    private job's (k x 4) sigmas and None for a clean one; the private
+    jobs come first.  Returns the stacked W and P (R x m x k), c (R x k),
+    b (R x m) and, per job, None or the SingularSystemError of its solve,
+    whose row of b is zero.
 
-    Each private config draws its k (2m + n + 1) words, n its own path's
+    Each private job draws its k (2m + n + 1) words, n its own path's
     row count, and keeps those of w, p and c; they are gathered in the
     noise buffer itself and mapped to normals in place, in blocks of
     ``_MAP_BLOCK`` values.  Each component's w, p and c gets sigma times
-    the next segment of its config's normals, scaled in place one
-    segment at a time, or zeros when the config is clean.  The first k
-    rows of each config's own path's ``releases`` are then added: IEEE
-    addition commutes.  The noisy weights are then scaled to unit length.
+    the next segment of its job's normals, scaled in place one segment
+    at a time by one stacked array of the jobs' sigmas, or zeros when the
+    job is clean.  The first k rows of each job's own path's
+    ``releases`` are then added: IEEE addition commutes.  The noisy
+    weights are then scaled to unit length.
     """
     m = jobs[0][0].sizes[0]
     R, width = len(jobs), 2 * m + 1
-    private = sum(map(bool, logs))
+    private = sum(sigma is not None for sigma in sigmas)
     noisy = np.zeros((R, k, width))
     if private:
         words = noisy[:private].view(np.uint64)
-        for dst, (path, cfg) in zip(words, jobs):
-            raw = cfg.rng.raw_words(k * sum(path.sizes)).reshape(k, -1)
+        for dst, (path, _, _, rng) in zip(words, jobs):
+            raw = rng.raw_words(k * sum(path.sizes)).reshape(k, -1)
             dst[:, :m], dst[:, m:] = raw[:, :m], raw[:, m + path.sizes[1]:]
         flat, words = noisy.reshape(-1), words.reshape(-1)
         for at in range(0, words.size, _MAP_BLOCK):
             block = words[at:at + _MAP_BLOCK]
             flat[at:at + block.size] = norm_ppf(open_unit_of(block))
-        # The scores' sigmas (index 1) scale nothing: their noise is not drawn.
-        sigma = np.array([[cal.sigma for cal in log] for log in logs[:private]])
-        sigma = sigma.reshape(private, k, 4)
+        # The scores' sigmas (column 1) scale nothing: their noise is not drawn.
+        sigma = np.array(sigmas[:private])
         head = noisy[:private]
         head[..., :m] *= sigma[..., 0, None]
         head[..., m:2 * m] *= sigma[..., 2, None]
         head[..., -1] *= sigma[..., 3]
-    for rows, (path, _) in zip(noisy, jobs):
+    for rows, (path, *_) in zip(noisy, jobs):
         rows += path.releases[:k]
 
-    # Each config's W and P as a C-ordered m x k block, the layout of one
+    # Each job's W and P as a C-ordered m x k block, the layout of one
     # model's matrices, so that the stacked products make the BLAS calls
     # that P.T @ W and W @ z make on one model.
     W, P = (
@@ -318,49 +334,109 @@ def _release_group(jobs: list, k: int, logs: list) -> list:
     )
     c = noisy[:, :, -1].copy()
     b, singular = _solve_loading_system(W, P, c)
-    return [
-        singular[r] or PlsModel(
-            W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
-            y_mean=path.y_mean, privacy=cfg.privacy,
-            calibration_log=logs[r], early_stop=cfg.k > k,
-            rng_seed=cfg.rng.seed if cfg.rng is not None else None,
-            rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
-        )
-        for r, (path, cfg) in enumerate(jobs)
-    ]
+    return W, P, c, b, singular
+
+
+def _release_stacks(jobs: Sequence[tuple]) -> tuple:
+    """Check, calibrate and release (path, k, budget, stream) jobs.
+
+    Returns, per job, None or the DpplsError it raised; the calibration
+    table of each (path, budget) a private job releases components of;
+    and per stack, its jobs' indexes, k and _release_group's W, P, c and
+    b.  Each (path, budget) is calibrated once, through the most
+    components a job releases under it; a calibration that fails at
+    component j fails the jobs that release j components or more, and
+    only those.  Jobs that release the same k from paths of the same
+    channel count form one stack.
+    """
+    errors = [None] * len(jobs)
+    checked = []  # (index, released k) of each job that passes its checks
+    depth: dict = {}  # (path, budget) -> the most components a job releases
+    for i, (path, k, budget, rng) in enumerate(jobs):
+        if budget is not None and rng is None:
+            errors[i] = ConfigurationError("a privacy budget requires an rng stream")
+        elif k > path.k_max:
+            errors[i] = ArgumentError(f"k={k} exceeds the path's {path.k_max} components")
+        else:
+            k = min(k, len(path.bounds))
+            checked.append((i, k))
+            if budget is not None and k > depth.get((path, budget), 0):
+                depth[path, budget] = k
+    tables = {key: _calibrate(key[0].bounds[:k], key[1]) for key, k in depth.items()}
+    groups: dict = {}  # (channel count, released k) -> [(index, sigmas or None)]
+    for i, k in checked:
+        path, _, budget, _ = jobs[i]
+        sigmas = None
+        if budget is not None and k:
+            _, sigmas, error = tables[path, budget]
+            if len(sigmas) < k:
+                errors[i] = error
+                continue
+            sigmas = sigmas[:k]
+        groups.setdefault((path.sizes[0], k), []).append((i, sigmas))
+    stacks = []
+    for (_, k), group in groups.items():
+        group.sort(key=lambda entry: entry[1] is None)  # private jobs first, in order
+        index, sigmas = zip(*group)
+        W, P, c, b, singular = _release_group([jobs[i] for i in index], k, sigmas)
+        for i, error in zip(index, singular):
+            errors[i] = error
+        stacks.append((index, k, W, P, c, b))
+    return errors, tables, stacks
 
 
 def release_many(jobs: Sequence[tuple]) -> list:
     """Release each ``(path, cfg)`` job; one entry per job, in order: its
     model, or the DpplsError it raised.
 
-    Calibrations are memoized per path and budget within the call.  Each
-    private config draws its k (2m + n + 1) words from its own stream, as
-    :func:`release` would, scores included, and only its w, p and c words
-    are mapped to normals.  Jobs that release the same number of components
-    from paths of the same channel count are assembled and solved together,
-    as one stack, whatever their paths' row counts; each config's clean
-    rows, means and draws come from its own path.  A config that fails its
-    checks, calibration or solve takes no draws from the others' streams
-    and leaves their models unchanged.
+    Each (path, budget) is calibrated once within the call, through the
+    deepest component a config releases under it, in one array.  Each
+    private config draws its k (2m + n + 1)
+    words from its own stream, as :func:`release` would, scores included,
+    and only its w, p and c words are mapped to normals.  Jobs that
+    release the same number of components from paths of the same channel
+    count are assembled and solved together, as one stack, whatever their
+    paths' row counts; each config's clean rows, means and draws come from
+    its own path.  A config that fails its checks, calibration or solve
+    takes no draws from the others' streams and leaves their models
+    unchanged.  The calibration logs are built from the arrays the noise
+    was scaled by, once per (path, budget); each model holds the first 4k
+    entries.
     """
-    out: list = [None] * len(jobs)
-    memos: dict = {}  # path -> {budget: calibrations of the leading components}
-    groups: dict = {}  # (channel count, released k) -> [(index, calibrations)]
-    for i, (path, cfg) in enumerate(jobs):
-        try:
-            log = _calibrate(path, cfg, memos.setdefault(path, {}))
-        except DpplsError as exc:
-            out[i] = exc
-            continue
-        key = (path.sizes[0], min(cfg.k, len(path.bounds)))
-        groups.setdefault(key, []).append((i, log))
-    for (_, k), group in groups.items():
-        group.sort(key=lambda entry: not entry[1])  # private configs first, in order
-        index, logs = zip(*group)
-        for i, model in zip(index, _release_group([jobs[i] for i in index], k, logs)):
-            out[i] = model
+    errors, tables, stacks = _release_stacks(
+        [(path, cfg.k, cfg.privacy, cfg.rng) for path, cfg in jobs])
+    logs = {key: _calibration_log(table) for key, table in tables.items()}
+    out = list(errors)
+    for index, k, W, P, c, b in stacks:
+        for r, i in enumerate(index):
+            if errors[i] is not None:
+                continue
+            path, cfg = jobs[i]
+            out[i] = PlsModel(
+                W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
+                y_mean=path.y_mean, privacy=cfg.privacy,
+                calibration_log=logs[path, cfg.privacy][:4 * k] if k and cfg.privacy else [],
+                early_stop=cfg.k > k,
+                rng_seed=cfg.rng.seed if cfg.rng is not None else None,
+                rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
+            )
     return out
+
+
+def release_b(jobs: Sequence[tuple]) -> tuple:
+    """The regression vectors of ``(path, k, budget, stream)`` jobs, from
+    paths of one channel count m, with no model built.
+
+    Returns an R x m array whose row r is b of the model that
+    :func:`release_many` gives ``(path, FitConfig(k, budget, stream))``,
+    bit for bit, from the same draws, and per job None or the DpplsError
+    release_many would give it; a failed job's row is zero.
+    """
+    errors, _, stacks = _release_stacks(jobs)
+    B = np.zeros((len(jobs), jobs[0][0].sizes[0] if jobs else 0))
+    for index, _, _, _, _, b in stacks:
+        B[list(index)] = b
+    return B, errors
 
 
 def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:

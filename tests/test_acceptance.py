@@ -100,9 +100,9 @@ def test_criterion_01_baseline_matches_textbook_nipals():
 
 def test_criterion_02_zero_noise_is_bit_identical(monkeypatch):
     def zero_noise(delta_f, budget):
-        return 0.0
+        return np.zeros(len(delta_f)), None
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", zero_noise)
     identical = True
     for i in range(20):
         rng = RngStream(2000 + i)

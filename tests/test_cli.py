@@ -413,13 +413,16 @@ def test_refused_sweep_leaves_no_report(sim_dir, tmp_path, protocol_calls, flags
     (["--repeats", "0"], "repeats must be at least 1, got 0"),
     (["--k-max", "0"], "--k-max must be at least 1, got 0"),
     (["--epsilons", "-1"], "epsilon must be positive, got -1.0"),
+    (["--epsilons", "inf"], "epsilon must be finite, got inf"),
+    (["--epsilons", "nan"], "epsilon must be finite, got nan"),
     (["--folds", "1"], "folds must lie in [2, n=60], got 1"),
     (["--folds", "500"], "folds must lie in [2, n=60], got 500"),
     (["--k", "500"], "k=500 exceeds min(n-1, m)=41 for this dataset"),
     (["--test-fraction", "0.99"],
      "split of 60 samples at fraction 0.99 leaves 1 train / 59 test; "
      "need at least 2 on each side"),
-], ids=["repeats", "k-max", "epsilons", "folds-1", "folds-500", "k", "test-fraction"])
+], ids=["repeats", "k-max", "epsilons", "epsilons-inf", "epsilons-nan", "folds-1",
+        "folds-500", "k", "test-fraction"])
 def test_refused_sweep_maps_no_row_and_runs_no_protocol(sim_dir, tmp_path, capsys, monkeypatch,
                                                         protocol_calls, flags, message):
     rows = []

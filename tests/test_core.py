@@ -225,6 +225,12 @@ def test_uniform_range_and_validation():
     assert u.min() >= 2.0 and u.max() < 5.0
     with pytest.raises(ArgumentError):
         rng.uniform(1.0, 1.0, 10)
+    # Infinite bounds, and finite bounds whose width overflows, are refused
+    # before any draw: no nan, infinity or overflow warning comes back.
+    for low, high in ((-np.inf, 0.0), (0.0, np.inf), (-1e308, 1e308), (np.nan, 1.0)):
+        with pytest.raises(ArgumentError, match="finite bounds and width"):
+            rng.uniform(low, high, 3)
+    np.testing.assert_array_equal(rng.uniform(2.0, 5.0, 4), RngStream(3).uniform(2.0, 5.0, 1004)[1000:])
 
 
 def test_permutation_is_a_permutation():
@@ -233,6 +239,11 @@ def test_permutation_is_a_permutation():
     np.testing.assert_array_equal(p, RngStream(1).permutation(50))
     with pytest.raises(ArgumentError):
         RngStream(1).permutation(-1)
+    # A length that is not an integer, or is a bool, is refused by name.
+    for bad, name in ((3.5, "float"), (True, "bool"), (np.float64(3.0), "float64")):
+        with pytest.raises(ArgumentError, match=f"must be an integer, got {name}"):
+            RngStream(1).permutation(bad)
+    np.testing.assert_array_equal(RngStream(1).permutation(np.int64(50)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dppls import evaluate
-from dppls.core import Dataset, PrivacyBudget, RngStream
+from dppls.core import Dataset, NoiseCalibration, PlsModel, PrivacyBudget, RngStream
 from dppls.errors import (
     ArgumentError,
     ConfigurationError,
@@ -20,7 +20,7 @@ from dppls.errors import (
     SingularSystemError,
 )
 from dppls.evaluate import EvalReport, r2_score, rmse, sweep, train_test_split
-from dppls.pls import FitConfig, fit, nipals_path, predict, release_many
+from dppls.pls import FitConfig, fit, nipals_path, predict, release_b, release_many
 from dppls.preprocess import parse_pipeline
 
 
@@ -277,14 +277,12 @@ def test_sweep_aggregates_match_entry_recomputation():
 
 def test_a_failed_holdout_repeat_is_recorded_and_left_out_of_its_aggregate(monkeypatch):
     d = _rank3_dataset()
-    release_all = evaluate.release_many
-
     def one_fails(jobs):
-        out = release_all(jobs)
-        out[2] = SingularSystemError("synthetic singular system")  # eps 5, repeat 1
-        return out
+        B, errors = release_b(jobs)
+        errors[2] = SingularSystemError("synthetic singular system")  # eps 5, repeat 1
+        return B, errors
 
-    monkeypatch.setattr(evaluate, "release_many", one_fails)
+    monkeypatch.setattr(evaluate, "release_b", one_fails)
     report = _holdout(d, [5.0], 3, RngStream(21), repeats=4)
     failed = report.entries[2]
     assert (failed["kind"], failed["repeat"], failed["status"]) == ("holdout", 1, "failed")
@@ -326,11 +324,12 @@ def test_sweep_releases_in_one_call(monkeypatch):
     calls = []
 
     def counted(jobs):
-        calls.append([cfg.privacy for _, cfg in jobs])
-        assert len({id(path) for path, _ in jobs}) == 1
-        return release_many(jobs)
+        calls.append([budget for _, _, budget, _ in jobs])
+        assert len({id(path) for path, *_ in jobs}) == 1
+        assert {k for _, k, _, _ in jobs} == {3}
+        return release_b(jobs)
 
-    monkeypatch.setattr(evaluate, "release_many", counted)
+    monkeypatch.setattr(evaluate, "release_b", counted)
     report = _holdout(d, [10.0, 10.0, 1.0], 3, RngStream(25), repeats=4)
     # The baseline first, then each epsilon's repeats, in order.
     assert len(calls) == 1
@@ -347,43 +346,61 @@ def test_cv_releases_in_one_call(monkeypatch):
 
     def counted(jobs):
         calls.append(jobs)
-        return release_many(jobs)
+        return release_b(jobs)
 
-    monkeypatch.setattr(evaluate, "release_many", counted)
+    monkeypatch.setattr(evaluate, "release_b", counted)
     budget = PrivacyBudget(10.0, 0.01)
     grid = [FitConfig(k=1), FitConfig(k=3, privacy=budget), FitConfig(k=2, privacy=budget)]
     rng = RngStream(26)
     report = _cv(d, 4, grid, rng)
     # Folds x grid jobs, fold-major: each fold's path, then its grid in order.
     assert len(calls) == 1 and len(calls[0]) == 4 * len(grid)
-    paths = [path for path, _ in calls[0][::len(grid)]]
+    paths = [path for path, *_ in calls[0][::len(grid)]]
     assert len({id(path) for path in paths}) == 4
     # 23 rows in 4 folds: training splits of 17 and 18 rows.
     assert sorted({path.sizes[1] for path in paths}) == [17, 18]
     cv = rng.derive(evaluate._STREAM_CV)
-    for j, (path, cfg) in enumerate(calls[0]):
+    for j, (path, k, budget, stream) in enumerate(calls[0]):
         fold_i, gi = divmod(j, len(grid))
         assert path is paths[fold_i]
-        assert (cfg.k, cfg.privacy) == (grid[gi].k, grid[gi].privacy)
+        assert (k, budget) == (grid[gi].k, grid[gi].privacy)
         want = cv.derive(gi, fold_i)
-        assert cfg.rng is None if cfg.privacy is None else (
-            (cfg.rng.seed, cfg.rng.stream_id) == (want.seed, want.stream_id))
+        assert stream is None if budget is None else (
+            (stream.seed, stream.stream_id) == (want.seed, want.stream_id))
     assert [e["status"] for e in report.entries] == ["ok"] * 3
+
+
+def _fresh(stream):
+    """A stream at the start of ``stream``'s draws, or None."""
+    return None if stream is None else RngStream(stream.seed, stream.stream_id)
+
+
+def _models_of(jobs):
+    """The models release_many gives release_b's jobs, on fresh streams."""
+    return release_many([(path, FitConfig(k=k, privacy=budget, rng=_fresh(stream)))
+                         for path, k, budget, stream in jobs])
 
 
 def test_scorer_equals_predict_bit_for_bit():
     d = _noisy_rank3_dataset()
     path = nipals_path(Dataset(X=d.X[:30], y=d.y[:30]), 4)
     budget = PrivacyBudget(1.0, 0.01)
-    jobs = [(path, FitConfig(k=k)) for k in (1, 4)] + [
-        (path, FitConfig(k=k, privacy=budget, rng=RngStream(3, k))) for k in (1, 2, 4)]
-    models = release_many(jobs)
+    jobs = [(path, k, None, None) for k in (1, 4)] + [
+        (path, k, budget, RngStream(3, k)) for k in (1, 2, 4)]
+    models = _models_of(jobs)
+    B, released = release_b(jobs)
+    assert released == [None] * 5
     failed = ShapeError("synthetic")
+    with_failed = np.insert(B, 2, 7.0, axis=0), released[:2] + [failed] + released[2:]
     # The whole stack, a failed entry among the models, a stack of one
     # model, and one held-out row, whose 1 x m products are dot products.
-    for X_test, stack in ((d.X[30:], models), (d.X[30:], models[:2] + [failed] + models[2:]),
-                          (d.X[30:], models[3:4]), (d.X[30:31], models), (d.X[39:], [models[0]])):
-        pred, errors = evaluate._predictions(path, X_test, stack)
+    for X_test, (B_s, errors_s), stack in (
+            (d.X[30:], (B, released), models),
+            (d.X[30:], with_failed, models[:2] + [failed] + models[2:]),
+            (d.X[30:], (B[3:4], released[3:4]), models[3:4]),
+            (d.X[30:31], (B, released), models),
+            (d.X[39:], (B[:1], released[:1]), [models[0]])):
+        pred, errors = evaluate._predictions(path, X_test, B_s, errors_s)
         assert pred.shape == (len(stack), X_test.shape[0])
         for row, model, error in zip(pred, stack, errors):
             if model is failed:
@@ -396,13 +413,40 @@ def test_scorer_equals_predict_bit_for_bit():
     X_bad[2, 3] = np.nan
     with pytest.raises(DegenerateInputError) as want:
         predict(models[0], X_bad)
-    pred, errors = evaluate._predictions(path, X_bad, [models[0], failed, models[1]])
+    pred, errors = evaluate._predictions(path, X_bad, B[:3], [None, failed, None])
     assert pred is None and errors[1] is failed
     assert [type(e) for e in errors[::2]] == [DegenerateInputError] * 2
     assert all(str(e) == str(want.value) for e in errors[::2])
     # Every entry failed.
-    pred, errors = evaluate._predictions(path, d.X[30:], [failed, failed])
+    pred, errors = evaluate._predictions(path, d.X[30:], B[:2], [failed, failed])
     assert errors == [failed, failed]
+
+
+def _constructions(monkeypatch):
+    """Counts of PlsModel and NoiseCalibration objects built from here on."""
+    counts = dict.fromkeys((PlsModel, NoiseCalibration), 0)
+    for cls, init in [(cls, cls.__init__) for cls in counts]:
+        def counting(self, *args, _cls=cls, _init=init, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_only_callers_that_receive_a_model_build_one(monkeypatch):
+    counts = _constructions(monkeypatch)
+    d = _rank3_dataset()
+    budgets = [PrivacyBudget(10.0, 0.01), PrivacyBudget(1.0, 0.01)]
+    grid = [FitConfig(k=k, privacy=b) for k in (1, 2, 3) for b in [None] + budgets]
+    reports = sweep(d, RngStream(29), grid=grid, folds=4, k=3, eps_list=[10.0, 1.0],
+                    repeats=3)
+    assert all(e["status"] == "ok" for r in reports.values() for e in r.entries)
+    assert counts == {PlsModel: 0, NoiseCalibration: 0}
+    # A private fit builds its one model, which logs four calibrations a
+    # component.
+    model = fit(d, FitConfig(k=3, privacy=budgets[1], rng=RngStream(29)))
+    assert counts == {PlsModel: 1, NoiseCalibration: 12}
+    assert len(model.calibration_log) == 12
 
 
 @st.composite
@@ -436,15 +480,18 @@ def test_rmsep_r2p_equal_rmse_and_r2_score_per_row(case):
 
 
 def _failing_release(positions, outcomes):
-    """release_many with the entries at ``positions`` replaced by errors;
-    appends each call's outcomes to ``outcomes``."""
+    """release_b with the entries at ``positions`` replaced by errors;
+    appends to ``outcomes`` each call's outcomes as models: those
+    release_many gives the same jobs on fresh streams, with the same
+    errors in place."""
     def release(jobs):
-        got = release_many(jobs)
+        models = _models_of(jobs)
+        B, errors = release_b(jobs)
         for i in positions:
-            if i < len(got):
-                got[i] = SingularSystemError(f"synthetic failure {i}")
-        outcomes.append(got)
-        return got
+            if i < len(errors):
+                errors[i] = models[i] = SingularSystemError(f"synthetic failure {i}")
+        outcomes.append(models)
+        return B, errors
     return release
 
 
@@ -468,7 +515,7 @@ def test_stacked_scores_equal_the_per_model_metrics(data):
         failing |= set(range(fold * G, (fold + 1) * G))
     outcomes = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "release_many", _failing_release(failing, outcomes))
+        mp.setattr(evaluate, "release_b", _failing_release(failing, outcomes))
         report = evaluate._kfold_cv(d, folds, _SCORED_GRID, "", fitted, RngStream(31, 2))
     (models,) = outcomes
     errors, status = [[] for _ in _SCORED_GRID], ["ok"] * G
@@ -487,7 +534,7 @@ def test_stacked_scores_equal_the_per_model_metrics(data):
     failing = set(data.draw(st.lists(st.integers(0, 6), max_size=7), label="holdout"))
     outcomes = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "release_many", _failing_release(failing, outcomes))
+        mp.setattr(evaluate, "release_b", _failing_release(failing, outcomes))
         if 0 in failing:  # a failed baseline is the sweep's error
             with pytest.raises(SingularSystemError, match="synthetic failure 0"):
                 evaluate._privacy_utility_sweep(train, test, FitConfig(k=3), budgets, repeats,
@@ -518,8 +565,11 @@ def test_sweep_validation():
     rng = RngStream(28)
     with pytest.raises(ArgumentError, match="repeats"):
         _holdout(d, [1.0], 3, rng, repeats=0)
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0):
         with pytest.raises(ArgumentError, match="positive"):
+            _holdout(d, [bad], 3, rng)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match=f"epsilon must be finite, got {bad}"):
             _holdout(d, [bad], 3, rng)
     # delta is checked even when no epsilon uses it.
     for bad in (0.0, 1.0, 5.0, float("nan")):

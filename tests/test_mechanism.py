@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dppls.core import CALIBRATION_TARGETS, Dataset, PrivacyBudget, RngStream
 import dppls.mechanism as mechanism_module
-from dppls.errors import ArgumentError, NumericalError, ShapeError
+from dppls.errors import ArgumentError, DpplsError, NumericalError, ShapeError
 from dppls.mechanism import (
     _LOG_NDTR_SERIES_BELOW,
     _MAX_ULP_STEPS,
@@ -26,6 +26,7 @@ from dppls.mechanism import (
     _ndtr,
     _unit_sigma,
     analytic_gaussian_sigma,
+    analytic_gaussian_sigmas,
     gaussian_privacy_profile,
     sample_bounds,
 )
@@ -383,16 +384,18 @@ def test_bisection_returns_the_bottom_of_its_bracket_when_that_is_feasible():
 
 
 def _count_profile_evals(monkeypatch, answer=None):
-    """Count profile evaluations from here on; ``answer`` replaces their
-    result when given."""
+    """Count profile evaluations from here on, at the function that holds
+    the profile's arithmetic, which the bisection (through
+    gaussian_privacy_profile) and the ulp steps both call; ``answer``
+    replaces their result when given."""
     calls = []
-    profile = mechanism_module.gaussian_privacy_profile
+    profile = mechanism_module._profile
 
     def counting(sigma, delta_f, epsilon):
         calls.append(sigma)
         return profile(sigma, delta_f, epsilon) if answer is None else answer
 
-    monkeypatch.setattr(mechanism_module, "gaussian_privacy_profile", counting)
+    monkeypatch.setattr(mechanism_module, "_profile", counting)
     return calls
 
 
@@ -420,3 +423,53 @@ def test_ulp_steps_past_the_cap_raise(monkeypatch):
     assert len(calls) == _MAX_ULP_STEPS
     # Each evaluation after the first is one ulp above the one before.
     assert all(b == math.nextafter(a, math.inf) for a, b in zip(calls, calls[1:]))
+
+
+# Budgets of the ulp tests above, with a sensitivity each whose scaled
+# unit sigma rounds below the feasible one: subnormal sensitivities are
+# a few ulps wide, so s * r rounds by up to half an ulp of s.
+_ULP_CASES = [(PrivacyBudget(0.7315, 0.0123), 2e-323), (PrivacyBudget(1.0, 0.01), 2.5e-323)]
+
+
+@pytest.mark.parametrize("budget, stepped", _ULP_CASES)
+def test_one_sigma_is_the_batched_routine_on_one_value(monkeypatch, budget, stepped):
+    calls = _count_profile_evals(monkeypatch)
+    for delta_f in (0.0, 1.0, 3.7, 1e-3, 812.5, stepped):
+        one = analytic_gaussian_sigma(delta_f, budget)
+        del calls[:]
+        sigmas, error = analytic_gaussian_sigmas([delta_f], budget)
+        assert error is None and sigmas.dtype == np.float64 and sigmas.shape == (1,)
+        assert one.hex() == float(sigmas[0]).hex()
+        if delta_f == stepped:
+            assert len(calls) >= 2 and one > delta_f * _unit_sigma(budget.epsilon, budget.delta)
+    # A batch gives each value's sigma, the profile once a value where
+    # no ulp step is needed.
+    values = [3.7, 0.0, 1e-3, stepped, 812.5]
+    del calls[:]
+    sigmas, error = analytic_gaussian_sigmas(values, budget)
+    assert error is None
+    assert [s.hex() for s in sigmas.tolist()] == [
+        analytic_gaussian_sigma(v, budget).hex() for v in values]
+
+
+def test_one_sigma_raises_what_the_batch_returns(monkeypatch):
+    refused = PrivacyBudget(1e-310, 0.01)
+    budget = PrivacyBudget(1.0, 0.01)
+    for delta_f, b in ((1.0, refused), (-1.0, budget), (math.inf, budget), (math.nan, budget),
+                       (1e308, PrivacyBudget(1e-3, 0.01)), (5e-324, PrivacyBudget(10.0, 0.01))):
+        with pytest.raises(DpplsError) as one:
+            analytic_gaussian_sigma(delta_f, b)
+        sigmas, error = analytic_gaussian_sigmas([delta_f], b)
+        assert sigmas.shape == (0,)
+        assert type(error) is type(one.value) and str(error) == str(one.value)
+    assert "epsilon 1e-310, delta 0.01" in str(analytic_gaussian_sigmas([1.0], refused)[1])
+    # A batch keeps the sigmas ahead of its first failure, and stops there.
+    sigmas, error = analytic_gaussian_sigmas([1.0, 0.0, -2.0, 3.0], budget)
+    assert sigmas.tolist() == [analytic_gaussian_sigma(1.0, budget), 0.0]
+    assert str(error) == "sensitivity must be finite and nonnegative, got -2.0"
+    # The ulp cap, in both.
+    _count_profile_evals(monkeypatch, answer=1.0)
+    with pytest.raises(NumericalError) as one:
+        analytic_gaussian_sigma(2.0, budget)
+    sigmas, error = analytic_gaussian_sigmas([0.0, 2.0], budget)
+    assert sigmas.tolist() == [0.0] and str(error) == str(one.value)

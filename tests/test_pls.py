@@ -37,7 +37,7 @@ from dppls.errors import (
     ShapeError,
     SingularSystemError,
 )
-from dppls.mechanism import SampleBounds
+from dppls.mechanism import SampleBounds, analytic_gaussian_sigma
 from dppls.pls import (
     FitConfig,
     fit,
@@ -45,6 +45,7 @@ from dppls.pls import (
     nipals_path,
     predict,
     release,
+    release_b,
     release_many,
     save_model,
 )
@@ -283,9 +284,9 @@ def test_all_components_skipped_predicts_mean():
 
 def test_private_fit_with_forced_zero_noise_is_bit_identical(monkeypatch):
     def zero_noise(delta_f, budget):
-        return 0.0
+        return np.zeros(len(delta_f)), None
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", zero_noise)
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", zero_noise)
     for seed in range(20):
         d = _random_dataset(seed)
         base = fit(d, FitConfig(k=3))
@@ -439,7 +440,7 @@ def gaussian_vector(length, sigma, rng):
 
 def _reference_release(path, cfg, noised=CALIBRATION_TARGETS):
     """cfg's release of ``path`` rebuilt one config and one vector at a
-    time: one analytic_gaussian_sigma call per calibration, in
+    time: one analytic_gaussian_sigmas call per calibration, in
     CALIBRATION_TARGETS order, each target outside ``noised`` then set
     to sigma 0 (as _silence_all_but sets it in release_many), one
     gaussian_vector call per released vector in the documented order (a
@@ -461,7 +462,10 @@ def _reference_release(path, cfg, noised=CALIBRATION_TARGETS):
         if cfg.privacy is not None:
             four = []
             for target, s in zip(CALIBRATION_TARGETS, bounds.sensitivities):
-                sigma = pls_module.analytic_gaussian_sigma(s, cfg.privacy)
+                sigmas, error = pls_module.analytic_gaussian_sigmas([s], cfg.privacy)
+                if error is not None:
+                    raise error
+                sigma = float(sigmas[0])
                 four.append(NoiseCalibration(sensitivity=s, target=target,
                                              sigma=sigma if target in noised else 0.0))
             log += four
@@ -547,96 +551,118 @@ def test_a_private_release_consumes_k_row_widths_of_its_stream(monkeypatch, case
 
 def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypatch):
     calls = []
-    calibrate = pls_module.analytic_gaussian_sigma
+    calibrate = pls_module.analytic_gaussian_sigmas
 
     def counting(delta_f, budget):
-        calls.append(budget)
+        calls.append((budget, len(delta_f)))
         return calibrate(delta_f, budget)
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", counting)
     path = nipals_path(_random_dataset(43), 3)
     budgets = (PrivacyBudget(1.0, 0.01), PrivacyBudget(10.0, 0.01))
-    # Shallow first: deeper releases extend the budget's log, once.
+    # Shallow first: each budget is still calibrated once, through the
+    # deepest component released under it.
     cfgs = lambda: [FitConfig(k=k, privacy=budget, rng=RngStream(k, rep))
                     for k in (1, 3, 2) for rep in range(3) for budget in budgets]
     models = release_many(_jobs(path, cfgs()))
     # Three sigmas per component: the scores and x-loadings share r.
-    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 3 * 3
+    assert calls == [(budgets[0], 3 * 3), (budgets[1], 3 * 3)]
     # The path keeps nothing: the next call calibrates afresh.
     assert [f.name for f in dataclasses.fields(path)] == [
         "releases", "scores", "bounds", "x_means", "y_mean", "k_max"]
     for got, want in zip(release_many(_jobs(path, cfgs())), models):
         _assert_models_identical(got, want)
-    assert calls.count(budgets[0]) == calls.count(budgets[1]) == 2 * 3 * 3
+    assert calls == [(budgets[0], 3 * 3), (budgets[1], 3 * 3)] * 2
 
 
 def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
-    calibrate = pls_module.analytic_gaussian_sigma
+    calibrate = pls_module.analytic_gaussian_sigmas
     calls = []
 
-    def fails_on_the_fifth_call(delta_f, budget):
-        calls.append(budget)
-        if len(calls) == 5:
-            raise NumericalError("synthetic calibration failure")
-        return calibrate(delta_f, budget)
+    def fails_at_the_fifth_sigma(delta_f, budget):
+        calls.append(len(delta_f))
+        # Component 1's y r, r and y calibrate, then component 2's y r;
+        # its r, the sigma of its scores and x-loadings, fails.
+        sigmas, _ = calibrate(delta_f[:4], budget)
+        return sigmas, NumericalError("synthetic calibration failure")
 
     d = _random_dataset(45)
     path = nipals_path(d, 3)
     budget = PrivacyBudget(1.0, 0.01)
     cfg = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(s))
-    want = release(nipals_path(d, 3), cfg(3, 2))
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_the_fifth_call)
-    # Calls 1-3 calibrate component 1's y r, r and y; the second
-    # component's r, the sigma of its scores and x-loadings (call 5),
-    # fails after its y r (call 4); neither is stored, so the third
-    # config calibrates components 2 and 3 in full: 3 + 2 + 6 calls.
-    first, failed, after = release_many(_jobs(path, [cfg(1, 0), cfg(3, 1), cfg(3, 2)]))
-    assert isinstance(failed, NumericalError) and len(calls) == 11
-    assert first.k == 1
-    _assert_models_identical(after, want)
+    want = release(nipals_path(d, 3), cfg(1, 0))
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", fails_at_the_fifth_sigma)
+    cfgs = [cfg(1, 0), cfg(2, 1), cfg(3, 2), FitConfig(k=3)]
+    first, failed, deeper, clean = release_many(_jobs(path, cfgs))
+    # One call for the budget, through component 3.  Component 2's
+    # calibrated y r is stored nowhere: the configs that release
+    # component 2 fail and draw nothing, and the one that does not gets
+    # its model, with component 1's four calibrations.
+    assert calls == [3 * 3]
+    for error in (failed, deeper):
+        assert isinstance(error, NumericalError) and str(error) == "synthetic calibration failure"
+    _assert_models_identical(first, want)
+    assert len(first.calibration_log) == 4
+    assert clean.k == 3 and clean.calibration_log == []
+    for c in cfgs[1:3]:
+        np.testing.assert_array_equal(c.rng.open_unit(4), RngStream(c.rng.seed).open_unit(4))
 
 
 def test_component_calibrations_calibrate_each_sensitivity_once(monkeypatch):
-    calibrate = pls_module.analytic_gaussian_sigma
+    calibrate = pls_module.analytic_gaussian_sigmas
     calls = []
 
     def counting(delta_f, budget):
-        calls.append((delta_f, budget))
-        if budget.epsilon == 2.0 and delta_f == 3.0:
-            raise NumericalError("synthetic calibration failure")
+        calls.append((list(delta_f), budget))
+        if budget.epsilon == 2.0:
+            # Fails at y = 3.0, after its component's y r and r.
+            sigmas, _ = calibrate(delta_f[:list(delta_f).index(3.0)], budget)
+            return sigmas, NumericalError("synthetic calibration failure")
         return calibrate(delta_f, budget)
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", counting)
-    bounds, budget = SampleBounds(y_max_abs=3.0, max_row_norm=5.0), PrivacyBudget(1.0, 0.01)
-    four = pls_module._component_calibrations(bounds, budget)
-    assert four == [NoiseCalibration(sensitivity=s, sigma=calibrate(s, budget), target=target)
-                    for target, s in zip(CALIBRATION_TARGETS, (15.0, 5.0, 5.0, 3.0))]
-    # One call per distinct sensitivity, in target order.
-    assert calls == [(15.0, budget), (5.0, budget), (3.0, budget)]
-    # Nothing is kept between calls: the next one makes the same three.
-    assert pls_module._component_calibrations(bounds, budget) == four
-    assert calls == [(15.0, budget), (5.0, budget), (3.0, budget)] * 2
-    # A budget whose y fails after its y r and r calibrated raises after
-    # those three calls, and leaves no state behind.
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", counting)
+    bounds = [SampleBounds(y_max_abs=3.0, max_row_norm=5.0),
+              SampleBounds(y_max_abs=0.5, max_row_norm=4.0)]
+    budget = PrivacyBudget(1.0, 0.01)
+    table = pls_module._calibrate(bounds, budget)
+    sens, sigmas, error = table
+    want = [[15.0, 5.0, 5.0, 3.0], [2.0, 4.0, 4.0, 0.5]]
+    assert error is None and sens.tolist() == want
+    assert sigmas.tolist() == [[analytic_gaussian_sigma(s, budget) for s in row] for row in want]
+    assert pls_module._calibration_log(table) == [
+        NoiseCalibration(sensitivity=s, sigma=analytic_gaussian_sigma(s, budget), target=target)
+        for row in want for target, s in zip(CALIBRATION_TARGETS, row)]
+    # One call, each component's distinct sensitivities in target order.
+    assert calls == [([15.0, 5.0, 3.0, 2.0, 4.0, 0.5], budget)]
+    # Nothing is kept between calls: the next one makes the same call.
+    again = pls_module._calibrate(bounds, budget)
+    np.testing.assert_array_equal(again[1], sigmas)
+    assert calls == [([15.0, 5.0, 3.0, 2.0, 4.0, 0.5], budget)] * 2
+    # A budget whose y fails after its y r and r calibrated keeps no
+    # component's sigmas, and leaves no state behind.
     failing = PrivacyBudget(2.0, 0.01)
-    with pytest.raises(NumericalError):
-        pls_module._component_calibrations(bounds, failing)
-    assert calls[6:] == [(15.0, failing), (5.0, failing), (3.0, failing)]
-    assert pls_module._component_calibrations(bounds, budget) == four
+    sens, sigmas, error = pls_module._calibrate(bounds, failing)
+    assert isinstance(error, NumericalError) and sigmas.shape == (0, 4)
+    assert sens.tolist() == want
+    assert calls[2:] == [([15.0, 5.0, 3.0, 2.0, 4.0, 0.5], failing)]
+    np.testing.assert_array_equal(pls_module._calibrate(bounds, budget)[1], table[1])
 
 
 def _silence_all_but(monkeypatch, *noised):
     """Calibrate every target outside ``noised`` to sigma 0, at the seam
-    that gives a component's four calibrations: the scores and the
-    x-loadings share one sigma calibration, so the hook cannot sit on
-    analytic_gaussian_sigma.  Returns ``noised``, for _reference_release."""
-    calibrations = pls_module._component_calibrations
+    that gives a path's calibration table: the scores and the x-loadings
+    share one sigma calibration, so the hook cannot sit on
+    analytic_gaussian_sigmas.  Returns ``noised``, for _reference_release."""
+    calibrate = pls_module._calibrate
+    silent = np.array([target not in noised for target in CALIBRATION_TARGETS])
 
     def partly_silent(bounds, budget):
-        return [cal if cal.target in noised else dataclasses.replace(cal, sigma=0.0)
-                for cal in calibrations(bounds, budget)]
+        sens, sigmas, error = calibrate(bounds, budget)
+        sigmas = sigmas.copy()
+        sigmas[:, silent] = 0.0
+        return sens, sigmas, error
 
-    monkeypatch.setattr(pls_module, "_component_calibrations", partly_silent)
+    monkeypatch.setattr(pls_module, "_calibrate", partly_silent)
     return noised
 
 
@@ -765,17 +791,17 @@ def _rank4_path():
 
 
 def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
-    calibrate = pls_module.analytic_gaussian_sigma
+    calibrate = pls_module.analytic_gaussian_sigmas
     failing = PrivacyBudget(2.0, 0.01)
     calls = []
 
     def fails_on_one_budget(delta_f, budget):
-        calls.append(budget)
+        calls.append((budget, len(delta_f)))
         if budget == failing:
-            raise NumericalError("synthetic calibration failure")
+            return np.array([]), NumericalError("synthetic calibration failure")
         return calibrate(delta_f, budget)
 
-    monkeypatch.setattr(pls_module, "analytic_gaussian_sigma", fails_on_one_budget)
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", fails_on_one_budget)
     short = nipals_path(_random_dataset(47, n=14, m=12), 5)
     tall = nipals_path(_random_dataset(48, n=19, m=12), 5)
     stopped, rank1 = _rank4_path(), _rank1_path()
@@ -805,10 +831,11 @@ def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
         ]
 
     got = release_many(jobs())
-    # One memo per (path, budget): short's b1 calibrates 5 components
-    # once, three sigmas each, and the failing budget stops at its first
-    # calibration.
-    assert len(calls) == 3 * (5 + 3 + 4 + 4 + 2 + 1 + 4) + 1
+    # One call per (path, budget), through the deepest component released
+    # under it, three sigmas each: short's b1 calibrates 5 components
+    # once.  The failing budget fails at its first sigma.
+    assert calls == [(b1, 3 * 5), (b1, 3 * 4), (b2, 3 * 4), (failing, 3 * 3), (b2, 3 * 2),
+                     (b2, 3 * 3), (b1, 3 * 1), (b1, 3 * 4)]
     assert [type(r).__name__ for r in got] == (
         ["PlsModel"] * 3 + ["SingularSystemError"] + ["PlsModel"] * 3 + ["NumericalError"]
         + ["PlsModel"] * 5)
@@ -821,6 +848,50 @@ def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
     _assert_outcomes_identical(got, want)
     _assert_outcomes_identical(
         got, [_reference_outcomes(path, [cfg])[0] for path, cfg in jobs()])
+
+
+def test_release_b_equals_the_b_of_release_many():
+    short = nipals_path(_random_dataset(47, n=14, m=12), 5)
+    tall = nipals_path(_random_dataset(48, n=19, m=12), 5)
+    stopped, rank1 = _rank4_path(), _rank1_path()
+    empty = _nipals_path_at(1e12, _random_dataset(49, n=14, m=12), 2)
+    assert len(empty.bounds) == 0
+    b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
+
+    def jobs():
+        return [
+            (short, 4, b1, RngStream(9, 0)),
+            (tall, 4, None, None),
+            (stopped, 5, b1, RngStream(9, 1)),  # releases 4
+            (rank1, 3, None, RngStream(9, 2)),  # a singular solve
+            (tall, 4, b2, RngStream(9, 3)),
+            (short, 6, b1, RngStream(9, 4)),  # deeper than the path
+            (tall, 2, b2, None),  # no stream
+            (empty, 2, b1, RngStream(9, 5)),  # releases nothing, draws nothing
+            (rank1, 1, b1, RngStream(9, 6)),
+            (short, 5, b2, RngStream(9, 7)),
+        ]
+
+    via_b, via_many = jobs(), jobs()
+    B, errors = release_b(via_b)
+    models = release_many([(path, FitConfig(k=k, privacy=budget, rng=stream))
+                           for path, k, budget, stream in via_many])
+    assert B.shape == (10, 12)
+    assert [type(e).__name__ for e in errors] == [
+        "NoneType"] * 3 + ["SingularSystemError", "NoneType", "ArgumentError",
+                           "ConfigurationError"] + ["NoneType"] * 3
+    for row, error, model in zip(B, errors, models):
+        if error is None:
+            np.testing.assert_array_equal(row, model.b)
+        else:
+            assert type(model) is type(error) and str(model) == str(error)
+            np.testing.assert_array_equal(row, np.zeros(12))
+    # Both take the same draws from each stream.
+    for (*_, a), (*_, b) in zip(via_b, via_many):
+        if a is not None:
+            np.testing.assert_array_equal(a.open_unit(4), b.open_unit(4))
+    B, errors = release_b([])
+    assert B.shape == (0, 0) and errors == []
 
 
 # ---------------------------------------------------------------------------
