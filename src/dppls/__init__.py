@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "pls": (
         "FitConfig", "NipalsPath", "fit", "load_model", "nipals_path", "predict",
-        "release", "release_many", "save_model",
+        "release", "save_model",
     ),
     "attack": (
         "AttackReport", "attack_and_score", "cosine_similarity",

@@ -213,21 +213,24 @@ def sweep(
     report of each protocol that ran: CV when ``grid`` is non-empty, the
     holdout sweep at ``k`` components when ``k`` is given.  Before any
     row is mapped it refuses a bad ``pipeline_spec``; for CV, ``folds``
-    outside [2, n]; for the holdout sweep, ``repeats`` below 1, ``delta``
-    outside (0, 1), a bad epsilon, a split at ``test_fraction`` leaving
-    fewer than 2 rows on a side, and a ``k`` beyond the training split;
-    a budget of either protocol that no calibration can serve; and
-    responses holding NaN or infinite entries.  The row steps then
-    map ``d.X`` once; rows they refuse, or that hold NaN or infinite
-    entries once mapped, raise.  The holdout split is taken on
-    ``rng.derive(1)``, CV runs on ``rng.derive(2)`` and the holdout
-    sweep on ``rng.derive(3)``.
+    not an integer in [2, n]; for the holdout sweep, ``repeats`` not an
+    integer of at least 1, ``delta`` outside (0, 1), a bad epsilon, a
+    split at ``test_fraction`` leaving fewer than 2 rows on a side, and a
+    ``k`` beyond the training split; a budget of either protocol that no
+    calibration can serve; and responses holding NaN or infinite
+    entries.  The row steps then map ``d.X`` once; rows they refuse, or
+    that hold NaN or infinite entries once mapped, raise.  The holdout
+    split is taken on ``rng.derive(1)``, CV runs on ``rng.derive(2)`` and
+    the holdout sweep on ``rng.derive(3)``.
     """
     row_steps, fitted = parse_pipeline(pipeline_spec).split()
-    if grid and not (2 <= folds <= d.n):
-        raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
+    if grid:
+        _check_integer("folds", folds)
+        if not (2 <= folds <= d.n):
+            raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
     budgets = []
     if k is not None:
+        _check_integer("repeats", repeats)
         if repeats < 1:
             raise ArgumentError(f"repeats must be at least 1, got {repeats}")
         if not (0 < delta < 1):
@@ -256,6 +259,12 @@ def sweep(
             train, test, base, budgets, repeats, delta, pipeline_spec, fitted,
             rng.derive(_STREAM_HOLDOUT))
     return reports
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: str,

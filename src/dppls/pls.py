@@ -20,15 +20,16 @@ component's residual suprema, and every calibration budgets the full
 released component's calibrations, in ``CALIBRATION_TARGETS`` order,
 and none for a component the recursion stopped on: no noise is drawn for
 it.  Each release call calibrates each (path, budget) once, through the
-deepest component a config releases: the components' (y r, r, y)
+deepest component a job releases: the components' (y r, r, y)
 sensitivities go to :func:`analytic_gaussian_sigmas` as one array, whose
 (components x 3) sigmas, widened to the four targets, scale the noise.
 The path holds none of them.  Log entries (NoiseCalibration records) are
 built from those arrays only for a caller that receives a model.  The
 noisy scores are calibrated, drawn and logged like the other releases,
 but no model holds them and b reads none, so they are never built:
-their draws are dropped before the normal transform.  Dropping a release is post-processing, so each remaining
-release keeps its own guarantee.
+their draws are dropped before the normal transform.  Dropping a
+release is post-processing, so each remaining release keeps its own
+guarantee.
 
 A release draws all its noise from its stream in one call: one vector of
 k (2m + n + 1) raw words, whatever the sigmas, cut into segments in the
@@ -39,28 +40,26 @@ its release's sigma.  Each Gaussian value consumes one word of the
 stream and both maps work element by element, so this equals drawing
 each release's noise in turn from the same stream, value for value.
 
-:func:`release_many` releases many ``(path, config)`` jobs, and
-:func:`release` is its one-job case.  The jobs that release the same
-number of components k from paths of the same channel count m are
-released as one stack, whatever path each comes from: cross-validation
-releases every fold's grid in one call.  Each config still draws its
-words from its own stream, in the same count as alone; a stack's kept
-words are mapped to uniforms and through :func:`norm_ppf` in fixed-size
-blocks.  Because those maps work element by element, every config gets
-the normals it would get alone, value for value.  The stack then gets
-its noisy w, p and c in one buffer, each config's clean rows from its
-own path, the unit scaling of the weights through one stacked dot
+:func:`release_b` releases many ``(path, k, budget, stream)`` jobs, from
+paths of one channel count m, and returns only their stacked b vectors
+and errors, with no model, log or config built per job: the sweep's
+protocols read nothing else.  The jobs that release the same number of
+components k are released as one stack, whatever path each comes from:
+cross-validation releases every fold's grid in one call.  Each job still
+draws its words from its own stream, in the same count as alone; a
+stack's kept words are mapped to uniforms and through :func:`norm_ppf` in
+fixed-size blocks.  Because those maps work element by element, every
+job gets the normals it would get alone, value for value.  The stack
+then gets its noisy w, p and c in one buffer, each job's clean rows from
+its own path, the unit scaling of the weights through one stacked dot
 product, P^T W through one stacked matrix product, and one stacked
-condition estimate, k x k solve and W z.  Per config, each of these runs
+condition estimate, k x k solve and W z.  Per job, each of these runs
 the elementwise operation, or the BLAS or LAPACK call on the same memory
 layout, that np.linalg.norm, P.T @ W and np.linalg.solve run on one
-config's vectors, so every model equals that per-config release bit for
-bit.  A config that fails gets its own error without touching the
-others' draws or models.  :func:`fit` is ``release(nipals_path(d, cfg.k),
-cfg)``.  :func:`release_b` releases ``(path, k, budget, stream)`` jobs the
-same way and returns only their stacked b vectors and errors, with no
-model, log or config built per job: the sweep's protocols read nothing
-else.
+job's vectors, so every b equals that job's release alone bit for bit.
+A job that fails gets its own error without touching the others' draws
+or b.  :func:`release` runs the same stacked code for one job and builds
+its model; :func:`fit` is ``release(nipals_path(d, cfg.k), cfg)``.
 
 Note the intentional scale asymmetry inherited from the method: the
 weight sensitivity is that of the unnormalized covariance E^T f, yet the
@@ -115,7 +114,7 @@ _MAP_BLOCK = 8192
 
 
 def _check_depth(k) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k}")
     return int(k)
 
@@ -338,21 +337,28 @@ def _release_group(jobs: list, k: int, sigmas: list) -> tuple:
 
 
 def _release_stacks(jobs: Sequence[tuple]) -> tuple:
-    """Check, calibrate and release (path, k, budget, stream) jobs.
+    """Check, calibrate and release (path, k, budget, stream) jobs from
+    paths of one channel count.
 
     Returns, per job, None or the DpplsError it raised; the calibration
     table of each (path, budget) a private job releases components of;
     and per stack, its jobs' indexes, k and _release_group's W, P, c and
-    b.  Each (path, budget) is calibrated once, through the most
-    components a job releases under it; a calibration that fails at
-    component j fails the jobs that release j components or more, and
-    only those.  Jobs that release the same k from paths of the same
-    channel count form one stack.
+    b.  A job whose k is not a positive integer, deeper than its path,
+    or private without a stream fails its checks and draws nothing.
+    Each (path, budget) is calibrated once, through the most components
+    a job releases under it; a calibration that fails at component j
+    fails the jobs that release j components or more, and only those.
+    Jobs that release the same k form one stack.
     """
     errors = [None] * len(jobs)
     checked = []  # (index, released k) of each job that passes its checks
     depth: dict = {}  # (path, budget) -> the most components a job releases
     for i, (path, k, budget, rng) in enumerate(jobs):
+        try:
+            k = _check_depth(k)
+        except ArgumentError as exc:
+            errors[i] = exc
+            continue
         if budget is not None and rng is None:
             errors[i] = ConfigurationError("a privacy budget requires an rng stream")
         elif k > path.k_max:
@@ -363,7 +369,7 @@ def _release_stacks(jobs: Sequence[tuple]) -> tuple:
             if budget is not None and k > depth.get((path, budget), 0):
                 depth[path, budget] = k
     tables = {key: _calibrate(key[0].bounds[:k], key[1]) for key, k in depth.items()}
-    groups: dict = {}  # (channel count, released k) -> [(index, sigmas or None)]
+    groups: dict = {}  # released k -> [(index, sigmas or None)]
     for i, k in checked:
         path, _, budget, _ = jobs[i]
         sigmas = None
@@ -373,9 +379,9 @@ def _release_stacks(jobs: Sequence[tuple]) -> tuple:
                 errors[i] = error
                 continue
             sigmas = sigmas[:k]
-        groups.setdefault((path.sizes[0], k), []).append((i, sigmas))
+        groups.setdefault(k, []).append((i, sigmas))
     stacks = []
-    for (_, k), group in groups.items():
+    for k, group in groups.items():
         group.sort(key=lambda entry: entry[1] is None)  # private jobs first, in order
         index, sigmas = zip(*group)
         W, P, c, b, singular = _release_group([jobs[i] for i in index], k, sigmas)
@@ -385,55 +391,24 @@ def _release_stacks(jobs: Sequence[tuple]) -> tuple:
     return errors, tables, stacks
 
 
-def release_many(jobs: Sequence[tuple]) -> list:
-    """Release each ``(path, cfg)`` job; one entry per job, in order: its
-    model, or the DpplsError it raised.
-
-    Each (path, budget) is calibrated once within the call, through the
-    deepest component a config releases under it, in one array.  Each
-    private config draws its k (2m + n + 1)
-    words from its own stream, as :func:`release` would, scores included,
-    and only its w, p and c words are mapped to normals.  Jobs that
-    release the same number of components from paths of the same channel
-    count are assembled and solved together, as one stack, whatever their
-    paths' row counts; each config's clean rows, means and draws come from
-    its own path.  A config that fails its checks, calibration or solve
-    takes no draws from the others' streams and leaves their models
-    unchanged.  The calibration logs are built from the arrays the noise
-    was scaled by, once per (path, budget); each model holds the first 4k
-    entries.
-    """
-    errors, tables, stacks = _release_stacks(
-        [(path, cfg.k, cfg.privacy, cfg.rng) for path, cfg in jobs])
-    logs = {key: _calibration_log(table) for key, table in tables.items()}
-    out = list(errors)
-    for index, k, W, P, c, b in stacks:
-        for r, i in enumerate(index):
-            if errors[i] is not None:
-                continue
-            path, cfg = jobs[i]
-            out[i] = PlsModel(
-                W=W[r], P=P[r], c=c[r], b=b[r], k=k, x_means=path.x_means.copy(),
-                y_mean=path.y_mean, privacy=cfg.privacy,
-                calibration_log=logs[path, cfg.privacy][:4 * k] if k and cfg.privacy else [],
-                early_stop=cfg.k > k,
-                rng_seed=cfg.rng.seed if cfg.rng is not None else None,
-                rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
-            )
-    return out
-
-
 def release_b(jobs: Sequence[tuple]) -> tuple:
     """The regression vectors of ``(path, k, budget, stream)`` jobs, from
     paths of one channel count m, with no model built.
 
-    Returns an R x m array whose row r is b of the model that
-    :func:`release_many` gives ``(path, FitConfig(k, budget, stream))``,
-    bit for bit, from the same draws, and per job None or the DpplsError
-    release_many would give it; a failed job's row is zero.
+    Returns an R x m array whose row r is b of
+    ``release(path, FitConfig(k, budget, stream))``, bit for bit, from
+    the same draws, and per job None or the DpplsError release would
+    raise; a failed job's row is zero.  Each (path, budget) is
+    calibrated once within the call, through the deepest component a job
+    releases under it, in one array.  Paths of differing channel counts
+    are refused with ShapeError before any calibration or draw.
     """
+    counts = sorted({path.sizes[0] for path, *_ in jobs})
+    if len(counts) > 1:
+        raise ShapeError(
+            f"release_b needs paths of one channel count, got {counts[0]} and {counts[-1]}")
     errors, _, stacks = _release_stacks(jobs)
-    B = np.zeros((len(jobs), jobs[0][0].sizes[0] if jobs else 0))
+    B = np.zeros((len(jobs), counts[0] if jobs else 0))
     for index, _, _, _, _, b in stacks:
         B[list(index)] = b
     return B, errors
@@ -444,12 +419,21 @@ def release(path: NipalsPath, cfg: FitConfig) -> PlsModel:
 
     Without a privacy budget the clean quantities are released.  A path
     holding fewer than cfg.k components gives a model flagged as stopped
-    early.
+    early.  A private model's calibration log is built from the table
+    whose sigmas scaled its noise.
     """
-    (result,) = release_many([(path, cfg)])
-    if isinstance(result, DpplsError):
-        raise result
-    return result
+    (error,), tables, stacks = _release_stacks([(path, cfg.k, cfg.privacy, cfg.rng)])
+    if error is not None:
+        raise error
+    ((_, k, W, P, c, b),) = stacks
+    return PlsModel(
+        W=W[0], P=P[0], c=c[0], b=b[0], k=k, x_means=path.x_means.copy(),
+        y_mean=path.y_mean, privacy=cfg.privacy,
+        calibration_log=_calibration_log(tables[path, cfg.privacy]) if k and cfg.privacy else [],
+        early_stop=cfg.k > k,
+        rng_seed=cfg.rng.seed if cfg.rng is not None else None,
+        rng_stream=cfg.rng.stream_id if cfg.rng is not None else None,
+    )
 
 
 def fit(d: Dataset, cfg: FitConfig) -> PlsModel:

@@ -907,6 +907,20 @@ def test_readme_cli_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
+def test_readme_python_examples_run_as_written(tmp_path, monkeypatch):
+    # Run in order in one namespace, as a reader would paste them, on a
+    # small simulated run standing in for the reader's spectra.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 3
+    holder1, holder2 = datagen.simulate_two_holders(12, 30, RngStream(3))
+    namespace = {"spectra": holder1.X, "concentrations": holder1.y,
+                 "new_spectra": holder2.X}
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 @pytest.mark.parametrize("command,config", [
     ("fit", {"k": "abc"}),
     ("fit", {"k": 2.7}),

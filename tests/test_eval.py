@@ -20,7 +20,7 @@ from dppls.errors import (
     SingularSystemError,
 )
 from dppls.evaluate import EvalReport, r2_score, rmse, sweep, train_test_split
-from dppls.pls import FitConfig, fit, nipals_path, predict, release_b, release_many
+from dppls.pls import FitConfig, fit, nipals_path, predict, release, release_b
 from dppls.preprocess import parse_pipeline
 
 
@@ -376,9 +376,15 @@ def _fresh(stream):
 
 
 def _models_of(jobs):
-    """The models release_many gives release_b's jobs, on fresh streams."""
-    return release_many([(path, FitConfig(k=k, privacy=budget, rng=_fresh(stream)))
-                         for path, k, budget, stream in jobs])
+    """What release gives each of release_b's jobs, one at a time on a
+    fresh stream: its model, or the DpplsError it raised."""
+    out = []
+    for path, k, budget, stream in jobs:
+        try:
+            out.append(release(path, FitConfig(k=k, privacy=budget, rng=_fresh(stream))))
+        except DpplsError as exc:
+            out.append(exc)
+    return out
 
 
 def test_scorer_equals_predict_bit_for_bit():
@@ -482,9 +488,9 @@ def test_rmsep_r2p_equal_rmse_and_r2_score_per_row(case):
 def _failing_release(positions, outcomes):
     """release_b with the entries at ``positions`` replaced by errors;
     appends to ``outcomes`` each call's outcomes as models: those
-    release_many gives the same jobs on fresh streams, with the same
-    errors in place."""
-    def release(jobs):
+    release gives the same jobs on fresh streams, with the same errors
+    in place."""
+    def failing(jobs):
         models = _models_of(jobs)
         B, errors = release_b(jobs)
         for i in positions:
@@ -492,7 +498,7 @@ def _failing_release(positions, outcomes):
                 errors[i] = models[i] = SingularSystemError(f"synthetic failure {i}")
         outcomes.append(models)
         return B, errors
-    return release
+    return failing
 
 
 _SCORED_GRID = [FitConfig(k=1), FitConfig(k=2, privacy=PrivacyBudget(10.0, 0.01)),
@@ -565,6 +571,14 @@ def test_sweep_validation():
     rng = RngStream(28)
     with pytest.raises(ArgumentError, match="repeats"):
         _holdout(d, [1.0], 3, rng, repeats=0)
+    # Counts that are bools or not integers are refused before any row is
+    # mapped: these rows would raise once mapped.
+    bad_rows = Dataset(X=np.where(d.X > 0, d.X, np.nan), y=d.y)
+    for bad in (2.5, True):
+        with pytest.raises(ArgumentError, match=f"^repeats must be an integer, got {bad}$"):
+            _holdout(bad_rows, [1.0], 3, rng, repeats=bad)
+        with pytest.raises(ArgumentError, match=f"^folds must be an integer, got {bad}$"):
+            _cv(bad_rows, bad, [FitConfig(k=2)], rng)
     for bad in (0.0, -1.0):
         with pytest.raises(ArgumentError, match="positive"):
             _holdout(d, [bad], 3, rng)

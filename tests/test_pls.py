@@ -46,7 +46,6 @@ from dppls.pls import (
     predict,
     release,
     release_b,
-    release_many,
     save_model,
 )
 
@@ -85,9 +84,20 @@ def _nipals_path_at(tol, d, k_max):
         return nipals_path(d, k_max)
 
 
-def _jobs(path, cfgs):
-    """release_many's jobs: each config on ``path``."""
-    return [(path, cfg) for cfg in cfgs]
+def _b_jobs(path, cfgs):
+    """release_b's jobs: each config's (k, budget, stream) on ``path``."""
+    return [(path, cfg.k, cfg.privacy, cfg.rng) for cfg in cfgs]
+
+
+def _outcomes(path, cfgs, one=release):
+    """``one(path, cfg)`` per config, each error kept in place of its model."""
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(one(path, cfg))
+        except DpplsError as exc:
+            out.append(exc)
+    return out
 
 
 def _random_dataset(seed, n=20, m=10):
@@ -215,8 +225,9 @@ def test_fit_requires_rng_with_privacy():
 
 
 def test_fit_config_validation():
-    with pytest.raises(ArgumentError):
-        FitConfig(k=0)
+    for k in (0, -1, 1.5, True):
+        with pytest.raises(ArgumentError, match=f"k must be a positive integer, got {k}"):
+            FitConfig(k=k)
 
 
 def test_fit_rejects_nonfinite_rows():
@@ -263,7 +274,7 @@ def test_zero_tolerance_stops_on_an_exactly_vanishing_residual():
                 y=np.array([1.0, 2.0, 3.0, 4.0]))
     path = _nipals_path_at(0.0, d, 2)
     assert path.releases.shape[0] == 1 and np.all(np.isfinite(path.releases))
-    one, two = release_many(_jobs(path, [FitConfig(k=1), FitConfig(k=2)]))
+    one, two = (release(path, FitConfig(k=k)) for k in (1, 2))
     assert (one.k, one.early_stop) == (1, False)
     assert (two.k, two.early_stop) == (1, True)
     np.testing.assert_allclose(predict(two, d.X), d.y, rtol=1e-12)
@@ -442,12 +453,12 @@ def _reference_release(path, cfg, noised=CALIBRATION_TARGETS):
     """cfg's release of ``path`` rebuilt one config and one vector at a
     time: one analytic_gaussian_sigmas call per calibration, in
     CALIBRATION_TARGETS order, each target outside ``noised`` then set
-    to sigma 0 (as _silence_all_but sets it in release_many), one
+    to sigma 0 (as _silence_all_but sets it in the release), one
     gaussian_vector call per released vector in the documented order (a
     private config draws for every release, whatever its sigma, the
     scores' too, which no model holds; a clean one draws nothing),
     np.linalg.norm per weight vector and np.linalg.solve(P.T @ W, c).
-    Raises what release_many reports for the config."""
+    Raises what release raises for the config."""
     if cfg.privacy is not None and cfg.rng is None:
         raise ConfigurationError("a privacy budget requires an rng stream")
     if cfg.k > path.k_max:
@@ -494,19 +505,23 @@ def _reference_release(path, cfg, noised=CALIBRATION_TARGETS):
 
 
 def _assert_score_noise_reaches_no_model(path, cfgs):
-    """Released with noise on the scores alone, every private config that
-    gives a model gives its clean release's W, P, c and b bit for bit,
-    while its log holds 4k calibrations with positive score sigmas."""
+    """Released with noise on the scores alone, every private config of
+    cfgs() that gives a model gives its clean release's W, P, c and b bit
+    for bit, and its row of one release_b call over cfgs() that b, while
+    its log holds 4k calibrations with positive score sigmas."""
     with pytest.MonkeyPatch.context() as mp:
         _silence_all_but(mp, "scores")
-        noised = release_many(_jobs(path, cfgs))
-    clean = release_many(_jobs(path, [dataclasses.replace(cfg, privacy=None) for cfg in cfgs]))
-    models = [(a, b) for a, b in zip(noised, clean)
+        noised = _outcomes(path, cfgs())
+        B, errors = release_b(_b_jobs(path, cfgs()))
+    clean = _outcomes(path, [dataclasses.replace(cfg, privacy=None) for cfg in cfgs()])
+    models = [(a, b, row, error) for a, b, row, error in zip(noised, clean, B, errors)
               if isinstance(a, PlsModel) and a.privacy is not None]
     assert models
-    for a, b in models:
+    for a, b, row, error in models:
         for name in ("W", "P", "c", "b"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert error is None
+        np.testing.assert_array_equal(row, b.b)
         assert len(a.calibration_log) == 4 * a.k
         scores = a.calibration_log[1::4]
         assert all(cal.target == "scores" and cal.sigma > 0 for cal in scores)
@@ -519,7 +534,7 @@ def test_batched_noise_equals_sequential_draws(monkeypatch, silenced):
     cfg = lambda: FitConfig(k=3, privacy=PrivacyBudget(1.0, 0.01), rng=RngStream(5, 9))
     noised = CALIBRATION_TARGETS
     if silenced is not None:
-        _assert_score_noise_reaches_no_model(path, [cfg()])
+        _assert_score_noise_reaches_no_model(path, lambda: [cfg()])
         # A zero-sigma release still takes its draws from the stream.
         noised = _silence_all_but(
             monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
@@ -539,17 +554,26 @@ def test_a_private_release_consumes_k_row_widths_of_its_stream(monkeypatch, case
     k = len(path.releases)
     assert k == (1 if case == "score-stop" else 3)
     budget = PrivacyBudget(1.0, 0.01)
-    streams = [RngStream(11, s) for s in range(3)]
-    release_many(_jobs(path, [FitConfig(k=path.k_max, privacy=budget, rng=streams[0]),
-                              FitConfig(k=path.k_max, rng=streams[1]),
-                              FitConfig(k=1, privacy=budget, rng=streams[2])]))
-    for used, stream in zip((k, 0, 1), streams):
-        fresh = RngStream(stream.seed, stream.stream_id)
-        fresh.open_unit(used * sum(path.sizes))
-        np.testing.assert_array_equal(stream.open_unit(8), fresh.open_unit(8))
+
+    def cfgs():
+        streams = [RngStream(11, s) for s in range(3)]
+        return [FitConfig(k=path.k_max, privacy=budget, rng=streams[0]),
+                FitConfig(k=path.k_max, rng=streams[1]),
+                FitConfig(k=1, privacy=budget, rng=streams[2])]
+
+    # Alike in one release_b call and in one release per config.
+    batched, one_by_one = cfgs(), cfgs()
+    release_b(_b_jobs(path, batched))
+    for cfg in one_by_one:
+        release(path, cfg)
+    for released in (batched, one_by_one):
+        for used, cfg in zip((k, 0, 1), released):
+            fresh = RngStream(cfg.rng.seed, cfg.rng.stream_id)
+            fresh.open_unit(used * sum(path.sizes))
+            np.testing.assert_array_equal(cfg.rng.open_unit(8), fresh.open_unit(8))
 
 
-def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypatch):
+def test_release_b_calibrates_each_budget_once_within_the_call(monkeypatch):
     calls = []
     calibrate = pls_module.analytic_gaussian_sigmas
 
@@ -564,15 +588,18 @@ def test_release_many_memoizes_calibrations_per_budget_within_the_call(monkeypat
     # deepest component released under it.
     cfgs = lambda: [FitConfig(k=k, privacy=budget, rng=RngStream(k, rep))
                     for k in (1, 3, 2) for rep in range(3) for budget in budgets]
-    models = release_many(_jobs(path, cfgs()))
+    B, errors = release_b(_b_jobs(path, cfgs()))
     # Three sigmas per component: the scores and x-loadings share r.
     assert calls == [(budgets[0], 3 * 3), (budgets[1], 3 * 3)]
     # The path keeps nothing: the next call calibrates afresh.
     assert [f.name for f in dataclasses.fields(path)] == [
         "releases", "scores", "bounds", "x_means", "y_mean", "k_max"]
-    for got, want in zip(release_many(_jobs(path, cfgs())), models):
-        _assert_models_identical(got, want)
+    again, errors_again = release_b(_b_jobs(path, cfgs()))
     assert calls == [(budgets[0], 3 * 3), (budgets[1], 3 * 3)] * 2
+    np.testing.assert_array_equal(again, B)
+    assert errors == errors_again == [None] * 18
+    # Each row is the b of its config's release.
+    _assert_rows_are_the_b_of((B, errors), _outcomes(path, cfgs()))
 
 
 def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatch):
@@ -592,20 +619,29 @@ def test_a_calibration_failing_within_a_component_memoizes_none_of_it(monkeypatc
     cfg = lambda k, s: FitConfig(k=k, privacy=budget, rng=RngStream(s))
     want = release(nipals_path(d, 3), cfg(1, 0))
     monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas", fails_at_the_fifth_sigma)
-    cfgs = [cfg(1, 0), cfg(2, 1), cfg(3, 2), FitConfig(k=3)]
-    first, failed, deeper, clean = release_many(_jobs(path, cfgs))
+    cfgs = lambda: [cfg(1, 0), cfg(2, 1), cfg(3, 2), FitConfig(k=3)]
+    jobs = _b_jobs(path, cfgs())
+    B, errors = release_b(jobs)
     # One call for the budget, through component 3.  Component 2's
-    # calibrated y r is stored nowhere: the configs that release
-    # component 2 fail and draw nothing, and the one that does not gets
-    # its model, with component 1's four calibrations.
+    # calibrated y r is stored nowhere: the jobs that release component
+    # 2 fail and draw nothing, and the one that does not gets its b.
     assert calls == [3 * 3]
+    for error in errors[1:3]:
+        assert isinstance(error, NumericalError) and str(error) == "synthetic calibration failure"
+    assert errors[0] is None and errors[3] is None
+    np.testing.assert_array_equal(B[0], want.b)
+    np.testing.assert_array_equal(B[3], release(path, FitConfig(k=3)).b)
+    # Alone, the k=1 config gets its model, with component 1's four
+    # calibrations, and the deeper ones fail the same way.
+    single = cfgs()
+    first, failed, deeper, clean = _outcomes(path, single)
     for error in (failed, deeper):
         assert isinstance(error, NumericalError) and str(error) == "synthetic calibration failure"
     _assert_models_identical(first, want)
     assert len(first.calibration_log) == 4
     assert clean.k == 3 and clean.calibration_log == []
-    for c in cfgs[1:3]:
-        np.testing.assert_array_equal(c.rng.open_unit(4), RngStream(c.rng.seed).open_unit(4))
+    for c in [rng for *_, rng in jobs[1:3]] + [c.rng for c in single[1:3]]:
+        np.testing.assert_array_equal(c.open_unit(4), RngStream(c.seed).open_unit(4))
 
 
 def test_component_calibrations_calibrate_each_sensitivity_once(monkeypatch):
@@ -668,13 +704,7 @@ def _silence_all_but(monkeypatch, *noised):
 
 def _reference_outcomes(path, cfgs, noised=CALIBRATION_TARGETS):
     """_reference_release per config, each error kept in place of its model."""
-    out = []
-    for cfg in cfgs:
-        try:
-            out.append(_reference_release(path, cfg, noised))
-        except DpplsError as exc:
-            out.append(exc)
-    return out
+    return _outcomes(path, cfgs, lambda p, cfg: _reference_release(p, cfg, noised))
 
 
 def _assert_outcomes_identical(got, want):
@@ -686,8 +716,33 @@ def _assert_outcomes_identical(got, want):
             _assert_models_identical(g, w)
 
 
+def _assert_rows_are_the_b_of(got, want):
+    """release_b's (B, errors) against ``want``'s models and errors: each
+    row its model's b bit for bit, or zero beside the same error."""
+    B, errors = got
+    assert B.shape[0] == len(errors) == len(want)
+    for row, error, w in zip(B, errors, want):
+        if isinstance(w, DpplsError):
+            assert type(error) is type(w) and str(error) == str(w)
+            np.testing.assert_array_equal(row, 0.0)
+        else:
+            assert error is None
+            np.testing.assert_array_equal(row, w.b)
+
+
+def _assert_both_equal_the_reference(path, cfgs, noised=CALIBRATION_TARGETS):
+    """One release_b call over cfgs() gives the reference's b rows and
+    errors, and release per config its models and errors, W, P, c and
+    calibration log included; returns release's outcomes."""
+    want = _reference_outcomes(path, cfgs(), noised)
+    _assert_rows_are_the_b_of(release_b(_b_jobs(path, cfgs())), want)
+    got = _outcomes(path, cfgs())
+    _assert_outcomes_identical(got, want)
+    return got
+
+
 @pytest.mark.parametrize("silenced", [None, "scores"])
-def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
+def test_release_b_equals_one_release_per_config(monkeypatch, silenced):
     path = nipals_path(_random_dataset(44, n=12, m=9), 4)
     b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
 
@@ -704,15 +759,13 @@ def test_release_many_equals_one_release_per_config(monkeypatch, silenced):
 
     noised = CALIBRATION_TARGETS
     if silenced is not None:
-        _assert_score_noise_reaches_no_model(path, cfgs())
+        _assert_score_noise_reaches_no_model(path, cfgs)
         noised = _silence_all_but(
             monkeypatch, *(t for t in CALIBRATION_TARGETS if t != silenced))
-    got = release_many(_jobs(path, cfgs()))
-    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
+    got = _assert_both_equal_the_reference(path, cfgs, noised)
     assert [type(r).__name__ for r in got[3:5]] == ["ArgumentError", "ConfigurationError"]
     assert "path's 4 components" in str(got[3])
     assert (silenced is None) == all(cal.sigma > 0 for cal in got[0].calibration_log)
-    assert release_many([]) == []
 
 
 def _rank1_path():
@@ -724,7 +777,7 @@ def _rank1_path():
     return _nipals_path_at(0.0, Dataset(X=np.outer(c, s), y=c.copy()), 3)
 
 
-def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
+def test_release_b_keeps_a_failed_solve_to_its_own_job(monkeypatch):
     # Noising only the y-loadings leaves the rank-1 path's loading system
     # singular, so the private k=2 release draws its noise and then fails
     # its solve.
@@ -737,8 +790,7 @@ def test_release_many_keeps_a_failed_solve_to_its_own_config(monkeypatch):
         return [private(1, 0), private(2, 1), private(1, 2),
                 FitConfig(k=3), FitConfig(k=1)]
 
-    got = release_many(_jobs(path, cfgs()))
-    _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
+    got = _assert_both_equal_the_reference(path, cfgs, noised)
     assert [type(r).__name__ for r in got] == [
         "PlsModel", "SingularSystemError", "PlsModel", "SingularSystemError", "PlsModel"]
 
@@ -753,7 +805,7 @@ _BUDGETS = (None, PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5))
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_release_many_equals_the_per_config_reference(data):
+def test_release_b_and_release_equal_the_per_config_reference(data):
     case = data.draw(st.sampled_from(sorted(_PATHS)), label="path")
     noised = data.draw(st.sets(st.sampled_from(CALIBRATION_TARGETS)), label="noised")
     k_max = {"random": 4, "score-stop": 4, "rank-1": 3}[case]
@@ -776,9 +828,7 @@ def test_release_many_equals_the_per_config_reference(data):
     with pytest.MonkeyPatch.context() as mp:
         _silence_all_but(mp, *noised)
         mp.setattr(pls_module, "_MAP_BLOCK", map_block)
-        path = _PATHS[case]()
-        got = release_many(_jobs(path, cfgs()))
-        _assert_outcomes_identical(got, _reference_outcomes(path, cfgs(), noised))
+        _assert_both_equal_the_reference(_PATHS[case](), cfgs, noised)
 
 
 def _rank4_path():
@@ -790,7 +840,7 @@ def _rank4_path():
     return _nipals_path_at(1e-8, Dataset(X=C @ S, y=C[:, 0].copy()), 5)
 
 
-def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
+def test_release_b_over_several_paths_equals_one_call_per_path(monkeypatch):
     calibrate = pls_module.analytic_gaussian_sigmas
     failing = PrivacyBudget(2.0, 0.01)
     calls = []
@@ -805,52 +855,91 @@ def test_release_many_over_several_paths_equals_one_call_per_path(monkeypatch):
     short = nipals_path(_random_dataset(47, n=14, m=12), 5)
     tall = nipals_path(_random_dataset(48, n=19, m=12), 5)
     stopped, rank1 = _rank4_path(), _rank1_path()
-    narrow = nipals_path(_random_dataset(44, n=12, m=9), 4)
-    paths = (short, tall, stopped, rank1, narrow)
-    assert [p.sizes[:2] for p in paths] == [(12, 14), (12, 19), (12, 16), (12, 15), (9, 12)]
-    assert [len(p.bounds) for p in paths] == [5, 5, 4, 3, 4]
+    paths = (short, tall, stopped, rank1)
+    assert [p.sizes[:2] for p in paths] == [(12, 14), (12, 19), (12, 16), (12, 15)]
+    assert [len(p.bounds) for p in paths] == [5, 5, 4, 3]
     b1, b2 = PrivacyBudget(1.0, 0.01), PrivacyBudget(100.0, 1e-5)
 
     def jobs():
         def private(path, k, budget, s):
-            return path, FitConfig(k=k, privacy=budget, rng=RngStream(9, s))
+            return path, k, budget, RngStream(9, s)
         return [
             private(short, 4, b1, 0),
-            (tall, FitConfig(k=4)),
+            (tall, 4, None, None),
             private(stopped, 5, b1, 1),  # releases 4, stacked with the k=4 jobs
-            (rank1, FitConfig(k=3)),  # a singular solve
+            (rank1, 3, None, None),  # a singular solve
             private(tall, 4, b2, 2),
-            (short, FitConfig(k=2)),
+            (short, 2, None, None),
             private(short, 5, b1, 3),  # short again: extends its b1 calibrations
             private(tall, 3, failing, 4),  # a failed calibration
             private(stopped, 2, b2, 5),
             private(short, 3, b2, 6),  # stacked with the singular solve
             private(rank1, 1, b1, 7),
-            (stopped, FitConfig(k=5)),
-            private(narrow, 4, b1, 8),  # 9 channels: stacked apart from the k=4 jobs
+            (stopped, 5, None, None),
         ]
 
-    got = release_many(jobs())
+    B, errors = release_b(jobs())
     # One call per (path, budget), through the deepest component released
     # under it, three sigmas each: short's b1 calibrates 5 components
     # once.  The failing budget fails at its first sigma.
     assert calls == [(b1, 3 * 5), (b1, 3 * 4), (b2, 3 * 4), (failing, 3 * 3), (b2, 3 * 2),
-                     (b2, 3 * 3), (b1, 3 * 1), (b1, 3 * 4)]
-    assert [type(r).__name__ for r in got] == (
-        ["PlsModel"] * 3 + ["SingularSystemError"] + ["PlsModel"] * 3 + ["NumericalError"]
-        + ["PlsModel"] * 5)
-    assert (got[2].k, got[2].early_stop, got[11].k, got[11].early_stop) == (4, True, 4, True)
-    all_jobs, want = jobs(), [None] * len(got)
+                     (b2, 3 * 3), (b1, 3 * 1)]
+    assert [type(e).__name__ for e in errors] == (
+        ["NoneType"] * 3 + ["SingularSystemError"] + ["NoneType"] * 3 + ["NumericalError"]
+        + ["NoneType"] * 4)
+    all_jobs, want = jobs(), [None] * len(errors)
     for path in paths:
-        index = [j for j, (p, _) in enumerate(all_jobs) if p is path]
-        for j, outcome in zip(index, release_many([all_jobs[j] for j in index])):
-            want[j] = outcome
-    _assert_outcomes_identical(got, want)
-    _assert_outcomes_identical(
-        got, [_reference_outcomes(path, [cfg])[0] for path, cfg in jobs()])
+        index = [j for j, job in enumerate(all_jobs) if job[0] is path]
+        B_path, errors_path = release_b([all_jobs[j] for j in index])
+        for j, row, error in zip(index, B_path, errors_path):
+            want[j] = row, error
+    np.testing.assert_array_equal(B, [row for row, _ in want])
+    assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for _, e in want]
+    # Against the reference, and release alone per config.
+    cfgs = lambda: [(path, FitConfig(k=k, privacy=budget, rng=rng))
+                    for path, k, budget, rng in jobs()]
+    reference = [_reference_outcomes(path, [cfg])[0] for path, cfg in cfgs()]
+    _assert_rows_are_the_b_of((B, errors), reference)
+    got = [_outcomes(path, [cfg])[0] for path, cfg in cfgs()]
+    _assert_outcomes_identical(got, reference)
+    assert (got[2].k, got[2].early_stop, got[11].k, got[11].early_stop) == (4, True, 4, True)
 
 
-def test_release_b_equals_the_b_of_release_many():
+def test_release_b_refuses_paths_of_differing_channel_counts(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pls_module, "analytic_gaussian_sigmas",
+                        lambda delta_f, budget: calls.append(budget))
+    wide = nipals_path(_random_dataset(47, n=14, m=12), 5)
+    narrow = nipals_path(_random_dataset(44, n=12, m=9), 4)
+    single = nipals_path(_random_dataset(50, n=10, m=1), 1)
+    budget = PrivacyBudget(1.0, 0.01)
+    for other, count in ((single, 1), (narrow, 9)):
+        streams = [RngStream(9, s) for s in range(2)]
+        with pytest.raises(ShapeError, match=f"one channel count, got {count} and 12"):
+            release_b([(wide, 2, budget, streams[0]), (other, 1, budget, streams[1])])
+        # Refused before any calibration or draw.
+        assert calls == []
+        for s, stream in enumerate(streams):
+            np.testing.assert_array_equal(stream.open_unit(4), RngStream(9, s).open_unit(4))
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, True])
+def test_a_job_whose_k_is_not_a_positive_integer_fails_alone(k):
+    path = nipals_path(_random_dataset(46), 3)
+    budget = PrivacyBudget(1.0, 0.01)
+    streams = [RngStream(13, s) for s in range(2)]
+    B, errors = release_b([(path, k, budget, streams[0]), (path, 2, budget, streams[1])])
+    assert type(errors[0]) is ArgumentError
+    assert str(errors[0]) == f"k must be a positive integer, got {k}"
+    np.testing.assert_array_equal(B[0], 0.0)
+    assert errors[1] is None
+    model = release(path, FitConfig(k=2, privacy=budget, rng=RngStream(13, 1)))
+    np.testing.assert_array_equal(B[1], model.b)
+    # The refused job draws nothing.
+    np.testing.assert_array_equal(streams[0].open_unit(4), RngStream(13, 0).open_unit(4))
+
+
+def test_release_b_equals_the_b_of_release():
     short = nipals_path(_random_dataset(47, n=14, m=12), 5)
     tall = nipals_path(_random_dataset(48, n=19, m=12), 5)
     stopped, rank1 = _rank4_path(), _rank1_path()
@@ -872,22 +961,17 @@ def test_release_b_equals_the_b_of_release_many():
             (short, 5, b2, RngStream(9, 7)),
         ]
 
-    via_b, via_many = jobs(), jobs()
+    via_b, via_release = jobs(), jobs()
     B, errors = release_b(via_b)
-    models = release_many([(path, FitConfig(k=k, privacy=budget, rng=stream))
-                           for path, k, budget, stream in via_many])
+    models = [_outcomes(path, [FitConfig(k=k, privacy=budget, rng=stream)])[0]
+              for path, k, budget, stream in via_release]
     assert B.shape == (10, 12)
     assert [type(e).__name__ for e in errors] == [
         "NoneType"] * 3 + ["SingularSystemError", "NoneType", "ArgumentError",
                            "ConfigurationError"] + ["NoneType"] * 3
-    for row, error, model in zip(B, errors, models):
-        if error is None:
-            np.testing.assert_array_equal(row, model.b)
-        else:
-            assert type(model) is type(error) and str(model) == str(error)
-            np.testing.assert_array_equal(row, np.zeros(12))
+    _assert_rows_are_the_b_of((B, errors), models)
     # Both take the same draws from each stream.
-    for (*_, a), (*_, b) in zip(via_b, via_many):
+    for (*_, a), (*_, b) in zip(via_b, via_release):
         if a is not None:
             np.testing.assert_array_equal(a.open_unit(4), b.open_unit(4))
     B, errors = release_b([])
