@@ -31,8 +31,9 @@ import tempfile
 import time
 from pathlib import Path
 
-# Per command, its arguments; {data} is the shared input directory and
-# {out} the run's own output directory.
+# Per timed command, its arguments; {data} is the shared input directory
+# and {out} the run's own output directory.  sweep-airpls is perfbench's
+# sweep-airpls sweep.
 COMMANDS = {
     "simulate": "simulate --n 100 --m 100 --seed 1 --output {out}/sim",
     "fit": "fit --input {data}/sim/combined.csv --output {out}/m.json --k 3",
@@ -42,8 +43,13 @@ COMMANDS = {
                "--output {out}/a.json"),
     "preprocess": ("preprocess --input {data}/sim/combined.csv --output {out}/pre.csv "
                    "--pipeline sg:5,2,1|msc"),
+    "preprocess-airpls": ("preprocess --input {data}/sim/combined.csv --output {out}/pre.csv "
+                          "--pipeline airpls|center"),
     "sweep": ("sweep --input {data}/sim/combined.csv --output {out}/sweep --mode both "
               "--k 3 --k-max 5 --epsilons 100,10,1 --folds 10 --repeats 20 --seed 1"),
+    "sweep-airpls": ("sweep --input {data}/sim/combined.csv --output {out}/sweep --mode both "
+                     "--k 3 --k-max 1 --epsilons 1 --folds 5 --repeats 20 --seed 1 "
+                     "--pipeline airpls|center"),
 }
 
 CPU = max(os.sched_getaffinity(0))  # every run is pinned here
@@ -113,13 +119,13 @@ def main(argv=None) -> int:
                 }
             result[command] = entry
 
-    print(f"{'command':<11} {'measure':<7} {'old median [q1, q3]':<26} "
+    print(f"{'command':<17} {'measure':<7} {'old median [q1, q3]':<26} "
           f"{'new median [q1, q3]':<26} {'saving':>8}  new wins")
     for command, entry in result.items():
         for measure, m in entry.items():
             cells = [f"{m[s]['median']:.4f} [{m[s]['q1']:.4f}, {m[s]['q3']:.4f}]"
                      for s in ("old", "new")]
-            print(f"{command:<11} {measure:<7} {cells[0]:<26} {cells[1]:<26} "
+            print(f"{command:<17} {measure:<7} {cells[0]:<26} {cells[1]:<26} "
                   f"{m['median_saving_s']:>8.4f}  {m['new_wins']}")
     doc = {"old": str(sides["old"]), "new": str(sides["new"]), "pairs": args.pairs,
            "cpu": CPU, "commands": result}

@@ -24,6 +24,7 @@ changes what the command calls.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import sys
@@ -382,18 +383,25 @@ def cmd_preprocess(cfg: dict) -> None:
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of ``argv``.  When ``argv[0]`` names a command, only that
-    command's subparser gets its flags; argparse formats each flag as it
-    is added, so a run builds no other command's.  Otherwise every
-    subparser gets them."""
+    command's subparser gets its flags and its -h; argparse formats each
+    flag as it is added, so a run builds no other command's.  The other
+    subparsers stay, so help, usage and error text are the full parser's,
+    which every subparser gets when ``argv`` names no command.  Every
+    formatter takes the terminal width looked up once here, where argparse
+    would look it up for each."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="dppls",
         description="Differentially private PLS1 regression toolkit",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in COMMANDS else None
     for command, (summary, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        if named not in (None, command):
+        built = named in (None, command)
+        p = sub.add_parser(command, help=summary, formatter_class=formatter, add_help=built)
+        if not built:
             continue
         p.add_argument("--config", help="flat JSON config file; flags override it")
         for opt in options:

@@ -85,6 +85,18 @@ class Dataset:
         return self.X.shape[1]
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a count or index that is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """Refuse a parameter that is a bool or not an integer or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ArgumentError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) differential-privacy budget for one release."""
@@ -93,6 +105,8 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
+        check_number("epsilon", self.epsilon)
+        check_number("delta", self.delta)
         if not np.isfinite(self.epsilon):
             raise ArgumentError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= 0:
@@ -210,7 +224,7 @@ class RngStream:
 
     def __post_init__(self):
         for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(v, (int, np.integer)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ArgumentError(f"{name} must be an integer, got {type(v).__name__}")
             if not (0 <= int(v) < 2 ** 64):
                 raise ArgumentError(f"{name} must fit in an unsigned 64-bit integer")
@@ -223,11 +237,17 @@ class RngStream:
 
         The child id is a SplitMix64 hash chain over (stream_id, indices),
         so the mapping is deterministic and documented rather than relying
-        on draw order.
+        on draw order.  An index that is a bool, not an integer or outside
+        [0, 2^64) is refused, so no two indices share a stream by
+        truncation or wrap-around.
         """
         child = _splitmix64(self.stream_id)
         for idx in indices:
-            child = _splitmix64(child ^ _splitmix64(int(idx) & _U64_MASK))
+            check_integer("derive index", idx)
+            if not 0 <= idx < 2 ** 64:
+                raise ArgumentError(
+                    f"derive index must fit in an unsigned 64-bit integer, got {idx}")
+            child = _splitmix64(child ^ _splitmix64(int(idx)))
         return RngStream(self.seed, child)
 
     def raw_words(self, size: int) -> np.ndarray:

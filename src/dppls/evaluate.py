@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, PrivacyBudget, RngStream, save_json
+from .core import Dataset, PrivacyBudget, RngStream, check_integer, check_number, save_json
 from .errors import ArgumentError, DegenerateInputError, DpplsError, ShapeError
 from .mechanism import analytic_gaussian_sigma
 from .pls import FitConfig, NipalsPath, nipals_path, release_b
@@ -214,7 +214,8 @@ def sweep(
     holdout sweep at ``k`` components when ``k`` is given.  Before any
     row is mapped it refuses a bad ``pipeline_spec``; for CV, ``folds``
     not an integer in [2, n]; for the holdout sweep, ``repeats`` not an
-    integer of at least 1, ``delta`` outside (0, 1), a bad epsilon, a
+    integer of at least 1, ``delta`` not a number in (0, 1), an epsilon
+    that is not a positive finite number (a bool is none), a
     split at ``test_fraction`` leaving fewer than 2 rows on a side, and a
     ``k`` beyond the training split; a budget of either protocol that no
     calibration can serve; and responses holding NaN or infinite
@@ -225,16 +226,19 @@ def sweep(
     """
     row_steps, fitted = parse_pipeline(pipeline_spec).split()
     if grid:
-        _check_integer("folds", folds)
+        check_integer("folds", folds)
         if not (2 <= folds <= d.n):
             raise ArgumentError(f"folds must lie in [2, n={d.n}], got {folds}")
     budgets = []
     if k is not None:
-        _check_integer("repeats", repeats)
+        check_integer("repeats", repeats)
         if repeats < 1:
             raise ArgumentError(f"repeats must be at least 1, got {repeats}")
+        check_number("delta", delta)
         if not (0 < delta < 1):
             raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
+        for eps in eps_list:
+            check_number("epsilon", eps)
         budgets = [PrivacyBudget(epsilon=float(eps), delta=delta) for eps in eps_list]
         base = FitConfig(k=k)
         # Every step keeps the channel count, so this is the path's own limit.
@@ -259,12 +263,6 @@ def sweep(
             train, test, base, budgets, repeats, delta, pipeline_spec, fitted,
             rng.derive(_STREAM_HOLDOUT))
     return reports
-
-
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is a bool or not an integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _kfold_cv(d: Dataset, folds: int, grid: Sequence[FitConfig], pipeline_spec: str,

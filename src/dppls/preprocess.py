@@ -25,6 +25,7 @@ from math import factorial
 
 import numpy as np
 
+from .core import check_integer, check_number
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -46,6 +47,8 @@ class SgConfig:
     derivative: int = 1
 
     def __post_init__(self):
+        for name in ("window", "polyorder", "derivative"):
+            check_integer(name, getattr(self, name))
         if self.window < 3 or self.window % 2 == 0:
             raise ArgumentError(f"window must be odd and >= 3, got {self.window}")
         if not (0 <= self.polyorder < self.window):
@@ -174,6 +177,9 @@ class AirPlsConfig:
     diff_order: int = 1
 
     def __post_init__(self):
+        check_number("lam", self.lam)
+        check_integer("max_iterations", self.max_iterations)
+        check_integer("diff_order", self.diff_order)
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise ArgumentError(f"lam must be positive, got {self.lam}")
         if self.max_iterations < 1:
@@ -201,8 +207,8 @@ def _penalty_bands(m: int, order: int) -> np.ndarray:
     return ab
 
 
-def _solve_banded(band: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + diag(weights[i])) z = rhs[i] for every row i.
+class _BandedSolver:
+    """Solves (A + diag(w)) z = rhs for r systems at once, A fixed.
 
     A is the symmetric band matrix of bandwidth p in the upper form of
     :func:`_penalty_bands` (``band[p - s, j]`` holds A[j - s, j]).  Each
@@ -216,49 +222,85 @@ def _solve_banded(band: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.
     At larger p, LAPACK's ``pbsv`` takes a Cholesky route whose bits
     depend on its BLAS's fused multiply-adds; these steps give the same
     bits on every BLAS, within 4 eps cond(A) max |z| of LAPACK's (the
-    tests' bound; at most 0.7 measured up to p = 4).  The rows are
-    stored channel-major and step together: each step is one ufunc call
-    over all rows, written through ``out=`` into views bound once.  A
-    non-positive pivot raises NumericalError, as LAPACK does.
+    tests' bound; at most 0.7 measured up to p = 4).
+
+    The systems are stored channel-major (m x r) and step together: each
+    step is one ufunc call over all r systems, written into a view of the
+    solver's buffers.  Building the solver binds those views once, per
+    channel and step, so every :meth:`solve` of r systems runs only the
+    ufunc calls; a solver is built for one row count and kept while that
+    count holds.
     """
-    p = band.shape[0] - 1
-    r, m = rhs.shape
-    # a[s, j] holds row j's entry s channels right of the diagonal, for
-    # j + s < m.  No step updates the outermost band, so the rows share it.
-    a = np.empty((p, m, r))
-    np.add(weights.T, band[p, :, None], out=a[0])
-    for s in range(1, p):
-        a[s, :m - s] = band[p - s, s:, None]
-    A = [list(x) for x in a] + [list(np.broadcast_to(band[0, p:, None], (m - p, r)))]
-    L = [None] + [list(x) for x in np.empty((p, m - 1, r))]
-    b = rhs.T.copy()
-    B = list(b)
-    tmp = np.empty(r)
-    # A non-positive pivot stays in a[0]; the steps after it may divide
-    # by zero, so they run silenced and the pivots are checked at the end.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(m - 1):
-            width = min(p, m - 1 - j)
+
+    def __init__(self, band: np.ndarray, r: int):
+        p, m = band.shape[0] - 1, band.shape[1]
+        self.band = band
+        # a[s, j] holds row j's entry s channels right of the diagonal, for
+        # j + s < m.  No step updates the outermost band, so the rows share it.
+        self.a = np.empty((p, m, r))
+        self.b = np.empty((m, r))
+        self.tmp = np.empty(r)
+        A = [list(x) for x in self.a] + [list(np.broadcast_to(band[0, p:, None], (m - p, r)))]
+        L = [None] + [list(x) for x in np.empty((p, m - 1, r))]
+        B = list(self.b)
+        # Per channel j, one step per s = 1 .. min(p, m - 1 - j), its width:
+        # (a_(j, j+s), d_j, l_s, b_j, b_(j+s), and per t = s .. width the
+        # (l_s, a_(j, j+t), a_(j+s, j+t)) of a_(j+s, j+t) -= l_s a_(j, j+t)).
+        # Channels 0 .. m-1-p have width p; each later one has a width of
+        # its own, one less than the channel before.
+        self.steps = []
+        for lo, hi, width in [(0, m - p, p)] + [(m - 1 - w, m - w, w) for w in range(p - 1, 0, -1)]:
+            per_s = []
             for s in range(1, width + 1):
-                np.divide(A[s][j], A[0][j], out=L[s][j])
-                for t in range(s, width + 1):
-                    np.multiply(L[s][j], A[t][j], out=tmp)
-                    np.subtract(A[t - s][j + s], tmp, out=A[t - s][j + s])
-                np.multiply(B[j], L[s][j], out=tmp)
-                np.subtract(B[j + s], tmp, out=B[j + s])
-        # Every b_j / d_j reads a b_j the backward steps have not touched
-        # yet, so all of them are taken in one call.
-        np.divide(b, a[0], out=b)
-        for j in range(m - 2, -1, -1):
-            for s in range(1, min(p, m - 1 - j) + 1):
-                np.multiply(B[j + s], L[s][j], out=tmp)
-                np.subtract(B[j], tmp, out=B[j])
-    if not (a[0] > 0).all():
-        j = int(np.flatnonzero(~(a[0] > 0).all(axis=1))[0])
-        raise NumericalError(
-            f"banded baseline solve failed: {j + 1}th leading minor not positive definite"
-        )
-    return b.T
+                updates = zip(*[zip(L[s][lo:hi], A[t][lo:hi], A[t - s][lo + s:hi + s])
+                                for t in range(s, width + 1)])
+                per_s.append(zip(A[s][lo:hi], A[0][lo:hi], L[s][lo:hi],
+                                 B[lo:hi], B[lo + s:hi + s], updates))
+            self.steps.extend(zip(*per_s))
+
+    def solve(self, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The solutions z (m x r) of the systems with the given channel-
+        major weights and right-hand sides, in the solver's own buffer,
+        which the next solve overwrites.  A non-positive pivot raises
+        NumericalError, as LAPACK does."""
+        band, a, b, tmp = self.band, self.a, self.b, self.tmp
+        p, m = a.shape[0], b.shape[0]
+        np.add(weights, band[p, :, None], out=a[0])
+        for s in range(1, p):
+            a[s, :m - s] = band[p - s, s:, None]
+        np.copyto(b, rhs)
+        divide, multiply, subtract = np.divide, np.multiply, np.subtract
+        # A non-positive pivot stays in a[0]; the steps after it may divide
+        # by zero, so they run silenced and the pivots are checked at the end.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for channel in self.steps:
+                for num, d, l, bj, bs, updates in channel:
+                    divide(num, d, l)
+                    for x, y, z in updates:
+                        multiply(x, y, tmp)
+                        subtract(z, tmp, z)
+                    multiply(bj, l, tmp)
+                    subtract(bs, tmp, bs)
+            # Every b_j / d_j reads a b_j the backward steps have not
+            # touched yet, so all of them are taken in one call.
+            divide(b, a[0], b)
+            for channel in reversed(self.steps):
+                for _, _, l, bj, bs, _ in channel:
+                    multiply(bs, l, tmp)
+                    subtract(bj, tmp, bj)
+        if not (a[0] > 0).all():
+            j = int(np.flatnonzero(~(a[0] > 0).all(axis=1))[0])
+            raise NumericalError(
+                f"banded baseline solve failed: {j + 1}th leading minor not positive definite"
+            )
+        return b
+
+
+def _solve_banded(band: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + diag(weights[i])) z = rhs[i] for every row i, with a
+    :class:`_BandedSolver` of its own; ``band`` is as there, and the
+    weights, right-hand sides and solutions are row-major (r x m)."""
+    return _BandedSolver(band, rhs.shape[0]).solve(weights.T, rhs.T).T
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -287,7 +329,10 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     solve.  Returns the baseline-subtracted rows.
 
     Each iteration solves the systems of all rows still iterating at
-    once with :func:`_solve_banded`, in numpy, at every diff_order.  The
+    once with a :class:`_BandedSolver`, in numpy, at every diff_order.
+    Those rows are kept channel-major from round to round, and one
+    solver serves every round while none of them stops; it is rebuilt
+    for the rows left when some do, and nothing outlives the call.  The
     stopping test and the weights are computed per row, with each row's
     l1(d) summed over that row's own residuals, so the output equals
     solving each row on its own, bit for bit.  A ``lam`` for which
@@ -299,9 +344,8 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("input contains NaN or infinite entries")
     n, m = X.shape
-    baseline = np.zeros_like(X)
     if n == 0:
-        return X - baseline
+        return X.copy()
     with np.errstate(over="ignore"):
         band = cfg.lam * _penalty_bands(m, cfg.diff_order)
         abs_total = np.abs(X).sum(axis=1)
@@ -312,31 +356,38 @@ def airpls_correct(X: np.ndarray, cfg: AirPlsConfig = AirPlsConfig()) -> np.ndar
     if not np.isfinite(abs_total).all():
         row = int(np.argmin(np.isfinite(abs_total)))
         raise DegenerateInputError(f"row {row} has an l1 norm beyond float range")
+    # The rows still iterating, channel-major: column i is row active[i].
     active = np.arange(n)
-    weights = np.ones_like(X)
+    rows = X.T.copy()
+    weights = np.ones_like(rows)
+    baseline = np.zeros_like(rows)
+    solver = None
     for iteration in range(1, cfg.max_iterations + 1):
-        rows = X[active]
+        if solver is None:
+            solver = _BandedSolver(band, active.size)
         try:
-            z = _solve_banded(band, weights, weights * rows)
+            z = solver.solve(weights, weights * rows)
         except NumericalError as exc:
             raise NumericalError(
                 f"lam {cfg.lam!r} is too large for the order-{cfg.diff_order} difference "
                 f"penalty; a smaller lam is needed ({exc})"
             ) from None
-        baseline[active] = z
+        baseline[:, active] = z
         d = rows - z
         neg = d < 0
-        counts = neg.sum(axis=1)
-        absneg = np.abs(d[neg])
+        counts = neg.sum(axis=0)
+        # Each row's negative residuals in channel order, one row after another.
+        absneg = np.abs(d.T[neg.T])
         dssn = _segment_sums(absneg, counts)
         going = (dssn >= 0.001 * abs_total[active]) & (counts >= cfg.diff_order)
         if not going.any():
             break
         weights = np.zeros_like(d)
-        weights[neg] = np.exp(iteration * absneg / np.repeat(dssn, counts))
-        weights = weights[going]
-        active = active[going]
-    return X - baseline
+        weights.T[neg.T] = np.exp(iteration * absneg / np.repeat(dssn, counts))
+        if not going.all():
+            weights, rows, active = weights[:, going], rows[:, going], active[going]
+            solver = None
+    return X - baseline.T
 
 
 # ---------------------------------------------------------------------------

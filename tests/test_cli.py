@@ -781,6 +781,19 @@ def test_parser_of_one_command_parses_and_helps_as_the_full_parser(command, caps
         helps.append(capsys.readouterr().out)
     assert helps[0] == helps[1]
     assert own.format_help() == full.format_help()
+    # Refused command lines end with the same usage, message and status.
+    options = cli.COMMANDS[command][1]
+    int_flag = next("--" + o.name.replace("_", "-") for o in options if o.type is int)
+    refused = [[command, "--bogus"], [command, int_flag, "x"], [command, "extra"]]
+    refused += [[command, "--" + o.name, "nope"] for o in options if o.choices]
+    for argv in refused:
+        outcomes = []
+        for parser in (full, own):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            outcomes.append((exit_.value.code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+        assert outcomes[0][0] == 2 and outcomes[0][1].err.startswith("usage: dppls ")
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -64,6 +64,15 @@ def test_privacy_budget_rejects_bad_values(eps, delta):
         PrivacyBudget(epsilon=eps, delta=delta)
 
 
+@pytest.mark.parametrize("eps,delta,name", [
+    (True, 0.01, "epsilon"), ("5", 0.01, "epsilon"), (None, 0.01, "epsilon"),
+    (1.0, True, "delta"), (1.0, "0.1", "delta"),
+])
+def test_privacy_budget_refuses_bools_and_non_numbers_by_name(eps, delta, name):
+    with pytest.raises(ArgumentError, match=f"^{name} must be a number, got "):
+        PrivacyBudget(epsilon=eps, delta=delta)
+
+
 def test_privacy_budget_is_frozen():
     b = PrivacyBudget(1.0, 0.01)
     with pytest.raises(AttributeError):
@@ -115,6 +124,23 @@ def test_rng_validation():
         RngStream(2 ** 64)
     with pytest.raises(ArgumentError):
         RngStream(1.5)
+    for seed, stream_id in ((True, 0), (1, False)):
+        with pytest.raises(ArgumentError, match="must be an integer, got bool"):
+            RngStream(seed, stream_id)
+
+
+def test_derive_refuses_indices_that_are_bools_or_not_integers():
+    # int() would take 1.5 and True for 1, and two tasks would share noise.
+    root = RngStream(5)
+    for bad in (1.5, True, np.float64(1.0), "1"):
+        with pytest.raises(ArgumentError, match="^derive index must be an integer, got "):
+            root.derive(0, bad)
+    assert root.derive(np.int64(1)).stream_id == root.derive(1).stream_id
+    # Masked to 64 bits, -1 would be 2^64 - 1 and 2^64 would be 0.
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ArgumentError, match="^derive index must fit in an unsigned 64-bit"):
+            root.derive(bad)
+    assert root.derive(2 ** 64 - 1).stream_id != root.derive(0).stream_id
 
 
 def test_derive_is_deterministic_and_order_sensitive():

@@ -582,6 +582,12 @@ def test_sweep_validation():
     for bad in (0.0, -1.0):
         with pytest.raises(ArgumentError, match="positive"):
             _holdout(d, [bad], 3, rng)
+    # float() would read True as 1 and "5" as 5.
+    for bad in (True, "5"):
+        with pytest.raises(ArgumentError, match=f"^epsilon must be a number, got {bad!r}$"):
+            _holdout(bad_rows, [1.0, bad], 3, rng)
+    with pytest.raises(ArgumentError, match="^delta must be a number, got '0.1'$"):
+        _holdout(bad_rows, [1.0], 3, rng, delta="0.1")
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ArgumentError, match=f"epsilon must be finite, got {bad}"):
             _holdout(d, [bad], 3, rng)

@@ -23,6 +23,7 @@ from dppls.preprocess import (
     SgConfig,
     Step,
     _STEPS,
+    _BandedSolver,
     _penalty_bands,
     _segment_sums,
     _solve_banded,
@@ -71,6 +72,30 @@ def test_sg_config_validation():
         SgConfig(5, 5, 1)
     with pytest.raises(ArgumentError):
         SgConfig(5, 2, 3)
+
+
+@pytest.mark.parametrize("make,kwargs,name", [
+    (SgConfig, {"window": 5.0}, "window"),
+    (SgConfig, {"polyorder": 1.5}, "polyorder"),
+    (SgConfig, {"derivative": True}, "derivative"),
+    (AirPlsConfig, {"lam": True}, "lam"),
+    (AirPlsConfig, {"lam": "5"}, "lam"),
+    (AirPlsConfig, {"max_iterations": True}, "max_iterations"),
+    (AirPlsConfig, {"max_iterations": 2.5}, "max_iterations"),
+    (AirPlsConfig, {"diff_order": True}, "diff_order"),
+    (AirPlsConfig, {"diff_order": 1.5}, "diff_order"),
+])
+def test_configs_refuse_bools_and_non_integers_by_name(make, kwargs, name):
+    # A bool would run as 0 or 1 and a fractional count would fail later
+    # with a TypeError; both are refused when the config is made.
+    with pytest.raises(ArgumentError, match=f"^{name} must be an? (integer|number), got "):
+        make(**kwargs)
+
+
+def test_configs_take_numpy_numbers():
+    assert SgConfig(np.int64(7), np.int32(2), np.int64(1)) == SgConfig(7, 2, 1)
+    assert AirPlsConfig(np.float64(1e3), np.int64(15), np.int64(2)) == AirPlsConfig(1e3, 15, 2)
+    assert AirPlsConfig(lam=100) == AirPlsConfig()
 
 
 def test_sg_constant_rows_have_zero_derivative():
@@ -331,6 +356,48 @@ def test_airpls_rows_stopping_apart_equal_reference(cfg, stop_counts, some_cappe
     assert len(set(solves)) >= stop_counts
     assert any(capped) == some_capped
     np.testing.assert_array_equal(airpls_correct(X, cfg), want)
+
+
+def test_airpls_whose_active_rows_change_every_round_equals_reference():
+    # On the seed-1 corpus at order 3 rows stop in every round, so every
+    # round builds a solver for a new row count.
+    X = np.vstack([d.X for d in simulate_two_holders(100, 100, RngStream(1))])
+    cfg = AirPlsConfig(1e3, 15, 3)
+    want, solves, _ = _reference_airpls(X, cfg)
+    active = [sum(s >= i for s in solves) for i in range(1, max(solves) + 1)]
+    assert active[0] == 200 and len(active) >= 6
+    assert all(a > b for a, b in zip(active, active[1:]))
+    np.testing.assert_array_equal(airpls_correct(X, cfg), want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_airpls_of_a_lone_row_and_of_rows_with_a_zero_row_equals_reference(order):
+    cfg = AirPlsConfig(10.0 ** (order + 1), 15, order)
+    X = _baseline_rows(5, m=60, seed=order)
+    X[2] = 0.0
+    for rows in (X[:1], X):
+        np.testing.assert_array_equal(airpls_correct(rows, cfg), _reference_airpls(rows, cfg)[0])
+    np.testing.assert_array_equal(airpls_correct(X, cfg)[2], 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_reused_solver_gives_every_solve_the_bits_of_per_row_solves(order):
+    # A solver keeps its buffers and bound steps from solve to solve; each
+    # solve must still equal solving each row on its own, also when the
+    # channels barely outnumber the bandwidth.
+    rng = np.random.default_rng(order)
+    for m in (order + 1, order + 2, order + 5, 40):
+        band = 10.0 ** rng.uniform(0, 5) * _penalty_bands(m, order)
+        solver = _BandedSolver(band, 3)
+        for _ in range(3):
+            weights = np.exp(rng.uniform(0.0, 8.0, (3, m)))
+            weights[rng.uniform(size=(3, m)) < 0.5] = 0.0
+            weights[:, :order + 1] = 1.0
+            rhs = weights * rng.normal(size=(3, m))
+            got = solver.solve(weights.T, rhs.T)
+            for i in range(3):
+                want = _solve_banded(band, weights[i:i + 1], rhs[i:i + 1])[0]
+                assert got[:, i].tobytes() == want.tobytes(), (m, i)
 
 
 def test_airpls_row_with_too_few_negative_residuals_keeps_its_last_baseline():
